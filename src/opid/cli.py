@@ -23,7 +23,7 @@ from .harness import (
     run_experiment,
 )
 from .ingest import SynthConfig, generate_synthetic, parse_manifest, stream_batches, write_stream
-from .model import FeatureSchema, Hyperparams
+from .model import FeatureSchema, Hyperparams, SchemaError
 
 
 def _float_tuple(raw: str) -> tuple[float, ...]:
@@ -76,9 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
     cstage.add_argument("--manifest", required=True)
     cstage.add_argument("--out", required=True, help="statistics snapshot file (.npz)")
     cstage.add_argument("--resume", help="snapshot to continue from")
-    cstage.add_argument("--mode", choices=("auto", "direct", "inverse"), default="auto")
-    cstage.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    cstage.add_argument("--rho", type=float, default=0.1)
+    # No defaults here: a resumed pass must tell explicit flags from unset ones.
+    cstage.add_argument("--mode", choices=("auto", "direct", "inverse"), help="default auto")
+    cstage.add_argument("--lambda", dest="lam", type=float, help="default 1.0")
+    cstage.add_argument("--rho", type=float, help="default 0.1")
     cstage.add_argument("--standardize", action="store_true",
                         help="affine-scale features with first-batch statistics")
 
@@ -86,7 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--manifest", required=True)
     run.add_argument("--out", required=True, help="report output directory")
     run.add_argument("--methods", type=_methods, default=ALL_METHODS)
-    run.add_argument("--mode", choices=("auto", "direct", "inverse"), default="auto")
     run.add_argument("--lambda", dest="lam", type=_float_tuple, default=(1.0,),
                      help="consistency weight grid (comma-separated)")
     run.add_argument("--rho", type=_float_tuple, default=(0.1,), help="compressing-stage ridge grid")
@@ -127,11 +127,19 @@ def _cmd_synth(args) -> int:
 
 def _cmd_cstage(args) -> int:
     manifest = parse_manifest(args.manifest)
+    mode = resolve_mode(args.mode or "auto", manifest.schema)
     if args.resume:
         stats = load_stats(args.resume)
+        for name, given, stored in (
+            ("schema", manifest.schema, stats.schema), ("--mode", args.mode and mode, stats.mode),
+            ("--lambda", args.lam, stats.lam), ("--rho", args.rho, stats.rho),
+        ):
+            if given is not None and given != stored:
+                raise SchemaError(f"{name} {given} conflicts with the snapshot's {stored}")
     else:
-        mode = resolve_mode(args.mode, manifest.schema)
-        stats = init_stats(manifest.schema, Hyperparams(lam=args.lam, rho=args.rho), mode=mode)
+        given = {"lam": args.lam, "rho": args.rho}
+        hyper = Hyperparams(**{k: v for k, v in given.items() if v is not None})
+        stats = init_stats(manifest.schema, hyper, mode=mode)
     for batch in stream_batches(manifest, standardize=args.standardize):
         absorb_batch(stats, batch)
     save_stats(stats, args.out)
@@ -154,7 +162,6 @@ def _cmd_run(args) -> int:
         repeats=args.repeats,
         folds=args.folds,
         seed=args.seed,
-        mode=args.mode,
     )
     table = run_experiment(spec)
     report_path, csv_path = emit_report(table, args.out)

@@ -9,9 +9,9 @@ so each instance is read exactly once and memory never grows with the data.
 
 Two interchangeable accumulation strategies sit behind the same interface:
 
-* ``direct``  -- accumulate the normal-equation matrix itself; one SPD
-  factorization at solve time. Preferred while the block dimension is small.
-* ``inverse`` -- maintain the inverse of that matrix through rank-3n updates
+* ``direct``  -- accumulate only the Gram pair G = X^T X, B = X^T Y; build
+  the normal matrix M(lam, rho) and factorize it once at solve time.
+* ``inverse`` -- maintain the inverse of M through rank-3n updates
   (n = batch size), so the solution is a single multiplication away at any
   point of the stream; each step factorizes only a 3n x 3n system.
 """
@@ -19,7 +19,9 @@ Two interchangeable accumulation strategies sit behind the same interface:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import zipfile
+import zlib
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.linalg
@@ -37,17 +39,18 @@ from .model import (
 
 DIRECT = "direct"
 INVERSE = "inverse"
+SNAPSHOT_FORMAT = 2  # the Gram-pair layout; unversioned snapshots predate it
 
 
 @dataclass
 class CStageStats:
     """Streaming sufficient statistics of the compressing-stage objective.
 
-    ``mat`` is the (m, m) normal-equation matrix in ``direct`` mode and its
-    inverse in ``inverse`` mode, with m = vanished + 2 * survived. ``rhs`` is
-    the (m, classes) accumulated cross-moment with the one-hot labels. The
-    footprint is fixed by the schema, never by how many instances were
-    absorbed. Single-writer: absorbing mutates in place.
+    ``mat`` is the (p, p) Gram matrix G in ``direct`` mode and the inverse of
+    the (m, m) coupled normal matrix in ``inverse`` mode, with p = vanished +
+    survived and m = p + survived. ``rhs`` is the (p, classes) cross-moment B
+    with the one-hot labels. The footprint is fixed by the schema, never by
+    how many instances were absorbed. Single-writer: absorbing mutates in place.
     """
 
     mode: str
@@ -60,24 +63,13 @@ class CStageStats:
 
 
 def init_stats(schema: FeatureSchema, hyper: Hyperparams, mode: str = DIRECT) -> CStageStats:
-    """Empty-stream statistics: ridge-only matrix (or its inverse), zero
-    right-hand side."""
+    """Empty-stream statistics: a zero Gram matrix (direct) or the inverse
+    of the ridge-only matrix (inverse), zero right-hand side."""
     if mode not in (DIRECT, INVERSE):
         raise ValueError(f"unknown accumulation mode {mode!r}")
-    if hyper.rho <= 0:
-        raise ValueError(f"ridge must be > 0, got {hyper.rho}")
-    if hyper.lam < 0:
-        raise ValueError(f"consistency weight must be >= 0, got {hyper.lam}")
-    m = schema.stats_dim
-    scale = hyper.rho if mode == DIRECT else 1.0 / hyper.rho
-    return CStageStats(
-        mode=mode,
-        schema=schema,
-        lam=hyper.lam,
-        rho=hyper.rho,
-        mat=scale * np.eye(m),
-        rhs=np.zeros((m, schema.classes)),
-    )
+    p = schema.cstage_width
+    mat = np.zeros((p, p)) if mode == DIRECT else np.eye(schema.stats_dim) / hyper.rho
+    return CStageStats(mode, schema, hyper.lam, hyper.rho, mat, np.zeros((p, schema.classes)))
 
 
 def update_columns(batch: Batch, lam: float, schema: FeatureSchema) -> np.ndarray:
@@ -112,18 +104,10 @@ def absorb_batch(stats: CStageStats, batch: Batch) -> CStageStats:
     validate_batch(batch, stats.schema)
 
     x_all = batch.joined()
-    x_sur = batch.survived
-    lam = stats.lam
-    p = stats.schema.cstage_width
-
     if stats.mode == DIRECT:
-        cross = lam * (x_all.T @ x_sur)
-        stats.mat[:p, :p] += (1.0 + lam) * (x_all.T @ x_all)
-        stats.mat[:p, p:] -= cross
-        stats.mat[p:, :p] -= cross.T
-        stats.mat[p:, p:] += (1.0 + lam) * (x_sur.T @ x_sur)
+        stats.mat += x_all.T @ x_all
     else:
-        u = update_columns(batch, lam, stats.schema)
+        u = update_columns(batch, stats.lam, stats.schema)
         au = stats.mat @ u
         core = np.eye(u.shape[1]) + u.T @ au
         try:
@@ -131,30 +115,43 @@ def absorb_batch(stats: CStageStats, batch: Batch) -> CStageStats:
         except scipy.linalg.LinAlgError as exc:
             raise NumericError(f"rank-update core solve failed: {exc}") from exc
         stats.mat -= au @ sol
-    # Guard against asymmetry drift over long streams.
-    stats.mat = 0.5 * (stats.mat + stats.mat.T)
-
-    stats.rhs[:p] += x_all.T @ batch.labels
-    stats.rhs[p:] += x_sur.T @ batch.labels
+        # Guard against asymmetry drift over long streams.
+        stats.mat = 0.5 * (stats.mat + stats.mat.T)
+    stats.rhs += x_all.T @ batch.labels
     stats.batches_seen += 1
     return stats
 
 
-def solve_model(stats: CStageStats) -> CStageModel:
-    """Solve the accumulated normal system for both coefficient blocks.
+def _coupled_system(stats: CStageStats) -> tuple[np.ndarray | None, np.ndarray]:
+    """M(lam, rho) and the right-hand side [B; B[v:]] of the coupled normal
+    system, v = vanished. M is built from the Gram matrix in direct mode only;
+    inverse mode holds M^-1 already and gets None in its place."""
+    v = stats.schema.vanished
+    rhs = np.vstack([stats.rhs, stats.rhs[v:]])
+    if stats.mode != DIRECT:
+        return None, rhs
+    gram, lam = stats.mat, stats.lam
+    cross = -lam * gram[:, v:]
+    mat = np.block([[(1.0 + lam) * gram, cross], [cross.T, (1.0 + lam) * gram[v:, v:]]])
+    mat.flat[:: mat.shape[0] + 1] += stats.rho
+    return mat, rhs
 
-    Direct mode runs one SPD solve; inverse mode is a plain multiplication,
-    which is what makes the anytime solution cheap on that path.
+
+def solve_model(stats: CStageStats) -> CStageModel:
+    """Solve the coupled normal system for both coefficient blocks.
+
+    Direct mode builds M(lam, rho) from the Gram pair for one SPD solve;
+    inverse mode is a plain multiplication, which is what makes the anytime
+    solution cheap on that path.
     """
+    mat, rhs = _coupled_system(stats)
     if stats.mode == DIRECT:
         try:
-            coef = scipy.linalg.solve(stats.mat, stats.rhs, assume_a="pos")
+            coef = scipy.linalg.solve(mat, rhs, assume_a="pos")
         except scipy.linalg.LinAlgError as exc:
             raise NumericError(f"normal-equation solve failed: {exc}") from exc
     else:
-        coef = stats.mat @ stats.rhs
-    if not np.isfinite(coef).all():
-        raise NumericError("solved coefficients contain non-finite entries")
+        coef = stats.mat @ rhs
     p = stats.schema.cstage_width
     return CStageModel(coef_full=coef[:p], coef_survived=coef[p:])
 
@@ -175,16 +172,14 @@ def compress(x_sur, model: CStageModel) -> np.ndarray:
 def save_stats(stats: CStageStats, path) -> None:
     """Snapshot the statistics so a pass can be suspended and resumed.
 
-    Binary container with exact float round-trip: mode tag, schema widths,
-    regularization, batch counter, and the row-major ``mat``/``rhs`` pair.
+    Binary container with exact float round-trip: format version, mode tag,
+    schema widths, regularization, batch counter, and the ``mat``/``rhs`` pair.
     """
     np.savez(
         path,
+        format=SNAPSHOT_FORMAT,
         mode=np.array(stats.mode),
-        vanished=stats.schema.vanished,
-        survived=stats.schema.survived,
-        augmented=stats.schema.augmented,
-        classes=stats.schema.classes,
+        **asdict(stats.schema),
         lam=stats.lam,
         rho=stats.rho,
         batches_seen=stats.batches_seen,
@@ -193,20 +188,39 @@ def save_stats(stats: CStageStats, path) -> None:
     )
 
 
+_SNAPSHOT_SCALARS = {  # dtype kinds accepted for each 0-d snapshot field
+    "format": "iu", "mode": "U", "vanished": "iu", "survived": "iu", "augmented": "iu",
+    "classes": "iu", "lam": "iuf", "rho": "iuf", "batches_seen": "iu",
+}
+
+
 def load_stats(path) -> CStageStats:
-    with np.load(path) as data:
-        schema = FeatureSchema(
-            vanished=int(data["vanished"]),
-            survived=int(data["survived"]),
-            augmented=int(data["augmented"]),
-            classes=int(data["classes"]),
-        )
-        return CStageStats(
-            mode=str(data["mode"]),
-            schema=schema,
-            lam=float(data["lam"]),
-            rho=float(data["rho"]),
-            mat=data["mat"].copy(),
-            rhs=data["rhs"].copy(),
-            batches_seen=int(data["batches_seen"]),
-        )
+    """Read a snapshot written by :func:`save_stats`. Any unreadable file,
+    missing or malformed field, or other format version, unversioned
+    snapshots included, raises :class:`SchemaError`; nothing is converted."""
+    try:
+        data = np.load(path)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError("not an .npz archive")
+        with data:
+            raw = {key: data[key] for key in data.files}
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
+        raise SchemaError(f"{path}: not a readable statistics snapshot: {exc}") from exc
+    for key, kinds in _SNAPSHOT_SCALARS.items():
+        value = raw.get(key)
+        if value is None or value.shape != () or value.dtype.kind not in kinds:
+            raise SchemaError(f"{path}: snapshot field {key!r} is missing or malformed")
+    if raw["format"] != SNAPSHOT_FORMAT:
+        raise SchemaError(f"{path}: snapshot format {raw['format']}, expected {SNAPSHOT_FORMAT}")
+    mode, seen = str(raw["mode"]), int(raw["batches_seen"])
+    lam, rho = float(raw["lam"]), float(raw["rho"])
+    finite = 0 <= lam < math.inf and 0 < rho < math.inf
+    if mode not in (DIRECT, INVERSE) or not finite or seen < 0:
+        raise SchemaError(f"{path}: bad settings {mode=} {lam=} {rho=} batches_seen={seen}")
+    schema = FeatureSchema(*(int(raw[k]) for k in ("vanished", "survived", "augmented", "classes")))
+    dim = schema.cstage_width if mode == DIRECT else schema.stats_dim
+    for key, shape in (("mat", (dim, dim)), ("rhs", (schema.cstage_width, schema.classes))):
+        arr = raw.get(key, np.empty(0))
+        if arr.shape != shape or arr.dtype != np.float64 or not np.isfinite(arr).all():
+            raise SchemaError(f"{path}: {mode} snapshot needs a finite float64 {key!r} of {shape}")
+    return CStageStats(mode, schema, lam, rho, raw["mat"], raw["rhs"], seen)

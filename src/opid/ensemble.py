@@ -204,26 +204,15 @@ def train_ensemble(
     )
 
 
-def predict_ensemble(
-    batch: Batch,
-    cmodel: CStageModel,
-    emodel: EnsembleModel,
-    score_average: bool = False,
-) -> np.ndarray:
+def predict_ensemble(batch: Batch, cmodel: CStageModel, emodel: EnsembleModel) -> np.ndarray:
     """Classify an expanding-stage batch by weighted probability averaging
-    of the two members (margin averaging behind the flag)."""
+    of the two members."""
     if batch.stage != E_STAGE:
         raise SchemaError("prediction requires an expanding-stage batch")
     z = compress(batch.survived, cmodel)
     z_joint = np.hstack([z, batch.augmented])
-    if score_average:
-        combined = emodel.w_base * emodel.clf_base.margins(z) + emodel.w_joint * (
-            emodel.clf_joint.margins(z_joint)
-        )
-    else:
-        combined = emodel.w_base * emodel.clf_base.proba(z) + emodel.w_joint * (
-            emodel.clf_joint.proba(z_joint)
-        )
+    combined = emodel.w_base * emodel.clf_base.proba(z)
+    combined += emodel.w_joint * emodel.clf_joint.proba(z_joint)
     return argmax_decode(combined)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +56,6 @@ class ExperimentSpec:
     repeats: int = 20
     folds: int = 5
     seed: int = 0
-    mode: str = "auto"
 
     def __post_init__(self):
         if self.repeats < 1:
@@ -98,15 +97,15 @@ def resolve_mode(mode: str, schema: FeatureSchema) -> str:
     return mode
 
 
-def run_cstage_pass(stream, schema: FeatureSchema, hyper: Hyperparams, mode: str = DIRECT) -> CStageModel:
-    """Absorb every batch of the stream exactly once and solve.
-
-    An empty stream yields the all-zero model.
-    """
-    stats = init_stats(schema, hyper, mode=mode)
+def run_cstage_pass(stream, schema: FeatureSchema, grid) -> dict[tuple[float, float], CStageModel]:
+    """Absorb every batch of the stream exactly once and solve at every (lam, rho)
+    point of ``grid``: the direct-mode Gram statistics hold neither, so one pass
+    serves the whole grid. An empty stream yields all-zero models."""
+    points = [Hyperparams(lam=lam, rho=rho) for lam, rho in grid]  # checked before the pass
+    stats = init_stats(schema, Hyperparams(), mode=DIRECT)
     for batch in stream:
         absorb_batch(stats, batch)
-    return solve_model(stats)
+    return {(h.lam, h.rho): solve_model(replace(stats, lam=h.lam, rho=h.rho)) for h in points}
 
 
 def k_fold_cv(x, y, grid, k: int, scorer) -> tuple[object, np.ndarray]:
@@ -175,22 +174,16 @@ def _flip(mark: str) -> str:
 
 
 def _materialize(source):
-    """Schema, a re-streamable compressing-stage factory, and the pooled
+    """Schema, a single-use compressing-stage batch iterator, and the pooled
     expanding-stage rows (features, one-hot labels)."""
     if isinstance(source, SynthConfig):
         cbatches, etrain, etest = generate_synthetic(source)
         schema = source.schema
-
-        def stream():
-            return iter(cbatches)
-
+        stream = iter(cbatches)
     elif isinstance(source, StreamManifest):
         schema = source.schema
         etrain, etest = load_estage(source)
-
-        def stream():
-            return stream_batches(source)
-
+        stream = stream_batches(source)
     else:
         raise TypeError(f"unsupported experiment source {type(source)!r}")
     pool_x = np.vstack([etrain.joined(), etest.joined()])
@@ -335,18 +328,13 @@ def build_table(
 def run_experiment(spec: ExperimentSpec) -> ResultTable:
     """Run the full protocol and aggregate a result table.
 
-    The compressing-stage model is computed once per (lam, rho) grid point
-    and shared across repeats; each repeat draws a fresh 50/50 split of the
-    pooled expanding-stage data. A method failure aborts the whole repeat
-    with a logged reason.
+    The compressing-stage stream is read once; its model is solved once
+    per (lam, rho) grid point and shared across repeats. Each repeat draws a
+    fresh 50/50 split of the pooled expanding-stage data. A method failure
+    aborts the whole repeat with a logged reason.
     """
-    schema, stream_factory, pool_x, pool_y = _materialize(spec.source)
-    mode = resolve_mode(spec.mode, schema)
-    cmodels = {}
-    for lam in spec.lam_grid:
-        for rho in spec.rho_grid:
-            hyper = Hyperparams(lam=lam, rho=rho)
-            cmodels[(lam, rho)] = run_cstage_pass(stream_factory(), schema, hyper, mode)
+    schema, stream, pool_x, pool_y = _materialize(spec.source)
+    cmodels = run_cstage_pass(stream, schema, itertools.product(spec.lam_grid, spec.rho_grid))
 
     runner = _MethodRunner(spec, schema, cmodels)
     n_pool = pool_x.shape[0]

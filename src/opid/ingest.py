@@ -158,7 +158,8 @@ def _read_rows(path: Path, n_features: int, classes: int) -> tuple[np.ndarray, n
             except ValueError as exc:
                 raise ManifestError(f"{path}:{lineno}: malformed value: {exc}") from exc
             label = row[-1]
-            if label != int(label) or not 0 <= int(label) < classes:
+            # The range test comes first: it also rejects nan and inf before int() sees them.
+            if not 0 <= label < classes or label != int(label):
                 raise ManifestError(
                     f"{path}:{lineno}: label {label} is not an integer in [0, {classes})"
                 )

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from opid.cstage import DIRECT, INVERSE, absorb_batch, init_stats, solve_model
+from opid.cstage import DIRECT, INVERSE, _coupled_system, absorb_batch, init_stats, solve_model
 from opid.ensemble import train_logistic
 from opid.estage import (
     StackedTrainSet,
@@ -113,7 +113,7 @@ def test_criterion_2_woodbury_path_equivalence():
             np.abs(m_d.coef_full - m_i.coef_full).max() / scale,
             np.abs(m_d.coef_survived - m_i.coef_survived).max() / scale,
         )
-        identity = inverse.mat @ direct.mat
+        identity = inverse.mat @ _coupled_system(direct)[0]
         worst_identity = max(
             worst_identity, np.abs(identity - np.eye(schema.stats_dim)).max()
         )

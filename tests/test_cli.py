@@ -6,7 +6,7 @@ import pytest
 from opid.cli import main
 from opid.cstage import absorb_batch, init_stats, load_stats
 from opid.ingest import parse_manifest, stream_batches
-from opid.model import Hyperparams
+from opid.model import Hyperparams, SchemaError
 
 
 def _synth_args(out_dir, seed=0):
@@ -62,6 +62,39 @@ class TestCStageCommand:
         main(["cstage", "--manifest", manifest_path, "--out", str(resumed),
               "--resume", str(whole)])
         assert load_stats(resumed).batches_seen == 2 * load_stats(whole).batches_seen
+
+    @pytest.fixture
+    def snapshot(self, tmp_path, capsys):
+        main(_synth_args(tmp_path / "data"))
+        manifest_path = capsys.readouterr().out.strip()
+        out = tmp_path / "stats.npz"
+        main(["cstage", "--manifest", manifest_path, "--out", str(out), "--lambda", "0.5"])
+        capsys.readouterr()
+        return manifest_path, out
+
+    def test_resume_rejects_another_schema(self, snapshot, tmp_path, capsys):
+        _, out = snapshot
+        args = _synth_args(tmp_path / "other")
+        args[args.index("--augmented") + 1] = "3"  # only the augmented width differs
+        main(args)
+        other = capsys.readouterr().out.strip()
+        with pytest.raises(SchemaError, match="schema .* conflicts with the snapshot"):
+            main(["cstage", "--manifest", other, "--out", str(tmp_path / "x.npz"),
+                  "--resume", str(out)])
+
+    @pytest.mark.parametrize("flags", [["--lambda", "1.0"], ["--rho", "0.5"], ["--mode", "inverse"]])
+    def test_resume_rejects_conflicting_flags(self, snapshot, tmp_path, flags):
+        manifest_path, out = snapshot
+        with pytest.raises(SchemaError, match=f"{flags[0]} .* conflicts"):
+            main(["cstage", "--manifest", manifest_path, "--out", str(tmp_path / "x.npz"),
+                  "--resume", str(out), *flags])
+
+    def test_resume_accepts_matching_flags(self, snapshot, tmp_path):
+        manifest_path, out = snapshot
+        assert main([
+            "cstage", "--manifest", manifest_path, "--out", str(tmp_path / "x.npz"),
+            "--resume", str(out), "--lambda", "0.5", "--rho", "0.1", "--mode", "auto",
+        ]) == 0
 
 
 class TestRunAndReportCommands:

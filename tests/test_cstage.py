@@ -7,6 +7,7 @@ from conftest import random_cstage_stream
 from opid.cstage import (
     DIRECT,
     INVERSE,
+    _coupled_system,
     absorb_batch,
     compress,
     init_stats,
@@ -26,9 +27,11 @@ def _schema(d_v=2, d_s=3, c=2):
 
 class TestInitStats:
     def test_direct_init(self):
+        # direct mode keeps only the (p, p) Gram matrix and (p, c) cross-moment
         stats = init_stats(_schema(1, 2, 3), Hyperparams(rho=2.0), mode=DIRECT)
-        np.testing.assert_array_equal(stats.mat, 2.0 * np.eye(5))
-        np.testing.assert_array_equal(stats.rhs, np.zeros((5, 3)))
+        np.testing.assert_array_equal(stats.mat, np.zeros((3, 3)))
+        np.testing.assert_array_equal(stats.rhs, np.zeros((3, 3)))
+        np.testing.assert_array_equal(_coupled_system(stats)[0], 2.0 * np.eye(5))
         assert stats.batches_seen == 0
 
     def test_inverse_init(self):
@@ -50,9 +53,10 @@ class TestAbsorb:
         schema = _schema(2, 3, 2)
         (batch,) = random_cstage_stream(rng, 1, 6, 2, 3, 2)
         stats = absorb_batch(init_stats(schema, Hyperparams(lam=0.0, rho=1.0)), batch)
+        mat, _ = _coupled_system(stats)
         p = schema.cstage_width
-        np.testing.assert_array_equal(stats.mat[:p, p:], np.zeros((p, 3)))
-        np.testing.assert_array_equal(stats.mat[p:, :p], np.zeros((3, p)))
+        np.testing.assert_array_equal(mat[:p, p:], np.zeros((p, 3)))
+        np.testing.assert_array_equal(mat[p:, :p], np.zeros((3, p)))
 
     def test_increment_equals_update_columns_outer_product(self):
         rng = np.random.default_rng(1)
@@ -62,7 +66,7 @@ class TestAbsorb:
         stats = absorb_batch(init_stats(schema, hyper), batch)
         u = update_columns(batch, hyper.lam, schema)
         expected = hyper.rho * np.eye(schema.stats_dim) + u @ u.T
-        np.testing.assert_allclose(stats.mat, expected, atol=1e-12)
+        np.testing.assert_allclose(_coupled_system(stats)[0], expected, atol=1e-12)
 
     def test_inverse_mode_matches_dense_inversion(self):
         rng = np.random.default_rng(2)
@@ -71,7 +75,9 @@ class TestAbsorb:
         (batch,) = random_cstage_stream(rng, 1, 5, 2, 3, 2)
         direct = absorb_batch(init_stats(schema, hyper, DIRECT), batch)
         inverse = absorb_batch(init_stats(schema, hyper, INVERSE), batch)
-        np.testing.assert_allclose(inverse.mat, np.linalg.inv(direct.mat), atol=1e-8)
+        np.testing.assert_allclose(
+            inverse.mat, np.linalg.inv(_coupled_system(direct)[0]), atol=1e-8
+        )
 
     def test_rejects_estage_batch(self):
         b = Batch.estage(np.zeros((2, 3)), np.zeros((2, 0)), one_hot_encode([0, 1], 2))
@@ -96,7 +102,9 @@ class TestAbsorb:
         for b in stream:
             absorb_batch(direct, b)
             absorb_batch(inverse, b)
-        np.testing.assert_allclose(inverse.mat @ direct.mat, np.eye(schema.stats_dim), atol=1e-8)
+        np.testing.assert_allclose(
+            inverse.mat @ _coupled_system(direct)[0], np.eye(schema.stats_dim), atol=1e-8
+        )
 
     def test_order_insensitivity_direct(self):
         rng = np.random.default_rng(5)
@@ -119,7 +127,7 @@ class TestAbsorb:
         stats = init_stats(schema, hyper)
         for b in random_cstage_stream(rng, 5, 4, 2, 3, 2):
             absorb_batch(stats, b)
-            eigs = np.linalg.eigvalsh(stats.mat)
+            eigs = np.linalg.eigvalsh(_coupled_system(stats)[0])
             assert eigs.min() >= hyper.rho - 1e-10  # data adds a PSD increment
 
     def test_footprint_independent_of_stream_length(self):
@@ -283,3 +291,54 @@ class TestSnapshot:
             absorb_batch(resumed, b)
         np.testing.assert_array_equal(resumed.mat, whole.mat)
         np.testing.assert_array_equal(resumed.rhs, whole.rhs)
+
+    @staticmethod
+    def _snapshot_fields(tmp_path):
+        stats = init_stats(_schema(2, 3, 2), Hyperparams(lam=0.9, rho=0.3))
+        path = tmp_path / "good.npz"
+        save_stats(stats, path)
+        with np.load(path) as data:
+            return {key: data[key] for key in data.files}
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"mode": np.array("bogus")},
+            {"mat": np.eye(3)},  # a 3x3 matrix for a schema with 8 statistic rows
+            {"rhs": np.zeros((8, 2))},
+            {"mat": np.full((5, 5), np.nan)},
+            {"mat": np.zeros((5, 5), dtype=np.int64)},
+            {"format": 3},
+            {"survived": 0},
+            {"classes": 2.5},
+            {"lam": -1.0},
+            {"rho": 0.0},
+            {"rho": np.inf},
+            {"batches_seen": -1},
+            {"lam": None},
+        ],
+    )
+    def test_invalid_snapshot_rejected(self, tmp_path, change):
+        fields = self._snapshot_fields(tmp_path)
+        fields.update(change)
+        path = tmp_path / "bad.npz"
+        np.savez(path, **{k: v for k, v in fields.items() if v is not None})
+        with pytest.raises(SchemaError):
+            load_stats(path)
+
+    def test_unversioned_snapshot_rejected(self, tmp_path):
+        # the layout from before format versions: a coupled (m, m) matrix
+        fields = self._snapshot_fields(tmp_path)
+        del fields["format"]
+        fields.update(mat=0.3 * np.eye(8), rhs=np.zeros((8, 2)))
+        path = tmp_path / "old.npz"
+        np.savez(path, **fields)
+        with pytest.raises(SchemaError, match="format"):
+            load_stats(path)
+
+    @pytest.mark.parametrize("content", [b"", b"not a snapshot", b"PK\x03\x04broken"])
+    def test_unreadable_file_rejected(self, tmp_path, content):
+        path = tmp_path / "junk.npz"
+        path.write_bytes(content)
+        with pytest.raises(SchemaError):
+            load_stats(path)

@@ -186,15 +186,6 @@ class TestPredictEnsemble:
                 predict_ensemble(batch, cmodel, emodel), member.predict(z)
             )
 
-    def test_score_average_flag(self):
-        cmodel, batch, emodel, clf_base, clf_joint = self._setup(w_base=0.4)
-        z = batch.survived @ cmodel.coef_survived
-        z_joint = np.hstack([z, batch.augmented])
-        expected = (0.4 * clf_base.margins(z) + 0.6 * clf_joint.margins(z_joint)).argmax(axis=1)
-        np.testing.assert_array_equal(
-            predict_ensemble(batch, cmodel, emodel, score_average=True), expected
-        )
-
 
 class TestEnsembleSnapshot:
     def test_round_trip_is_exact(self, tmp_path):

@@ -26,10 +26,23 @@ from opid.harness import (
     run_cstage_pass,
     run_experiment,
 )
-from opid.ingest import SynthConfig
+from opid import harness
+from opid.ingest import SynthConfig, generate_synthetic, parse_manifest, write_stream
 from opid.model import FeatureSchema, Hyperparams
 
 import oracles
+
+
+class _OneShot:
+    """An iterable over batches that counts how often it is iterated."""
+
+    def __init__(self, batches):
+        self.batches = batches
+        self.passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return iter(self.batches)
 
 
 class TestRunCStagePass:
@@ -38,7 +51,7 @@ class TestRunCStagePass:
         schema = FeatureSchema(vanished=2, survived=3, augmented=0, classes=2)
         hyper = Hyperparams(lam=1.0, rho=0.1)
         stream = random_cstage_stream(rng, 1, 10, 2, 3, 2)
-        model = run_cstage_pass(iter(stream), schema, hyper)
+        (model,) = run_cstage_pass(iter(stream), schema, [(hyper.lam, hyper.rho)]).values()
         ref_full, ref_sur = oracles.batch_normal_solve(stream, hyper.lam, hyper.rho)
         np.testing.assert_allclose(model.coef_full, ref_full, atol=1e-10)
         np.testing.assert_allclose(model.coef_survived, ref_sur, atol=1e-10)
@@ -46,17 +59,37 @@ class TestRunCStagePass:
     def test_permuted_stream_gives_identical_model(self):
         rng = np.random.default_rng(1)
         schema = FeatureSchema(vanished=2, survived=3, augmented=0, classes=2)
-        hyper = Hyperparams(lam=0.5, rho=0.2)
+        grid = [(0.5, 0.2)]
         stream = random_cstage_stream(rng, 5, 6, 2, 3, 2)
-        fwd = run_cstage_pass(iter(stream), schema, hyper)
-        rev = run_cstage_pass(iter(stream[::-1]), schema, hyper)
+        (fwd,) = run_cstage_pass(iter(stream), schema, grid).values()
+        (rev,) = run_cstage_pass(iter(stream[::-1]), schema, grid).values()
         np.testing.assert_allclose(fwd.coef_full, rev.coef_full, atol=1e-10)
         np.testing.assert_allclose(fwd.coef_survived, rev.coef_survived, atol=1e-10)
 
     def test_empty_stream_gives_zero_model(self):
         schema = FeatureSchema(vanished=2, survived=3, augmented=0, classes=2)
-        model = run_cstage_pass(iter(()), schema, Hyperparams())
+        (model,) = run_cstage_pass(iter(()), schema, [(1.0, 0.1)]).values()
         assert not model.coef_full.any() and not model.coef_survived.any()
+
+    def test_one_pass_solves_every_grid_point(self):
+        rng = np.random.default_rng(2)
+        schema = FeatureSchema(vanished=3, survived=4, augmented=0, classes=3)
+        stream = _OneShot(random_cstage_stream(rng, 4, 9, 3, 4, 3))
+        grid = [(lam, rho) for lam in (0.1, 2.0) for rho in (0.05, 1.0)]
+        models = run_cstage_pass(stream, schema, grid)
+        assert stream.passes == 1
+        assert list(models) == grid
+        for (lam, rho), model in models.items():
+            ref_full, ref_sur = oracles.batch_normal_solve(stream.batches, lam, rho)
+            np.testing.assert_allclose(model.coef_full, ref_full, atol=1e-8)
+            np.testing.assert_allclose(model.coef_survived, ref_sur, atol=1e-8)
+
+    def test_bad_grid_point_rejected_before_the_pass(self):
+        schema = FeatureSchema(vanished=1, survived=2, augmented=0, classes=2)
+        stream = _OneShot([])
+        with pytest.raises(ValueError):
+            run_cstage_pass(stream, schema, [(1.0, 0.1), (1.0, 0.0)])
+        assert stream.passes == 0
 
 
 class TestResolveMode:
@@ -246,6 +279,29 @@ class TestRunExperiment:
         assert table.repeats == 0
         assert "aborted" in table.failures[0]
         assert np.isnan(table.mean(OPIDE))
+
+
+    def test_manifest_stream_is_read_once_for_the_whole_grid(self, tmp_path, monkeypatch):
+        cfg = SynthConfig(
+            schema=FeatureSchema(vanished=2, survived=4, augmented=2, classes=2),
+            batches=3, batch_size=20, estage_size=30, separation=2.5, seed=6,
+        )
+        manifest = parse_manifest(write_stream(*generate_synthetic(cfg), tmp_path, cfg.schema))
+        opened = []
+        real = harness.stream_batches
+
+        def counted(source, **kwargs):
+            opened.append(source)
+            return real(source, **kwargs)
+
+        monkeypatch.setattr(harness, "stream_batches", counted)
+        spec = ExperimentSpec(
+            source=manifest, methods=(OPID,), lam_grid=(0.1, 1.0), rho_grid=(0.1, 1.0),
+            repeats=2, seed=1,
+        )
+        table = run_experiment(spec)
+        assert len(opened) == 1
+        assert len(table.accuracies[OPID]) == 2
 
 
 class TestReports:

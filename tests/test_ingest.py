@@ -121,9 +121,10 @@ class TestStreamBatches:
 
     def test_label_out_of_range_rejected(self, tmp_path):
         path = _write_manifest(tmp_path)
-        (tmp_path / "c0.csv").write_text("0.5,1.0,2.0,5\n")
-        with pytest.raises(ManifestError, match="label"):
-            list(stream_batches(parse_manifest(path)))
+        for label in ("5", "nan", "inf", "-inf"):
+            (tmp_path / "c0.csv").write_text(f"0.5,1.0,2.0,0\n0.5,1.0,2.0,{label}\n")
+            with pytest.raises(ManifestError, match=r"c0\.csv:2: label"):
+                list(stream_batches(parse_manifest(path)))
 
     def test_round_trip_is_bitwise(self, tmp_path):
         schema = FeatureSchema(vanished=2, survived=3, augmented=2, classes=3)
