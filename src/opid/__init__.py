@@ -16,7 +16,6 @@ from .cstage import (
     load_stats,
     save_stats,
     solve_model,
-    update_columns,
 )
 from .ensemble import (
     EnsembleModel,
@@ -35,12 +34,8 @@ from .estage import (
     build_stacked,
     fit_unified,
     load_emodel,
-    objective_value,
     predict_unified,
     save_emodel,
-    train_unified,
-    update_coefficients,
-    update_weights,
 )
 from .harness import (
     ALL_METHODS,

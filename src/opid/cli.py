@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     cstage.add_argument("--lambda", dest="lam", type=float, help="default 1.0")
     cstage.add_argument("--rho", type=float, help="default 0.1")
     cstage.add_argument("--standardize", action="store_true",
-                        help="affine-scale features with first-batch statistics")
+                        help="affine-scale features with first-batch statistics (not with --resume)")
 
     run = sub.add_parser("run", help="run the full experiment protocol")
     run.add_argument("--manifest", required=True)
@@ -129,6 +129,8 @@ def _cmd_cstage(args) -> int:
     manifest = parse_manifest(args.manifest)
     mode = resolve_mode(args.mode or "auto", manifest.schema)
     if args.resume:
+        if args.standardize:
+            raise SchemaError("--standardize cannot resume: the snapshot stores no affine transform")
         stats = load_stats(args.resume)
         for name, given, stored in (
             ("schema", manifest.schema, stats.schema), ("--mode", args.mode and mode, stats.mode),

@@ -24,7 +24,6 @@ import zlib
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .model import (
     C_STAGE,
@@ -32,8 +31,8 @@ from .model import (
     CStageModel,
     FeatureSchema,
     Hyperparams,
-    NumericError,
     SchemaError,
+    _solve_spd,
     validate_batch,
 )
 
@@ -110,11 +109,7 @@ def absorb_batch(stats: CStageStats, batch: Batch) -> CStageStats:
         u = update_columns(batch, stats.lam, stats.schema)
         au = stats.mat @ u
         core = np.eye(u.shape[1]) + u.T @ au
-        try:
-            sol = scipy.linalg.solve(core, au.T, assume_a="pos")
-        except scipy.linalg.LinAlgError as exc:
-            raise NumericError(f"rank-update core solve failed: {exc}") from exc
-        stats.mat -= au @ sol
+        stats.mat -= au @ _solve_spd(core, au.T, "rank-update core")
         # Guard against asymmetry drift over long streams.
         stats.mat = 0.5 * (stats.mat + stats.mat.T)
     stats.rhs += x_all.T @ batch.labels
@@ -145,13 +140,7 @@ def solve_model(stats: CStageStats) -> CStageModel:
     solution cheap on that path.
     """
     mat, rhs = _coupled_system(stats)
-    if stats.mode == DIRECT:
-        try:
-            coef = scipy.linalg.solve(mat, rhs, assume_a="pos")
-        except scipy.linalg.LinAlgError as exc:
-            raise NumericError(f"normal-equation solve failed: {exc}") from exc
-    else:
-        coef = stats.mat @ rhs
+    coef = _solve_spd(mat, rhs, "normal-equation") if stats.mode == DIRECT else stats.mat @ rhs
     p = stats.schema.cstage_width
     return CStageModel(coef_full=coef[:p], coef_survived=coef[p:])
 
@@ -199,11 +188,12 @@ def load_stats(path) -> CStageStats:
     missing or malformed field, or other format version, unversioned
     snapshots included, raises :class:`SchemaError`; nothing is converted."""
     try:
-        data = np.load(path)
-        if not isinstance(data, np.lib.npyio.NpzFile):
-            raise ValueError("not an .npz archive")
-        with data:
-            raw = {key: data[key] for key in data.files}
+        with open(path, "rb") as fh:  # np.load(path) leaks the handle of a broken archive
+            data = np.load(fh)
+            if not isinstance(data, np.lib.npyio.NpzFile):
+                raise ValueError("not an .npz archive")
+            with data:
+                raw = {key: data[key] for key in data.files}
     except (OSError, EOFError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
         raise SchemaError(f"{path}: not a readable statistics snapshot: {exc}") from exc
     for key, kinds in _SNAPSHOT_SCALARS.items():

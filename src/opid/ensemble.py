@@ -14,17 +14,16 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.special import expit
 
-from .cstage import compress
-from .estage import StackedTrainSet
+from .estage import StackedTrainSet, build_stacked
 from .model import (
-    E_STAGE,
     Batch,
     CStageModel,
     NumericError,
     SchemaError,
+    _fold_splits,
+    _solve_spd,
     argmax_decode,
     class_signs,
 )
@@ -80,10 +79,7 @@ def train_logistic(
             return v
         curv = expit(t) * slack
         hess = np.eye(d) + alpha * (x.T * curv) @ x
-        try:
-            direction = scipy.linalg.solve(hess, grad, assume_a="pos")
-        except scipy.linalg.LinAlgError as exc:
-            raise NumericError(f"Newton system solve failed: {exc}") from exc
+        direction = _solve_spd(hess, grad, "Newton system")
         slope = float(grad @ direction)
         eta = 1.0
         while eta > 2.0**-40:
@@ -171,19 +167,12 @@ def train_ensemble(
     CV than either member alone; ties go to the larger joint-block weight
     (the richer feature set).
     """
-    n = data.n
-    if folds < 2:
-        raise ValueError(f"need at least 2 folds, got {folds}")
-    if folds > n:
-        raise ValueError(f"cannot make {folds} folds from {n} instances")
-
+    splits = _fold_splits(data.n, folds)
     clf_base = train_ovr(data.z_base, data.labels, alpha_base, tol=tol)
     clf_joint = train_ovr(data.z_joint, data.labels, alpha_joint, tol=tol)
 
     scores = np.zeros(WEIGHT_GRID.size)
-    for val_idx in np.array_split(np.arange(n), folds):
-        mask = np.ones(n, dtype=bool)
-        mask[val_idx] = False
+    for mask, val_idx in splits:
         fold_base = train_ovr(data.z_base[mask], data.labels[mask], alpha_base, tol=tol)
         fold_joint = train_ovr(data.z_joint[mask], data.labels[mask], alpha_joint, tol=tol)
         p_base = fold_base.proba(data.z_base[val_idx])
@@ -192,13 +181,9 @@ def train_ensemble(
         for i, w in enumerate(WEIGHT_GRID):
             scores[i] += _combined_accuracy(w, p_base, p_joint, truth)
 
-    # Ascending scan with a strict improvement test keeps the smallest tied
-    # base weight, i.e. the largest joint-block weight.
-    best = 0
-    for i in range(1, WEIGHT_GRID.size):
-        if scores[i] > scores[best]:
-            best = i
-    w_base = float(WEIGHT_GRID[best])
+    # argmax keeps the first maximum: the smallest tied base weight, i.e. the
+    # largest joint-block weight.
+    w_base = float(WEIGHT_GRID[int(np.argmax(scores))])
     return EnsembleModel(
         clf_base=clf_base, clf_joint=clf_joint, w_base=w_base, w_joint=1.0 - w_base
     )
@@ -207,12 +192,9 @@ def train_ensemble(
 def predict_ensemble(batch: Batch, cmodel: CStageModel, emodel: EnsembleModel) -> np.ndarray:
     """Classify an expanding-stage batch by weighted probability averaging
     of the two members."""
-    if batch.stage != E_STAGE:
-        raise SchemaError("prediction requires an expanding-stage batch")
-    z = compress(batch.survived, cmodel)
-    z_joint = np.hstack([z, batch.augmented])
-    combined = emodel.w_base * emodel.clf_base.proba(z)
-    combined += emodel.w_joint * emodel.clf_joint.proba(z_joint)
+    data = build_stacked(batch, cmodel)
+    combined = emodel.w_base * emodel.clf_base.proba(data.z_base)
+    combined += emodel.w_joint * emodel.clf_joint.proba(data.z_joint)
     return argmax_decode(combined)
 
 

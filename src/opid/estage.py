@@ -1,12 +1,22 @@
 """Expanding-stage joint trainer: ridge stacking with learned block weights.
 
 The compressed class scores of the survived-feature classifier become input
-features, alongside the augmented raw features. Training alternates two
-closed-form steps on a jointly convex objective: a block-ridge solve for the
-two coefficient blocks at fixed weights, and an exact simplex-constrained
-weight update from the blocks' width-scaled norms. Each block's ridge is
-divided by its width so the narrow compressed block is not drowned out by
-the wide augmented block.
+features, alongside the augmented raw features. The model has two blocks:
+``v_base`` on the c compressed columns and ``v_joint`` on the k-wide joint
+block (compressed + augmented). Training alternates two closed-form steps on
+a jointly convex objective: a ridge solve for both blocks at fixed weights,
+and an exact simplex-constrained weight update from the blocks' width-scaled
+norms. Each block's ridge is divided by its width so the narrow compressed
+block is not drowned out by the wide augmented block.
+
+The compressed columns lead the joint block, so both blocks' scores add up
+to one map ``z_joint @ u`` and the coefficient step is a single k x k ridge
+solve on the joint block. With a = gamma / (c * w_base) and
+b = gamma / (k * w_joint), the compressed columns get ridge ab / (a + b) and
+the augmented ones ridge b; the blocks split back exactly as
+``v_base = b/(a+b) u[:c]``, ``v_joint[:c] = a/(a+b) u[:c]``,
+``v_joint[c:] = u[c:]``. The Gram matrix of the joint block and its
+cross-moment with the labels hold no weights, so a fit forms them once.
 """
 
 from __future__ import annotations
@@ -15,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .cstage import compress
 from .model import (
@@ -25,6 +34,7 @@ from .model import (
     EStageModel,
     NumericError,
     SchemaError,
+    _solve_spd,
     argmax_decode,
 )
 
@@ -36,30 +46,28 @@ WEIGHT_FLOOR = 1e-8
 class StackedTrainSet:
     """Expanding-stage training data in stacked form.
 
-    ``z_base`` holds the compressed class-score features (n x classes);
-    ``z_joint`` prepends them to the augmented features
-    (n x (classes + augmented)); its leading columns equal ``z_base``
-    exactly.
+    ``z_joint`` is the joint block (n x (classes + augmented)): the
+    compressed class-score features followed by the augmented features.
+    ``labels`` is the n x classes one-hot matrix, whose width fixes how many
+    leading columns are compressed ones.
     """
 
-    z_base: np.ndarray
     z_joint: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
-        n, c = self.z_base.shape
-        if self.labels.shape != (n, c):
-            raise SchemaError(
-                f"labels have shape {self.labels.shape}, expected ({n}, {c})"
-            )
-        if self.z_joint.shape[0] != n or self.z_joint.shape[1] < c:
-            raise SchemaError(f"joint block has bad shape {self.z_joint.shape}")
-        if not np.array_equal(self.z_joint[:, :c], self.z_base):
-            raise SchemaError("joint block must start with the compressed block")
+        z, y = self.z_joint, self.labels
+        if z.ndim != 2 or y.ndim != 2 or y.shape[0] != z.shape[0] or y.shape[1] > z.shape[1]:
+            raise SchemaError(f"labels of shape {y.shape} do not fit a joint block of {z.shape}")
+
+    @property
+    def z_base(self) -> np.ndarray:
+        """The compressed block: a view of the leading columns of ``z_joint``."""
+        return self.z_joint[:, : self.labels.shape[1]]
 
     @property
     def n(self) -> int:
-        return self.z_base.shape[0]
+        return self.z_joint.shape[0]
 
 
 @dataclass(frozen=True)
@@ -78,9 +86,24 @@ def build_stacked(batch: Batch, cmodel: CStageModel) -> StackedTrainSet:
     if batch.stage != E_STAGE:
         raise SchemaError("stacking requires an expanding-stage batch")
     z = compress(batch.survived, cmodel)
-    return StackedTrainSet(
-        z_base=z, z_joint=np.hstack([z, batch.augmented]), labels=batch.labels
-    )
+    return StackedTrainSet(z_joint=np.hstack([z, batch.augmented]), labels=batch.labels)
+
+
+def _solve_blocks(
+    gram: np.ndarray, zty: np.ndarray, w_base: float, w_joint: float, gamma: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficient blocks at fixed weights from the joint block's Gram
+    matrix and label cross-moment, by the reduced k x k ridge solve."""
+    if w_base <= 0 or w_joint <= 0:
+        raise ValueError(f"weights must be > 0, got ({w_base}, {w_joint})")
+    if gamma <= 0:
+        raise ValueError(f"ridge must be > 0, got {gamma}")
+    k, c = zty.shape
+    inv_a, inv_b = c * w_base / gamma, k * w_joint / gamma  # 1/a and 1/b
+    ridge = np.repeat([1.0 / (inv_a + inv_b), 1.0 / inv_b], [c, k - c])  # ab/(a+b), b
+    u = _solve_spd(gram + np.diag(ridge), zty, "stacked ridge")
+    share = inv_a / (inv_a + inv_b)  # b/(a+b)
+    return share * u[:c], np.vstack([(1.0 - share) * u[:c], u[c:]])
 
 
 def update_coefficients(
@@ -88,27 +111,12 @@ def update_coefficients(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact coefficient solve at fixed weights.
 
-    Solves the coupled ridge normal equations of the stacked least-squares
-    objective; the per-block ridge is gamma / (width * weight). The system
-    matrix is SPD because both ridge terms are strictly positive.
+    Minimizes the stacked ridge objective over both blocks; the per-block
+    ridge is gamma / (width * weight). The reduced system is SPD because
+    both ridge terms are strictly positive.
     """
-    if w_base <= 0 or w_joint <= 0:
-        raise ValueError(f"weights must be > 0, got ({w_base}, {w_joint})")
-    if gamma <= 0:
-        raise ValueError(f"ridge must be > 0, got {gamma}")
-    c = data.z_base.shape[1]
-    k = data.z_joint.shape[1]
-    design = np.hstack([data.z_base, data.z_joint])
-    gram = design.T @ design
-    ridge = np.concatenate(
-        [np.full(c, gamma / (c * w_base)), np.full(k, gamma / (k * w_joint))]
-    )
-    gram[np.diag_indices_from(gram)] += ridge
-    try:
-        coef = scipy.linalg.solve(gram, design.T @ data.labels, assume_a="pos")
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericError(f"stacked ridge solve failed: {exc}") from exc
-    return coef[:c], coef[c:]
+    z = data.z_joint
+    return _solve_blocks(z.T @ z, z.T @ data.labels, w_base, w_joint, gamma)
 
 
 def update_weights(v_base: np.ndarray, v_joint: np.ndarray) -> tuple[float, float]:
@@ -157,10 +165,14 @@ def fit_unified(
 
     Both half-steps are exact minimizations, so the objective is
     non-increasing; convergence is typically a handful of iterations.
-    The last operation is always the weight update, so the returned weights
-    are exactly consistent with the returned coefficients.
+    The joint block's Gram matrix is formed once; each iteration only
+    changes the ridge on its diagonal. The last operation is always the
+    weight update, so the returned weights are exactly consistent with the
+    returned coefficients.
     """
-    w_base = w_joint = 0.5
+    z = data.z_joint
+    gram, zty = z.T @ z, z.T @ data.labels
+    w_base = 0.5
     prev = None
     trace: list[float] = []
     model = None
@@ -168,7 +180,7 @@ def fit_unified(
     iterations = 0
     for iterations in range(1, max_iter + 1):
         wb = min(max(w_base, WEIGHT_FLOOR), 1.0 - WEIGHT_FLOOR)
-        v_base, v_joint = update_coefficients(data, wb, 1.0 - wb, gamma)
+        v_base, v_joint = _solve_blocks(gram, zty, wb, 1.0 - wb, gamma)
         w_base, w_joint = update_weights(v_base, v_joint)
         model = EStageModel(v_base=v_base, v_joint=v_joint, w_base=w_base, w_joint=w_joint)
         value = objective_value(data, model, gamma)
@@ -188,27 +200,18 @@ def fit_unified(
     )
 
 
-def train_unified(
-    data: StackedTrainSet, gamma: float, tol: float = 1e-6, max_iter: int = 100
-) -> EStageModel:
-    return fit_unified(data, gamma, tol=tol, max_iter=max_iter).model
-
-
 def predict_unified(batch: Batch, cmodel: CStageModel, emodel: EStageModel) -> np.ndarray:
     """Classify an expanding-stage batch with the joint model.
 
     The square-root block weighting is already absorbed into the stored
     coefficients, so the combined score is the plain sum of both blocks.
     """
-    if batch.stage != E_STAGE:
-        raise SchemaError("prediction requires an expanding-stage batch")
-    z = compress(batch.survived, cmodel)
-    z_joint = np.hstack([z, batch.augmented])
-    if z_joint.shape[1] != emodel.v_joint.shape[0]:
+    data = build_stacked(batch, cmodel)
+    if data.z_joint.shape[1] != emodel.v_joint.shape[0]:
         raise SchemaError(
-            f"joint block is {z_joint.shape[1]} wide, model expects {emodel.v_joint.shape[0]}"
+            f"joint block is {data.z_joint.shape[1]} wide, model expects {emodel.v_joint.shape[0]}"
         )
-    return argmax_decode(z @ emodel.v_base + z_joint @ emodel.v_joint)
+    return argmax_decode(data.z_base @ emodel.v_base + data.z_joint @ emodel.v_joint)
 
 
 def save_emodel(model: EStageModel, path) -> None:

@@ -21,9 +21,10 @@ from scipy import stats as scipy_stats
 
 from .cstage import DIRECT, INVERSE, absorb_batch, init_stats, solve_model
 from .ensemble import predict_ensemble, train_ensemble, train_ovr
-from .estage import build_stacked, predict_unified, train_unified
+from .estage import build_stacked, fit_unified, predict_unified
 from .ingest import StreamManifest, SynthConfig, generate_synthetic, load_estage, stream_batches
 from .model import Batch, CStageModel, FeatureSchema, Hyperparams, NumericError, SchemaError
+from .model import _fold_splits
 
 logger = logging.getLogger(__name__)
 
@@ -117,28 +118,18 @@ def k_fold_cv(x, y, grid, k: int, scorer) -> tuple[object, np.ndarray]:
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    n = x.shape[0]
-    if k < 2:
-        raise ValueError(f"need at least 2 folds, got {k}")
-    if n < k:
-        raise ValueError(f"cannot make {k} folds from {n} instances")
+    splits = _fold_splits(x.shape[0], k)
     grid = list(grid)
     if not grid:
         raise ValueError("empty hyperparameter grid")
     scores = np.zeros(len(grid))
-    for val_idx in np.array_split(np.arange(n), k):
-        mask = np.ones(n, dtype=bool)
-        mask[val_idx] = False
+    for mask, val_idx in splits:
         truth = y[val_idx].argmax(axis=1)
         for i, params in enumerate(grid):
             pred = scorer(params, x[mask], y[mask], x[val_idx])
             scores[i] += float(np.mean(pred == truth))
     scores /= k
-    best = 0
-    for i in range(1, len(grid)):
-        if scores[i] > scores[best]:
-            best = i
-    return grid[best], scores
+    return grid[int(np.argmax(scores))], scores
 
 
 def paired_t_test(a, b, level: float = 0.05) -> str:
@@ -238,9 +229,8 @@ class _MethodRunner:
             def scorer(params, x_tr, y_tr, x_va):
                 lam, rho, gamma = params
                 cmodel = self.cmodels[(lam, rho)]
-                emodel = train_unified(
-                    build_stacked(_estage_batch(x_tr, y_tr, self.schema), cmodel), gamma
-                )
+                data = build_stacked(_estage_batch(x_tr, y_tr, self.schema), cmodel)
+                emodel = fit_unified(data, gamma).model
                 return predict_unified(_unlabeled_batch(x_va, self.schema), cmodel, emodel)
 
             (lam, rho, gamma), _ = k_fold_cv(
@@ -249,7 +239,7 @@ class _MethodRunner:
         else:
             lam, rho, gamma = grid[0]
         cmodel = self.cmodels[(lam, rho)]
-        emodel = train_unified(build_stacked(train_b, cmodel), gamma)
+        emodel = fit_unified(build_stacked(train_b, cmodel), gamma).model
         return _accuracy(predict_unified(test_b, cmodel, emodel), test_b.labels)
 
     def _run_opide(self, train_b: Batch, test_b: Batch) -> float:

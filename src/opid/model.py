@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 C_STAGE = "c"
 E_STAGE = "e"
@@ -215,6 +216,34 @@ def argmax_decode(scores) -> np.ndarray:
 def class_signs(labels: np.ndarray, cls: int) -> np.ndarray:
     """One-hot labels -> +/-1 vector for a one-vs-rest binary task."""
     return np.where(labels[:, cls] > 0, 1.0, -1.0)
+
+
+def _solve_spd(mat: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
+    """Solve the symmetric positive definite system ``mat @ x = rhs``.
+
+    A non-finite or non-SPD system raises :class:`NumericError` naming ``what``.
+    """
+    if not (np.isfinite(mat).all() and np.isfinite(rhs).all()):
+        raise NumericError(f"{what} solve failed: the system has non-finite entries")
+    try:
+        return scipy.linalg.solve(mat, rhs, assume_a="pos", check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        raise NumericError(f"{what} solve failed: {exc}") from exc
+
+
+def _fold_splits(n: int, folds: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Contiguous k-fold splits of ``n`` rows as (training mask, validation
+    indices) pairs; needs 2 <= folds <= n."""
+    if folds < 2:
+        raise ValueError(f"need at least 2 folds, got {folds}")
+    if n < folds:
+        raise ValueError(f"cannot make {folds} folds from {n} instances")
+    splits = []
+    for val_idx in np.array_split(np.arange(n), folds):
+        mask = np.ones(n, dtype=bool)
+        mask[val_idx] = False
+        splits.append((mask, val_idx))
+    return splits
 
 
 def validate_batch(batch: Batch, schema: FeatureSchema) -> None:

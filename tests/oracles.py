@@ -75,6 +75,22 @@ def stacked_objective(z_base, z_joint, y, v_base, v_joint, w_base, w_joint, gamm
     return float((resid**2).sum() + pen)
 
 
+def sqrt_weighted_stacked_solve(z_base, z_joint, y, w_base, w_joint, gamma):
+    """Explicit (c + k)-wide normal solve of the stacked ridge objective in
+    its square-root-weighted form: design [sqrt(w_base) z_base,
+    sqrt(w_joint) z_joint] with ridge gamma / width per block. Returns the
+    scaled blocks, i.e. v_base / sqrt(w_base) and v_joint / sqrt(w_joint)."""
+    c = z_base.shape[1]
+    k = z_joint.shape[1]
+    design = np.hstack([math.sqrt(w_base) * z_base, math.sqrt(w_joint) * z_joint])
+    gram = design.T @ design
+    gram[np.diag_indices_from(gram)] += np.concatenate(
+        [np.full(c, gamma / c), np.full(k, gamma / k)]
+    )
+    scaled = np.linalg.solve(gram, design.T @ y)
+    return scaled[:c], scaled[c:]
+
+
 def gd_minimize_stacked(z_base, z_joint, y, w_base, w_joint, gamma, tol=1e-10, max_iter=500_000):
     """Steepest descent with exact line search on the stacked ridge
     objective (a quadratic), down to the requested gradient norm."""

@@ -215,7 +215,7 @@ def _random_stacked_instances(count: int = 20, seed: int = 4321):
         z_base = rng.standard_normal((n, c))
         z_joint = np.hstack([z_base, rng.standard_normal((n, d_a))])
         labels = one_hot_encode(rng.integers(0, c, size=n), c)
-        instances.append(StackedTrainSet(z_base=z_base, z_joint=z_joint, labels=labels))
+        instances.append(StackedTrainSet(z_joint=z_joint, labels=labels))
     return instances
 
 

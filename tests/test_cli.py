@@ -89,6 +89,15 @@ class TestCStageCommand:
             main(["cstage", "--manifest", manifest_path, "--out", str(tmp_path / "x.npz"),
                   "--resume", str(out), *flags])
 
+    def test_resume_rejects_standardize(self, snapshot, tmp_path):
+        # the snapshot stores no affine transform, so a standardized resume
+        # would re-derive it from the new manifest and silently diverge
+        manifest_path, out = snapshot
+        with pytest.raises(SchemaError, match="--standardize"):
+            main(["cstage", "--manifest", manifest_path, "--out", str(tmp_path / "x.npz"),
+                  "--resume", str(out), "--standardize"])
+        assert not (tmp_path / "x.npz").exists()
+
     def test_resume_accepts_matching_flags(self, snapshot, tmp_path):
         manifest_path, out = snapshot
         assert main([

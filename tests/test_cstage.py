@@ -16,7 +16,15 @@ from opid.cstage import (
     solve_model,
     update_columns,
 )
-from opid.model import Batch, CStageModel, FeatureSchema, Hyperparams, SchemaError, one_hot_encode
+from opid.model import (
+    Batch,
+    CStageModel,
+    FeatureSchema,
+    Hyperparams,
+    NumericError,
+    SchemaError,
+    one_hot_encode,
+)
 
 import oracles
 
@@ -228,6 +236,19 @@ class TestSolveModel:
         ref_full, ref_sur = oracles.batch_normal_solve(stream, hyper.lam, hyper.rho)
         np.testing.assert_allclose(model.coef_full, ref_full, atol=1e-10)
         np.testing.assert_allclose(model.coef_survived, ref_sur, atol=1e-10)
+
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("mode", [DIRECT, INVERSE])
+    def test_overflowing_features_raise_numeric_error(self, mode):
+        # finite 1e200 features overflow the Gram (direct) or Woodbury core
+        # (inverse) products to inf; the solve must fail typed
+        batch = Batch.cstage(
+            np.full((4, 2), 1e200), np.full((4, 3), 1e200), one_hot_encode([0, 1, 0, 1], 2)
+        )
+        stats = init_stats(_schema(2, 3, 2), Hyperparams(), mode)
+        with pytest.raises(NumericError, match="non-finite"):
+            solve_model(absorb_batch(stats, batch))
 
 
 class TestCompress:

@@ -110,7 +110,7 @@ def _stacked_with_noise_augmented(rng, n=60, c=3, d_a=8, noise=1.0):
     labels_idx = rng.integers(0, c, size=n)
     z_base = centers[labels_idx] + noise * rng.standard_normal((n, c))
     z_joint = np.hstack([z_base, rng.standard_normal((n, d_a))])
-    return StackedTrainSet(z_base=z_base, z_joint=z_joint, labels=one_hot_encode(labels_idx, c))
+    return StackedTrainSet(z_joint=z_joint, labels=one_hot_encode(labels_idx, c))
 
 
 class TestTrainEnsemble:

@@ -11,8 +11,8 @@ from opid.estage import (
     load_emodel,
     objective_value,
     predict_unified,
+    WEIGHT_FLOOR,
     save_emodel,
-    train_unified,
     update_coefficients,
     update_weights,
 )
@@ -35,7 +35,7 @@ def random_stacked(rng, n=20, c=3, d_a=4):
     z_base = rng.standard_normal((n, c))
     z_joint = np.hstack([z_base, rng.standard_normal((n, d_a))])
     labels = one_hot_encode(rng.integers(0, c, size=n), c)
-    return StackedTrainSet(z_base=z_base, z_joint=z_joint, labels=labels)
+    return StackedTrainSet(z_joint=z_joint, labels=labels)
 
 
 class TestBuildStacked:
@@ -78,9 +78,7 @@ class TestUpdateCoefficients:
     def test_zero_labels_give_zero_coefficients(self):
         rng = np.random.default_rng(2)
         data = random_stacked(rng)
-        zeroed = StackedTrainSet(
-            z_base=data.z_base, z_joint=data.z_joint, labels=np.zeros_like(data.labels)
-        )
+        zeroed = StackedTrainSet(z_joint=data.z_joint, labels=np.zeros_like(data.labels))
         v_base, v_joint = update_coefficients(zeroed, 0.5, 0.5, gamma=1.0)
         np.testing.assert_allclose(v_base, 0.0, atol=1e-12)
         np.testing.assert_allclose(v_joint, 0.0, atol=1e-12)
@@ -113,6 +111,24 @@ class TestUpdateCoefficients:
             flat_objective, np.concatenate([v_base.ravel(), v_joint.ravel()])
         )
         assert np.abs(grad).max() <= 1e-4
+
+    @pytest.mark.parametrize(
+        "w_base, d_a",
+        [(WEIGHT_FLOOR, 4), (1.0 - WEIGHT_FLOOR, 4), (0.3, 0), (WEIGHT_FLOOR, 0)],
+    )
+    def test_matches_wide_stacked_solve_at_the_extremes(self, w_base, d_a):
+        # the reduced k x k solve against the explicit (c + k)-wide one, at the
+        # clamped weights and with no augmented columns (k = c)
+        rng = np.random.default_rng(17)
+        data = random_stacked(rng, n=30, c=3, d_a=d_a)
+        w_joint, gamma = 1.0 - w_base, 0.7
+        v_base, v_joint = update_coefficients(data, w_base, w_joint, gamma)
+        scaled_base, scaled_joint = oracles.sqrt_weighted_stacked_solve(
+            data.z_base, data.z_joint, data.labels, w_base, w_joint, gamma
+        )
+        for got, ref in ((v_base, np.sqrt(w_base) * scaled_base),
+                         (v_joint, np.sqrt(w_joint) * scaled_joint)):
+            assert np.linalg.norm(got - ref) <= 1e-8 * np.linalg.norm(ref)
 
     def test_nonpositive_weight_rejected(self):
         rng = np.random.default_rng(5)
@@ -169,13 +185,13 @@ class TestUpdateWeights:
 
 class TestObjectiveValue:
     def test_zero_model_zero_labels(self):
-        data = StackedTrainSet(np.zeros((3, 2)), np.zeros((3, 5)), np.zeros((3, 2)))
+        data = StackedTrainSet(np.zeros((3, 5)), np.zeros((3, 2)))
         model = EStageModel(np.zeros((2, 2)), np.zeros((5, 2)), 0.5, 0.5)
         assert objective_value(data, model, gamma=1.0) == 0.0
 
     def test_zero_model_reports_label_energy(self):
         labels = one_hot_encode([0, 1, 0], 2)
-        data = StackedTrainSet(np.zeros((3, 2)), np.zeros((3, 5)), labels)
+        data = StackedTrainSet(np.zeros((3, 5)), labels)
         model = EStageModel(np.zeros((2, 2)), np.zeros((5, 2)), 0.5, 0.5)
         assert objective_value(data, model, gamma=1.0) == pytest.approx((labels**2).sum())
 
@@ -241,16 +257,11 @@ class TestFitUnified:
         w_base, w_joint, gamma = 0.3, 0.7, 1.3
         v_base, v_joint = update_coefficients(data, w_base, w_joint, gamma)
 
-        c, k = 3, 7
-        design = np.hstack(
-            [np.sqrt(w_base) * data.z_base, np.sqrt(w_joint) * data.z_joint]
+        scaled_base, scaled_joint = oracles.sqrt_weighted_stacked_solve(
+            data.z_base, data.z_joint, data.labels, w_base, w_joint, gamma
         )
-        gram = design.T @ design
-        ridge = np.concatenate([np.full(c, gamma / c), np.full(k, gamma / k)])
-        gram[np.diag_indices_from(gram)] += ridge
-        scaled = np.linalg.solve(gram, design.T @ data.labels)
-        np.testing.assert_allclose(scaled[:c], v_base / np.sqrt(w_base), atol=1e-6)
-        np.testing.assert_allclose(scaled[c:], v_joint / np.sqrt(w_joint), atol=1e-6)
+        np.testing.assert_allclose(scaled_base, v_base / np.sqrt(w_base), atol=1e-6)
+        np.testing.assert_allclose(scaled_joint, v_joint / np.sqrt(w_joint), atol=1e-6)
 
 
 class TestPredictUnified:
@@ -291,7 +302,7 @@ class TestPredictUnified:
 
     def test_separable_instance_fits_training_set(self):
         cmodel, etrain, _, gamma = self._trained_setup()
-        emodel = train_unified(build_stacked(etrain, cmodel), gamma=gamma)
+        emodel = fit_unified(build_stacked(etrain, cmodel), gamma=gamma).model
         pred = predict_unified(etrain, cmodel, emodel)
         assert (pred == etrain.labels.argmax(axis=1)).all()
 
