@@ -21,9 +21,7 @@ from .ensemble import (
     EnsembleModel,
     LogisticModel,
     SolverError,
-    load_ensemble,
     predict_ensemble,
-    save_ensemble,
     train_ensemble,
     train_logistic,
     train_ovr,
@@ -33,9 +31,7 @@ from .estage import (
     UnifiedTrainerState,
     build_stacked,
     fit_unified,
-    load_emodel,
     predict_unified,
-    save_emodel,
 )
 from .harness import (
     ALL_METHODS,

@@ -31,6 +31,7 @@ from .model import (
     CStageModel,
     FeatureSchema,
     Hyperparams,
+    NumericError,
     SchemaError,
     _solve_spd,
     validate_batch,
@@ -96,23 +97,34 @@ def update_columns(batch: Batch, lam: float, schema: FeatureSchema) -> np.ndarra
 def absorb_batch(stats: CStageStats, batch: Batch) -> CStageStats:
     """Fold one compressing-stage batch into the statistics (in place).
 
-    One-pass contract: each batch is absorbed exactly once.
+    One-pass contract: each batch is absorbed exactly once. A batch that
+    overflows the statistics to non-finite values raises
+    :class:`NumericError` and leaves them as they were.
     """
     if batch.stage != C_STAGE:
         raise SchemaError("only compressing-stage batches can be absorbed")
     validate_batch(batch, stats.schema)
 
     x_all = batch.joined()
-    if stats.mode == DIRECT:
-        stats.mat += x_all.T @ x_all
-    else:
-        u = update_columns(batch, stats.lam, stats.schema)
-        au = stats.mat @ u
-        core = np.eye(u.shape[1]) + u.T @ au
-        stats.mat -= au @ _solve_spd(core, au.T, "rank-update core")
-        # Guard against asymmetry drift over long streams.
-        stats.mat = 0.5 * (stats.mat + stats.mat.T)
-    stats.rhs += x_all.T @ batch.labels
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
+        rhs = stats.rhs + x_all.T @ batch.labels
+        sums = [rhs, stats.mat + x_all.T @ x_all] if stats.mode == DIRECT else [rhs]
+        if not all(np.isfinite(a).all() for a in sums):
+            raise NumericError(
+                f"batch {stats.batches_seen} overflows the statistics to non-finite values"
+            )
+        if stats.mode == DIRECT:
+            mat = sums[1]
+        else:
+            u = update_columns(batch, stats.lam, stats.schema)
+            au = stats.mat @ u
+            core = np.eye(u.shape[1]) + u.T @ au
+            # The core solve rejects a non-finite system, which keeps the
+            # update finite; M^-1 changes in place to hold one (m, m) copy.
+            stats.mat -= au @ _solve_spd(core, au.T, "rank-update core")
+            # Guard against asymmetry drift over long streams.
+            mat = 0.5 * (stats.mat + stats.mat.T)
+    stats.mat, stats.rhs = mat, rhs
     stats.batches_seen += 1
     return stats
 

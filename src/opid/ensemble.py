@@ -5,7 +5,8 @@ with a damped Newton iteration; the same solver backs the raw-feature
 baselines, so every classifier in the package shares one optimization
 contract: the gradient norm at the returned coefficients is below tolerance.
 The ensemble weights are picked on an 11-point grid by k-fold cross
-validation of the probability-averaged decision.
+validation of the probability-averaged decision. Prediction takes a feature
+matrix with the survived columns first and the augmented columns after.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .estage import StackedTrainSet, build_stacked
+from .estage import StackedTrainSet, _model_blocks
 from .model import (
-    Batch,
     CStageModel,
     NumericError,
     SchemaError,
@@ -189,42 +189,12 @@ def train_ensemble(
     )
 
 
-def predict_ensemble(batch: Batch, cmodel: CStageModel, emodel: EnsembleModel) -> np.ndarray:
-    """Classify an expanding-stage batch by weighted probability averaging
-    of the two members."""
-    data = build_stacked(batch, cmodel)
-    combined = emodel.w_base * emodel.clf_base.proba(data.z_base)
-    combined += emodel.w_joint * emodel.clf_joint.proba(data.z_joint)
-    return argmax_decode(combined)
-
-
-def save_ensemble(model: EnsembleModel, path) -> None:
-    np.savez(
-        path,
-        base_coef=model.clf_base.coef,
-        joint_coef=model.clf_joint.coef,
-        base_const=-1 if model.clf_base.constant_class is None else model.clf_base.constant_class,
-        joint_const=-1
-        if model.clf_joint.constant_class is None
-        else model.clf_joint.constant_class,
-        w_base=model.w_base,
-        w_joint=model.w_joint,
+def predict_ensemble(x, cmodel: CStageModel, emodel: EnsembleModel) -> np.ndarray:
+    """Classify the rows of an n x (survived + augmented) feature matrix by
+    weighted probability averaging of the two members."""
+    z_base, z_joint = _model_blocks(
+        x, cmodel, emodel.clf_base.coef.shape[0], emodel.clf_joint.coef.shape[0]
     )
-
-
-def load_ensemble(path) -> EnsembleModel:
-    with np.load(path) as data:
-        base_const = int(data["base_const"])
-        joint_const = int(data["joint_const"])
-        return EnsembleModel(
-            clf_base=LogisticModel(
-                coef=data["base_coef"].copy(),
-                constant_class=None if base_const < 0 else base_const,
-            ),
-            clf_joint=LogisticModel(
-                coef=data["joint_coef"].copy(),
-                constant_class=None if joint_const < 0 else joint_const,
-            ),
-            w_base=float(data["w_base"]),
-            w_joint=float(data["w_joint"]),
-        )
+    combined = emodel.w_base * emodel.clf_base.proba(z_base)
+    combined += emodel.w_joint * emodel.clf_joint.proba(z_joint)
+    return argmax_decode(combined)

@@ -1,9 +1,11 @@
 """Expanding-stage joint trainer: ridge stacking with learned block weights.
 
-The compressed class scores of the survived-feature classifier become input
-features, alongside the augmented raw features. The model has two blocks:
-``v_base`` on the c compressed columns and ``v_joint`` on the k-wide joint
-block (compressed + augmented). Training alternates two closed-form steps on
+The expanding stage works on feature matrices with the columns in schema
+order, survived then augmented; training adds one-hot labels, prediction
+needs the features only. The compressed class scores of the survived-feature
+classifier become input features, alongside the augmented raw features. The
+model has two blocks: ``v_base`` on the c compressed columns and ``v_joint``
+on the k-wide joint block (compressed + augmented). Training alternates two closed-form steps on
 a jointly convex objective: a ridge solve for both blocks at fixed weights,
 and an exact simplex-constrained weight update from the blocks' width-scaled
 norms. Each block's ridge is divided by its width so the narrow compressed
@@ -28,8 +30,6 @@ import numpy as np
 
 from .cstage import compress
 from .model import (
-    E_STAGE,
-    Batch,
     CStageModel,
     EStageModel,
     NumericError,
@@ -81,12 +81,34 @@ class UnifiedTrainerState:
     trace: tuple[float, ...]
 
 
-def build_stacked(batch: Batch, cmodel: CStageModel) -> StackedTrainSet:
-    """Compress the survived block and prepend it to the augmented block."""
-    if batch.stage != E_STAGE:
-        raise SchemaError("stacking requires an expanding-stage batch")
-    z = compress(batch.survived, cmodel)
-    return StackedTrainSet(z_joint=np.hstack([z, batch.augmented]), labels=batch.labels)
+def _joint_block(x, cmodel: CStageModel) -> np.ndarray:
+    """The joint block of an n x (survived + augmented) feature matrix: the
+    compressed scores of its first ``survived`` columns, then the rest."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise SchemaError(f"features must be 2-D, got {x.ndim}-D")
+    s = cmodel.coef_survived.shape[0]
+    return np.hstack([compress(x[:, :s], cmodel), x[:, s:]])
+
+
+def _model_blocks(x, cmodel: CStageModel, base_rows: int, joint_rows: int):
+    """The compressed and joint blocks of a feature matrix, checked against
+    the input widths of a trained model's two blocks."""
+    z = _joint_block(x, cmodel)
+    c = cmodel.coef_survived.shape[1]
+    if (c, z.shape[1]) != (base_rows, joint_rows):
+        raise SchemaError(
+            f"blocks are {c} and {z.shape[1]} wide, model expects {base_rows} and {joint_rows}"
+        )
+    return z[:, :c], z
+
+
+def build_stacked(x, labels, cmodel: CStageModel) -> StackedTrainSet:
+    """Training data in stacked form from a feature matrix and its one-hot
+    labels."""
+    return StackedTrainSet(
+        z_joint=_joint_block(x, cmodel), labels=np.asarray(labels, dtype=np.float64)
+    )
 
 
 def _solve_blocks(
@@ -200,39 +222,12 @@ def fit_unified(
     )
 
 
-def predict_unified(batch: Batch, cmodel: CStageModel, emodel: EStageModel) -> np.ndarray:
-    """Classify an expanding-stage batch with the joint model.
+def predict_unified(x, cmodel: CStageModel, emodel: EStageModel) -> np.ndarray:
+    """Classify the rows of an n x (survived + augmented) feature matrix with
+    the joint model.
 
     The square-root block weighting is already absorbed into the stored
     coefficients, so the combined score is the plain sum of both blocks.
     """
-    data = build_stacked(batch, cmodel)
-    if data.z_joint.shape[1] != emodel.v_joint.shape[0]:
-        raise SchemaError(
-            f"joint block is {data.z_joint.shape[1]} wide, model expects {emodel.v_joint.shape[0]}"
-        )
-    return argmax_decode(data.z_base @ emodel.v_base + data.z_joint @ emodel.v_joint)
-
-
-def save_emodel(model: EStageModel, path) -> None:
-    """Binary container with exact float round-trip: block widths as header,
-    row-major coefficient blocks, both weights."""
-    np.savez(
-        path,
-        classes=model.v_base.shape[1],
-        augmented=model.v_joint.shape[0] - model.v_base.shape[0],
-        v_base=model.v_base,
-        v_joint=model.v_joint,
-        w_base=model.w_base,
-        w_joint=model.w_joint,
-    )
-
-
-def load_emodel(path) -> EStageModel:
-    with np.load(path) as data:
-        return EStageModel(
-            v_base=data["v_base"].copy(),
-            v_joint=data["v_joint"].copy(),
-            w_base=float(data["w_base"]),
-            w_joint=float(data["w_joint"]),
-        )
+    z_base, z_joint = _model_blocks(x, cmodel, emodel.v_base.shape[0], emodel.v_joint.shape[0])
+    return argmax_decode(z_base @ emodel.v_base + z_joint @ emodel.v_joint)

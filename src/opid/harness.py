@@ -1,15 +1,17 @@
 """End-to-end experiment harness.
 
 Reproduces the two-stage protocol: one pass over the compressing-stage
-stream, repeated random 50/50 splits of the pooled expanding-stage data,
-training of the stacked methods (OPID, OPIDe) and the raw-feature logistic
-baselines, and aggregation into a table of mean/std accuracies with paired
+stream, repeated random 50/50 splits of the pooled expanding-stage rows (a
+feature matrix and its one-hot labels), training of the stacked methods
+(OPID, OPIDe) and the raw-feature logistic baselines on each split's
+training half, and aggregation into a table of mean/std accuracies with paired
 two-sided t-tests at confidence level 0.05. Identical specs (including the
 seed) produce identical tables and identical report bytes.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
@@ -20,11 +22,10 @@ import numpy as np
 from scipy import stats as scipy_stats
 
 from .cstage import DIRECT, INVERSE, absorb_batch, init_stats, solve_model
-from .ensemble import predict_ensemble, train_ensemble, train_ovr
+from .ensemble import EnsembleModel, predict_ensemble, train_ensemble, train_ovr
 from .estage import build_stacked, fit_unified, predict_unified
 from .ingest import StreamManifest, SynthConfig, generate_synthetic, load_estage, stream_batches
-from .model import Batch, CStageModel, FeatureSchema, Hyperparams, NumericError, SchemaError
-from .model import _fold_splits
+from .model import CStageModel, FeatureSchema, Hyperparams, SchemaError, _fold_splits
 
 logger = logging.getLogger(__name__)
 
@@ -182,110 +183,71 @@ def _materialize(source):
     return schema, stream, pool_x, pool_y
 
 
-def _estage_batch(x: np.ndarray, y: np.ndarray, schema: FeatureSchema) -> Batch:
-    s = schema.survived
-    return Batch.estage(survived=x[:, :s], augmented=x[:, s:], labels=y)
-
-
-def _unlabeled_batch(x: np.ndarray, schema: FeatureSchema) -> Batch:
-    # prediction ignores labels; fill in a valid one-hot placeholder
-    y = np.zeros((x.shape[0], schema.classes))
-    y[:, 0] = 1.0
-    return _estage_batch(x, y, schema)
-
-
 def _accuracy(pred: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(pred == labels.argmax(axis=1)))
 
 
-_BASELINE_COLUMNS = {
-    BASE_ALL: lambda x, schema: x,
-    BASE_S: lambda x, schema: x[:, : schema.survived],
-    BASE_A: lambda x, schema: x[:, schema.survived :],
-}
+def _fit_baseline(columns: slice, alpha: float, x: np.ndarray, y: np.ndarray):
+    clf = train_ovr(x[:, columns], y, alpha)
+    return lambda x_new: clf.predict(x_new[:, columns])
 
 
 class _MethodRunner:
-    """Trains and scores one method per repeat, tuning hyperparameters on
-    the training half when a grid has more than one point."""
+    """Trains and scores one method per repeat.
+
+    Every method is a hyperparameter grid plus fit functions
+    ``(params, x, y) -> predictor``; a predictor maps a feature matrix in
+    schema order to class indices. A grid with more than one point is tuned
+    by k-fold cross validation on the training half.
+    """
 
     def __init__(self, spec: ExperimentSpec, schema: FeatureSchema, cmodels: dict):
         self.spec = spec
-        self.schema = schema
         self.cmodels = cmodels
+        s = schema.survived
+        stacked_grid = functools.partial(itertools.product, spec.lam_grid, spec.rho_grid)
+        # method -> (grid, final fit, cross-validation fit)
+        self.methods = {
+            OPID: (list(stacked_grid(spec.gamma_grid)), self._fit_opid, self._fit_opid),
+            OPIDE: (list(stacked_grid(spec.alpha_grid)), self._fit_opide, self._fit_opide_cv),
+        }
+        baselines = {BASE_ALL: slice(None), BASE_S: slice(s), BASE_A: slice(s, None)}
+        for method, columns in baselines.items():
+            fit = functools.partial(_fit_baseline, columns)
+            self.methods[method] = (list(spec.alpha_grid), fit, fit)
 
-    def evaluate(self, method: str, train_b: Batch, test_b: Batch) -> float:
-        if method == OPID:
-            return self._run_opid(train_b, test_b)
-        if method == OPIDE:
-            return self._run_opide(train_b, test_b)
-        return self._run_baseline(method, train_b, test_b)
-
-    # -- stacked methods ---------------------------------------------------
-    def _run_opid(self, train_b: Batch, test_b: Batch) -> float:
-        spec = self.spec
-        grid = list(itertools.product(spec.lam_grid, spec.rho_grid, spec.gamma_grid))
+    def evaluate(self, method: str, x_train, y_train, x_test, y_test) -> float:
+        grid, fit, cv_fit = self.methods[method]
+        params = grid[0]
         if len(grid) > 1:
             def scorer(params, x_tr, y_tr, x_va):
-                lam, rho, gamma = params
-                cmodel = self.cmodels[(lam, rho)]
-                data = build_stacked(_estage_batch(x_tr, y_tr, self.schema), cmodel)
-                emodel = fit_unified(data, gamma).model
-                return predict_unified(_unlabeled_batch(x_va, self.schema), cmodel, emodel)
+                return cv_fit(params, x_tr, y_tr)(x_va)
 
-            (lam, rho, gamma), _ = k_fold_cv(
-                train_b.joined(), train_b.labels, grid, spec.folds, scorer
-            )
-        else:
-            lam, rho, gamma = grid[0]
+            params, _ = k_fold_cv(x_train, y_train, grid, self.spec.folds, scorer)
+        return _accuracy(fit(params, x_train, y_train)(x_test), y_test)
+
+    def _fit_opid(self, params, x, y):
+        lam, rho, gamma = params
         cmodel = self.cmodels[(lam, rho)]
-        emodel = fit_unified(build_stacked(train_b, cmodel), gamma).model
-        return _accuracy(predict_unified(test_b, cmodel, emodel), test_b.labels)
+        emodel = fit_unified(build_stacked(x, y, cmodel), gamma).model
+        return lambda x_new: predict_unified(x_new, cmodel, emodel)
 
-    def _run_opide(self, train_b: Batch, test_b: Batch) -> float:
-        spec = self.spec
-        grid = list(itertools.product(spec.lam_grid, spec.rho_grid, spec.alpha_grid))
-        if len(grid) > 1:
-            # Equal-weight probability averaging inside CV; the full weight
-            # grid search runs only on the final fit.
-            def scorer(params, x_tr, y_tr, x_va):
-                lam, rho, alpha = params
-                cmodel = self.cmodels[(lam, rho)]
-                data = build_stacked(_estage_batch(x_tr, y_tr, self.schema), cmodel)
-                clf_base = train_ovr(data.z_base, data.labels, alpha)
-                clf_joint = train_ovr(data.z_joint, data.labels, alpha)
-                val_data = build_stacked(_unlabeled_batch(x_va, self.schema), cmodel)
-                combined = 0.5 * clf_base.proba(val_data.z_base) + 0.5 * clf_joint.proba(
-                    val_data.z_joint
-                )
-                return combined.argmax(axis=1)
-
-            (lam, rho, alpha), _ = k_fold_cv(
-                train_b.joined(), train_b.labels, grid, spec.folds, scorer
-            )
-        else:
-            lam, rho, alpha = grid[0]
+    def _fit_opide(self, params, x, y):
+        lam, rho, alpha = params
         cmodel = self.cmodels[(lam, rho)]
-        emodel = train_ensemble(
-            build_stacked(train_b, cmodel), alpha, alpha, folds=spec.folds
-        )
-        return _accuracy(predict_ensemble(test_b, cmodel, emodel), test_b.labels)
+        emodel = train_ensemble(build_stacked(x, y, cmodel), alpha, alpha, folds=self.spec.folds)
+        return lambda x_new: predict_ensemble(x_new, cmodel, emodel)
 
-    # -- raw-feature baselines ---------------------------------------------
-    def _run_baseline(self, method: str, train_b: Batch, test_b: Batch) -> float:
-        columns = _BASELINE_COLUMNS[method]
-        x_train = columns(train_b.joined(), self.schema)
-        x_test = columns(test_b.joined(), self.schema)
-        grid = list(self.spec.alpha_grid)
-        if len(grid) > 1:
-            def scorer(alpha, x_tr, y_tr, x_va):
-                return train_ovr(x_tr, y_tr, alpha).predict(x_va)
-
-            alpha, _ = k_fold_cv(x_train, train_b.labels, grid, self.spec.folds, scorer)
-        else:
-            alpha = grid[0]
-        clf = train_ovr(x_train, train_b.labels, alpha)
-        return _accuracy(clf.predict(x_test), test_b.labels)
+    def _fit_opide_cv(self, params, x, y):
+        # Equal-weight probability averaging inside CV; the full weight grid
+        # search runs only on the final fit.
+        lam, rho, alpha = params
+        cmodel = self.cmodels[(lam, rho)]
+        data = build_stacked(x, y, cmodel)
+        clf_base = train_ovr(data.z_base, data.labels, alpha)
+        clf_joint = train_ovr(data.z_joint, data.labels, alpha)
+        emodel = EnsembleModel(clf_base, clf_joint, 0.5, 0.5)
+        return lambda x_new: predict_ensemble(x_new, cmodel, emodel)
 
 
 def build_table(
@@ -334,14 +296,13 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
     failures: list[str] = []
     for repeat, child in enumerate(children):
         rng = np.random.default_rng(child)
-        perm = rng.permutation(n_pool)
-        train_b = _estage_batch(pool_x[perm[:n_train]], pool_y[perm[:n_train]], schema)
-        test_b = _estage_batch(pool_x[perm[n_train:]], pool_y[perm[n_train:]], schema)
+        train, test = np.split(rng.permutation(n_pool), [n_train])
+        split = (pool_x[train], pool_y[train], pool_x[test], pool_y[test])
         row = {}
         try:
             for method in spec.methods:
-                row[method] = runner.evaluate(method, train_b, test_b)
-        except (SchemaError, NumericError, ValueError, ArithmeticError) as exc:
+                row[method] = runner.evaluate(method, *split)
+        except (ValueError, ArithmeticError) as exc:
             reason = f"repeat {repeat} aborted ({method}): {exc}"
             logger.warning(reason)
             failures.append(reason)
@@ -390,20 +351,40 @@ def emit_report(table: ResultTable, out_dir) -> tuple[Path, Path]:
 
 def load_results(csv_path) -> ResultTable:
     """Rebuild a table from the machine-readable record, recomputing the
-    aggregate statistics and significance marks."""
-    methods: list[str] = []
+    aggregate statistics and significance marks.
+
+    A malformed record raises :class:`SchemaError` naming ``path:line``: a
+    wrong header, a row without exactly three fields, a non-integer repeat,
+    an accuracy outside [0, 1], or methods with unequal repeat counts.
+    """
     accuracies: dict[str, list[float]] = {}
+    last_line: dict[str, int] = {}
     with Path(csv_path).open() as fh:
         header = fh.readline().strip()
         if header != "method,repeat,accuracy":
-            raise ValueError(f"unrecognized results header {header!r}")
-        for line in fh:
+            raise SchemaError(f"{csv_path}:1: unrecognized results header {header!r}")
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
-            method, _, acc = line.split(",")
-            if method not in accuracies:
-                methods.append(method)
-                accuracies[method] = []
-            accuracies[method].append(float(acc))
-    return build_table(tuple(methods), accuracies, seed=0)
+            try:
+                method, repeat, acc = line.split(",")
+                int(repeat)
+                acc = float(acc)
+            except ValueError:
+                raise SchemaError(
+                    f"{csv_path}:{lineno}: expected method,repeat,accuracy, got {line!r}"
+                ) from None
+            if not 0.0 <= acc <= 1.0:
+                raise SchemaError(f"{csv_path}:{lineno}: accuracy {acc} outside [0, 1]")
+            accuracies.setdefault(method, []).append(acc)
+            last_line[method] = lineno
+    methods = tuple(accuracies)
+    for method in methods[1:]:
+        count, expected = len(accuracies[method]), len(accuracies[methods[0]])
+        if count != expected:
+            raise SchemaError(
+                f"{csv_path}:{last_line[method]}: {method} has {count} repeats, "
+                f"{methods[0]} has {expected}"
+            )
+    return build_table(methods, accuracies, seed=0)

@@ -6,7 +6,7 @@ import pytest
 from opid.cli import main
 from opid.cstage import absorb_batch, init_stats, load_stats
 from opid.ingest import parse_manifest, stream_batches
-from opid.model import Hyperparams, SchemaError
+from opid.model import Hyperparams, NumericError, SchemaError
 
 
 def _synth_args(out_dir, seed=0):
@@ -97,6 +97,21 @@ class TestCStageCommand:
             main(["cstage", "--manifest", manifest_path, "--out", str(tmp_path / "x.npz"),
                   "--resume", str(out), "--standardize"])
         assert not (tmp_path / "x.npz").exists()
+
+    @pytest.mark.parametrize("mode", ["direct", "inverse"])
+    def test_overflowing_batch_writes_no_snapshot(self, tmp_path, capsys, mode):
+        main(_synth_args(tmp_path / "data"))
+        manifest_path = capsys.readouterr().out.strip()
+        # finite 1e200 features overflow the Gram update (direct) or the
+        # rank-update core (inverse) to inf
+        batch_file = tmp_path / "data" / "cstage_001.csv"
+        lines = batch_file.read_text().splitlines()
+        width = lines[0].count(",")  # feature columns; the label comes last
+        batch_file.write_text("".join("1e200," * width + ln.rsplit(",", 1)[1] + "\n" for ln in lines))
+        out = tmp_path / "stats.npz"
+        with pytest.raises(NumericError, match="non-finite"):
+            main(["cstage", "--manifest", manifest_path, "--out", str(out), "--mode", mode])
+        assert not out.exists()
 
     def test_resume_accepts_matching_flags(self, snapshot, tmp_path):
         manifest_path, out = snapshot

@@ -251,6 +251,23 @@ class TestSolveModel:
             solve_model(absorb_batch(stats, batch))
 
 
+    @pytest.mark.parametrize("mode", [DIRECT, INVERSE])
+    def test_overflowing_batch_leaves_statistics_unchanged(self, mode):
+        rng = np.random.default_rng(21)
+        schema = _schema(2, 3, 2)
+        stats = init_stats(schema, Hyperparams(), mode)
+        labels = one_hot_encode([0, 1, 0, 1], 2)
+        good = Batch.cstage(rng.standard_normal((4, 2)), rng.standard_normal((4, 3)), labels)
+        absorb_batch(stats, good)
+        before = (stats.mat.copy(), stats.rhs.copy(), stats.batches_seen)
+        huge = Batch.cstage(np.full((4, 2), 1e200), np.full((4, 3), 1e200), labels)
+        with pytest.raises(NumericError, match="non-finite"):
+            absorb_batch(stats, huge)
+        np.testing.assert_array_equal(stats.mat, before[0])
+        np.testing.assert_array_equal(stats.rhs, before[1])
+        assert stats.batches_seen == before[2]
+
+
 class TestCompress:
     def test_zero_model(self):
         model = CStageModel(np.zeros((5, 2)), np.zeros((3, 2)))

@@ -7,15 +7,13 @@ from opid.ensemble import (
     WEIGHT_GRID,
     EnsembleModel,
     LogisticModel,
-    load_ensemble,
     predict_ensemble,
-    save_ensemble,
     train_ensemble,
     train_logistic,
     train_ovr,
 )
-from opid.estage import StackedTrainSet
-from opid.model import Batch, CStageModel, one_hot_encode
+from opid.estage import StackedTrainSet, predict_unified
+from opid.model import Batch, CStageModel, EStageModel, SchemaError, one_hot_encode
 
 import oracles
 
@@ -158,7 +156,7 @@ class TestPredictEnsemble:
         cmodel, batch, emodel, clf_base, _ = self._setup(w_base=1.0)
         z = batch.survived @ cmodel.coef_survived
         np.testing.assert_array_equal(
-            predict_ensemble(batch, cmodel, emodel), clf_base.predict(z)
+            predict_ensemble(batch.joined(), cmodel, emodel), clf_base.predict(z)
         )
 
     def test_full_joint_weight_matches_joint_member(self):
@@ -166,7 +164,7 @@ class TestPredictEnsemble:
         z = batch.survived @ cmodel.coef_survived
         z_joint = np.hstack([z, batch.augmented])
         np.testing.assert_array_equal(
-            predict_ensemble(batch, cmodel, emodel), clf_joint.predict(z_joint)
+            predict_ensemble(batch.joined(), cmodel, emodel), clf_joint.predict(z_joint)
         )
 
     def test_identical_members_any_weight(self):
@@ -183,32 +181,28 @@ class TestPredictEnsemble:
             emodel = EnsembleModel(member, member, w, 1.0 - w)
             z = batch.survived @ cmodel.coef_survived
             np.testing.assert_array_equal(
-                predict_ensemble(batch, cmodel, emodel), member.predict(z)
+                predict_ensemble(batch.joined(), cmodel, emodel), member.predict(z)
             )
 
 
-class TestEnsembleSnapshot:
-    def test_round_trip_is_exact(self, tmp_path):
-        rng = np.random.default_rng(11)
-        data = _stacked_with_noise_augmented(rng)
-        model = train_ensemble(data, folds=5)
-        path = tmp_path / "ensemble.npz"
-        save_ensemble(model, path)
-        loaded = load_ensemble(path)
-        np.testing.assert_array_equal(loaded.clf_base.coef, model.clf_base.coef)
-        np.testing.assert_array_equal(loaded.clf_joint.coef, model.clf_joint.coef)
-        assert loaded.clf_base.constant_class is None
-        assert loaded.w_base == model.w_base and loaded.w_joint == model.w_joint
 
-    def test_constant_class_round_trip(self, tmp_path):
-        model = EnsembleModel(
-            LogisticModel(coef=np.zeros((2, 3)), constant_class=2),
-            LogisticModel(coef=np.ones((4, 3))),
-            0.5,
-            0.5,
-        )
-        path = tmp_path / "const.npz"
-        save_ensemble(model, path)
-        loaded = load_ensemble(path)
-        assert loaded.clf_base.constant_class == 2
-        assert loaded.clf_joint.constant_class is None
+@pytest.mark.parametrize(
+    "predict, model",
+    [
+        (predict_unified, EStageModel(np.zeros((3, 3)), np.zeros((5, 3)), 0.5, 0.5)),
+        (
+            predict_ensemble,
+            EnsembleModel(
+                LogisticModel(np.zeros((3, 3))), LogisticModel(np.zeros((5, 3))), 0.5, 0.5
+            ),
+        ),
+    ],
+    ids=["unified", "ensemble"],
+)
+def test_predictors_reject_a_mismatched_augmented_width(predict, model):
+    # both models take 3 compressed + 2 augmented columns; survived width is 4
+    cmodel = CStageModel(np.zeros((6, 3)), np.ones((4, 3)))
+    assert predict(np.ones((5, 4 + 2)), cmodel, model).shape == (5,)
+    for augmented in (1, 3):
+        with pytest.raises(SchemaError, match="model expects"):
+            predict(np.ones((5, 4 + augmented)), cmodel, model)

@@ -8,11 +8,9 @@ from opid.estage import (
     StackedTrainSet,
     build_stacked,
     fit_unified,
-    load_emodel,
     objective_value,
     predict_unified,
     WEIGHT_FLOOR,
-    save_emodel,
     update_coefficients,
     update_weights,
 )
@@ -44,7 +42,7 @@ class TestBuildStacked:
         batch = Batch.estage(
             np.ones((4, 3)), np.arange(8.0).reshape(4, 2), one_hot_encode([0, 1, 0, 1], 2)
         )
-        data = build_stacked(batch, cmodel)
+        data = build_stacked(batch.joined(), batch.labels, cmodel)
         np.testing.assert_array_equal(data.z_base, np.zeros((4, 2)))
         np.testing.assert_array_equal(data.z_joint[:, 2:], batch.augmented)
 
@@ -54,7 +52,7 @@ class TestBuildStacked:
         batch = Batch.estage(
             rng.standard_normal((4, 3)), np.zeros((4, 0)), one_hot_encode([0, 1, 0, 1], 2)
         )
-        data = build_stacked(batch, cmodel)
+        data = build_stacked(batch.joined(), batch.labels, cmodel)
         np.testing.assert_array_equal(data.z_joint, data.z_base)
 
     def test_leading_columns_identical(self):
@@ -64,14 +62,16 @@ class TestBuildStacked:
             rng.standard_normal((6, 4)), rng.standard_normal((6, 2)),
             one_hot_encode(rng.integers(0, 3, 6), 3),
         )
-        data = build_stacked(batch, cmodel)
+        data = build_stacked(batch.joined(), batch.labels, cmodel)
         assert np.array_equal(data.z_joint[:, :3], data.z_base)
 
-    def test_rejects_cstage_batch(self):
+    def test_rejects_features_that_do_not_fit(self):
+        # the survived width is 3: two columns cannot be compressed, and the
+        # input must be an n x (survived + augmented) matrix
         cmodel = CStageModel(np.zeros((5, 2)), np.zeros((3, 2)))
-        batch = Batch.cstage(np.zeros((2, 2)), np.zeros((2, 3)), one_hot_encode([0, 1], 2))
-        with pytest.raises(SchemaError):
-            build_stacked(batch, cmodel)
+        for x in (np.zeros((2, 2)), np.zeros(5), np.zeros((2, 5, 1))):
+            with pytest.raises(SchemaError):
+                build_stacked(x, one_hot_encode([0, 1], 2), cmodel)
 
 
 class TestUpdateCoefficients:
@@ -284,7 +284,7 @@ class TestPredictUnified:
         batch = Batch.estage(
             np.ones((4, 3)), np.ones((4, 2)), one_hot_encode([1, 2, 1, 0], 3)
         )
-        np.testing.assert_array_equal(predict_unified(batch, cmodel, emodel), np.zeros(4))
+        np.testing.assert_array_equal(predict_unified(batch.joined(), cmodel, emodel), np.zeros(4))
 
     def test_collapsed_joint_weight_uses_base_block_only(self):
         rng = np.random.default_rng(15)
@@ -297,25 +297,13 @@ class TestPredictUnified:
         )
         z = batch.survived @ cmodel.coef_survived
         np.testing.assert_array_equal(
-            predict_unified(batch, cmodel, emodel), (z @ v_base).argmax(axis=1)
+            predict_unified(batch.joined(), cmodel, emodel), (z @ v_base).argmax(axis=1)
         )
 
     def test_separable_instance_fits_training_set(self):
         cmodel, etrain, _, gamma = self._trained_setup()
-        emodel = fit_unified(build_stacked(etrain, cmodel), gamma=gamma).model
-        pred = predict_unified(etrain, cmodel, emodel)
+        x = etrain.joined()
+        emodel = fit_unified(build_stacked(x, etrain.labels, cmodel), gamma=gamma).model
+        pred = predict_unified(x, cmodel, emodel)
         assert (pred == etrain.labels.argmax(axis=1)).all()
 
-
-class TestEModelSnapshot:
-    def test_round_trip_is_exact(self, tmp_path):
-        rng = np.random.default_rng(16)
-        data = random_stacked(rng)
-        state = fit_unified(data, gamma=1.0)
-        path = tmp_path / "emodel.npz"
-        save_emodel(state.model, path)
-        loaded = load_emodel(path)
-        np.testing.assert_array_equal(loaded.v_base, state.model.v_base)
-        np.testing.assert_array_equal(loaded.v_joint, state.model.v_joint)
-        assert loaded.w_base == state.model.w_base
-        assert loaded.w_joint == state.model.w_joint

@@ -28,7 +28,7 @@ from opid.harness import (
 )
 from opid import harness
 from opid.ingest import SynthConfig, generate_synthetic, parse_manifest, write_stream
-from opid.model import FeatureSchema, Hyperparams
+from opid.model import FeatureSchema, Hyperparams, SchemaError
 
 import oracles
 
@@ -315,6 +315,32 @@ class TestReports:
             assert reloaded.accuracies[m] == table.accuracies[m]
             assert reloaded.mean(m) == pytest.approx(table.mean(m), abs=0)
         assert reloaded.marks == table.marks
+
+    @pytest.mark.parametrize(
+        "body, where",
+        [
+            ("method,repeat,acc\nA,0,0.5\n", ":1:"),
+            ("method,repeat,accuracy\nA,0\n", ":2:"),
+            ("method,repeat,accuracy\nA,0,0.5,1\n", ":2:"),
+            ("method,repeat,accuracy\nA,0,0.5\nA,1,abc\n", ":3:"),
+            ("method,repeat,accuracy\nA,0.5,0.5\n", ":2:"),
+            ("method,repeat,accuracy\nA,0,nan\n", ":2:"),
+            ("method,repeat,accuracy\nA,0,inf\n", ":2:"),
+            ("method,repeat,accuracy\nA,0,1.5\n", ":2:"),
+            ("method,repeat,accuracy\nA,0,-0.1\n", ":2:"),
+            ("method,repeat,accuracy\nA,0,0.5\nA,1,0.6\nB,0,0.7\n", ":4:"),
+        ],
+        ids=[
+            "header", "two-cells", "four-cells", "accuracy-abc", "repeat-not-int",
+            "accuracy-nan", "accuracy-inf", "accuracy-above-1", "accuracy-below-0",
+            "unequal-repeats",
+        ],
+    )
+    def test_malformed_record_rejected(self, tmp_path, body, where):
+        path = tmp_path / "results.csv"
+        path.write_text(body)
+        with pytest.raises(SchemaError, match=f"results.csv{where}"):
+            load_results(path)
 
     def test_reports_are_byte_deterministic(self, tmp_path):
         spec = _spec((OPIDE, BASE_A), repeats=3, seed=4)
