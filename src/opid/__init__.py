@@ -4,12 +4,14 @@ A compressing stage folds vanished-feature information into a
 survived-feature classifier via streaming sufficient statistics; an
 expanding stage stacks that classifier's predictions with augmented
 features under automatically learned ensemble weights.
+
+The names below are the public API; everything else stays importable from
+its module.
 """
 
 from .cstage import (
     DIRECT,
     INVERSE,
-    CStageStats,
     absorb_batch,
     compress,
     init_stats,
@@ -17,55 +19,29 @@ from .cstage import (
     save_stats,
     solve_model,
 )
-from .ensemble import (
-    EnsembleModel,
-    LogisticModel,
-    SolverError,
-    predict_ensemble,
-    train_ensemble,
-    train_logistic,
-    train_ovr,
-)
-from .estage import (
-    StackedTrainSet,
-    UnifiedTrainerState,
-    build_stacked,
-    fit_unified,
-    predict_unified,
-)
-from .harness import (
-    ALL_METHODS,
-    ExperimentSpec,
-    ResultTable,
-    emit_report,
-    format_report,
-    k_fold_cv,
-    load_results,
-    paired_t_test,
-    run_cstage_pass,
-    run_experiment,
-)
+from .ensemble import SolverError, predict_ensemble, train_ensemble
+from .estage import build_stacked, fit_unified, predict_unified
+from .harness import ExperimentSpec, emit_report, load_results, run_experiment
 from .ingest import (
     ManifestError,
-    StreamManifest,
     SynthConfig,
     generate_synthetic,
-    load_estage,
     parse_manifest,
+    read_estage,
     stream_batches,
     write_stream,
 )
-from .model import (
-    Batch,
-    CStageModel,
-    EStageModel,
-    FeatureSchema,
-    Hyperparams,
-    NumericError,
-    SchemaError,
-    argmax_decode,
-    one_hot_encode,
-    validate_batch,
-)
+from .model import Batch, FeatureSchema, Hyperparams, NumericError, SchemaError
+
+__all__ = [
+    "FeatureSchema", "Hyperparams", "Batch", "SchemaError", "NumericError", "ManifestError",
+    "SolverError",
+    "parse_manifest", "stream_batches", "read_estage", "SynthConfig", "generate_synthetic",
+    "write_stream",
+    "DIRECT", "INVERSE", "init_stats", "absorb_batch", "solve_model", "compress", "save_stats",
+    "load_stats",
+    "build_stacked", "fit_unified", "predict_unified", "train_ensemble", "predict_ensemble",
+    "ExperimentSpec", "run_experiment", "emit_report", "load_results",
+]
 
 __version__ = "0.1.0"

@@ -3,7 +3,9 @@
 Subcommands: ``synth`` writes a seeded synthetic stream to disk, ``cstage``
 runs (or resumes) a one-pass compressing-stage accumulation over a manifest,
 ``run`` executes the full experiment protocol, and ``report`` rebuilds the
-human-readable table from a machine-readable results file.
+human-readable table from a machine-readable results file. Rejected input
+(a typed library error or an unreadable path) prints one ``opid: error:``
+line to stderr and exits with code 2, as a rejected flag does.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .harness import (
     run_experiment,
 )
 from .ingest import SynthConfig, generate_synthetic, parse_manifest, stream_batches, write_stream
-from .model import FeatureSchema, Hyperparams, SchemaError
+from .model import FeatureSchema, Hyperparams, NumericError, SchemaError
 
 
 def _float_tuple(raw: str) -> tuple[float, ...]:
@@ -65,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--augmented", type=int, default=25)
     synth.add_argument("--batches", type=int, default=10, help="compressing-stage batch count")
     synth.add_argument("--batch-size", type=int, default=60)
-    synth.add_argument("--estage-size", type=int, default=60, help="instances per expanding-stage batch")
+    synth.add_argument("--estage-size", type=int, default=60,
+                       help="instances in each expanding-stage set, train and test")
     synth.add_argument("--separation", type=float, default=2.0)
     synth.add_argument("--noise", type=float, default=1.0)
     synth.add_argument("--signal", type=_signal, default=(1.0, 1.0, 1.0),
@@ -80,8 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     cstage.add_argument("--mode", choices=("auto", "direct", "inverse"), help="default auto")
     cstage.add_argument("--lambda", dest="lam", type=float, help="default 1.0")
     cstage.add_argument("--rho", type=float, help="default 0.1")
-    cstage.add_argument("--standardize", action="store_true",
-                        help="affine-scale features with first-batch statistics (not with --resume)")
 
     run = sub.add_parser("run", help="run the full experiment protocol")
     run.add_argument("--manifest", required=True)
@@ -129,8 +130,6 @@ def _cmd_cstage(args) -> int:
     manifest = parse_manifest(args.manifest)
     mode = resolve_mode(args.mode or "auto", manifest.schema)
     if args.resume:
-        if args.standardize:
-            raise SchemaError("--standardize cannot resume: the snapshot stores no affine transform")
         stats = load_stats(args.resume)
         for name, given, stored in (
             ("schema", manifest.schema, stats.schema), ("--mode", args.mode and mode, stats.mode),
@@ -142,7 +141,7 @@ def _cmd_cstage(args) -> int:
         given = {"lam": args.lam, "rho": args.rho}
         hyper = Hyperparams(**{k: v for k, v in given.items() if v is not None})
         stats = init_stats(manifest.schema, hyper, mode=mode)
-    for batch in stream_batches(manifest, standardize=args.standardize):
+    for batch in stream_batches(manifest):
         absorb_batch(stats, batch)
     save_stats(stats, args.out)
     print(
@@ -191,7 +190,12 @@ _COMMANDS = {
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except (SchemaError, NumericError, OSError) as exc:
+        # Rejected input ends like an argparse error: one line and exit code 2.
+        print(f"opid: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

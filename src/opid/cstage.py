@@ -26,7 +26,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .model import (
-    C_STAGE,
     Batch,
     CStageModel,
     FeatureSchema,
@@ -101,8 +100,6 @@ def absorb_batch(stats: CStageStats, batch: Batch) -> CStageStats:
     overflows the statistics to non-finite values raises
     :class:`NumericError` and leaves them as they were.
     """
-    if batch.stage != C_STAGE:
-        raise SchemaError("only compressing-stage batches can be absorbed")
     validate_batch(batch, stats.schema)
 
     x_all = batch.joined()
@@ -206,7 +203,10 @@ def load_stats(path) -> CStageStats:
                 raise ValueError("not an .npz archive")
             with data:
                 raw = {key: data[key] for key in data.files}
-    except (OSError, EOFError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
+    # zipfile raises NotImplementedError for an unknown compression method and
+    # RuntimeError for a member flagged as encrypted.
+    except (OSError, EOFError, ValueError, NotImplementedError, RuntimeError,
+            zipfile.BadZipFile, zlib.error) as exc:
         raise SchemaError(f"{path}: not a readable statistics snapshot: {exc}") from exc
     for key, kinds in _SNAPSHOT_SCALARS.items():
         value = raw.get(key)

@@ -12,6 +12,7 @@ seed) produce identical tables and identical report bytes.
 from __future__ import annotations
 
 import functools
+import io
 import itertools
 import logging
 import math
@@ -24,8 +25,8 @@ from scipy import stats as scipy_stats
 from .cstage import DIRECT, INVERSE, absorb_batch, init_stats, solve_model
 from .ensemble import EnsembleModel, predict_ensemble, train_ensemble, train_ovr
 from .estage import build_stacked, fit_unified, predict_unified
-from .ingest import StreamManifest, SynthConfig, generate_synthetic, load_estage, stream_batches
-from .model import CStageModel, FeatureSchema, Hyperparams, SchemaError, _fold_splits
+from .ingest import StreamManifest, SynthConfig, generate_synthetic, read_estage, stream_batches
+from .model import CStageModel, FeatureSchema, Hyperparams, SchemaError, _fold_splits, _read_text
 
 logger = logging.getLogger(__name__)
 
@@ -61,10 +62,12 @@ class ExperimentSpec:
 
     def __post_init__(self):
         if self.repeats < 1:
-            raise ValueError(f"repeats must be >= 1, got {self.repeats}")
+            raise SchemaError(f"repeats must be >= 1, got {self.repeats}")
+        if self.folds < 2:
+            raise SchemaError(f"folds must be >= 2, got {self.folds}")
         unknown = set(self.methods) - set(ALL_METHODS)
         if unknown:
-            raise ValueError(f"unknown methods {sorted(unknown)}")
+            raise SchemaError(f"unknown methods {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -169,18 +172,14 @@ def _materialize(source):
     """Schema, a single-use compressing-stage batch iterator, and the pooled
     expanding-stage rows (features, one-hot labels)."""
     if isinstance(source, SynthConfig):
-        cbatches, etrain, etest = generate_synthetic(source)
-        schema = source.schema
+        cbatches, (x_train, y_train), (x_test, y_test) = generate_synthetic(source)
         stream = iter(cbatches)
     elif isinstance(source, StreamManifest):
-        schema = source.schema
-        etrain, etest = load_estage(source)
+        (x_train, y_train), (x_test, y_test) = read_estage(source)
         stream = stream_batches(source)
     else:
         raise TypeError(f"unsupported experiment source {type(source)!r}")
-    pool_x = np.vstack([etrain.joined(), etest.joined()])
-    pool_y = np.vstack([etrain.labels, etest.labels])
-    return schema, stream, pool_x, pool_y
+    return source.schema, stream, np.vstack([x_train, x_test]), np.vstack([y_train, y_test])
 
 
 def _accuracy(pred: np.ndarray, labels: np.ndarray) -> float:
@@ -353,13 +352,15 @@ def load_results(csv_path) -> ResultTable:
     """Rebuild a table from the machine-readable record, recomputing the
     aggregate statistics and significance marks.
 
-    A malformed record raises :class:`SchemaError` naming ``path:line``: a
-    wrong header, a row without exactly three fields, a non-integer repeat,
-    an accuracy outside [0, 1], or methods with unequal repeat counts.
+    An unreadable file, bytes that are not UTF-8, or a malformed record
+    raise :class:`SchemaError` naming the path, and ``path:line`` where the
+    line is known: a wrong header, a row without exactly three fields, a
+    non-integer repeat, an accuracy outside [0, 1], or methods with unequal
+    repeat counts.
     """
     accuracies: dict[str, list[float]] = {}
     last_line: dict[str, int] = {}
-    with Path(csv_path).open() as fh:
+    with io.StringIO(_read_text(csv_path), newline=None) as fh:
         header = fh.readline().strip()
         if header != "method,repeat,accuracy":
             raise SchemaError(f"{csv_path}:1: unrecognized results header {header!r}")

@@ -4,7 +4,10 @@ Batch files are plain delimited text: one instance per row, feature columns
 first, a single integer class label last. A JSON manifest declares the
 partition widths, the ordered compressing-stage file list, the
 expanding-stage train/test files, and the column ranges realizing each
-partition. Readers hold at most one batch in memory at a time.
+partition. Readers hold at most one batch in memory at a time. The
+compressing stage is read as :class:`Batch` objects; the expanding stage is
+read as (features, one-hot labels) pairs whose columns are in schema order,
+survived then augmented, whatever their order in the files.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import Batch, FeatureSchema, SchemaError, one_hot_encode
+from .model import Batch, FeatureSchema, SchemaError, _read_text, one_hot_encode
 
 _MANIFEST_KEYS = {
     "classes",
@@ -28,6 +31,11 @@ _MANIFEST_KEYS = {
     "cstage_columns",
     "estage_columns",
 }
+
+
+# (features, one-hot labels): the rows of one file, or an expanding-stage set
+# with its feature columns in schema order.
+_Rows = tuple[np.ndarray, np.ndarray]
 
 
 class ManifestError(SchemaError):
@@ -92,11 +100,10 @@ def parse_manifest(path) -> StreamManifest:
     path = Path(path)
     if not path.is_file():
         raise ManifestError(f"manifest not found: {path}")
-    with path.open() as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ManifestError(f"{path}: invalid JSON: {exc}") from exc
+    try:
+        raw = json.loads(_read_text(path, ManifestError))
+    except json.JSONDecodeError as exc:
+        raise ManifestError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ManifestError(f"{path}: manifest must be a JSON object")
     unknown = set(raw) - _MANIFEST_KEYS
@@ -106,14 +113,17 @@ def parse_manifest(path) -> StreamManifest:
     if missing:
         raise ManifestError(f"{path}: missing manifest keys {sorted(missing)}")
 
-    schema = FeatureSchema(
-        vanished=int(raw["vanished"]),
-        survived=int(raw["survived"]),
-        augmented=int(raw["augmented"]),
-        classes=int(raw["classes"]),
-    )
-    c_cols = {k: _parse_range(v, f"cstage {k}") for k, v in dict(raw["cstage_columns"]).items()}
-    e_cols = {k: _parse_range(v, f"estage {k}") for k, v in dict(raw["estage_columns"]).items()}
+    base = path.parent
+    try:
+        widths = {k: int(raw[k]) for k in ("vanished", "survived", "augmented", "classes")}
+        c_raw, e_raw = dict(raw["cstage_columns"]), dict(raw["estage_columns"])
+        batches = tuple(base / p for p in raw["cstage_batches"])
+        train, test = base / raw["estage_train"], base / raw["estage_test"]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ManifestError(f"{path}: malformed manifest field: {exc}") from exc
+    schema = FeatureSchema(**widths)
+    c_cols = {k: _parse_range(v, f"cstage {k}") for k, v in c_raw.items()}
+    e_cols = {k: _parse_range(v, f"estage {k}") for k, v in e_raw.items()}
     if set(c_cols) != {"vanished", "survived"}:
         raise ManifestError(f"cstage_columns must map exactly vanished/survived, got {sorted(c_cols)}")
     if set(e_cols) != {"survived", "augmented"}:
@@ -121,10 +131,6 @@ def parse_manifest(path) -> StreamManifest:
     _check_ranges(c_cols, {"vanished": schema.vanished, "survived": schema.survived}, "cstage")
     _check_ranges(e_cols, {"survived": schema.survived, "augmented": schema.augmented}, "estage")
 
-    base = path.parent
-    batches = tuple(base / p for p in raw["cstage_batches"])
-    train = base / raw["estage_train"]
-    test = base / raw["estage_test"]
     for f in (*batches, train, test):
         if not f.is_file():
             raise ManifestError(f"batch file not found: {f}")
@@ -140,10 +146,13 @@ def parse_manifest(path) -> StreamManifest:
     )
 
 
-def _read_rows(path: Path, n_features: int, classes: int) -> tuple[np.ndarray, np.ndarray]:
+def _read_rows(path: Path, n_features: int, classes: int) -> _Rows:
     feats = []
     labels = []
-    with path.open() as fh:
+    linenos = []
+    # Bytes that are not UTF-8 decode to lone surrogates, which float() rejects
+    # below with the file and line named.
+    with path.open(encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -165,23 +174,15 @@ def _read_rows(path: Path, n_features: int, classes: int) -> tuple[np.ndarray, n
                 )
             feats.append(row[:-1])
             labels.append(int(label))
+            linenos.append(lineno)
     if not feats:
         raise ManifestError(f"{path}: file contains no instances")
-    return np.asarray(feats, dtype=np.float64), one_hot_encode(labels, classes)
-
-
-@dataclass(frozen=True)
-class _Affine:
-    shift: np.ndarray
-    scale: np.ndarray
-
-    @classmethod
-    def from_features(cls, feats: np.ndarray) -> "_Affine":
-        std = feats.std(axis=0)
-        return cls(shift=feats.mean(axis=0), scale=np.where(std > 0, std, 1.0))
-
-    def apply(self, feats: np.ndarray) -> np.ndarray:
-        return (feats - self.shift) / self.scale
+    feats = np.asarray(feats, dtype=np.float64)
+    finite = np.isfinite(feats).all(axis=1)
+    if not finite.all():
+        lineno = linenos[int(np.argmin(finite))]
+        raise ManifestError(f"{path}:{lineno}: feature values must be finite")
+    return feats, one_hot_encode(labels, classes)
 
 
 def _cstage_batch(feats: np.ndarray, labels: np.ndarray, manifest: StreamManifest) -> Batch:
@@ -190,44 +191,24 @@ def _cstage_batch(feats: np.ndarray, labels: np.ndarray, manifest: StreamManifes
     return Batch.cstage(vanished=feats[:, v0:v1], survived=feats[:, s0:s1], labels=labels)
 
 
-def _estage_batch(feats: np.ndarray, labels: np.ndarray, manifest: StreamManifest) -> Batch:
-    s0, s1 = manifest.e_survived
-    a0, a1 = manifest.e_augmented
-    return Batch.estage(survived=feats[:, s0:s1], augmented=feats[:, a0:a1], labels=labels)
-
-
-def stream_batches(manifest: StreamManifest, standardize: bool = False):
-    """Yield compressing-stage batches one file at a time.
-
-    With ``standardize`` set, features are affinely rescaled using the mean
-    and standard deviation of the first batch only, so the pass stays
-    one-pass.
-    """
+def stream_batches(manifest: StreamManifest):
+    """Yield compressing-stage batches one file at a time."""
     width = manifest.schema.cstage_width
-    affine = None
     for path in manifest.cstage_batches:
         feats, labels = _read_rows(path, width, manifest.schema.classes)
-        if standardize:
-            if affine is None:
-                affine = _Affine.from_features(feats)
-            feats = affine.apply(feats)
         yield _cstage_batch(feats, labels, manifest)
 
 
-def load_estage(manifest: StreamManifest, standardize: bool = False) -> tuple[Batch, Batch]:
-    """Read the expanding-stage train and test batches; scaling statistics,
-    when requested, come from the training batch alone."""
-    width = manifest.schema.estage_width
-    train_f, train_y = _read_rows(manifest.estage_train, width, manifest.schema.classes)
-    test_f, test_y = _read_rows(manifest.estage_test, width, manifest.schema.classes)
-    if standardize:
-        affine = _Affine.from_features(train_f)
-        train_f = affine.apply(train_f)
-        test_f = affine.apply(test_f)
-    return (
-        _estage_batch(train_f, train_y, manifest),
-        _estage_batch(test_f, test_y, manifest),
-    )
+def read_estage(manifest: StreamManifest) -> tuple[_Rows, _Rows]:
+    """Read the expanding-stage train and test files as (features, one-hot
+    labels) pairs, with the feature columns in schema order: survived, then
+    augmented."""
+    (s0, s1), (a0, a1) = manifest.e_survived, manifest.e_augmented
+    pairs = []
+    for path in (manifest.estage_train, manifest.estage_test):
+        feats, labels = _read_rows(path, manifest.schema.estage_width, manifest.schema.classes)
+        pairs.append((np.hstack([feats[:, s0:s1], feats[:, a0:a1]]), labels))
+    return pairs[0], pairs[1]
 
 
 @dataclass(frozen=True)
@@ -251,22 +232,23 @@ class SynthConfig:
 
     def __post_init__(self):
         if self.batches < 1 or self.batch_size < 1 or self.estage_size < 1:
-            raise ValueError("batch counts and sizes must be >= 1")
+            raise SchemaError("batch counts and sizes must be >= 1")
         if self.separation < 0 or self.noise < 0:
-            raise ValueError("separation and noise must be >= 0")
+            raise SchemaError("separation and noise must be >= 0")
         if len(self.signal) != 3 or any(f < 0 for f in self.signal):
-            raise ValueError("signal must be three fractions >= 0")
+            raise SchemaError("signal must be three fractions >= 0")
 
 
 def _balanced_labels(n: int, classes: int, rng: np.random.Generator) -> np.ndarray:
     return rng.permutation(np.arange(n) % classes)
 
 
-def generate_synthetic(cfg: SynthConfig) -> tuple[list[Batch], Batch, Batch]:
+def generate_synthetic(cfg: SynthConfig) -> tuple[list[Batch], _Rows, _Rows]:
     """Generate (compressing-stage batches, expanding train, expanding test).
 
-    Features are Gaussian around per-class means; the survived partition
-    carries its label signal in both stages.
+    The expanding-stage train and test sets are (features, one-hot labels)
+    pairs in schema order. Features are Gaussian around per-class means; the
+    survived partition carries its label signal in both stages.
     """
     rng = np.random.default_rng(cfg.seed)
     schema = cfg.schema
@@ -298,16 +280,8 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[list[Batch], Batch, Batch]:
                 labels=labels,
             )
         )
-
-    def estage_batch() -> Batch:
-        feats, labels = draw(cfg.estage_size, schema.vanished, total)
-        return Batch.estage(
-            survived=feats[:, : schema.survived],
-            augmented=feats[:, schema.survived :],
-            labels=labels,
-        )
-
-    return cbatches, estage_batch(), estage_batch()
+    train = draw(cfg.estage_size, schema.vanished, total)
+    return cbatches, train, draw(cfg.estage_size, schema.vanished, total)
 
 
 def _write_batch_file(path: Path, feats: np.ndarray, labels: np.ndarray) -> None:
@@ -319,10 +293,12 @@ def _write_batch_file(path: Path, feats: np.ndarray, labels: np.ndarray) -> None
 
 
 def write_stream(
-    cbatches: list[Batch], etrain: Batch, etest: Batch, out_dir, schema: FeatureSchema
+    cbatches: list[Batch], etrain: _Rows, etest: _Rows, out_dir, schema: FeatureSchema
 ) -> Path:
     """Write a stream to disk (batch files plus manifest); floats round-trip
-    exactly through their shortest repr. Returns the manifest path."""
+    exactly through their shortest repr. ``etrain`` and ``etest`` are
+    (features, one-hot labels) pairs in schema order. Returns the manifest
+    path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     names = []
@@ -330,8 +306,8 @@ def write_stream(
         name = f"cstage_{i:03d}.csv"
         _write_batch_file(out / name, batch.joined(), batch.labels)
         names.append(name)
-    _write_batch_file(out / "estage_train.csv", etrain.joined(), etrain.labels)
-    _write_batch_file(out / "estage_test.csv", etest.joined(), etest.labels)
+    _write_batch_file(out / "estage_train.csv", *etrain)
+    _write_batch_file(out / "estage_test.csv", *etest)
 
     manifest = {
         "classes": schema.classes,

@@ -3,22 +3,23 @@
 Feature partitions follow the stream's life cycle: *vanished* features exist
 only during the compressing stage, *survived* features span both stages,
 *augmented* features appear only in the expanding stage. Every matrix shape
-in the library derives from one :class:`FeatureSchema`.
+in the library derives from one :class:`FeatureSchema`. Compressing-stage
+data arrives as :class:`Batch` objects; the expanding stage works on plain
+feature matrices in schema order (survived, then augmented) with one-hot
+labels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
 
-C_STAGE = "c"
-E_STAGE = "e"
-
-
 class SchemaError(ValueError):
-    """A batch, matrix, or manifest does not match its declared shapes."""
+    """A batch, matrix, file or setting does not match its declared shapes or
+    allowed range."""
 
 
 class NumericError(ArithmeticError):
@@ -70,35 +71,21 @@ class FeatureSchema:
 
 @dataclass(frozen=True)
 class Batch:
-    """One mini-batch of instances, partitioned by feature kind.
-
-    Compressing-stage batches carry (vanished, survived) blocks;
-    expanding-stage batches carry (survived, augmented). ``labels`` is the
-    n x classes one-hot matrix. Zero-width blocks are legal and appear as
-    n x 0 arrays. Instances are immutable after construction.
+    """One compressing-stage mini-batch: the vanished and survived feature
+    blocks plus the n x classes one-hot ``labels``. A zero-width vanished
+    block is legal and appears as an n x 0 array. Instances are immutable
+    after construction.
     """
 
-    stage: str
+    vanished: np.ndarray
     survived: np.ndarray
     labels: np.ndarray
-    vanished: np.ndarray | None = None
-    augmented: np.ndarray | None = None
 
     @classmethod
     def cstage(cls, vanished, survived, labels) -> "Batch":
         return cls(
-            stage=C_STAGE,
             vanished=_as_matrix(vanished, "vanished"),
             survived=_as_matrix(survived, "survived"),
-            labels=_as_matrix(labels, "labels"),
-        )
-
-    @classmethod
-    def estage(cls, survived, augmented, labels) -> "Batch":
-        return cls(
-            stage=E_STAGE,
-            survived=_as_matrix(survived, "survived"),
-            augmented=_as_matrix(augmented, "augmented"),
             labels=_as_matrix(labels, "labels"),
         )
 
@@ -108,9 +95,7 @@ class Batch:
 
     def joined(self) -> np.ndarray:
         """All feature columns of this batch, in schema order."""
-        if self.stage == C_STAGE:
-            return np.hstack([self.vanished, self.survived])
-        return np.hstack([self.survived, self.augmented])
+        return np.hstack([self.vanished, self.survived])
 
 
 @dataclass(frozen=True)
@@ -180,13 +165,13 @@ class Hyperparams:
 
     def __post_init__(self):
         if self.lam < 0:
-            raise ValueError(f"consistency weight must be >= 0, got {self.lam}")
+            raise SchemaError(f"consistency weight must be >= 0, got {self.lam}")
         if self.rho <= 0:
-            raise ValueError(f"ridge must be > 0, got {self.rho}")
+            raise SchemaError(f"ridge must be > 0, got {self.rho}")
         if self.gamma <= 0:
-            raise ValueError(f"expanding-stage ridge must be > 0, got {self.gamma}")
+            raise SchemaError(f"expanding-stage ridge must be > 0, got {self.gamma}")
         if self.alpha1 <= 0 or self.alpha2 <= 0:
-            raise ValueError("logistic loss weights must be > 0")
+            raise SchemaError("logistic loss weights must be > 0")
 
 
 def one_hot_encode(labels, classes: int) -> np.ndarray:
@@ -231,6 +216,20 @@ def _solve_spd(mat: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
         raise NumericError(f"{what} solve failed: {exc}") from exc
 
 
+def _read_text(path, error: type[SchemaError] = SchemaError) -> str:
+    """The whole of a UTF-8 text file. An unreadable file or a byte sequence
+    that is not UTF-8 raises ``error`` naming the path (and the line)."""
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise error(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{line}: not UTF-8 text") from exc
+
+
 def _fold_splits(n: int, folds: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Contiguous k-fold splits of ``n`` rows as (training mask, validation
     indices) pairs; needs 2 <= folds <= n."""
@@ -249,27 +248,13 @@ def _fold_splits(n: int, folds: int) -> list[tuple[np.ndarray, np.ndarray]]:
 def validate_batch(batch: Batch, schema: FeatureSchema) -> None:
     """Check a batch against a schema; raises :class:`SchemaError` naming
     the offending dimension."""
-    if batch.stage not in (C_STAGE, E_STAGE):
-        raise SchemaError(f"unknown stage tag {batch.stage!r}")
     n = batch.n
     if n < 1:
         raise SchemaError("batch must contain at least one instance")
-
-    if batch.stage == C_STAGE:
-        if batch.augmented is not None:
-            raise SchemaError("compressing-stage batch must not carry an augmented block")
-        if batch.vanished is None:
-            raise SchemaError("compressing-stage batch is missing its vanished block")
-        blocks = [("vanished", batch.vanished, schema.vanished)]
-    else:
-        if batch.vanished is not None:
-            raise SchemaError("expanding-stage batch must not carry a vanished block")
-        if batch.augmented is None:
-            raise SchemaError("expanding-stage batch is missing its augmented block")
-        blocks = [("augmented", batch.augmented, schema.augmented)]
-    blocks.append(("survived", batch.survived, schema.survived))
-
-    for name, block, width in blocks:
+    for name, block, width in (
+        ("vanished", batch.vanished, schema.vanished),
+        ("survived", batch.survived, schema.survived),
+    ):
         if block.shape[0] != n:
             raise SchemaError(f"{name} block has {block.shape[0]} rows, expected {n}")
         if block.shape[1] != width:

@@ -43,6 +43,7 @@ def test_prequential_pass_with_suspend_and_resume(manifest, tmp_path, monkeypatc
         pred = model.argmax_decode(scores)
         correct += int((pred == batch.labels.argmax(axis=1)).sum())
         rows += batch.n
+        assert batch.vanished.shape[1] == schema.vanished  # the tracer counts floats with it
         cstage.absorb_batch(stats, batch)
         cstage.absorb_batch(uninterrupted, batch)
         if i == 1:

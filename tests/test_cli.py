@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
 from opid.cli import main
 from opid.cstage import absorb_batch, init_stats, load_stats
 from opid.ingest import parse_manifest, stream_batches
-from opid.model import Hyperparams, NumericError, SchemaError
+from opid.model import Hyperparams
 
 
 def _synth_args(out_dir, seed=0):
@@ -16,6 +18,15 @@ def _synth_args(out_dir, seed=0):
         "--batches", "3", "--batch-size", "20", "--estage-size", "30",
         "--separation", "3.0", "--noise", "0.8", "--seed", str(seed),
     ]
+
+
+def _assert_rejected(capsys, argv, pattern):
+    """``main`` ends a rejected input with exit code 2 and one stderr line."""
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("opid: error: ")
+    assert re.search(pattern, err), err
 
 
 class TestSynthCommand:
@@ -78,25 +89,21 @@ class TestCStageCommand:
         args[args.index("--augmented") + 1] = "3"  # only the augmented width differs
         main(args)
         other = capsys.readouterr().out.strip()
-        with pytest.raises(SchemaError, match="schema .* conflicts with the snapshot"):
-            main(["cstage", "--manifest", other, "--out", str(tmp_path / "x.npz"),
-                  "--resume", str(out)])
+        _assert_rejected(
+            capsys,
+            ["cstage", "--manifest", other, "--out", str(tmp_path / "x.npz"), "--resume", str(out)],
+            "schema .* conflicts with the snapshot",
+        )
 
     @pytest.mark.parametrize("flags", [["--lambda", "1.0"], ["--rho", "0.5"], ["--mode", "inverse"]])
-    def test_resume_rejects_conflicting_flags(self, snapshot, tmp_path, flags):
+    def test_resume_rejects_conflicting_flags(self, snapshot, tmp_path, capsys, flags):
         manifest_path, out = snapshot
-        with pytest.raises(SchemaError, match=f"{flags[0]} .* conflicts"):
-            main(["cstage", "--manifest", manifest_path, "--out", str(tmp_path / "x.npz"),
-                  "--resume", str(out), *flags])
-
-    def test_resume_rejects_standardize(self, snapshot, tmp_path):
-        # the snapshot stores no affine transform, so a standardized resume
-        # would re-derive it from the new manifest and silently diverge
-        manifest_path, out = snapshot
-        with pytest.raises(SchemaError, match="--standardize"):
-            main(["cstage", "--manifest", manifest_path, "--out", str(tmp_path / "x.npz"),
-                  "--resume", str(out), "--standardize"])
-        assert not (tmp_path / "x.npz").exists()
+        _assert_rejected(
+            capsys,
+            ["cstage", "--manifest", manifest_path, "--out", str(tmp_path / "x.npz"),
+             "--resume", str(out), *flags],
+            f"{flags[0]} .* conflicts",
+        )
 
     @pytest.mark.parametrize("mode", ["direct", "inverse"])
     def test_overflowing_batch_writes_no_snapshot(self, tmp_path, capsys, mode):
@@ -109,8 +116,11 @@ class TestCStageCommand:
         width = lines[0].count(",")  # feature columns; the label comes last
         batch_file.write_text("".join("1e200," * width + ln.rsplit(",", 1)[1] + "\n" for ln in lines))
         out = tmp_path / "stats.npz"
-        with pytest.raises(NumericError, match="non-finite"):
-            main(["cstage", "--manifest", manifest_path, "--out", str(out), "--mode", mode])
+        _assert_rejected(
+            capsys,
+            ["cstage", "--manifest", manifest_path, "--out", str(out), "--mode", mode],
+            "non-finite",
+        )
         assert not out.exists()
 
     def test_resume_accepts_matching_flags(self, snapshot, tmp_path):
@@ -183,3 +193,43 @@ class TestRunAndReportCommands:
             "--methods", "OPIDe", "--folds", "8", "--repeats", "2", "--seed", "0",
         ])
         assert code == 1
+
+
+class TestRejectedInput:
+    @pytest.fixture
+    def manifest_path(self, tmp_path, capsys):
+        main(_synth_args(tmp_path / "data"))
+        return capsys.readouterr().out.strip()
+
+    @pytest.mark.parametrize("argv, pattern", [
+        (["run", "--rho", "0"], "ridge must be > 0"),
+        (["run", "--repeats", "0"], "repeats must be >= 1"),
+        (["run", "--folds", "1", "--methods", "OPIDe"], "folds must be >= 2"),
+        (["cstage", "--rho", "-1"], "ridge must be > 0"),
+    ])
+    def test_bad_flag_values(self, manifest_path, tmp_path, capsys, argv, pattern):
+        argv = [*argv, "--manifest", manifest_path, "--out", str(tmp_path / "out")]
+        _assert_rejected(capsys, argv, pattern)
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_synth_flag_value(self, tmp_path, capsys):
+        args = _synth_args(tmp_path / "data")
+        args[args.index("--batches") + 1] = "0"
+        _assert_rejected(capsys, args, "batch counts and sizes must be >= 1")
+
+    def test_missing_manifest(self, tmp_path, capsys):
+        argv = ["run", "--manifest", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]
+        _assert_rejected(capsys, argv, "manifest not found")
+
+    def test_missing_results_file(self, tmp_path, capsys):
+        missing = tmp_path / "nope.csv"
+        _assert_rejected(capsys, ["report", "--results", str(missing)], re.escape(str(missing)))
+
+    @pytest.mark.parametrize("body, pattern", [
+        (b"method,repeat,accuracy\nOPID,0,0.5\nOPID,\xff\xfe\n", r"results\.csv:3: not UTF-8"),
+        (b"method,repeat,accuracy\nOPID,0\n", r"results\.csv:2: expected method,repeat"),
+    ])
+    def test_malformed_results_file(self, tmp_path, capsys, body, pattern):
+        path = tmp_path / "results.csv"
+        path.write_bytes(body)
+        _assert_rejected(capsys, ["report", "--results", str(path)], pattern)

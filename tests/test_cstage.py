@@ -87,11 +87,6 @@ class TestAbsorb:
             inverse.mat, np.linalg.inv(_coupled_system(direct)[0]), atol=1e-8
         )
 
-    def test_rejects_estage_batch(self):
-        b = Batch.estage(np.zeros((2, 3)), np.zeros((2, 0)), one_hot_encode([0, 1], 2))
-        with pytest.raises(SchemaError):
-            absorb_batch(init_stats(_schema(), Hyperparams()), b)
-
     def test_symmetry_after_every_absorption(self):
         rng = np.random.default_rng(3)
         schema = _schema(3, 4, 3)
@@ -379,4 +374,17 @@ class TestSnapshot:
         path = tmp_path / "junk.npz"
         path.write_bytes(content)
         with pytest.raises(SchemaError):
+            load_stats(path)
+
+    @pytest.mark.parametrize("offset, value", [(8, 1), (10, 99)], ids=["encrypted", "method"])
+    def test_unsupported_archive_member_rejected(self, tmp_path, offset, value):
+        # patch the first central-directory entry: its flag bits (offset 8) or
+        # its compression method (offset 10)
+        path = tmp_path / "stats.npz"
+        save_stats(init_stats(_schema(), Hyperparams()), path)
+        data = bytearray(path.read_bytes())
+        entry = data.index(b"PK\x01\x02")
+        data[entry + offset : entry + offset + 2] = value.to_bytes(2, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(SchemaError, match="not a readable statistics snapshot"):
             load_stats(path)

@@ -13,7 +13,7 @@ from opid.ensemble import (
     train_ovr,
 )
 from opid.estage import StackedTrainSet, predict_unified
-from opid.model import Batch, CStageModel, EStageModel, SchemaError, one_hot_encode
+from opid.model import CStageModel, EStageModel, SchemaError, one_hot_encode
 
 import oracles
 
@@ -142,47 +142,37 @@ class TestPredictEnsemble:
     def _setup(self, seed=9, w_base=0.5):
         rng = np.random.default_rng(seed)
         cmodel = CStageModel(np.zeros((6, 3)), rng.standard_normal((4, 3)))
-        batch = Batch.estage(
-            rng.standard_normal((25, 4)),
-            rng.standard_normal((25, 2)),
-            one_hot_encode(rng.integers(0, 3, 25), 3),
-        )
+        # 4 survived then 2 augmented columns
+        x = np.hstack([rng.standard_normal((25, 4)), rng.standard_normal((25, 2))])
         clf_base = LogisticModel(coef=rng.standard_normal((3, 3)))
         clf_joint = LogisticModel(coef=rng.standard_normal((5, 3)))
         emodel = EnsembleModel(clf_base, clf_joint, w_base, 1.0 - w_base)
-        return cmodel, batch, emodel, clf_base, clf_joint
+        return cmodel, x, emodel, clf_base, clf_joint
 
     def test_full_base_weight_matches_base_member(self):
-        cmodel, batch, emodel, clf_base, _ = self._setup(w_base=1.0)
-        z = batch.survived @ cmodel.coef_survived
-        np.testing.assert_array_equal(
-            predict_ensemble(batch.joined(), cmodel, emodel), clf_base.predict(z)
-        )
+        cmodel, x, emodel, clf_base, _ = self._setup(w_base=1.0)
+        z = x[:, :4] @ cmodel.coef_survived
+        np.testing.assert_array_equal(predict_ensemble(x, cmodel, emodel), clf_base.predict(z))
 
     def test_full_joint_weight_matches_joint_member(self):
-        cmodel, batch, emodel, _, clf_joint = self._setup(w_base=0.0)
-        z = batch.survived @ cmodel.coef_survived
-        z_joint = np.hstack([z, batch.augmented])
+        cmodel, x, emodel, _, clf_joint = self._setup(w_base=0.0)
+        z = x[:, :4] @ cmodel.coef_survived
+        z_joint = np.hstack([z, x[:, 4:]])
         np.testing.assert_array_equal(
-            predict_ensemble(batch.joined(), cmodel, emodel), clf_joint.predict(z_joint)
+            predict_ensemble(x, cmodel, emodel), clf_joint.predict(z_joint)
         )
 
     def test_identical_members_any_weight(self):
         rng = np.random.default_rng(10)
         cmodel = CStageModel(np.zeros((6, 3)), rng.standard_normal((4, 3)))
-        batch = Batch.estage(
-            rng.standard_normal((15, 4)), np.zeros((15, 0)),
-            one_hot_encode(rng.integers(0, 3, 15), 3),
-        )
+        x = rng.standard_normal((15, 4))
         # with no augmented block both members see the same inputs
         coef = rng.standard_normal((3, 3))
         member = LogisticModel(coef=coef)
         for w in (0.0, 0.3, 1.0):
             emodel = EnsembleModel(member, member, w, 1.0 - w)
-            z = batch.survived @ cmodel.coef_survived
-            np.testing.assert_array_equal(
-                predict_ensemble(batch.joined(), cmodel, emodel), member.predict(z)
-            )
+            z = x @ cmodel.coef_survived
+            np.testing.assert_array_equal(predict_ensemble(x, cmodel, emodel), member.predict(z))
 
 
 

@@ -16,7 +16,6 @@ from opid.estage import (
 )
 from opid.ingest import SynthConfig, generate_synthetic
 from opid.model import (
-    Batch,
     CStageModel,
     EStageModel,
     FeatureSchema,
@@ -39,30 +38,23 @@ def random_stacked(rng, n=20, c=3, d_a=4):
 class TestBuildStacked:
     def test_zero_survived_coefficients(self):
         cmodel = CStageModel(np.zeros((5, 2)), np.zeros((3, 2)))
-        batch = Batch.estage(
-            np.ones((4, 3)), np.arange(8.0).reshape(4, 2), one_hot_encode([0, 1, 0, 1], 2)
-        )
-        data = build_stacked(batch.joined(), batch.labels, cmodel)
+        augmented = np.arange(8.0).reshape(4, 2)
+        x = np.hstack([np.ones((4, 3)), augmented])
+        data = build_stacked(x, one_hot_encode([0, 1, 0, 1], 2), cmodel)
         np.testing.assert_array_equal(data.z_base, np.zeros((4, 2)))
-        np.testing.assert_array_equal(data.z_joint[:, 2:], batch.augmented)
+        np.testing.assert_array_equal(data.z_joint[:, 2:], augmented)
 
     def test_empty_augmented_block(self):
         rng = np.random.default_rng(0)
         cmodel = CStageModel(np.zeros((5, 2)), rng.standard_normal((3, 2)))
-        batch = Batch.estage(
-            rng.standard_normal((4, 3)), np.zeros((4, 0)), one_hot_encode([0, 1, 0, 1], 2)
-        )
-        data = build_stacked(batch.joined(), batch.labels, cmodel)
+        data = build_stacked(rng.standard_normal((4, 3)), one_hot_encode([0, 1, 0, 1], 2), cmodel)
         np.testing.assert_array_equal(data.z_joint, data.z_base)
 
     def test_leading_columns_identical(self):
         rng = np.random.default_rng(1)
         cmodel = CStageModel(np.zeros((5, 3)), rng.standard_normal((4, 3)))
-        batch = Batch.estage(
-            rng.standard_normal((6, 4)), rng.standard_normal((6, 2)),
-            one_hot_encode(rng.integers(0, 3, 6), 3),
-        )
-        data = build_stacked(batch.joined(), batch.labels, cmodel)
+        x = np.hstack([rng.standard_normal((6, 4)), rng.standard_normal((6, 2))])
+        data = build_stacked(x, one_hot_encode(rng.integers(0, 3, 6), 3), cmodel)
         assert np.array_equal(data.z_joint[:, :3], data.z_base)
 
     def test_rejects_features_that_do_not_fit(self):
@@ -281,29 +273,22 @@ class TestPredictUnified:
     def test_zero_model_predicts_first_class(self):
         cmodel = CStageModel(np.zeros((5, 3)), np.zeros((3, 3)))
         emodel = EStageModel(np.zeros((3, 3)), np.zeros((5, 3)), 0.5, 0.5)
-        batch = Batch.estage(
-            np.ones((4, 3)), np.ones((4, 2)), one_hot_encode([1, 2, 1, 0], 3)
-        )
-        np.testing.assert_array_equal(predict_unified(batch.joined(), cmodel, emodel), np.zeros(4))
+        np.testing.assert_array_equal(predict_unified(np.ones((4, 5)), cmodel, emodel), np.zeros(4))
 
     def test_collapsed_joint_weight_uses_base_block_only(self):
         rng = np.random.default_rng(15)
         cmodel = CStageModel(np.zeros((5, 3)), rng.standard_normal((3, 3)))
         v_base = rng.standard_normal((3, 3))
         emodel = EStageModel(v_base, np.zeros((5, 3)), 1.0, 0.0)
-        batch = Batch.estage(
-            rng.standard_normal((6, 3)), rng.standard_normal((6, 2)),
-            one_hot_encode(rng.integers(0, 3, 6), 3),
-        )
-        z = batch.survived @ cmodel.coef_survived
+        x = np.hstack([rng.standard_normal((6, 3)), rng.standard_normal((6, 2))])
+        z = x[:, :3] @ cmodel.coef_survived
         np.testing.assert_array_equal(
-            predict_unified(batch.joined(), cmodel, emodel), (z @ v_base).argmax(axis=1)
+            predict_unified(x, cmodel, emodel), (z @ v_base).argmax(axis=1)
         )
 
     def test_separable_instance_fits_training_set(self):
-        cmodel, etrain, _, gamma = self._trained_setup()
-        x = etrain.joined()
-        emodel = fit_unified(build_stacked(x, etrain.labels, cmodel), gamma=gamma).model
+        cmodel, (x, y), _, gamma = self._trained_setup()
+        emodel = fit_unified(build_stacked(x, y, cmodel), gamma=gamma).model
         pred = predict_unified(x, cmodel, emodel)
-        assert (pred == etrain.labels.argmax(axis=1)).all()
+        assert (pred == y.argmax(axis=1)).all()
 

@@ -10,8 +10,8 @@ from opid.ingest import (
     ManifestError,
     SynthConfig,
     generate_synthetic,
-    load_estage,
     parse_manifest,
+    read_estage,
     stream_batches,
     write_stream,
 )
@@ -79,6 +79,21 @@ class TestParseManifest:
         with pytest.raises(ManifestError, match="missing"):
             parse_manifest(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("classes", "three"), ("survived", None), ("augmented", float("inf")),
+        ("cstage_columns", 5), ("cstage_batches", [7]), ("estage_train", {"a": 1}),
+    ])
+    def test_malformed_field_rejected(self, tmp_path, field, value):
+        path = _write_manifest(tmp_path, overrides={field: value})
+        with pytest.raises(ManifestError, match="malformed manifest field"):
+            parse_manifest(path)
+
+    def test_non_utf8_manifest_rejected(self, tmp_path):
+        path = _write_manifest(tmp_path)
+        path.write_bytes(b'{\n"classes": "\xff\xfe"}')
+        with pytest.raises(ManifestError, match=r"manifest\.json:2: not UTF-8 text"):
+            parse_manifest(path)
+
     def test_missing_batch_file_rejected(self, tmp_path):
         path = _write_manifest(tmp_path, overrides={"cstage_batches": ["nope.csv"]})
         with pytest.raises(ManifestError, match="not found"):
@@ -136,23 +151,43 @@ class TestStreamBatches:
             np.testing.assert_array_equal(read.vanished, original.vanished)
             np.testing.assert_array_equal(read.survived, original.survived)
             np.testing.assert_array_equal(read.labels, original.labels)
-        r_train, r_test = load_estage(manifest)
-        np.testing.assert_array_equal(r_train.joined(), etrain.joined())
-        np.testing.assert_array_equal(r_test.augmented, etest.augmented)
+        for original, read in zip((etrain, etest), read_estage(manifest)):
+            np.testing.assert_array_equal(read[0], original[0])
+            np.testing.assert_array_equal(read[1], original[1])
 
-    def test_standardize_uses_first_batch_statistics(self, tmp_path):
-        schema = FeatureSchema(vanished=1, survived=2, augmented=1, classes=2)
-        cfg = SynthConfig(schema=schema, batches=3, batch_size=25, estage_size=8, seed=4)
-        path = write_stream(*generate_synthetic(cfg), tmp_path, schema)
+    def test_permuted_column_ranges_read_in_schema_order(self, tmp_path):
+        # survived before vanished in the compressing stage, augmented before
+        # survived in the expanding stage
+        path = _write_manifest(tmp_path, overrides={
+            "cstage_columns": {"vanished": [2, 3], "survived": [0, 2]},
+            "estage_columns": {"survived": [1, 3], "augmented": [0, 1]},
+        })
         manifest = parse_manifest(path)
-        scaled = list(stream_batches(manifest, standardize=True))
-        first = scaled[0].joined()
-        np.testing.assert_allclose(first.mean(axis=0), 0.0, atol=1e-12)
-        np.testing.assert_allclose(first.std(axis=0), 1.0, atol=1e-12)
-        # later batches reuse the first batch's affine map, so they are not
-        # exactly centered
-        later = scaled[1].joined()
-        assert np.abs(later.mean(axis=0)).max() > 1e-6
+        (batch,) = stream_batches(manifest)
+        np.testing.assert_array_equal(batch.vanished, [[2.0], [1.5]])
+        np.testing.assert_array_equal(batch.survived, [[0.5, 1.0], [-0.5, 0.25]])
+        (x_train, y_train), (x_test, y_test) = read_estage(manifest)
+        np.testing.assert_array_equal(x_train, [[2.0, 3.0, 1.0], [5.0, 6.0, 4.0]])
+        np.testing.assert_array_equal(y_train, [[1.0, 0.0], [0.0, 1.0]])
+        np.testing.assert_array_equal(x_test, [[0.2, 0.3, 0.1]])
+        np.testing.assert_array_equal(y_test, [[0.0, 1.0]])
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_names_file_and_line(self, tmp_path, value):
+        path = _write_manifest(tmp_path)
+        (tmp_path / "c0.csv").write_text(f"0.5,1.0,2.0,0\n\n0.5,{value},2.0,1\n")
+        with pytest.raises(ManifestError, match=r"c0\.csv:3: feature values must be finite"):
+            list(stream_batches(parse_manifest(path)))
+        (tmp_path / "c0.csv").write_text("0.5,1.0,2.0,0\n")
+        (tmp_path / "test.csv").write_text(f"{value},0.2,0.3,1\n")
+        with pytest.raises(ManifestError, match=r"test\.csv:1: feature values must be finite"):
+            read_estage(parse_manifest(path))
+
+    def test_non_utf8_bytes_name_file_and_line(self, tmp_path):
+        path = _write_manifest(tmp_path)
+        (tmp_path / "c0.csv").write_bytes(b"0.5,1.0,2.0,0\n0.5,\xff\xfe,2.0,1\n")
+        with pytest.raises(ManifestError, match=r"c0\.csv:2"):
+            list(stream_batches(parse_manifest(path)))
 
 
 class TestGenerateSynthetic:
@@ -164,8 +199,9 @@ class TestGenerateSynthetic:
         for a, b in zip(a_batches, b_batches):
             np.testing.assert_array_equal(a.joined(), b.joined())
             np.testing.assert_array_equal(a.labels, b.labels)
-        np.testing.assert_array_equal(a_train.joined(), b_train.joined())
-        np.testing.assert_array_equal(a_test.joined(), b_test.joined())
+        for a, b in ((a_train, b_train), (a_test, b_test)):
+            np.testing.assert_array_equal(a[0], b[0])
+            np.testing.assert_array_equal(a[1], b[1])
 
     def test_zero_noise_survived_features_are_separable(self):
         schema = FeatureSchema(vanished=2, survived=4, augmented=2, classes=3)
@@ -173,10 +209,10 @@ class TestGenerateSynthetic:
             schema=schema, batches=1, batch_size=30, estage_size=60,
             separation=4.0, noise=0.0, seed=6,
         )
-        _, etrain, etest = generate_synthetic(cfg)
-        clf = train_ovr(etrain.survived, etrain.labels, alpha=1.0)
-        pred = clf.predict(etest.survived)
-        assert (pred == etest.labels.argmax(axis=1)).all()
+        _, (x_train, y_train), (x_test, y_test) = generate_synthetic(cfg)
+        clf = train_ovr(x_train[:, : schema.survived], y_train, alpha=1.0)
+        pred = clf.predict(x_test[:, : schema.survived])
+        assert (pred == y_test.argmax(axis=1)).all()
 
     def test_signal_free_augmented_block_is_chance_level(self):
         schema = FeatureSchema(vanished=2, survived=4, augmented=6, classes=3)
@@ -184,9 +220,9 @@ class TestGenerateSynthetic:
             schema=schema, batches=1, batch_size=10, estage_size=500,
             separation=4.0, noise=1.0, signal=(1.0, 1.0, 0.0), seed=7,
         )
-        _, etrain, etest = generate_synthetic(cfg)
-        clf = train_ovr(etrain.augmented, etrain.labels, alpha=1.0)
-        acc = float(np.mean(clf.predict(etest.augmented) == etest.labels.argmax(axis=1)))
+        _, (x_train, y_train), (x_test, y_test) = generate_synthetic(cfg)
+        clf = train_ovr(x_train[:, schema.survived :], y_train, alpha=1.0)
+        acc = float(np.mean(clf.predict(x_test[:, schema.survived :]) == y_test.argmax(axis=1)))
         assert abs(acc - 1.0 / 3.0) <= 0.1
 
     def test_balanced_labels_per_batch(self):

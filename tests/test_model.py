@@ -109,23 +109,11 @@ class TestValidateBatch:
         with pytest.raises(SchemaError, match="vanished"):
             validate_batch(b, small_schema)
 
-    def test_estage_batch_with_vanished_block(self, small_schema):
-        b = Batch(
-            stage="e",
-            survived=np.zeros((2, 3)),
-            labels=one_hot_encode([0, 1], 2),
-            vanished=np.zeros((2, 2)),
-            augmented=np.zeros((2, 2)),
-        )
-        with pytest.raises(SchemaError, match="vanished"):
-            validate_batch(b, small_schema)
-
     def test_row_count_mismatch(self, small_schema):
-        b = Batch(
-            stage="c",
+        b = Batch.cstage(
+            vanished=np.zeros((2, 2)),
             survived=np.zeros((3, 3)),
             labels=one_hot_encode([0, 1, 0], 2),
-            vanished=np.zeros((2, 2)),
         )
         with pytest.raises(SchemaError, match="rows"):
             validate_batch(b, small_schema)
@@ -141,10 +129,6 @@ class TestValidateBatch:
         b = Batch.cstage(np.zeros((2, 2)), np.zeros((2, 3)), bad)
         with pytest.raises(SchemaError, match="sum"):
             validate_batch(b, small_schema)
-
-    def test_estage_batch_accepted(self, small_schema):
-        b = Batch.estage(np.zeros((2, 3)), np.zeros((2, 2)), one_hot_encode([0, 1], 2))
-        validate_batch(b, small_schema)
 
     @given(st.integers(0, 6), st.integers(1, 6))
     def test_acceptance_matches_schema_widths(self, d_v, d_s):
