@@ -14,14 +14,13 @@ import argparse
 import logging
 import sys
 
-from .cstage import absorb_batch, init_stats, load_stats, save_stats
+from .cstage import DIRECT, INVERSE, absorb_batch, init_stats, load_stats, save_stats
 from .harness import (
     ALL_METHODS,
     ExperimentSpec,
     emit_report,
     format_report,
     load_results,
-    resolve_mode,
     run_experiment,
 )
 from .ingest import SynthConfig, generate_synthetic, parse_manifest, stream_batches, write_stream
@@ -80,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     cstage.add_argument("--out", required=True, help="statistics snapshot file (.npz)")
     cstage.add_argument("--resume", help="snapshot to continue from")
     # No defaults here: a resumed pass must tell explicit flags from unset ones.
-    cstage.add_argument("--mode", choices=("auto", "direct", "inverse"), help="default auto")
+    cstage.add_argument("--mode", choices=(DIRECT, INVERSE), help="default direct")
     cstage.add_argument("--lambda", dest="lam", type=float, help="default 1.0")
     cstage.add_argument("--rho", type=float, help="default 0.1")
 
@@ -128,11 +127,10 @@ def _cmd_synth(args) -> int:
 
 def _cmd_cstage(args) -> int:
     manifest = parse_manifest(args.manifest)
-    mode = resolve_mode(args.mode or "auto", manifest.schema)
     if args.resume:
         stats = load_stats(args.resume)
         for name, given, stored in (
-            ("schema", manifest.schema, stats.schema), ("--mode", args.mode and mode, stats.mode),
+            ("schema", manifest.schema, stats.schema), ("--mode", args.mode, stats.mode),
             ("--lambda", args.lam, stats.lam), ("--rho", args.rho, stats.rho),
         ):
             if given is not None and given != stored:
@@ -140,7 +138,7 @@ def _cmd_cstage(args) -> int:
     else:
         given = {"lam": args.lam, "rho": args.rho}
         hyper = Hyperparams(**{k: v for k, v in given.items() if v is not None})
-        stats = init_stats(manifest.schema, hyper, mode=mode)
+        stats = init_stats(manifest.schema, hyper, mode=args.mode or DIRECT)
     for batch in stream_batches(manifest):
         absorb_batch(stats, batch)
     save_stats(stats, args.out)

@@ -17,8 +17,8 @@ solve on the joint block. With a = gamma / (c * w_base) and
 b = gamma / (k * w_joint), the compressed columns get ridge ab / (a + b) and
 the augmented ones ridge b; the blocks split back exactly as
 ``v_base = b/(a+b) u[:c]``, ``v_joint[:c] = a/(a+b) u[:c]``,
-``v_joint[c:] = u[c:]``. The Gram matrix of the joint block and its
-cross-moment with the labels hold no weights, so a fit forms them once.
+``v_joint[c:] = u[c:]``. A fit reads the data only through its weight-free
+k x k :class:`JointStats` record, formed once; it never touches the rows.
 """
 
 from __future__ import annotations
@@ -69,13 +69,32 @@ class StackedTrainSet:
     def n(self) -> int:
         return self.z_joint.shape[0]
 
+    def stats(self) -> JointStats:
+        """The sufficient statistics that an OPID fit reads."""
+        z, y = self.z_joint, self.labels
+        return JointStats(gram=z.T @ z, zty=z.T @ y, yy=float((y**2).sum()))
+
+
+@dataclass(frozen=True)
+class JointStats:
+    """Sufficient statistics of the joint block Z and one-hot labels Y:
+    ``gram`` = ZᵀZ (k x k), ``zty`` = ZᵀY (k x classes) and ``yy`` = ‖Y‖²."""
+
+    gram: np.ndarray
+    zty: np.ndarray
+    yy: float
+
+    def __post_init__(self):
+        g, b = self.gram, self.zty
+        if b.ndim != 2 or g.shape != (b.shape[0],) * 2 or b.shape[1] > b.shape[0]:
+            raise SchemaError(f"statistics of shapes {g.shape} and {b.shape} do not fit")
+
 
 @dataclass(frozen=True)
 class UnifiedTrainerState:
     """Final iterate of the alternating trainer plus its objective trace."""
 
     model: EStageModel
-    objective: float
     iterations: int
     converged: bool
     trace: tuple[float, ...]
@@ -111,34 +130,25 @@ def build_stacked(x, labels, cmodel: CStageModel) -> StackedTrainSet:
     )
 
 
-def _solve_blocks(
-    gram: np.ndarray, zty: np.ndarray, w_base: float, w_joint: float, gamma: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The coefficient blocks at fixed weights from the joint block's Gram
-    matrix and label cross-moment, by the reduced k x k ridge solve."""
-    if w_base <= 0 or w_joint <= 0:
-        raise ValueError(f"weights must be > 0, got ({w_base}, {w_joint})")
-    if gamma <= 0:
-        raise ValueError(f"ridge must be > 0, got {gamma}")
-    k, c = zty.shape
-    inv_a, inv_b = c * w_base / gamma, k * w_joint / gamma  # 1/a and 1/b
-    ridge = np.repeat([1.0 / (inv_a + inv_b), 1.0 / inv_b], [c, k - c])  # ab/(a+b), b
-    u = _solve_spd(gram + np.diag(ridge), zty, "stacked ridge")
-    share = inv_a / (inv_a + inv_b)  # b/(a+b)
-    return share * u[:c], np.vstack([(1.0 - share) * u[:c], u[c:]])
-
-
 def update_coefficients(
-    data: StackedTrainSet, w_base: float, w_joint: float, gamma: float
+    stats: JointStats, w_base: float, w_joint: float, gamma: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact coefficient solve at fixed weights.
 
-    Minimizes the stacked ridge objective over both blocks; the per-block
-    ridge is gamma / (width * weight). The reduced system is SPD because
-    both ridge terms are strictly positive.
+    Minimizes the stacked ridge objective over both blocks by the reduced
+    k x k ridge solve; the per-block ridge is gamma / (width * weight). The
+    reduced system is SPD because both ridge terms are strictly positive.
     """
-    z = data.z_joint
-    return _solve_blocks(z.T @ z, z.T @ data.labels, w_base, w_joint, gamma)
+    if not (w_base > 0 and w_joint > 0):
+        raise SchemaError(f"weights must be > 0, got ({w_base}, {w_joint})")
+    if not 0 < gamma < math.inf:
+        raise SchemaError(f"ridge must be > 0 and finite, got {gamma}")
+    k, c = stats.zty.shape
+    inv_a, inv_b = c * w_base / gamma, k * w_joint / gamma  # 1/a and 1/b
+    ridge = np.repeat([1.0 / (inv_a + inv_b), 1.0 / inv_b], [c, k - c])  # ab/(a+b), b
+    u = _solve_spd(stats.gram + np.diag(ridge), stats.zty, "stacked ridge")
+    share = inv_a / (inv_a + inv_b)  # b/(a+b)
+    return share * u[:c], np.vstack([(1.0 - share) * u[:c], u[c:]])
 
 
 def update_weights(v_base: np.ndarray, v_joint: np.ndarray) -> tuple[float, float]:
@@ -158,8 +168,9 @@ def update_weights(v_base: np.ndarray, v_joint: np.ndarray) -> tuple[float, floa
     return w_base, 1.0 - w_base
 
 
-def objective_value(data: StackedTrainSet, model: EStageModel, gamma: float) -> float:
-    """Stacked ridge objective: squared residual plus the width- and
+def objective_value(stats: JointStats, model: EStageModel, gamma: float) -> float:
+    """Stacked ridge objective: the squared residual ⟨u, G u⟩ − 2⟨u, B⟩ + ‖Y‖²
+    of the summed map u = v_joint + [v_base; 0] plus the width- and
     weight-scaled block penalties."""
 
     def penalty(block: np.ndarray, weight: float) -> float:
@@ -171,29 +182,26 @@ def objective_value(data: StackedTrainSet, model: EStageModel, gamma: float) -> 
             raise NumericError("zero weight with nonzero coefficients: infinite penalty")
         return gamma * sq / denom
 
-    resid = data.z_base @ model.v_base + data.z_joint @ model.v_joint - data.labels
+    u = model.v_joint.copy()
+    u[: model.v_base.shape[0]] += model.v_base
     return (
-        float((resid**2).sum())
+        float((u * (stats.gram @ u - 2.0 * stats.zty)).sum()) + stats.yy
         + penalty(model.v_base, model.w_base)
         + penalty(model.v_joint, model.w_joint)
     )
 
 
 def fit_unified(
-    data: StackedTrainSet, gamma: float, tol: float = 1e-6, max_iter: int = 100
+    stats: JointStats, gamma: float, tol: float = 1e-6, max_iter: int = 100
 ) -> UnifiedTrainerState:
     """Alternate the two exact block updates from equal weights until the
     relative objective decrease drops below ``tol``.
 
     Both half-steps are exact minimizations, so the objective is
-    non-increasing; convergence is typically a handful of iterations.
-    The joint block's Gram matrix is formed once; each iteration only
-    changes the ridge on its diagonal. The last operation is always the
-    weight update, so the returned weights are exactly consistent with the
-    returned coefficients.
+    non-increasing; convergence is typically a handful of iterations. The
+    last operation is always the weight update, so the returned weights are
+    exactly consistent with the returned coefficients.
     """
-    z = data.z_joint
-    gram, zty = z.T @ z, z.T @ data.labels
     w_base = 0.5
     prev = None
     trace: list[float] = []
@@ -202,10 +210,10 @@ def fit_unified(
     iterations = 0
     for iterations in range(1, max_iter + 1):
         wb = min(max(w_base, WEIGHT_FLOOR), 1.0 - WEIGHT_FLOOR)
-        v_base, v_joint = _solve_blocks(gram, zty, wb, 1.0 - wb, gamma)
+        v_base, v_joint = update_coefficients(stats, wb, 1.0 - wb, gamma)
         w_base, w_joint = update_weights(v_base, v_joint)
         model = EStageModel(v_base=v_base, v_joint=v_joint, w_base=w_base, w_joint=w_joint)
-        value = objective_value(data, model, gamma)
+        value = objective_value(stats, model, gamma)
         if not math.isfinite(value):
             raise NumericError("objective diverged to a non-finite value")
         trace.append(value)
@@ -214,11 +222,7 @@ def fit_unified(
             break
         prev = value
     return UnifiedTrainerState(
-        model=model,
-        objective=trace[-1],
-        iterations=iterations,
-        converged=converged,
-        trace=tuple(trace),
+        model=model, iterations=iterations, converged=converged, trace=tuple(trace)
     )
 
 

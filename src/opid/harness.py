@@ -68,6 +68,13 @@ class ExperimentSpec:
         unknown = set(self.methods) - set(ALL_METHODS)
         if unknown:
             raise SchemaError(f"unknown methods {sorted(unknown)}")
+        for lam, rho in itertools.product(self.lam_grid, self.rho_grid):
+            Hyperparams(lam=lam, rho=rho)
+        for name, grid in (("expanding-stage ridge", self.gamma_grid),
+                           ("logistic loss weights", self.alpha_grid)):
+            for value in grid:
+                if not 0 < value < math.inf:
+                    raise SchemaError(f"{name} must be > 0 and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -228,7 +235,7 @@ class _MethodRunner:
     def _fit_opid(self, params, x, y):
         lam, rho, gamma = params
         cmodel = self.cmodels[(lam, rho)]
-        emodel = fit_unified(build_stacked(x, y, cmodel), gamma).model
+        emodel = fit_unified(build_stacked(x, y, cmodel).stats(), gamma).model
         return lambda x_new: predict_unified(x_new, cmodel, emodel)
 
     def _fit_opide(self, params, x, y):

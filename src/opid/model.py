@@ -149,29 +149,20 @@ class EStageModel:
 
 @dataclass(frozen=True)
 class Hyperparams:
-    """Regularization knobs shared across both stages.
+    """Regularization knobs of the compressing stage.
 
     ``lam`` weighs the consistency coupling between the two compressing-stage
-    classifiers (0 decouples them), ``rho`` is their ridge, ``gamma`` the
-    expanding-stage ridge, ``alpha1``/``alpha2`` the logistic loss weights of
-    the ensemble variant.
+    classifiers (0 decouples them) and ``rho`` is their ridge.
     """
 
     lam: float = 1.0
     rho: float = 0.1
-    gamma: float = 1.0
-    alpha1: float = 1.0
-    alpha2: float = 1.0
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise SchemaError(f"consistency weight must be >= 0, got {self.lam}")
-        if self.rho <= 0:
-            raise SchemaError(f"ridge must be > 0, got {self.rho}")
-        if self.gamma <= 0:
-            raise SchemaError(f"expanding-stage ridge must be > 0, got {self.gamma}")
-        if self.alpha1 <= 0 or self.alpha2 <= 0:
-            raise SchemaError("logistic loss weights must be > 0")
+        if not 0 <= self.lam < np.inf:
+            raise SchemaError(f"consistency weight must be >= 0 and finite, got {self.lam}")
+        if not 0 < self.rho < np.inf:
+            raise SchemaError(f"ridge must be > 0 and finite, got {self.rho}")
 
 
 def one_hot_encode(labels, classes: int) -> np.ndarray:

@@ -224,7 +224,7 @@ def test_criterion_6_alternating_descent():
     worst_consistency = 0.0
     all_converged = True
     for data in _random_stacked_instances():
-        state = fit_unified(data, gamma=1.0)
+        state = fit_unified(data.stats(), gamma=1.0)
         all_converged &= state.converged and state.iterations <= 100
         if len(state.trace) > 1:
             worst_increase = max(worst_increase, float(np.diff(state.trace).max()))
@@ -272,7 +272,7 @@ def test_criterion_8_coefficient_solve_optimal():
     worst_diff = 0.0
     worst_grad = 0.0
     for data in _random_stacked_instances(count=20, seed=8765):
-        v_base, v_joint = update_coefficients(data, 0.5, 0.5, gamma=1.0)
+        v_base, v_joint = update_coefficients(data.stats(), 0.5, 0.5, gamma=1.0)
         ref_base, ref_joint = oracles.gd_minimize_stacked(
             data.z_base, data.z_joint, data.labels, 0.5, 0.5, gamma=1.0
         )

@@ -123,11 +123,23 @@ class TestCStageCommand:
         )
         assert not out.exists()
 
+    def test_new_pass_defaults_to_direct_mode(self, tmp_path, capsys):
+        # stats_dim 2 * 1025 = 2050 lies above the harness's auto-mode limit
+        main([
+            "synth", "--out", str(tmp_path / "data"), "--classes", "2", "--vanished", "0",
+            "--survived", "1025", "--augmented", "0", "--batches", "1", "--batch-size", "3",
+            "--estage-size", "2",
+        ])
+        manifest_path = capsys.readouterr().out.strip()
+        out = tmp_path / "stats.npz"
+        assert main(["cstage", "--manifest", manifest_path, "--out", str(out)]) == 0
+        assert load_stats(out).mode == "direct"
+
     def test_resume_accepts_matching_flags(self, snapshot, tmp_path):
         manifest_path, out = snapshot
         assert main([
             "cstage", "--manifest", manifest_path, "--out", str(tmp_path / "x.npz"),
-            "--resume", str(out), "--lambda", "0.5", "--rho", "0.1", "--mode", "auto",
+            "--resume", str(out), "--lambda", "0.5", "--rho", "0.1", "--mode", "direct",
         ]) == 0
 
 
@@ -206,6 +218,12 @@ class TestRejectedInput:
         (["run", "--repeats", "0"], "repeats must be >= 1"),
         (["run", "--folds", "1", "--methods", "OPIDe"], "folds must be >= 2"),
         (["cstage", "--rho", "-1"], "ridge must be > 0"),
+        (["cstage", "--rho", "nan"], "ridge must be > 0"),
+        (["run", "--gamma", "0"], "expanding-stage ridge must be > 0"),
+        (["run", "--gamma", "nan"], "expanding-stage ridge must be > 0"),
+        (["run", "--alpha", "0"], "logistic loss weights must be > 0"),
+        (["run", "--rho", "nan"], "ridge must be > 0"),
+        (["run", "--lambda", "inf"], "consistency weight must be >= 0"),
     ])
     def test_bad_flag_values(self, manifest_path, tmp_path, capsys, argv, pattern):
         argv = [*argv, "--manifest", manifest_path, "--out", str(tmp_path / "out")]

@@ -5,6 +5,7 @@ import pytest
 
 from opid.cstage import absorb_batch, init_stats, solve_model
 from opid.estage import (
+    JointStats,
     StackedTrainSet,
     build_stacked,
     fit_unified,
@@ -71,14 +72,14 @@ class TestUpdateCoefficients:
         rng = np.random.default_rng(2)
         data = random_stacked(rng)
         zeroed = StackedTrainSet(z_joint=data.z_joint, labels=np.zeros_like(data.labels))
-        v_base, v_joint = update_coefficients(zeroed, 0.5, 0.5, gamma=1.0)
+        v_base, v_joint = update_coefficients(zeroed.stats(), 0.5, 0.5, gamma=1.0)
         np.testing.assert_allclose(v_base, 0.0, atol=1e-12)
         np.testing.assert_allclose(v_joint, 0.0, atol=1e-12)
 
     def test_matches_descent_oracle(self):
         rng = np.random.default_rng(3)
         data = random_stacked(rng, n=20, c=3, d_a=4)
-        v_base, v_joint = update_coefficients(data, 0.5, 0.5, gamma=1.0)
+        v_base, v_joint = update_coefficients(data.stats(), 0.5, 0.5, gamma=1.0)
         ref_base, ref_joint = oracles.gd_minimize_stacked(
             data.z_base, data.z_joint, data.labels, 0.5, 0.5, gamma=1.0
         )
@@ -88,7 +89,7 @@ class TestUpdateCoefficients:
     def test_finite_difference_stationarity(self):
         rng = np.random.default_rng(4)
         data = random_stacked(rng, n=20, c=3, d_a=4)
-        v_base, v_joint = update_coefficients(data, 0.5, 0.5, gamma=1.0)
+        v_base, v_joint = update_coefficients(data.stats(), 0.5, 0.5, gamma=1.0)
         shapes = (v_base.shape, v_joint.shape)
         split = v_base.size
 
@@ -114,7 +115,7 @@ class TestUpdateCoefficients:
         rng = np.random.default_rng(17)
         data = random_stacked(rng, n=30, c=3, d_a=d_a)
         w_joint, gamma = 1.0 - w_base, 0.7
-        v_base, v_joint = update_coefficients(data, w_base, w_joint, gamma)
+        v_base, v_joint = update_coefficients(data.stats(), w_base, w_joint, gamma)
         scaled_base, scaled_joint = oracles.sqrt_weighted_stacked_solve(
             data.z_base, data.z_joint, data.labels, w_base, w_joint, gamma
         )
@@ -126,7 +127,17 @@ class TestUpdateCoefficients:
         rng = np.random.default_rng(5)
         data = random_stacked(rng)
         with pytest.raises(ValueError):
-            update_coefficients(data, 0.0, 1.0, gamma=1.0)
+            update_coefficients(data.stats(), 0.0, 1.0, gamma=1.0)
+
+    @pytest.mark.parametrize(
+        "w_base, w_joint, gamma",
+        [(np.nan, 0.5, 1.0), (0.5, np.nan, 1.0), (0.5, 0.5, 0.0), (0.5, 0.5, np.nan),
+         (0.5, 0.5, np.inf)],
+    )
+    def test_bad_settings_raise_schema_error(self, w_base, w_joint, gamma):
+        data = random_stacked(np.random.default_rng(5))
+        with pytest.raises(SchemaError):
+            update_coefficients(data.stats(), w_base, w_joint, gamma)
 
 
 class TestUpdateWeights:
@@ -175,17 +186,38 @@ class TestUpdateWeights:
             assert best == pytest.approx(r_sum**2, abs=1e-10)
 
 
+class TestJointStats:
+    def test_matches_the_rows(self):
+        data = random_stacked(np.random.default_rng(16), n=12, c=3, d_a=2)
+        stats = data.stats()
+        z, y = data.z_joint, data.labels
+        np.testing.assert_array_equal(stats.gram, z.T @ z)
+        np.testing.assert_array_equal(stats.zty, z.T @ y)
+        assert stats.yy == float((y**2).sum())
+
+    @pytest.mark.parametrize("gram_shape, zty_shape", [
+        ((5, 4), (5, 2)),  # gram not square
+        ((4, 4), (5, 2)),  # gram and cross-moment disagree on k
+        ((2, 2), (2, 3)),  # more classes than joint columns
+        ((4,), (4, 2)),
+        ((4, 4), (4,)),
+    ])
+    def test_mismatched_shapes_rejected(self, gram_shape, zty_shape):
+        with pytest.raises(SchemaError):
+            JointStats(np.zeros(gram_shape), np.zeros(zty_shape), 1.0)
+
+
 class TestObjectiveValue:
     def test_zero_model_zero_labels(self):
         data = StackedTrainSet(np.zeros((3, 5)), np.zeros((3, 2)))
         model = EStageModel(np.zeros((2, 2)), np.zeros((5, 2)), 0.5, 0.5)
-        assert objective_value(data, model, gamma=1.0) == 0.0
+        assert objective_value(data.stats(), model, gamma=1.0) == 0.0
 
     def test_zero_model_reports_label_energy(self):
         labels = one_hot_encode([0, 1, 0], 2)
         data = StackedTrainSet(np.zeros((3, 5)), labels)
         model = EStageModel(np.zeros((2, 2)), np.zeros((5, 2)), 0.5, 0.5)
-        assert objective_value(data, model, gamma=1.0) == pytest.approx((labels**2).sum())
+        assert objective_value(data.stats(), model, gamma=1.0) == pytest.approx((labels**2).sum())
 
     def test_matches_naive_recompute(self):
         rng = np.random.default_rng(8)
@@ -196,22 +228,49 @@ class TestObjectiveValue:
         expected = oracles.stacked_objective(
             data.z_base, data.z_joint, data.labels, model.v_base, model.v_joint, 0.3, 0.7, 2.0
         )
-        assert objective_value(data, model, gamma=2.0) == pytest.approx(expected, rel=1e-12)
+        assert objective_value(data.stats(), model, gamma=2.0) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_weight_with_nonzero_block_is_an_error(self):
         rng = np.random.default_rng(9)
         data = random_stacked(rng)
         model = EStageModel(np.zeros((3, 3)), rng.standard_normal((7, 3)), 1.0, 0.0)
         with pytest.raises(NumericError):
-            objective_value(data, model, gamma=1.0)
+            objective_value(data.stats(), model, gamma=1.0)
 
     def test_zero_weight_with_zero_block_contributes_nothing(self):
         rng = np.random.default_rng(10)
         data = random_stacked(rng)
         model = EStageModel(np.zeros((3, 3)), np.zeros((7, 3)), 1.0, 0.0)
-        assert objective_value(data, model, gamma=1.0) == pytest.approx(
+        assert objective_value(data.stats(), model, gamma=1.0) == pytest.approx(
             float((data.labels**2).sum())
         )
+
+
+    def test_gram_form_matches_row_form_on_ill_scaled_fits(self):
+        # The Gram form cancels ‖Y‖² against ⟨u, G u⟩ − 2⟨u, B⟩, so its error
+        # scales with ‖Y‖², not with the objective: near-interpolating fits
+        # (n at most a few times k, small gamma) bring the objective down to
+        # about 1e-8 ‖Y‖². Wider scales or smaller gamma make the k x k solve
+        # ill-conditioned enough for scipy to warn.
+        rng = np.random.default_rng(18)
+        worst = 0.0
+        for _ in range(200):
+            c, d_a = int(rng.integers(2, 5)), int(rng.integers(0, 8))
+            k = c + d_a
+            n = int(rng.integers(max(c, k // 2), 3 * k + 2))
+            scales = 10.0 ** rng.uniform(-2.0, 2.0, size=k)
+            data = StackedTrainSet(
+                rng.standard_normal((n, k)) * scales, one_hot_encode(rng.integers(0, c, size=n), c)
+            )
+            gamma = 10.0 ** rng.uniform(-6.0, 0.0)
+            stats = data.stats()
+            m = fit_unified(stats, gamma).model
+            row_form = oracles.stacked_objective(
+                data.z_base, data.z_joint, data.labels, m.v_base, m.v_joint, m.w_base, m.w_joint,
+                gamma,
+            )
+            worst = max(worst, abs(objective_value(stats, m, gamma) - row_form) / stats.yy)
+        assert worst <= 1e-10
 
 
 class TestFitUnified:
@@ -219,15 +278,27 @@ class TestFitUnified:
         rng = np.random.default_rng(11)
         for _ in range(10):
             data = random_stacked(rng, n=int(rng.integers(10, 40)), c=3, d_a=int(rng.integers(0, 6)))
-            state = fit_unified(data, gamma=1.0)
+            state = fit_unified(data.stats(), gamma=1.0)
             assert state.converged and state.iterations <= 100
             diffs = np.diff(state.trace)
             assert (diffs <= 1e-9).all()
 
+    def test_final_trace_value_matches_row_form_oracle(self):
+        rng = np.random.default_rng(19)
+        for _ in range(10):
+            data = random_stacked(rng, n=int(rng.integers(10, 40)), c=3, d_a=int(rng.integers(0, 6)))
+            state = fit_unified(data.stats(), gamma=0.8)
+            m = state.model
+            expected = oracles.stacked_objective(
+                data.z_base, data.z_joint, data.labels, m.v_base, m.v_joint, m.w_base, m.w_joint,
+                0.8,
+            )
+            assert state.trace[-1] == pytest.approx(expected, rel=1e-12)
+
     def test_final_weights_self_consistent(self):
         rng = np.random.default_rng(12)
         data = random_stacked(rng, n=25, c=3, d_a=5)
-        state = fit_unified(data, gamma=0.5)
+        state = fit_unified(data.stats(), gamma=0.5)
         w_base, w_joint = update_weights(state.model.v_base, state.model.v_joint)
         assert abs(w_base - state.model.w_base) <= 1e-10
         assert abs(w_joint - state.model.w_joint) <= 1e-10
@@ -237,7 +308,7 @@ class TestFitUnified:
         # block, so the symmetric start stays a fixed point
         rng = np.random.default_rng(13)
         data = random_stacked(rng, n=20, c=3, d_a=0)
-        state = fit_unified(data, gamma=1.0)
+        state = fit_unified(data.stats(), gamma=1.0)
         assert state.model.w_base == pytest.approx(0.5, abs=1e-12)
         assert state.model.w_joint == pytest.approx(0.5, abs=1e-12)
 
@@ -247,7 +318,7 @@ class TestFitUnified:
         rng = np.random.default_rng(14)
         data = random_stacked(rng, n=22, c=3, d_a=4)
         w_base, w_joint, gamma = 0.3, 0.7, 1.3
-        v_base, v_joint = update_coefficients(data, w_base, w_joint, gamma)
+        v_base, v_joint = update_coefficients(data.stats(), w_base, w_joint, gamma)
 
         scaled_base, scaled_joint = oracles.sqrt_weighted_stacked_solve(
             data.z_base, data.z_joint, data.labels, w_base, w_joint, gamma
@@ -288,7 +359,7 @@ class TestPredictUnified:
 
     def test_separable_instance_fits_training_set(self):
         cmodel, (x, y), _, gamma = self._trained_setup()
-        emodel = fit_unified(build_stacked(x, y, cmodel), gamma=gamma).model
+        emodel = fit_unified(build_stacked(x, y, cmodel).stats(), gamma=gamma).model
         pred = predict_unified(x, cmodel, emodel)
         assert (pred == y.argmax(axis=1)).all()
 

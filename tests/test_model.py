@@ -150,7 +150,9 @@ class TestHyperparams:
         Hyperparams(lam=0.0)
 
     @pytest.mark.parametrize(
-        "kwargs", [dict(lam=-0.1), dict(rho=0.0), dict(gamma=0.0), dict(alpha1=0.0), dict(alpha2=-1.0)]
+        "kwargs",
+        [dict(lam=-0.1), dict(rho=0.0), dict(lam=np.nan), dict(lam=np.inf), dict(rho=np.nan),
+         dict(rho=np.inf)],
     )
     def test_bad_values(self, kwargs):
         with pytest.raises(ValueError):
