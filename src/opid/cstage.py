@@ -11,9 +11,9 @@ Two interchangeable accumulation strategies sit behind the same interface:
 
 * ``direct``  -- accumulate only the Gram pair G = X^T X, B = X^T Y; build
   the normal matrix M(lam, rho) and factorize it once at solve time.
-* ``inverse`` -- maintain the inverse of M through rank-3n updates
+* ``inverse`` -- maintain the inverse of M through rank-2n updates
   (n = batch size), so the solution is a single multiplication away at any
-  point of the stream; each step factorizes only a 3n x 3n system.
+  point of the stream; each step factorizes only a 2n x 2n system.
 """
 
 from __future__ import annotations
@@ -65,32 +65,10 @@ def init_stats(schema: FeatureSchema, hyper: Hyperparams, mode: str = DIRECT) ->
     """Empty-stream statistics: a zero Gram matrix (direct) or the inverse
     of the ridge-only matrix (inverse), zero right-hand side."""
     if mode not in (DIRECT, INVERSE):
-        raise ValueError(f"unknown accumulation mode {mode!r}")
+        raise SchemaError(f"unknown accumulation mode {mode!r}")
     p = schema.cstage_width
     mat = np.zeros((p, p)) if mode == DIRECT else np.eye(schema.stats_dim) / hyper.rho
     return CStageStats(mode, schema, hyper.lam, hyper.rho, mat, np.zeros((p, schema.classes)))
-
-
-def update_columns(batch: Batch, lam: float, schema: FeatureSchema) -> np.ndarray:
-    """Columns whose outer product reproduces one batch's normal-matrix
-    increment.
-
-    Three n-column groups: the all-feature rows against themselves, the
-    survived rows against themselves, and a +/-sqrt(lam) pairing that
-    produces the consistency cross terms. Returns an (m, 3n) matrix U with
-    U @ U.T equal to the additive increment.
-    """
-    x_all = batch.joined()
-    x_sur = batch.survived
-    n = batch.n
-    p = schema.cstage_width
-    root = math.sqrt(lam)
-    u = np.zeros((schema.stats_dim, 3 * n))
-    u[:p, :n] = x_all.T
-    u[p:, n : 2 * n] = x_sur.T
-    u[:p, 2 * n :] = root * x_all.T
-    u[p:, 2 * n :] = -root * x_sur.T
-    return u
 
 
 def absorb_batch(stats: CStageStats, batch: Batch) -> CStageStats:
@@ -113,12 +91,17 @@ def absorb_batch(stats: CStageStats, batch: Batch) -> CStageStats:
         if stats.mode == DIRECT:
             mat = sums[1]
         else:
-            u = update_columns(batch, stats.lam, stats.schema)
-            au = stats.mat @ u
-            core = np.eye(u.shape[1]) + u.T @ au
+            # The increment is A K A^T with A = blockdiag(X^T, X_s^T) and
+            # K = [[1+lam, -lam], [-lam, 1+lam]] (x) I_n, so the Woodbury core
+            # is K^-1 + A^T M^-1 A with K^-1 = [[1+lam, lam], [lam, 1+lam]]
+            # / (1+2 lam) (x) I_n (Hager 1989).
+            p, lam, x_sur = stats.schema.cstage_width, stats.lam, batch.survived
+            ma = np.hstack([stats.mat[:, :p] @ x_all.T, stats.mat[:, p:] @ x_sur.T])
+            k_inv = np.array([[1.0 + lam, lam], [lam, 1.0 + lam]]) / (1.0 + 2.0 * lam)
+            core = np.kron(k_inv, np.eye(batch.n)) + np.vstack([x_all @ ma[:p], x_sur @ ma[p:]])
             # The core solve rejects a non-finite system, which keeps the
             # update finite; M^-1 changes in place to hold one (m, m) copy.
-            stats.mat -= au @ _solve_spd(core, au.T, "rank-update core")
+            stats.mat -= ma @ _solve_spd(core, ma.T, "rank-update core")
             # Guard against asymmetry drift over long streams.
             mat = 0.5 * (stats.mat + stats.mat.T)
     stats.mat, stats.rhs = mat, rhs

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy import stats as scipy_stats
+from scipy.special import stdtr
 
 from .cstage import DIRECT, INVERSE, absorb_batch, init_stats, solve_model
 from .ensemble import EnsembleModel, predict_ensemble, train_ensemble, train_ovr
@@ -161,7 +161,7 @@ def paired_t_test(a, b, level: float = 0.05) -> str:
     if sd == 0.0:
         return SIGNIFICANT_BETTER if mean > 0 else SIGNIFICANT_WORSE
     t = mean / (sd / math.sqrt(diff.size))
-    p = 2.0 * scipy_stats.t.sf(abs(t), diff.size - 1)
+    p = 2.0 * stdtr(diff.size - 1, -abs(t))
     if p < level:
         return SIGNIFICANT_BETTER if mean > 0 else SIGNIFICANT_WORSE
     return TIE
@@ -288,8 +288,10 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
 
     The compressing-stage stream is read once; its model is solved once
     per (lam, rho) grid point and shared across repeats. Each repeat draws a
-    fresh 50/50 split of the pooled expanding-stage data. A method failure
-    aborts the whole repeat with a logged reason.
+    fresh 50/50 split of the pooled expanding-stage data. More folds than
+    training rows raise :class:`SchemaError` before any repeat if a method
+    cross-validates; a method failure aborts the whole repeat with a logged
+    reason.
     """
     schema, stream, pool_x, pool_y = _materialize(spec.source)
     cmodels = run_cstage_pass(stream, schema, itertools.product(spec.lam_grid, spec.rho_grid))
@@ -297,6 +299,11 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
     runner = _MethodRunner(spec, schema, cmodels)
     n_pool = pool_x.shape[0]
     n_train = n_pool // 2
+    # OPIDe's weight search always splits the training half into folds; so does any tuned grid
+    split = [m for m in spec.methods if m == OPIDE or len(runner.methods[m][0]) > 1]
+    if split and spec.folds > n_train:
+        raise SchemaError(f"--folds {spec.folds} exceeds the {n_train} rows of the training half, "
+                          f"which {split[0]} splits into folds")
     children = np.random.SeedSequence(spec.seed).spawn(spec.repeats)
     accuracies: dict[str, list[float]] = {m: [] for m in spec.methods}
     failures: list[str] = []

@@ -13,6 +13,7 @@ survived then augmented, whatever their order in the files.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -233,10 +234,11 @@ class SynthConfig:
     def __post_init__(self):
         if self.batches < 1 or self.batch_size < 1 or self.estage_size < 1:
             raise SchemaError("batch counts and sizes must be >= 1")
-        if self.separation < 0 or self.noise < 0:
-            raise SchemaError("separation and noise must be >= 0")
-        if len(self.signal) != 3 or any(f < 0 for f in self.signal):
-            raise SchemaError("signal must be three fractions >= 0")
+        if not (0 <= self.separation < math.inf and 0 <= self.noise < math.inf):
+            raise SchemaError(f"separation and noise must be >= 0 and finite, "
+                              f"got {self.separation} and {self.noise}")
+        if len(self.signal) != 3 or not all(0 <= f < math.inf for f in self.signal):
+            raise SchemaError(f"signal must be three finite fractions >= 0, got {self.signal}")
 
 
 def _balanced_labels(n: int, classes: int, rng: np.random.Generator) -> np.ndarray:

@@ -5,8 +5,10 @@ import re
 import numpy as np
 import pytest
 
+from opid import harness
 from opid.cli import main
 from opid.cstage import absorb_batch, init_stats, load_stats
+from opid.ensemble import SolverError
 from opid.ingest import parse_manifest, stream_batches
 from opid.model import Hyperparams
 
@@ -193,18 +195,43 @@ class TestRunAndReportCommands:
                 "--methods", "NOPE",
             ])
 
-    def test_aborted_repeats_exit_nonzero(self, tmp_path, capsys):
+    @pytest.fixture
+    def tiny_stream(self, tmp_path, capsys):
+        # 10 pooled expanding-stage rows: a training half of 5
         main([
             "synth", "--out", str(tmp_path / "tiny"),
             "--classes", "2", "--vanished", "2", "--survived", "3", "--augmented", "2",
             "--batches", "2", "--batch-size", "10", "--estage-size", "5", "--seed", "1",
         ])
-        manifest_path = capsys.readouterr().out.strip()
+        return capsys.readouterr().out.strip()
+
+    def test_aborted_repeats_exit_nonzero(self, tiny_stream, tmp_path, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise SolverError("no convergence to gradient norm 1e-06 within 50 iterations")
+
+        monkeypatch.setattr(harness, "train_ensemble", no_convergence)
         code = main([
-            "run", "--manifest", manifest_path, "--out", str(tmp_path / "res"),
-            "--methods", "OPIDe", "--folds", "8", "--repeats", "2", "--seed", "0",
+            "run", "--manifest", tiny_stream, "--out", str(tmp_path / "res"),
+            "--methods", "OPIDe", "--folds", "2", "--repeats", "2", "--seed", "0",
         ])
         assert code == 1
+        assert "# repeat 1 aborted (OPIDe)" in (tmp_path / "res" / "report.txt").read_text()
+
+    def test_more_folds_than_training_rows_rejected(self, tiny_stream, tmp_path, capsys):
+        argv = [
+            "run", "--manifest", tiny_stream, "--out", str(tmp_path / "res"),
+            "--methods", "OPIDe", "--folds", "8", "--repeats", "2", "--seed", "0",
+        ]
+        _assert_rejected(capsys, argv, "--folds 8 exceeds the 5 rows of the training half")
+        assert not (tmp_path / "res").exists()
+
+    def test_folds_ignored_by_single_point_opid(self, tiny_stream, tmp_path):
+        code = main([
+            "run", "--manifest", tiny_stream, "--out", str(tmp_path / "res"),
+            "--methods", "OPID", "--folds", "8", "--repeats", "2", "--seed", "0",
+        ])
+        assert code == 0
+        assert (tmp_path / "res" / "results.csv").read_text().count("OPID,") == 2
 
 
 class TestRejectedInput:
@@ -234,6 +261,16 @@ class TestRejectedInput:
         args = _synth_args(tmp_path / "data")
         args[args.index("--batches") + 1] = "0"
         _assert_rejected(capsys, args, "batch counts and sizes must be >= 1")
+
+    @pytest.mark.parametrize("flag, value, pattern", [
+        ("--separation", "nan", "separation and noise must be >= 0 and finite"),
+        ("--noise", "inf", "separation and noise must be >= 0 and finite"),
+        ("--signal", "2,nan,1", "signal must be three finite fractions >= 0"),
+    ], ids=["separation-nan", "noise-inf", "signal-nan"])
+    def test_non_finite_synth_flag_value(self, tmp_path, capsys, flag, value, pattern):
+        out = tmp_path / "data"
+        _assert_rejected(capsys, [*_synth_args(out), flag, value], pattern)
+        assert not out.exists()
 
     def test_missing_manifest(self, tmp_path, capsys):
         argv = ["run", "--manifest", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]

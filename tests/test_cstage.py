@@ -14,7 +14,6 @@ from opid.cstage import (
     load_stats,
     save_stats,
     solve_model,
-    update_columns,
 )
 from opid.model import (
     Batch,
@@ -51,7 +50,7 @@ class TestInitStats:
             Hyperparams(rho=0.0)
 
     def test_unknown_mode(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SchemaError, match="unknown accumulation mode"):
             init_stats(_schema(), Hyperparams(), mode="magic")
 
 
@@ -66,20 +65,28 @@ class TestAbsorb:
         np.testing.assert_array_equal(mat[:p, p:], np.zeros((p, 3)))
         np.testing.assert_array_equal(mat[p:, :p], np.zeros((3, p)))
 
-    def test_increment_equals_update_columns_outer_product(self):
+    def test_increment_equals_factored_form(self):
+        # M = rho I + A K A^T with A = blockdiag(X^T, X_s^T) and
+        # K = [[1+lam, -lam], [-lam, 1+lam]] (x) I_n
         rng = np.random.default_rng(1)
         schema = _schema(2, 3, 2)
         hyper = Hyperparams(lam=0.5, rho=1.0)
         (batch,) = random_cstage_stream(rng, 1, 5, 2, 3, 2)
         stats = absorb_batch(init_stats(schema, hyper), batch)
-        u = update_columns(batch, hyper.lam, schema)
-        expected = hyper.rho * np.eye(schema.stats_dim) + u @ u.T
+        p, n = schema.cstage_width, batch.n
+        a = np.zeros((schema.stats_dim, 2 * n))
+        a[:p, :n] = batch.joined().T
+        a[p:, n:] = batch.survived.T
+        lam = hyper.lam
+        k = np.kron([[1.0 + lam, -lam], [-lam, 1.0 + lam]], np.eye(n))
+        expected = hyper.rho * np.eye(schema.stats_dim) + a @ k @ a.T
         np.testing.assert_allclose(_coupled_system(stats)[0], expected, atol=1e-12)
 
-    def test_inverse_mode_matches_dense_inversion(self):
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_inverse_mode_matches_dense_inversion(self, lam):
         rng = np.random.default_rng(2)
         schema = _schema(2, 3, 2)
-        hyper = Hyperparams(lam=0.5, rho=1.0)
+        hyper = Hyperparams(lam=lam, rho=1.0)
         (batch,) = random_cstage_stream(rng, 1, 5, 2, 3, 2)
         direct = absorb_batch(init_stats(schema, hyper, DIRECT), batch)
         inverse = absorb_batch(init_stats(schema, hyper, INVERSE), batch)

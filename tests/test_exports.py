@@ -1,6 +1,12 @@
-"""The top-level ``opid`` namespace exports exactly the documented API."""
+"""The top-level ``opid`` namespace exports exactly the documented API and
+imports no more of scipy than it uses."""
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import opid
 
@@ -20,3 +26,13 @@ def test_exports_are_the_public_api():
     assert len(PUBLIC) == 30
     assert sorted(opid.__all__) == sorted(PUBLIC)
     assert all(hasattr(opid, name) for name in PUBLIC)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about a second to import; the library needs none of it
+    src = str(Path(opid.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, opid, opid.cli; print(sorted(m for m in sys.modules if 'scipy.stats' in m))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_cstage_stream
 from opid.cstage import DIRECT, INVERSE
-from opid.ensemble import train_ovr
+from opid.ensemble import SolverError, train_ovr
 from opid.harness import (
     BASE_A,
     BASE_ALL,
@@ -192,6 +192,27 @@ class TestPairedTTest:
         with pytest.raises(ValueError):
             paired_t_test([0.5], [0.4])
 
+    def test_p_value_matches_student_t_survival(self, monkeypatch):
+        from scipy import stats
+
+        calls, real = [], harness.stdtr
+
+        def spy(df, x):
+            calls.append((df, x, real(df, x)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(harness, "stdtr", spy)
+        rng = np.random.default_rng(11)
+        for size in (2, 3, 10, 60):
+            for _ in range(25):
+                a, b = rng.random(size), rng.random(size)
+                paired_t_test(a, b)
+                df, x, half_p = calls[-1]
+                ref = stats.ttest_rel(a, b)
+                assert df == size - 1
+                np.testing.assert_allclose(-x, abs(ref.statistic), rtol=1e-12)
+                np.testing.assert_allclose(2.0 * half_p, 2.0 * stats.t.sf(-x, df), rtol=1e-12)
+
 
 def _spec(methods, repeats=3, seed=0, **cfg_kwargs):
     schema = cfg_kwargs.pop("schema", FeatureSchema(vanished=3, survived=5, augmented=3, classes=3))
@@ -261,15 +282,18 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             _spec(("SOMETHING",))
 
-    def test_method_failure_aborts_repeat_with_reason(self, caplog):
-        # pool of 10 rows -> 5 training rows, so 8-fold weight CV cannot run
+    def test_method_failure_aborts_repeat_with_reason(self, caplog, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise SolverError("no convergence to gradient norm 1e-06 within 50 iterations")
+
+        monkeypatch.setattr(harness, "train_ensemble", no_convergence)
         spec = ExperimentSpec(
             source=SynthConfig(
                 schema=FeatureSchema(vanished=2, survived=3, augmented=2, classes=2),
                 batches=2, batch_size=10, estage_size=5, seed=1,
             ),
             methods=(OPIDE,),
-            folds=8,
+            folds=2,
             repeats=2,
             seed=0,
         )
@@ -277,8 +301,26 @@ class TestRunExperiment:
             table = run_experiment(spec)
         assert len(table.failures) == 2
         assert table.repeats == 0
-        assert "aborted" in table.failures[0]
+        assert "aborted (OPIDe): no convergence" in table.failures[0]
         assert np.isnan(table.mean(OPIDE))
+
+    @pytest.mark.parametrize("methods, grid", [
+        ((OPIDE,), {}),
+        ((OPID,), {"gamma_grid": (0.5, 1.0)}),
+        ((BASE_S,), {"alpha_grid": (0.5, 1.0)}),
+    ])
+    def test_more_folds_than_training_rows_rejected(self, methods, grid):
+        # pool of 10 rows -> 5 training rows, too few for 8 folds
+        spec = ExperimentSpec(
+            source=SynthConfig(
+                schema=FeatureSchema(vanished=2, survived=3, augmented=2, classes=2),
+                batches=2, batch_size=10, estage_size=5, seed=1,
+            ),
+            methods=methods, folds=8, repeats=2, seed=0, **grid,
+        )
+        pattern = f"--folds 8 exceeds the 5 rows of the training half, which {methods[0]} splits"
+        with pytest.raises(SchemaError, match=pattern):
+            run_experiment(spec)
 
 
     def test_manifest_stream_is_read_once_for_the_whole_grid(self, tmp_path, monkeypatch):
