@@ -4,9 +4,10 @@ Both ensemble members are L2-regularized logistic models trained from scratch
 with a damped Newton iteration; the same solver backs the raw-feature
 baselines, so every classifier in the package shares one optimization
 contract: the gradient norm at the returned coefficients is below tolerance.
-The ensemble weights are picked on an 11-point grid by k-fold cross
-validation of the probability-averaged decision. Prediction takes a feature
-matrix with the survived columns first and the augmented columns after.
+``_fit_members`` fits both members with one loss weight wherever they are
+fit. The ensemble weights are picked on an 11-point grid by k-fold cross
+validation (``model._cv_accuracy``) of the probability-averaged decision.
+Prediction takes a feature matrix, survived columns first, augmented after.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .model import (
     CStageModel,
     NumericError,
     SchemaError,
-    _fold_splits,
+    _cv_accuracy,
     _solve_spd,
     argmax_decode,
     class_signs,
@@ -130,7 +131,7 @@ class EnsembleModel:
     w_joint: float
 
 
-def train_ovr(x, labels, alpha: float, tol: float = 1e-6) -> LogisticModel:
+def train_ovr(x, labels, alpha: float) -> LogisticModel:
     """Train one binary logistic task per class against the rest."""
     x = np.asarray(x, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
@@ -144,49 +145,38 @@ def train_ovr(x, labels, alpha: float, tol: float = 1e-6) -> LogisticModel:
         return LogisticModel(coef=np.zeros((x.shape[1], c)), constant_class=only)
     coef = np.empty((x.shape[1], c))
     for cls in range(c):
-        coef[:, cls] = train_logistic(x, class_signs(labels, cls), alpha, tol=tol)
+        coef[:, cls] = train_logistic(x, class_signs(labels, cls), alpha)
     return LogisticModel(coef=coef)
 
 
-def _combined_accuracy(w_base, p_base, p_joint, truth):
-    pred = argmax_decode(w_base * p_base + (1.0 - w_base) * p_joint)
-    return float(np.mean(pred == truth))
+def _fit_members(z_joint: np.ndarray, labels: np.ndarray, alpha: float):
+    """The base member, fit on the leading ``labels.shape[1]`` (compressed)
+    columns of the joint block, and the joint member, fit on the whole block."""
+    z_base = z_joint[:, : labels.shape[1]]
+    return train_ovr(z_base, labels, alpha), train_ovr(z_joint, labels, alpha)
 
 
-def train_ensemble(
-    data: StackedTrainSet,
-    alpha_base: float = 1.0,
-    alpha_joint: float = 1.0,
-    folds: int = 5,
-    tol: float = 1e-6,
-) -> EnsembleModel:
-    """Fit both members on the full training set, then pick the combination
-    weight by k-fold cross validation of the probability-averaged decision.
+def train_ensemble(data: StackedTrainSet, alpha: float = 1.0, folds: int = 5) -> EnsembleModel:
+    """Pick the combination weight by k-fold cross validation of the
+    probability-averaged decision, then fit both members on the full
+    training set. Both members use the loss weight ``alpha``; a bad
+    ``folds`` raises before any member is fit.
 
     The grid contains both endpoints, so the ensemble never scores worse in
     CV than either member alone; ties go to the larger joint-block weight
     (the richer feature set).
     """
-    splits = _fold_splits(data.n, folds)
-    clf_base = train_ovr(data.z_base, data.labels, alpha_base, tol=tol)
-    clf_joint = train_ovr(data.z_joint, data.labels, alpha_joint, tol=tol)
+    def predict(z_train, y_train, z_val):
+        fold_base, fold_joint = _fit_members(z_train, y_train, alpha)
+        p_base = fold_base.proba(z_val[:, : y_train.shape[1]])
+        p_joint = fold_joint.proba(z_val)
+        return [argmax_decode(w * p_base + (1.0 - w) * p_joint) for w in WEIGHT_GRID]
 
-    scores = np.zeros(WEIGHT_GRID.size)
-    for mask, val_idx in splits:
-        fold_base = train_ovr(data.z_base[mask], data.labels[mask], alpha_base, tol=tol)
-        fold_joint = train_ovr(data.z_joint[mask], data.labels[mask], alpha_joint, tol=tol)
-        p_base = fold_base.proba(data.z_base[val_idx])
-        p_joint = fold_joint.proba(data.z_joint[val_idx])
-        truth = data.labels[val_idx].argmax(axis=1)
-        for i, w in enumerate(WEIGHT_GRID):
-            scores[i] += _combined_accuracy(w, p_base, p_joint, truth)
-
+    scores = _cv_accuracy(data.z_joint, data.labels, folds, predict)
     # argmax keeps the first maximum: the smallest tied base weight, i.e. the
     # largest joint-block weight.
     w_base = float(WEIGHT_GRID[int(np.argmax(scores))])
-    return EnsembleModel(
-        clf_base=clf_base, clf_joint=clf_joint, w_base=w_base, w_joint=1.0 - w_base
-    )
+    return EnsembleModel(*_fit_members(data.z_joint, data.labels, alpha), w_base, 1.0 - w_base)
 
 
 def predict_ensemble(x, cmodel: CStageModel, emodel: EnsembleModel) -> np.ndarray:

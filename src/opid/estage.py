@@ -65,10 +65,6 @@ class StackedTrainSet:
         """The compressed block: a view of the leading columns of ``z_joint``."""
         return self.z_joint[:, : self.labels.shape[1]]
 
-    @property
-    def n(self) -> int:
-        return self.z_joint.shape[0]
-
     def stats(self) -> JointStats:
         """The sufficient statistics that an OPID fit reads."""
         z, y = self.z_joint, self.labels

@@ -23,10 +23,11 @@ import numpy as np
 from scipy.special import stdtr
 
 from .cstage import DIRECT, INVERSE, absorb_batch, init_stats, solve_model
-from .ensemble import EnsembleModel, predict_ensemble, train_ensemble, train_ovr
+from .ensemble import EnsembleModel, _fit_members, predict_ensemble, train_ensemble, train_ovr
 from .estage import build_stacked, fit_unified, predict_unified
 from .ingest import StreamManifest, SynthConfig, generate_synthetic, read_estage, stream_batches
-from .model import CStageModel, FeatureSchema, Hyperparams, SchemaError, _fold_splits, _read_text
+from .model import (CStageModel, FeatureSchema, Hyperparams, SchemaError, _accuracy,
+                    _cv_accuracy, _read_text)
 
 logger = logging.getLogger(__name__)
 
@@ -65,9 +66,14 @@ class ExperimentSpec:
             raise SchemaError(f"repeats must be >= 1, got {self.repeats}")
         if self.folds < 2:
             raise SchemaError(f"folds must be >= 2, got {self.folds}")
+        if not self.methods:
+            raise SchemaError("no methods selected")
         unknown = set(self.methods) - set(ALL_METHODS)
         if unknown:
             raise SchemaError(f"unknown methods {sorted(unknown)}")
+        repeated = [m for m in ALL_METHODS if self.methods.count(m) > 1]
+        if repeated:
+            raise SchemaError(f"methods selected more than once: {', '.join(repeated)}")
         for lam, rho in itertools.product(self.lam_grid, self.rho_grid):
             Hyperparams(lam=lam, rho=rho)
         for name, grid in (("expanding-stage ridge", self.gamma_grid),
@@ -85,7 +91,7 @@ class ResultTable:
     accuracies: dict[str, tuple[float, ...]] = field(default_factory=dict)
     marks: dict[tuple[str, str], str] = field(default_factory=dict)
     repeats: int = 0
-    seed: int = 0
+    seed: int | None = 0  # None: rebuilt from a record that does not store it
     failures: tuple[str, ...] = ()
 
     def mean(self, method: str) -> float:
@@ -127,19 +133,14 @@ def k_fold_cv(x, y, grid, k: int, scorer) -> tuple[object, np.ndarray]:
     indices for the validation rows. Ties resolve to the smallest grid
     index. Returns the winning grid entry and the per-entry mean scores.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    splits = _fold_splits(x.shape[0], k)
     grid = list(grid)
     if not grid:
         raise ValueError("empty hyperparameter grid")
-    scores = np.zeros(len(grid))
-    for mask, val_idx in splits:
-        truth = y[val_idx].argmax(axis=1)
-        for i, params in enumerate(grid):
-            pred = scorer(params, x[mask], y[mask], x[val_idx])
-            scores[i] += float(np.mean(pred == truth))
-    scores /= k
+
+    def predict(x_train, y_train, x_val):
+        return [scorer(params, x_train, y_train, x_val) for params in grid]
+
+    scores = _cv_accuracy(x, y, k, predict) / k
     return grid[int(np.argmax(scores))], scores
 
 
@@ -187,10 +188,6 @@ def _materialize(source):
     else:
         raise TypeError(f"unsupported experiment source {type(source)!r}")
     return source.schema, stream, np.vstack([x_train, x_test]), np.vstack([y_train, y_test])
-
-
-def _accuracy(pred: np.ndarray, labels: np.ndarray) -> float:
-    return float(np.mean(pred == labels.argmax(axis=1)))
 
 
 def _fit_baseline(columns: slice, alpha: float, x: np.ndarray, y: np.ndarray):
@@ -241,7 +238,7 @@ class _MethodRunner:
     def _fit_opide(self, params, x, y):
         lam, rho, alpha = params
         cmodel = self.cmodels[(lam, rho)]
-        emodel = train_ensemble(build_stacked(x, y, cmodel), alpha, alpha, folds=self.spec.folds)
+        emodel = train_ensemble(build_stacked(x, y, cmodel), alpha, folds=self.spec.folds)
         return lambda x_new: predict_ensemble(x_new, cmodel, emodel)
 
     def _fit_opide_cv(self, params, x, y):
@@ -250,16 +247,14 @@ class _MethodRunner:
         lam, rho, alpha = params
         cmodel = self.cmodels[(lam, rho)]
         data = build_stacked(x, y, cmodel)
-        clf_base = train_ovr(data.z_base, data.labels, alpha)
-        clf_joint = train_ovr(data.z_joint, data.labels, alpha)
-        emodel = EnsembleModel(clf_base, clf_joint, 0.5, 0.5)
+        emodel = EnsembleModel(*_fit_members(data.z_joint, data.labels, alpha), 0.5, 0.5)
         return lambda x_new: predict_ensemble(x_new, cmodel, emodel)
 
 
 def build_table(
     methods: tuple[str, ...],
     accuracies: dict[str, list[float]],
-    seed: int,
+    seed: int | None,
     failures: tuple[str, ...] = (),
 ) -> ResultTable:
     """Aggregate per-repeat accuracies into a table with pairwise marks."""
@@ -330,7 +325,7 @@ _MARK_SYMBOL = {SIGNIFICANT_BETTER: ">", TIE: "=", SIGNIFICANT_WORSE: "<"}
 
 def format_report(table: ResultTable) -> str:
     """Human-readable accuracy table with pairwise significance symbols."""
-    lines = [f"repeats={table.repeats} seed={table.seed}"]
+    lines = [f"repeats={table.repeats} seed={'unknown' if table.seed is None else table.seed}"]
     header = f"{'method':<10} {'mean':>8} {'std':>8}"
     for other in table.methods:
         header += f" {'vs ' + other:>12}"
@@ -370,7 +365,7 @@ def load_results(csv_path) -> ResultTable:
     raise :class:`SchemaError` naming the path, and ``path:line`` where the
     line is known: a wrong header, a row without exactly three fields, a
     non-integer repeat, an accuracy outside [0, 1], or methods with unequal
-    repeat counts.
+    repeat counts. The record holds no seed, so the table's seed is ``None``.
     """
     accuracies: dict[str, list[float]] = {}
     last_line: dict[str, int] = {}
@@ -402,4 +397,4 @@ def load_results(csv_path) -> ResultTable:
                 f"{csv_path}:{last_line[method]}: {method} has {count} repeats, "
                 f"{methods[0]} has {expected}"
             )
-    return build_table(methods, accuracies, seed=0)
+    return build_table(methods, accuracies, seed=None)

@@ -6,7 +6,8 @@ only during the compressing stage, *survived* features span both stages,
 in the library derives from one :class:`FeatureSchema`. Compressing-stage
 data arrives as :class:`Batch` objects; the expanding stage works on plain
 feature matrices in schema order (survived, then augmented) with one-hot
-labels.
+labels. The one k-fold routine, shared by the grid search and the ensemble
+weight search, lives here too.
 """
 
 from __future__ import annotations
@@ -221,19 +222,31 @@ def _read_text(path, error: type[SchemaError] = SchemaError) -> str:
         raise error(f"{path}:{line}: not UTF-8 text") from exc
 
 
-def _fold_splits(n: int, folds: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Contiguous k-fold splits of ``n`` rows as (training mask, validation
-    indices) pairs; needs 2 <= folds <= n."""
+def _accuracy(pred: np.ndarray, labels: np.ndarray) -> float:
+    """Share of rows whose predicted class index is the one-hot label's class."""
+    return float(np.mean(pred == labels.argmax(axis=1)))
+
+
+def _cv_accuracy(x, y, folds: int, predict) -> np.ndarray:
+    """Each candidate's validation accuracy summed over contiguous k-fold
+    splits of the rows of ``x`` and one-hot ``y`` (2 <= folds <= rows).
+    ``predict(x_train, y_train, x_val)`` returns one class-index vector per
+    candidate; it is called once per fold, in order. The caller divides by
+    ``folds``."""
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    n = x.shape[0]
     if folds < 2:
         raise ValueError(f"need at least 2 folds, got {folds}")
     if n < folds:
         raise ValueError(f"cannot make {folds} folds from {n} instances")
-    splits = []
+    total = 0.0
     for val_idx in np.array_split(np.arange(n), folds):
-        mask = np.ones(n, dtype=bool)
-        mask[val_idx] = False
-        splits.append((mask, val_idx))
-    return splits
+        train = np.ones(n, dtype=bool)
+        train[val_idx] = False
+        preds = predict(x[train], y[train], x[val_idx])
+        y_val = y[val_idx]
+        total = total + np.array([_accuracy(pred, y_val) for pred in preds])
+    return total
 
 
 def validate_batch(batch: Batch, schema: FeatureSchema) -> None:

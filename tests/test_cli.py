@@ -185,7 +185,9 @@ class TestRunAndReportCommands:
         capsys.readouterr()
         assert main(["report", "--results", str(out / "results.csv")]) == 0
         rebuilt = capsys.readouterr().out
-        # aggregate rows agree (the rebuilt header lacks the original seed)
+        # aggregate rows agree; the rebuilt header lacks the original seed
+        assert run_report.splitlines()[0] == "repeats=4 seed=2"
+        assert rebuilt.splitlines()[0] == "repeats=4 seed=unknown"
         assert run_report.splitlines()[1:] == rebuilt.splitlines()[1:]
 
     def test_unknown_method_rejected(self, stream_dir, tmp_path):
@@ -251,6 +253,8 @@ class TestRejectedInput:
         (["run", "--alpha", "0"], "logistic loss weights must be > 0"),
         (["run", "--rho", "nan"], "ridge must be > 0"),
         (["run", "--lambda", "inf"], "consistency weight must be >= 0"),
+        (["run", "--methods", ""], "no methods selected"),
+        (["run", "--methods", "OPID,OPID,BASE_S"], "methods selected more than once: OPID"),
     ])
     def test_bad_flag_values(self, manifest_path, tmp_path, capsys, argv, pattern):
         argv = [*argv, "--manifest", manifest_path, "--out", str(tmp_path / "out")]

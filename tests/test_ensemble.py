@@ -137,6 +137,26 @@ class TestTrainEnsemble:
         assert model.w_base + model.w_joint == pytest.approx(1.0, abs=1e-15)
         assert 0.0 <= model.w_base <= 1.0
 
+    def test_weight_matches_naive_fold_loop(self):
+        rng = np.random.default_rng(21)
+        data = _stacked_with_noise_augmented(rng, n=45, noise=1.5)
+        z, labels, c, folds = data.z_joint, data.labels, data.labels.shape[1], 3
+        scores = np.zeros(WEIGHT_GRID.size)
+        for val in np.array_split(np.arange(z.shape[0]), folds):
+            z_tr, y_tr = np.delete(z, val, axis=0), np.delete(labels, val, axis=0)
+            p_base = train_ovr(z_tr[:, :c], y_tr, 1.0).proba(z[val, :c])
+            p_joint = train_ovr(z_tr, y_tr, 1.0).proba(z[val])
+            truth = labels[val].argmax(axis=1)
+            for i, w in enumerate(WEIGHT_GRID):
+                pred = np.argmax(w * p_base + (1.0 - w) * p_joint, axis=1)
+                scores[i] += np.mean(pred == truth)
+        # not all tied: the maximum is shared by w_base 0.3 and 0.4, and the first wins
+        assert np.unique(scores).size > 1
+        model = train_ensemble(data, folds=folds)
+        assert model.w_base == WEIGHT_GRID[np.argmax(scores)]
+        np.testing.assert_array_equal(model.clf_base.coef, train_ovr(z[:, :c], labels, 1.0).coef)
+        np.testing.assert_array_equal(model.clf_joint.coef, train_ovr(z, labels, 1.0).coef)
+
 
 class TestPredictEnsemble:
     def _setup(self, seed=9, w_base=0.5):

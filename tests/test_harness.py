@@ -304,6 +304,14 @@ class TestRunExperiment:
         assert "aborted (OPIDe): no convergence" in table.failures[0]
         assert np.isnan(table.mean(OPIDE))
 
+    @pytest.mark.parametrize("methods, pattern", [
+        ((), "no methods selected"),
+        ((OPID, OPID, BASE_S), "methods selected more than once: OPID"),
+    ], ids=["empty", "repeated"])
+    def test_empty_or_repeated_methods_rejected(self, methods, pattern):
+        with pytest.raises(SchemaError, match=pattern):
+            _spec(methods)
+
     @pytest.mark.parametrize("methods, grid", [
         ((OPIDE,), {}),
         ((OPID,), {"gamma_grid": (0.5, 1.0)}),
@@ -357,6 +365,9 @@ class TestReports:
             assert reloaded.accuracies[m] == table.accuracies[m]
             assert reloaded.mean(m) == pytest.approx(table.mean(m), abs=0)
         assert reloaded.marks == table.marks
+        # the record does not store the seed
+        assert reloaded.seed is None
+        assert format_report(reloaded).startswith("repeats=3 seed=unknown\n")
 
     @pytest.mark.parametrize(
         "body, where",
