@@ -155,18 +155,20 @@ def save_stats(stats: CStageStats, path) -> None:
 
     Binary container with exact float round-trip: format version, mode tag,
     schema widths, regularization, batch counter, and the ``mat``/``rhs`` pair.
+    The file is written at exactly ``path``, whatever its suffix.
     """
-    np.savez(
-        path,
-        format=SNAPSHOT_FORMAT,
-        mode=np.array(stats.mode),
-        **asdict(stats.schema),
-        lam=stats.lam,
-        rho=stats.rho,
-        batches_seen=stats.batches_seen,
-        mat=stats.mat,
-        rhs=stats.rhs,
-    )
+    with open(path, "wb") as fh:  # np.savez(path) appends ".npz" to any other suffix
+        np.savez(
+            fh,
+            format=SNAPSHOT_FORMAT,
+            mode=np.array(stats.mode),
+            **asdict(stats.schema),
+            lam=stats.lam,
+            rho=stats.rho,
+            batches_seen=stats.batches_seen,
+            mat=stats.mat,
+            rhs=stats.rhs,
+        )
 
 
 _SNAPSHOT_SCALARS = {  # dtype kinds accepted for each 0-d snapshot field

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dposv
 
 class SchemaError(ValueError):
     """A batch, matrix, file or setting does not match its declared shapes or
@@ -198,14 +198,17 @@ def class_signs(labels: np.ndarray, cls: int) -> np.ndarray:
 def _solve_spd(mat: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     """Solve the symmetric positive definite system ``mat @ x = rhs``.
 
-    A non-finite or non-SPD system raises :class:`NumericError` naming ``what``.
+    One LAPACK ``dposv`` call (Cholesky factor and solve) that reads only the
+    upper triangle of ``mat``; ``rhs`` may be a vector or a matrix. LAPACK
+    does not check for nan or inf, so the finiteness check stays here. A
+    non-finite or non-SPD system raises :class:`NumericError` naming ``what``.
     """
     if not (np.isfinite(mat).all() and np.isfinite(rhs).all()):
         raise NumericError(f"{what} solve failed: the system has non-finite entries")
-    try:
-        return scipy.linalg.solve(mat, rhs, assume_a="pos", check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericError(f"{what} solve failed: {exc}") from exc
+    _, x, info = dposv(mat, rhs)
+    if info > 0:
+        raise NumericError(f"{what} solve failed: leading minor {info} is not positive definite")
+    return x
 
 
 def _read_text(path, error: type[SchemaError] = SchemaError) -> str:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.linalg
 
 
 def stack_stream(batches):
@@ -49,6 +50,11 @@ def cstage_gradient(batches, coef_full, coef_survived, lam, rho):
         g_full += x_all.T @ (pred_full - b.labels) + lam * (x_all.T @ (pred_full - pred_sur))
         g_sur += x_sur.T @ (pred_sur - b.labels) + lam * (x_sur.T @ (pred_sur - pred_full))
     return g_full, g_sur
+
+
+def spd_solve(mat, rhs):
+    """SciPy's checked general-purpose solver, told the system is SPD."""
+    return scipy.linalg.solve(mat, rhs, assume_a="pos")
 
 
 def ridge_solve(x, y, rho):

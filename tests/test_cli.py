@@ -76,6 +76,18 @@ class TestCStageCommand:
               "--resume", str(whole)])
         assert load_stats(resumed).batches_seen == 2 * load_stats(whole).batches_seen
 
+    def test_snapshot_written_at_the_given_path(self, tmp_path, capsys):
+        main(_synth_args(tmp_path / "data"))
+        manifest_path = capsys.readouterr().out.strip()
+        out = tmp_path / "stats.bin"
+        assert main(["cstage", "--manifest", manifest_path, "--out", str(out)]) == 0
+        assert capsys.readouterr().out.rstrip().endswith(f"-> {out}")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "stats.bin"]
+        resumed = tmp_path / "resumed.bin"
+        assert main(["cstage", "--manifest", manifest_path, "--out", str(resumed),
+                     "--resume", str(out)]) == 0
+        assert load_stats(resumed).batches_seen == 6
+
     @pytest.fixture
     def snapshot(self, tmp_path, capsys):
         main(_synth_args(tmp_path / "data"))

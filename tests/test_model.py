@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opid import model
 from opid.model import (
     Batch,
     EStageModel,
@@ -17,6 +18,8 @@ from opid.model import (
     one_hot_encode,
     validate_batch,
 )
+
+import oracles
 
 
 class TestOneHot:
@@ -170,3 +173,54 @@ class TestEStageModelInvariants:
 
     def test_valid_model(self):
         EStageModel(np.zeros((3, 3)), np.zeros((5, 3)), w_base=0.5, w_joint=0.5)
+
+
+class TestSolveSpd:
+    """``_solve_spd`` is one LAPACK call; it must return the checked solver's bits."""
+
+    @staticmethod
+    def _spd(rng, k, ridge=1.0):
+        x = rng.standard_normal((3 * k, k))
+        return x.T @ x + ridge * np.eye(k)
+
+    def test_newton_step_matches_oracle(self):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((200, 28))
+        curv = rng.uniform(0.01, 0.25, size=200)
+        hess = np.eye(28) + 0.7 * (x.T * curv) @ x
+        assert not np.array_equal(hess, hess.T)  # only the upper triangle is read
+        grad = rng.standard_normal(28)
+        got = model._solve_spd(hess, grad, "Newton system")
+        assert got.shape == (28,)
+        np.testing.assert_array_equal(got, oracles.spd_solve(hess, grad))
+
+    @pytest.mark.parametrize("k, c", [(28, 3), (55, 5)], ids=["ridge", "normal-equation"])
+    def test_matrix_rhs_matches_oracle(self, k, c):
+        rng = np.random.default_rng(k)
+        mat = self._spd(rng, k, ridge=0.1)
+        rhs = rng.standard_normal((k, c))
+        np.testing.assert_array_equal(model._solve_spd(mat, rhs, "x"), oracles.spd_solve(mat, rhs))
+
+    def test_wide_core_rhs_matches_oracle(self):
+        rng = np.random.default_rng(1)
+        core = self._spd(rng, 120)
+        rhs = rng.standard_normal((2220, 120)).T  # a transposed view, as the core solve passes
+        np.testing.assert_array_equal(model._solve_spd(core, rhs, "x"), oracles.spd_solve(core, rhs))
+
+    @pytest.mark.parametrize("mat", [[[1.0, 2.0], [2.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]]],
+                             ids=["indefinite", "singular-psd"])
+    def test_non_spd_raises(self, mat):
+        with pytest.raises(NumericError, match="stacked ridge solve failed"):
+            model._solve_spd(np.array(mat), np.ones(2), "stacked ridge")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["mat", "rhs"])
+    def test_non_finite_raises_before_lapack(self, monkeypatch, bad, where):
+        def no_lapack(*args, **kwargs):
+            raise AssertionError("LAPACK called on a non-finite system")
+
+        monkeypatch.setattr(model, "dposv", no_lapack)
+        args = {"mat": np.eye(3), "rhs": np.ones((3, 2))}
+        args[where][1, 1] = bad
+        with pytest.raises(NumericError, match="Newton system solve failed: .*non-finite"):
+            model._solve_spd(args["mat"], args["rhs"], "Newton system")
