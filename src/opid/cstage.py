@@ -13,7 +13,10 @@ Two interchangeable accumulation strategies sit behind the same interface:
   the normal matrix M(lam, rho) and factorize it once at solve time.
 * ``inverse`` -- maintain the inverse of M through rank-2n updates
   (n = batch size), so the solution is a single multiplication away at any
-  point of the stream; each step factorizes only a 2n x 2n system.
+  point of the stream. Each step factors its 2n x 2n Woodbury core once,
+  core = U^T U, and downdates M^-1 by R^T R with R = U^-T (M^-1 A)^T. That
+  product is one symmetric ``syrk``, so M^-1 stays symmetric bit for bit
+  and needs no symmetrising copy.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import zlib
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dtrtrs
 
 from .model import (
     Batch,
@@ -32,6 +36,7 @@ from .model import (
     Hyperparams,
     NumericError,
     SchemaError,
+    _cholesky,
     _solve_spd,
     validate_batch,
 )
@@ -83,13 +88,9 @@ def absorb_batch(stats: CStageStats, batch: Batch) -> CStageStats:
     x_all = batch.joined()
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
         rhs = stats.rhs + x_all.T @ batch.labels
-        sums = [rhs, stats.mat + x_all.T @ x_all] if stats.mode == DIRECT else [rhs]
-        if not all(np.isfinite(a).all() for a in sums):
-            raise NumericError(
-                f"batch {stats.batches_seen} overflows the statistics to non-finite values"
-            )
         if stats.mode == DIRECT:
-            mat = sums[1]
+            mat = stats.mat + x_all.T @ x_all
+            checked = [rhs, mat]
         else:
             # The increment is A K A^T with A = blockdiag(X^T, X_s^T) and
             # K = [[1+lam, -lam], [-lam, 1+lam]] (x) I_n, so the Woodbury core
@@ -97,13 +98,21 @@ def absorb_batch(stats: CStageStats, batch: Batch) -> CStageStats:
             # / (1+2 lam) (x) I_n (Hager 1989).
             p, lam, x_sur = stats.schema.cstage_width, stats.lam, batch.survived
             ma = np.hstack([stats.mat[:, :p] @ x_all.T, stats.mat[:, p:] @ x_sur.T])
+            checked = [rhs, ma]
+        if not all(np.isfinite(a).all() for a in checked):
+            raise NumericError(
+                f"batch {stats.batches_seen} overflows the statistics to non-finite values"
+            )
+        if stats.mode == INVERSE:
             k_inv = np.array([[1.0 + lam, lam], [lam, 1.0 + lam]]) / (1.0 + 2.0 * lam)
             core = np.kron(k_inv, np.eye(batch.n)) + np.vstack([x_all @ ma[:p], x_sur @ ma[p:]])
-            # The core solve rejects a non-finite system, which keeps the
-            # update finite; M^-1 changes in place to hold one (m, m) copy.
-            stats.mat -= ma @ _solve_spd(core, ma.T, "rank-update core")
-            # Guard against asymmetry drift over long streams.
-            mat = 0.5 * (stats.mat + stats.mat.T)
+            # With core = U^T U and R = U^-T (M^-1 A)^T, the downdate is R^T R.
+            # The factor rejects a non-finite core before M^-1 changes. numpy
+            # forms R^T R as one syrk and mirrors its triangle, so M^-1 stays
+            # bit-symmetric; it changes in place to hold one (m, m) copy.
+            r, _ = dtrtrs(_cholesky(core, "rank-update core"), ma.T, lower=0, trans=1)
+            stats.mat -= r.T @ r
+            mat = stats.mat
     stats.mat, stats.rhs = mat, rhs
     stats.batches_seen += 1
     return stats

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg.lapack import dposv
+from scipy.linalg.lapack import dpotrf, dpotrs
+
 
 class SchemaError(ValueError):
     """A batch, matrix, file or setting does not match its declared shapes or
@@ -195,19 +196,38 @@ def class_signs(labels: np.ndarray, cls: int) -> np.ndarray:
     return np.where(labels[:, cls] > 0, 1.0, -1.0)
 
 
+def _cholesky(mat: np.ndarray, what: str) -> np.ndarray:
+    """The upper Cholesky factor U of a symmetric positive definite matrix,
+    with U^T U = ``mat``.
+
+    One LAPACK ``dpotrf`` call that reads only the upper triangle of ``mat``;
+    the strict lower triangle of the result keeps ``mat``'s entries, which
+    the upper-triangle LAPACK routines that take U never read. LAPACK does not check for nan or
+    inf, so the finiteness check stays here. A non-finite or non-SPD matrix
+    raises :class:`NumericError` naming ``what``. This is the one SPD
+    factorization in the library: :func:`_solve_spd` solves with it, and the
+    inverse-mode absorb step downdates M^-1 by a symmetric product built on it.
+    """
+    if not np.isfinite(mat).all():
+        raise NumericError(f"{what} solve failed: the system has non-finite entries")
+    u, info = dpotrf(mat, lower=0, clean=0)
+    if info > 0:
+        raise NumericError(f"{what} solve failed: leading minor {info} is not positive definite")
+    return u
+
+
 def _solve_spd(mat: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     """Solve the symmetric positive definite system ``mat @ x = rhs``.
 
-    One LAPACK ``dposv`` call (Cholesky factor and solve) that reads only the
-    upper triangle of ``mat``; ``rhs`` may be a vector or a matrix. LAPACK
-    does not check for nan or inf, so the finiteness check stays here. A
-    non-finite or non-SPD system raises :class:`NumericError` naming ``what``.
+    The factor of :func:`_cholesky` and one LAPACK ``dpotrs`` call, which
+    together give ``dposv``'s bits; only the upper triangle of ``mat`` is read
+    and ``rhs`` may be a vector or a matrix. A non-finite system raises
+    :class:`NumericError` naming ``what`` before LAPACK sees it, and a
+    non-SPD one raises it from the factorization.
     """
-    if not (np.isfinite(mat).all() and np.isfinite(rhs).all()):
+    if not np.isfinite(rhs).all():
         raise NumericError(f"{what} solve failed: the system has non-finite entries")
-    _, x, info = dposv(mat, rhs)
-    if info > 0:
-        raise NumericError(f"{what} solve failed: leading minor {info} is not positive definite")
+    x, _ = dpotrs(_cholesky(mat, what), rhs)
     return x
 
 

@@ -56,6 +56,7 @@ def test_prequential_pass_with_suspend_and_resume(manifest, tmp_path, monkeypatc
     assert rows == 4 * 15 and 0 <= correct <= rows
     final, reference = cstage.solve_model(stats), cstage.solve_model(uninterrupted)
     np.testing.assert_array_equal(final.coef_survived, reference.coef_survived)
+    np.testing.assert_array_equal(final.coef_full, reference.coef_full)
     assert stats.mode == mode and stats.batches_seen == 4
 
 

@@ -176,7 +176,7 @@ class TestEStageModelInvariants:
 
 
 class TestSolveSpd:
-    """``_solve_spd`` is one LAPACK call; it must return the checked solver's bits."""
+    """``_solve_spd`` factors and solves in LAPACK; it must return the checked solver's bits."""
 
     @staticmethod
     def _spd(rng, k, ridge=1.0):
@@ -219,8 +219,48 @@ class TestSolveSpd:
         def no_lapack(*args, **kwargs):
             raise AssertionError("LAPACK called on a non-finite system")
 
-        monkeypatch.setattr(model, "dposv", no_lapack)
+        monkeypatch.setattr(model, "dpotrf", no_lapack)
+        monkeypatch.setattr(model, "dpotrs", no_lapack)
         args = {"mat": np.eye(3), "rhs": np.ones((3, 2))}
         args[where][1, 1] = bad
         with pytest.raises(NumericError, match="Newton system solve failed: .*non-finite"):
             model._solve_spd(args["mat"], args["rhs"], "Newton system")
+
+
+class TestCholesky:
+    """``_cholesky`` is the one SPD factorization: upper U with U^T U = mat."""
+
+    def test_upper_factor_reproduces_the_matrix(self):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((60, 20))
+        mat = x.T @ x + np.eye(20)
+        u = np.triu(model._cholesky(mat, "core"))
+        assert np.all(np.diag(u) > 0)
+        np.testing.assert_allclose(u.T @ u, mat, rtol=0, atol=1e-12 * np.abs(mat).max())
+
+    def test_reads_only_the_upper_triangle(self):
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((30, 10))
+        mat = x.T @ x + np.eye(10)
+        scrambled = mat.copy()
+        scrambled[np.tril_indices(10, -1)] = rng.standard_normal(45) * 1e3
+        np.testing.assert_array_equal(
+            np.triu(model._cholesky(scrambled, "core")), np.triu(model._cholesky(mat, "core"))
+        )
+
+    @pytest.mark.parametrize("mat", [[[1.0, 2.0], [2.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]]],
+                             ids=["indefinite", "singular-psd"])
+    def test_non_spd_raises(self, mat):
+        with pytest.raises(NumericError, match="rank-update core solve failed: .*positive definite"):
+            model._cholesky(np.array(mat), "rank-update core")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_raises_before_lapack(self, monkeypatch, bad):
+        def no_lapack(*args, **kwargs):
+            raise AssertionError("LAPACK called on a non-finite matrix")
+
+        monkeypatch.setattr(model, "dpotrf", no_lapack)
+        mat = np.eye(3)
+        mat[2, 0] = bad  # in the lower triangle, which LAPACK would not even read
+        with pytest.raises(NumericError, match="rank-update core solve failed: .*non-finite"):
+            model._cholesky(mat, "rank-update core")
