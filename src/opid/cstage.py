@@ -14,9 +14,10 @@ Two interchangeable accumulation strategies sit behind the same interface:
 * ``inverse`` -- maintain the inverse of M through rank-2n updates
   (n = batch size), so the solution is a single multiplication away at any
   point of the stream. Each step factors its 2n x 2n Woodbury core once,
-  core = U^T U, and downdates M^-1 by R^T R with R = U^-T (M^-1 A)^T. That
-  product is one symmetric ``syrk``, so M^-1 stays symmetric bit for bit
-  and needs no symmetrising copy.
+  core = U^T U, and downdates M^-1 by R^T R with R = U^-T (M^-1 A)^T. One
+  BLAS ``dsyrk`` subtracts R^T R from one triangle of M^-1 in place, and a
+  blocked copy mirrors that triangle onto the other, so M^-1 stays
+  symmetric bit for bit and no (m, m) temporary is allocated.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import zlib
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dtrtrs
 
 from .model import (
@@ -44,6 +46,10 @@ from .model import (
 DIRECT = "direct"
 INVERSE = "inverse"
 SNAPSHOT_FORMAT = 2  # the Gram-pair layout; unversioned snapshots predate it
+# Edge of the square blocks in which the inverse-mode downdate mirrors M^-1's
+# triangle. At m = 2220, on one core of a 2-vCPU x86-64 machine, the mirror
+# took 8.4 ms with 128, against 11.0 ms with 64, 8.7 with 256 and 10.3 with 512.
+_MIRROR_BLOCK = 128
 
 
 @dataclass
@@ -54,7 +60,9 @@ class CStageStats:
     the (m, m) coupled normal matrix in ``inverse`` mode, with p = vanished +
     survived and m = p + survived. ``rhs`` is the (p, classes) cross-moment B
     with the one-hot labels. The footprint is fixed by the schema, never by
-    how many instances were absorbed. Single-writer: absorbing mutates in place.
+    how many instances were absorbed. Single-writer: inverse-mode absorbing
+    changes ``mat`` in place; direct mode builds new arrays and swaps them in
+    only once they are checked finite.
     """
 
     mode: str
@@ -107,15 +115,31 @@ def absorb_batch(stats: CStageStats, batch: Batch) -> CStageStats:
             k_inv = np.array([[1.0 + lam, lam], [lam, 1.0 + lam]]) / (1.0 + 2.0 * lam)
             core = np.kron(k_inv, np.eye(batch.n)) + np.vstack([x_all @ ma[:p], x_sur @ ma[p:]])
             # With core = U^T U and R = U^-T (M^-1 A)^T, the downdate is R^T R.
-            # The factor rejects a non-finite core before M^-1 changes. numpy
-            # forms R^T R as one syrk and mirrors its triangle, so M^-1 stays
-            # bit-symmetric; it changes in place to hold one (m, m) copy.
+            # The factor rejects a non-finite core before M^-1 changes. dsyrk
+            # writes into a copy unless c is Fortran-ordered, so M^-1 is kept
+            # C-ordered and handed over transposed: its lower triangle is M^-1's
+            # upper one, which is downdated in place and then mirrored.
             r, _ = dtrtrs(_cholesky(core, "rank-update core"), ma.T, lower=0, trans=1)
-            stats.mat -= r.T @ r
-            mat = stats.mat
+            mat = np.ascontiguousarray(stats.mat)
+            dsyrk(-1.0, r, beta=1.0, c=mat.T, trans=1, lower=1, overwrite_c=1)
+            _mirror_upper(mat)
     stats.mat, stats.rhs = mat, rhs
     stats.batches_seen += 1
     return stats
+
+
+def _mirror_upper(a: np.ndarray) -> None:
+    """Copy the upper triangle of the square C-ordered ``a`` onto its strict
+    lower triangle in place, one square block at a time, so that ``a`` equals
+    its transpose bit for bit. The upper triangle is only read."""
+    m = a.shape[0]
+    for i in range(0, m, _MIRROR_BLOCK):
+        rows = slice(i, i + _MIRROR_BLOCK)
+        diag = a[rows, rows]
+        np.copyto(diag, diag.T, where=np.tri(len(diag), k=-1, dtype=bool))
+        for j in range(i + _MIRROR_BLOCK, m, _MIRROR_BLOCK):
+            cols = slice(j, j + _MIRROR_BLOCK)
+            a[cols, rows] = a[rows, cols].T
 
 
 def _coupled_system(stats: CStageStats) -> tuple[np.ndarray | None, np.ndarray]:
@@ -189,7 +213,8 @@ _SNAPSHOT_SCALARS = {  # dtype kinds accepted for each 0-d snapshot field
 def load_stats(path) -> CStageStats:
     """Read a snapshot written by :func:`save_stats`. Any unreadable file,
     missing or malformed field, or other format version, unversioned
-    snapshots included, raises :class:`SchemaError`; nothing is converted."""
+    snapshots included, raises :class:`SchemaError`; nothing is converted,
+    but ``mat`` is returned C-ordered whatever order it was stored in."""
     try:
         with open(path, "rb") as fh:  # np.load(path) leaks the handle of a broken archive
             data = np.load(fh)
@@ -219,4 +244,4 @@ def load_stats(path) -> CStageStats:
         arr = raw.get(key, np.empty(0))
         if arr.shape != shape or arr.dtype != np.float64 or not np.isfinite(arr).all():
             raise SchemaError(f"{path}: {mode} snapshot needs a finite float64 {key!r} of {shape}")
-    return CStageStats(mode, schema, lam, rho, raw["mat"], raw["rhs"], seen)
+    return CStageStats(mode, schema, lam, rho, np.ascontiguousarray(raw["mat"]), raw["rhs"], seen)

@@ -206,7 +206,8 @@ def _cholesky(mat: np.ndarray, what: str) -> np.ndarray:
     inf, so the finiteness check stays here. A non-finite or non-SPD matrix
     raises :class:`NumericError` naming ``what``. This is the one SPD
     factorization in the library: :func:`_solve_spd` solves with it, and the
-    inverse-mode absorb step downdates M^-1 by a symmetric product built on it.
+    inverse-mode absorb step forms from it the R whose R^T R one BLAS
+    ``dsyrk`` subtracts from M^-1 in place.
     """
     if not np.isfinite(mat).all():
         raise NumericError(f"{what} solve failed: the system has non-finite entries")

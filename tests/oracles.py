@@ -37,6 +37,21 @@ def batch_normal_solve(batches, lam, rho):
     return coef[:p], coef[p:]
 
 
+def woodbury_downdate(minv, batch, lam):
+    """M^-1 after absorbing one batch, by the Woodbury identity written out
+    densely: A = blockdiag(X^T, X_s^T), K = [[1+lam, -lam], [-lam, 1+lam]]
+    (x) I_n, core = K^-1 + A^T M^-1 A = U^T U, R = U^-T (M^-1 A)^T, and the
+    result is the plain product and difference M^-1 - R^T R."""
+    x_all, x_sur = batch.joined(), batch.survived
+    n = x_all.shape[0]
+    a = scipy.linalg.block_diag(x_all.T, x_sur.T)
+    k = np.kron([[1.0 + lam, -lam], [-lam, 1.0 + lam]], np.eye(n))
+    ma = minv @ a
+    u = scipy.linalg.cholesky(np.linalg.inv(k) + a.T @ ma)
+    r = scipy.linalg.solve_triangular(u, ma.T, trans="T")
+    return minv - r.T @ r
+
+
 def cstage_gradient(batches, coef_full, coef_survived, lam, rho):
     """Stationarity residual of the coupled objective, accumulated batch by
     batch straight from its definition."""

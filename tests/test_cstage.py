@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,9 @@ from conftest import random_cstage_stream
 from opid.cstage import (
     DIRECT,
     INVERSE,
+    _MIRROR_BLOCK,
     _coupled_system,
+    _mirror_upper,
     absorb_batch,
     compress,
     init_stats,
@@ -103,6 +107,60 @@ class TestAbsorb:
         for batch in random_cstage_stream(rng, 6, 7, 3, 4, 3):
             absorb_batch(stats, batch)
             assert np.array_equal(stats.mat, stats.mat.T)
+
+    def test_downdate_across_mirror_blocks(self):
+        # stats_dim 330 spans three mirror blocks, the last one ragged
+        rng = np.random.default_rng(22)
+        schema = _schema(30, 150, 3)
+        assert 2 * _MIRROR_BLOCK < schema.stats_dim < 3 * _MIRROR_BLOCK
+        hyper = Hyperparams(lam=0.5, rho=1.0)
+        direct = init_stats(schema, hyper, DIRECT)
+        inverse = init_stats(schema, hyper, INVERSE)
+        for batch in random_cstage_stream(rng, 4, 20, 30, 150, 3):
+            expected = oracles.woodbury_downdate(inverse.mat.copy(), batch, hyper.lam)
+            absorb_batch(direct, batch)
+            absorb_batch(inverse, batch)
+            assert np.array_equal(inverse.mat, inverse.mat.T)
+            scale = np.abs(expected).max()
+            assert np.abs(inverse.mat - expected).max() <= 1e-14 * scale
+            np.testing.assert_allclose(
+                inverse.mat, np.linalg.inv(_coupled_system(direct)[0]), atol=1e-8
+            )
+
+    @pytest.mark.parametrize("m", [1, 127, 128, 129, 300])
+    def test_mirror_copies_upper_triangle(self, m):
+        a = np.random.default_rng(m).standard_normal((m, m))
+        upper = np.triu(a)
+        _mirror_upper(a)
+        assert np.array_equal(np.triu(a), upper)
+        assert np.array_equal(a, a.T)
+
+    def test_inverse_absorb_allocates_no_full_temporary(self):
+        # one warm-up batch first, so lazy set-up is not counted
+        schema = _schema(60, 250, 3)
+        warm, batch = random_cstage_stream(np.random.default_rng(23), 2, 20, 60, 250, 3)
+        stats = absorb_batch(init_stats(schema, Hyperparams(), INVERSE), warm)
+        m = schema.stats_dim
+        tracemalloc.start()
+        try:
+            absorb_batch(stats, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m * m * 8 / 2
+
+    def test_inverse_absorb_accepts_any_matrix_layout(self):
+        rng = np.random.default_rng(25)
+        schema = _schema(2, 3, 2)
+        hyper = Hyperparams(lam=0.9, rho=0.3)
+        stream = random_cstage_stream(rng, 3, 5, 2, 3, 2)
+        whole = init_stats(schema, hyper, INVERSE)
+        other = init_stats(schema, hyper, INVERSE)
+        other.mat = np.asfortranarray(other.mat)
+        for b in stream:
+            absorb_batch(whole, b)
+            absorb_batch(other, b)
+        np.testing.assert_array_equal(other.mat, whole.mat)
 
     def test_single_instance_batches(self):
         rng = np.random.default_rng(4)
@@ -336,6 +394,27 @@ class TestSnapshot:
             np.testing.assert_array_equal(resumed.mat, whole.mat)
             np.testing.assert_array_equal(resumed.rhs, whole.rhs)
             assert resumed.batches_seen == whole.batches_seen == len(stream)
+
+    def test_fortran_ordered_snapshot_resumes_identically(self, tmp_path):
+        rng = np.random.default_rng(24)
+        schema = _schema(2, 3, 2)
+        hyper = Hyperparams(lam=0.9, rho=0.3)
+        stream = random_cstage_stream(rng, 4, 5, 2, 3, 2)
+        whole = init_stats(schema, hyper, INVERSE)
+        for b in stream:
+            absorb_batch(whole, b)
+        first = init_stats(schema, hyper, INVERSE)
+        for b in stream[:2]:
+            absorb_batch(first, b)
+        first.mat = np.asfortranarray(first.mat)
+        path = tmp_path / "fortran.npz"
+        save_stats(first, path)
+        resumed = load_stats(path)
+        assert resumed.mat.flags.c_contiguous
+        for b in stream[2:]:
+            absorb_batch(resumed, b)
+        np.testing.assert_array_equal(resumed.mat, whole.mat)
+        np.testing.assert_array_equal(resumed.rhs, whole.rhs)
 
     @staticmethod
     def _snapshot_fields(tmp_path):
