@@ -1,11 +1,12 @@
 """Command-line entry points.
 
 Subcommands: ``synth`` writes a seeded synthetic stream to disk, ``cstage``
-runs (or resumes) a one-pass compressing-stage accumulation over a manifest,
-``run`` executes the full experiment protocol, and ``report`` rebuilds the
-human-readable table from a machine-readable results file. Rejected input
-(a typed library error or an unreadable path) prints one ``opid: error:``
-line to stderr and exits with code 2, as a rejected flag does.
+runs a one-pass compressing-stage accumulation over a manifest in direct mode
+(or resumes one in its snapshot's mode), ``run`` executes the full experiment
+protocol, and ``report`` rebuilds the human-readable table from a
+machine-readable results file. Rejected input (a typed library error or an
+unreadable path) prints one ``opid: error:`` line to stderr and exits with
+code 2, as a rejected flag does.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import argparse
 import logging
 import sys
 
-from .cstage import DIRECT, INVERSE, absorb_batch, init_stats, load_stats, save_stats
+from .cstage import absorb_batch, init_stats, load_stats, save_stats
 from .harness import (
     ALL_METHODS,
     ExperimentSpec,
@@ -79,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     cstage.add_argument("--out", required=True, help="statistics snapshot file (.npz)")
     cstage.add_argument("--resume", help="snapshot to continue from")
     # No defaults here: a resumed pass must tell explicit flags from unset ones.
-    cstage.add_argument("--mode", choices=(DIRECT, INVERSE), help="default direct")
     cstage.add_argument("--lambda", dest="lam", type=float, help="default 1.0")
     cstage.add_argument("--rho", type=float, help="default 0.1")
 
@@ -130,7 +130,7 @@ def _cmd_cstage(args) -> int:
     if args.resume:
         stats = load_stats(args.resume)
         for name, given, stored in (
-            ("schema", manifest.schema, stats.schema), ("--mode", args.mode, stats.mode),
+            ("schema", manifest.schema, stats.schema),
             ("--lambda", args.lam, stats.lam), ("--rho", args.rho, stats.rho),
         ):
             if given is not None and given != stored:
@@ -138,7 +138,7 @@ def _cmd_cstage(args) -> int:
     else:
         given = {"lam": args.lam, "rho": args.rho}
         hyper = Hyperparams(**{k: v for k, v in given.items() if v is not None})
-        stats = init_stats(manifest.schema, hyper, mode=args.mode or DIRECT)
+        stats = init_stats(manifest.schema, hyper)
     for batch in stream_batches(manifest):
         absorb_batch(stats, batch)
     save_stats(stats, args.out)

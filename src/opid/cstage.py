@@ -93,7 +93,7 @@ def absorb_batch(stats: CStageStats, batch: Batch) -> CStageStats:
     """
     validate_batch(batch, stats.schema)
 
-    x_all = batch.joined()
+    x_all = batch.x
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
         rhs = stats.rhs + x_all.T @ batch.labels
         if stats.mode == DIRECT:

@@ -66,6 +66,8 @@ class ExperimentSpec:
             raise SchemaError(f"repeats must be >= 1, got {self.repeats}")
         if self.folds < 2:
             raise SchemaError(f"folds must be >= 2, got {self.folds}")
+        if self.seed < 0:
+            raise SchemaError(f"seed must be >= 0, got {self.seed}")
         if not self.methods:
             raise SchemaError("no methods selected")
         unknown = set(self.methods) - set(ALL_METHODS)
@@ -74,6 +76,9 @@ class ExperimentSpec:
         repeated = [m for m in ALL_METHODS if self.methods.count(m) > 1]
         if repeated:
             raise SchemaError(f"methods selected more than once: {', '.join(repeated)}")
+        for name in ("lam_grid", "rho_grid", "gamma_grid", "alpha_grid"):
+            if not getattr(self, name):
+                raise SchemaError(f"{name} is empty")
         for lam, rho in itertools.product(self.lam_grid, self.rho_grid):
             Hyperparams(lam=lam, rho=rho)
         for name, grid in (("expanding-stage ridge", self.gamma_grid),
@@ -295,10 +300,10 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
     n_pool = pool_x.shape[0]
     n_train = n_pool // 2
     # OPIDe's weight search always splits the training half into folds; so does any tuned grid
-    split = [m for m in spec.methods if m == OPIDE or len(runner.methods[m][0]) > 1]
-    if split and spec.folds > n_train:
+    folded = [m for m in spec.methods if m == OPIDE or len(runner.methods[m][0]) > 1]
+    if folded and spec.folds > n_train:
         raise SchemaError(f"--folds {spec.folds} exceeds the {n_train} rows of the training half, "
-                          f"which {split[0]} splits into folds")
+                          f"which {folded[0]} splits into folds")
     children = np.random.SeedSequence(spec.seed).spawn(spec.repeats)
     accuracies: dict[str, list[float]] = {m: [] for m in spec.methods}
     failures: list[str] = []

@@ -4,10 +4,11 @@ Batch files are plain delimited text: one instance per row, feature columns
 first, a single integer class label last. A JSON manifest declares the
 partition widths, the ordered compressing-stage file list, the
 expanding-stage train/test files, and the column ranges realizing each
-partition. Readers hold at most one batch in memory at a time. The
-compressing stage is read as :class:`Batch` objects; the expanding stage is
-read as (features, one-hot labels) pairs whose columns are in schema order,
-survived then augmented, whatever their order in the files.
+partition. Readers hold at most one batch in memory at a time. Both stages
+are read with their feature columns in schema order, whatever their order in
+the files: the compressing stage as :class:`Batch` objects (vanished, then
+survived), the expanding stage as (features, one-hot labels) pairs
+(survived, then augmented).
 """
 
 from __future__ import annotations
@@ -47,25 +48,25 @@ class ManifestError(SchemaError):
 class StreamManifest:
     """Validated description of an on-disk evolving-feature stream.
 
-    Column ranges are half-open [start, stop) indices into the feature
-    columns of each file; the label always occupies the final column.
+    Each stage's column ranges are half-open [start, stop) indices into the
+    feature columns of its files, one per partition in schema order:
+    (vanished, survived) for the compressing stage, (survived, augmented) for
+    the expanding stage. The label always occupies the final column.
     """
 
     schema: FeatureSchema
     cstage_batches: tuple[Path, ...]
     estage_train: Path
     estage_test: Path
-    c_vanished: tuple[int, int]
-    c_survived: tuple[int, int]
-    e_survived: tuple[int, int]
-    e_augmented: tuple[int, int]
+    cstage_columns: tuple[tuple[int, int], ...]
+    estage_columns: tuple[tuple[int, int], ...]
 
 
 def _parse_range(raw, name: str) -> tuple[int, int]:
     if (
         not isinstance(raw, (list, tuple))
         or len(raw) != 2
-        or not all(isinstance(v, int) for v in raw)
+        or not all(type(v) is int for v in raw)  # bool is an int subclass
     ):
         raise ManifestError(f"{name} range must be a [start, stop) pair of integers, got {raw!r}")
     start, stop = raw
@@ -114,9 +115,13 @@ def parse_manifest(path) -> StreamManifest:
     if missing:
         raise ManifestError(f"{path}: missing manifest keys {sorted(missing)}")
 
+    widths = {k: raw[k] for k in ("vanished", "survived", "augmented", "classes")}
+    for key, value in widths.items():
+        if type(value) is not int:  # not 3.7, 2.0, "3" or true
+            raise ManifestError(f"{path}: malformed manifest field: {key} must be a JSON "
+                                f"integer, got {value!r}")
     base = path.parent
     try:
-        widths = {k: int(raw[k]) for k in ("vanished", "survived", "augmented", "classes")}
         c_raw, e_raw = dict(raw["cstage_columns"]), dict(raw["estage_columns"])
         batches = tuple(base / p for p in raw["cstage_batches"])
         train, test = base / raw["estage_train"], base / raw["estage_test"]
@@ -140,10 +145,8 @@ def parse_manifest(path) -> StreamManifest:
         cstage_batches=batches,
         estage_train=train,
         estage_test=test,
-        c_vanished=c_cols["vanished"],
-        c_survived=c_cols["survived"],
-        e_survived=e_cols["survived"],
-        e_augmented=e_cols["augmented"],
+        cstage_columns=(c_cols["vanished"], c_cols["survived"]),
+        estage_columns=(e_cols["survived"], e_cols["augmented"]),
     )
 
 
@@ -186,29 +189,28 @@ def _read_rows(path: Path, n_features: int, classes: int) -> _Rows:
     return feats, one_hot_encode(labels, classes)
 
 
-def _cstage_batch(feats: np.ndarray, labels: np.ndarray, manifest: StreamManifest) -> Batch:
-    v0, v1 = manifest.c_vanished
-    s0, s1 = manifest.c_survived
-    return Batch.cstage(vanished=feats[:, v0:v1], survived=feats[:, s0:s1], labels=labels)
+def _schema_order(feats: np.ndarray, columns: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """The column ranges ``columns`` of ``feats``, side by side in that order,
+    as a new C-ordered matrix."""
+    return np.hstack([feats[:, start:stop] for start, stop in columns])
 
 
 def stream_batches(manifest: StreamManifest):
     """Yield compressing-stage batches one file at a time."""
-    width = manifest.schema.cstage_width
+    schema = manifest.schema
     for path in manifest.cstage_batches:
-        feats, labels = _read_rows(path, width, manifest.schema.classes)
-        yield _cstage_batch(feats, labels, manifest)
+        feats, labels = _read_rows(path, schema.cstage_width, schema.classes)
+        yield Batch(_schema_order(feats, manifest.cstage_columns), labels, schema.vanished)
 
 
 def read_estage(manifest: StreamManifest) -> tuple[_Rows, _Rows]:
     """Read the expanding-stage train and test files as (features, one-hot
     labels) pairs, with the feature columns in schema order: survived, then
     augmented."""
-    (s0, s1), (a0, a1) = manifest.e_survived, manifest.e_augmented
     pairs = []
     for path in (manifest.estage_train, manifest.estage_test):
         feats, labels = _read_rows(path, manifest.schema.estage_width, manifest.schema.classes)
-        pairs.append((np.hstack([feats[:, s0:s1], feats[:, a0:a1]]), labels))
+        pairs.append((_schema_order(feats, manifest.estage_columns), labels))
     return pairs[0], pairs[1]
 
 
@@ -239,6 +241,8 @@ class SynthConfig:
                               f"got {self.separation} and {self.noise}")
         if len(self.signal) != 3 or not all(0 <= f < math.inf for f in self.signal):
             raise SchemaError(f"signal must be three finite fractions >= 0, got {self.signal}")
+        if self.seed < 0:
+            raise SchemaError(f"seed must be >= 0, got {self.seed}")
 
 
 def _balanced_labels(n: int, classes: int, rng: np.random.Generator) -> np.ndarray:
@@ -271,17 +275,10 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[list[Batch], _Rows, _Rows]:
         feats = means[labels, start:stop] + cfg.noise * rng.standard_normal((n, stop - start))
         return feats, one_hot_encode(labels, schema.classes)
 
-    c_stop = schema.cstage_width
-    cbatches = []
-    for _ in range(cfg.batches):
-        feats, labels = draw(cfg.batch_size, 0, c_stop)
-        cbatches.append(
-            Batch.cstage(
-                vanished=feats[:, : schema.vanished],
-                survived=feats[:, schema.vanished :],
-                labels=labels,
-            )
-        )
+    cbatches = [
+        Batch(*draw(cfg.batch_size, 0, schema.cstage_width), schema.vanished)
+        for _ in range(cfg.batches)
+    ]
     train = draw(cfg.estage_size, schema.vanished, total)
     return cbatches, train, draw(cfg.estage_size, schema.vanished, total)
 
@@ -306,7 +303,7 @@ def write_stream(
     names = []
     for i, batch in enumerate(cbatches):
         name = f"cstage_{i:03d}.csv"
-        _write_batch_file(out / name, batch.joined(), batch.labels)
+        _write_batch_file(out / name, batch.x, batch.labels)
         names.append(name)
     _write_batch_file(out / "estage_train.csv", *etrain)
     _write_batch_file(out / "estage_test.csv", *etest)

@@ -3,11 +3,11 @@
 Feature partitions follow the stream's life cycle: *vanished* features exist
 only during the compressing stage, *survived* features span both stages,
 *augmented* features appear only in the expanding stage. Every matrix shape
-in the library derives from one :class:`FeatureSchema`. Compressing-stage
-data arrives as :class:`Batch` objects; the expanding stage works on plain
-feature matrices in schema order (survived, then augmented) with one-hot
-labels. The one k-fold routine, shared by the grid search and the ensemble
-weight search, lives here too.
+in the library derives from one :class:`FeatureSchema`. Both stages work on
+schema-order feature matrices with one-hot labels: a compressing-stage
+:class:`Batch` holds one (vanished, survived) matrix, the expanding stage
+plain (survived, augmented) ones. The one k-fold routine, shared by the grid
+search and the ensemble weight search, lives here too.
 """
 
 from __future__ import annotations
@@ -73,31 +73,36 @@ class FeatureSchema:
 
 @dataclass(frozen=True)
 class Batch:
-    """One compressing-stage mini-batch: the vanished and survived feature
-    blocks plus the n x classes one-hot ``labels``. A zero-width vanished
-    block is legal and appears as an n x 0 array. Instances are immutable
-    after construction.
+    """One compressing-stage mini-batch: the n x (vanished + survived) feature
+    matrix ``x`` in schema order, the n x classes one-hot ``labels``, and the
+    width of ``x``'s leading vanished block. The ``vanished`` and ``survived``
+    blocks are column views of ``x``; a zero-width vanished block is legal and
+    is an n x 0 view. Instances are immutable after construction.
     """
 
-    vanished: np.ndarray
-    survived: np.ndarray
+    x: np.ndarray
     labels: np.ndarray
+    vanished_width: int
 
     @classmethod
     def cstage(cls, vanished, survived, labels) -> "Batch":
-        return cls(
-            vanished=_as_matrix(vanished, "vanished"),
-            survived=_as_matrix(survived, "survived"),
-            labels=_as_matrix(labels, "labels"),
-        )
+        """A batch from separate vanished and survived blocks of equal row count."""
+        vanished, survived = _as_matrix(vanished, "vanished"), _as_matrix(survived, "survived")
+        if vanished.shape[0] != survived.shape[0]:
+            raise SchemaError(f"blocks have {len(vanished)} vanished and {len(survived)} survived rows")
+        return cls(np.hstack([vanished, survived]), _as_matrix(labels, "labels"), vanished.shape[1])
+
+    @property
+    def vanished(self) -> np.ndarray:
+        return self.x[:, : self.vanished_width]
+
+    @property
+    def survived(self) -> np.ndarray:
+        return self.x[:, self.vanished_width :]
 
     @property
     def n(self) -> int:
-        return self.survived.shape[0]
-
-    def joined(self) -> np.ndarray:
-        """All feature columns of this batch, in schema order."""
-        return np.hstack([self.vanished, self.survived])
+        return self.x.shape[0]
 
 
 @dataclass(frozen=True)
@@ -283,12 +288,10 @@ def validate_batch(batch: Batch, schema: FeatureSchema) -> None:
         ("vanished", batch.vanished, schema.vanished),
         ("survived", batch.survived, schema.survived),
     ):
-        if block.shape[0] != n:
-            raise SchemaError(f"{name} block has {block.shape[0]} rows, expected {n}")
         if block.shape[1] != width:
             raise SchemaError(f"{name} block is {block.shape[1]} wide, schema says {width}")
-        if not np.isfinite(block).all():
-            raise SchemaError(f"{name} block contains non-finite entries")
+    if not np.isfinite(batch.x).all():
+        raise SchemaError("batch features contain non-finite entries")
 
     y = batch.labels
     if y.shape != (n, schema.classes):

@@ -15,7 +15,7 @@ import scipy.linalg
 
 def stack_stream(batches):
     """Concatenate a compressing-stage stream into full data matrices."""
-    x_all = np.vstack([b.joined() for b in batches])
+    x_all = np.vstack([b.x for b in batches])
     x_sur = np.vstack([b.survived for b in batches])
     y = np.vstack([b.labels for b in batches])
     return x_all, x_sur, y
@@ -42,7 +42,7 @@ def woodbury_downdate(minv, batch, lam):
     densely: A = blockdiag(X^T, X_s^T), K = [[1+lam, -lam], [-lam, 1+lam]]
     (x) I_n, core = K^-1 + A^T M^-1 A = U^T U, R = U^-T (M^-1 A)^T, and the
     result is the plain product and difference M^-1 - R^T R."""
-    x_all, x_sur = batch.joined(), batch.survived
+    x_all, x_sur = batch.x, batch.survived
     n = x_all.shape[0]
     a = scipy.linalg.block_diag(x_all.T, x_sur.T)
     k = np.kron([[1.0 + lam, -lam], [-lam, 1.0 + lam]], np.eye(n))
@@ -58,7 +58,7 @@ def cstage_gradient(batches, coef_full, coef_survived, lam, rho):
     g_full = rho * coef_full.copy()
     g_sur = rho * coef_survived.copy()
     for b in batches:
-        x_all = b.joined()
+        x_all = b.x
         x_sur = b.survived
         pred_full = x_all @ coef_full
         pred_sur = x_sur @ coef_survived

@@ -7,7 +7,7 @@ import pytest
 
 from opid import harness
 from opid.cli import main
-from opid.cstage import absorb_batch, init_stats, load_stats
+from opid.cstage import INVERSE, absorb_batch, init_stats, load_stats, save_stats
 from opid.ensemble import SolverError
 from opid.ingest import parse_manifest, stream_batches
 from opid.model import Hyperparams
@@ -109,7 +109,7 @@ class TestCStageCommand:
             "schema .* conflicts with the snapshot",
         )
 
-    @pytest.mark.parametrize("flags", [["--lambda", "1.0"], ["--rho", "0.5"], ["--mode", "inverse"]])
+    @pytest.mark.parametrize("flags", [["--lambda", "1.0"], ["--rho", "0.5"]])
     def test_resume_rejects_conflicting_flags(self, snapshot, tmp_path, capsys, flags):
         manifest_path, out = snapshot
         _assert_rejected(
@@ -129,13 +129,15 @@ class TestCStageCommand:
         lines = batch_file.read_text().splitlines()
         width = lines[0].count(",")  # feature columns; the label comes last
         batch_file.write_text("".join("1e200," * width + ln.rsplit(",", 1)[1] + "\n" for ln in lines))
-        out = tmp_path / "stats.npz"
-        _assert_rejected(
-            capsys,
-            ["cstage", "--manifest", manifest_path, "--out", str(out), "--mode", mode],
-            "non-finite",
-        )
-        assert not out.exists()
+        argv = ["cstage", "--manifest", manifest_path, "--out", str(tmp_path / "stats.npz")]
+        if mode == INVERSE:
+            # a new pass is direct; an inverse pass resumes a library-written snapshot
+            start = tmp_path / "start.npz"
+            schema = parse_manifest(manifest_path).schema
+            save_stats(init_stats(schema, Hyperparams(), INVERSE), start)
+            argv += ["--resume", str(start)]
+        _assert_rejected(capsys, argv, "non-finite")
+        assert not (tmp_path / "stats.npz").exists()
 
     def test_new_pass_defaults_to_direct_mode(self, tmp_path, capsys):
         # stats_dim 2 * 1025 = 2050 lies above the harness's auto-mode limit
@@ -153,8 +155,31 @@ class TestCStageCommand:
         manifest_path, out = snapshot
         assert main([
             "cstage", "--manifest", manifest_path, "--out", str(tmp_path / "x.npz"),
-            "--resume", str(out), "--lambda", "0.5", "--rho", "0.1", "--mode", "direct",
+            "--resume", str(out), "--lambda", "0.5", "--rho", "0.1",
         ]) == 0
+
+    def test_resume_continues_an_inverse_snapshot(self, tmp_path, capsys):
+        main(_synth_args(tmp_path / "data"))
+        manifest_path = capsys.readouterr().out.strip()
+        manifest = parse_manifest(manifest_path)
+        start = tmp_path / "start.npz"
+        save_stats(init_stats(manifest.schema, Hyperparams(lam=0.5), INVERSE), start)
+        out = tmp_path / "stats.npz"
+        assert main(["cstage", "--manifest", manifest_path, "--out", str(out),
+                     "--resume", str(start)]) == 0
+        stats = init_stats(manifest.schema, Hyperparams(lam=0.5), INVERSE)
+        for batch in stream_batches(manifest):
+            absorb_batch(stats, batch)
+        snapshot = load_stats(out)
+        assert snapshot.mode == INVERSE
+        np.testing.assert_array_equal(snapshot.mat, stats.mat)
+        np.testing.assert_array_equal(snapshot.rhs, stats.rhs)
+
+    def test_mode_flag_is_rejected(self, snapshot, tmp_path):
+        manifest_path, _ = snapshot
+        with pytest.raises(SystemExit):
+            main(["cstage", "--manifest", manifest_path, "--out", str(tmp_path / "x.npz"),
+                  "--mode", "direct"])
 
 
 class TestRunAndReportCommands:
@@ -267,9 +292,12 @@ class TestRejectedInput:
         (["run", "--lambda", "inf"], "consistency weight must be >= 0"),
         (["run", "--methods", ""], "no methods selected"),
         (["run", "--methods", "OPID,OPID,BASE_S"], "methods selected more than once: OPID"),
+        (["run", "--seed", "-1"], "seed must be >= 0"),
+        (["synth", "--seed", "-1"], "seed must be >= 0"),
     ])
     def test_bad_flag_values(self, manifest_path, tmp_path, capsys, argv, pattern):
-        argv = [*argv, "--manifest", manifest_path, "--out", str(tmp_path / "out")]
+        source = [] if argv[0] == "synth" else ["--manifest", manifest_path]
+        argv = [*argv, *source, "--out", str(tmp_path / "out")]
         _assert_rejected(capsys, argv, pattern)
         assert not (tmp_path / "out").exists()
 

@@ -79,7 +79,7 @@ class TestAbsorb:
         stats = absorb_batch(init_stats(schema, hyper), batch)
         p, n = schema.cstage_width, batch.n
         a = np.zeros((schema.stats_dim, 2 * n))
-        a[:p, :n] = batch.joined().T
+        a[:p, :n] = batch.x.T
         a[p:, n:] = batch.survived.T
         lam = hyper.lam
         k = np.kron([[1.0 + lam, -lam], [-lam, 1.0 + lam]], np.eye(n))

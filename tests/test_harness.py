@@ -312,6 +312,11 @@ class TestRunExperiment:
         with pytest.raises(SchemaError, match=pattern):
             _spec(methods)
 
+    @pytest.mark.parametrize("grid", ["lam_grid", "rho_grid", "gamma_grid", "alpha_grid"])
+    def test_empty_grid_rejected(self, grid):
+        with pytest.raises(SchemaError, match=f"{grid} is empty"):
+            ExperimentSpec(source=_spec((OPID,)).source, **{grid: ()})
+
     @pytest.mark.parametrize("methods, grid", [
         ((OPIDE,), {}),
         ((OPID,), {"gamma_grid": (0.5, 1.0)}),

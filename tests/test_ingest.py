@@ -46,7 +46,8 @@ class TestParseManifest:
     def test_valid_manifest_accepted(self, tmp_path):
         m = parse_manifest(_write_manifest(tmp_path))
         assert m.schema == FeatureSchema(vanished=1, survived=2, augmented=1, classes=2)
-        assert m.c_vanished == (0, 1) and m.c_survived == (1, 3)
+        assert m.cstage_columns == ((0, 1), (1, 3))
+        assert m.estage_columns == ((0, 2), (2, 3))
 
     def test_dna_shaped_manifest_accepted(self, tmp_path):
         schema = FeatureSchema(vanished=50, survived=80, augmented=50, classes=3)
@@ -86,6 +87,23 @@ class TestParseManifest:
     def test_malformed_field_rejected(self, tmp_path, field, value):
         path = _write_manifest(tmp_path, overrides={field: value})
         with pytest.raises(ManifestError, match="malformed manifest field"):
+            parse_manifest(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("survived", 3.7), ("survived", 2.0), ("survived", "3"), ("vanished", True),
+        ("classes", 2.0), ("classes", "2"),
+    ])
+    def test_non_integer_width_rejected(self, tmp_path, field, value):
+        path = _write_manifest(tmp_path, overrides={field: value})
+        with pytest.raises(ManifestError, match=f"{field} must be a JSON integer"):
+            parse_manifest(path)
+
+    @pytest.mark.parametrize("bounds", [[False, True], [1, True], [0, 1.0]])
+    def test_non_integer_range_bound_rejected(self, tmp_path, bounds):
+        path = _write_manifest(
+            tmp_path, overrides={"cstage_columns": {"vanished": bounds, "survived": [1, 3]}}
+        )
+        with pytest.raises(ManifestError, match="pair of integers"):
             parse_manifest(path)
 
     def test_non_utf8_manifest_rejected(self, tmp_path):
@@ -190,6 +208,37 @@ class TestStreamBatches:
             list(stream_batches(parse_manifest(path)))
 
 
+class TestBatchLayout:
+    """A compressing-stage batch is one C-ordered schema-order matrix whose
+    vanished and survived blocks are views of it."""
+
+    @staticmethod
+    def _assert_layout(batch, schema):
+        assert batch.x.flags.c_contiguous
+        assert batch.x.shape == (batch.n, schema.cstage_width)
+        assert np.shares_memory(batch.vanished, batch.x)
+        assert np.shares_memory(batch.survived, batch.x)
+        assert batch.vanished.shape[1] == schema.vanished
+        assert batch.survived.shape[1] == schema.survived
+
+    def test_synthetic_and_read_batches(self, tmp_path):
+        schema = FeatureSchema(vanished=2, survived=3, augmented=2, classes=3)
+        cfg = SynthConfig(schema=schema, batches=2, batch_size=5, estage_size=4, seed=4)
+        cbatches, etrain, etest = generate_synthetic(cfg)
+        manifest = parse_manifest(write_stream(cbatches, etrain, etest, tmp_path, schema))
+        for batch in (*cbatches, *stream_batches(manifest)):
+            self._assert_layout(batch, schema)
+
+    def test_permuted_manifest_batches(self, tmp_path):
+        path = _write_manifest(tmp_path, overrides={
+            "cstage_columns": {"vanished": [2, 3], "survived": [0, 2]},
+        })
+        manifest = parse_manifest(path)
+        (batch,) = stream_batches(manifest)
+        self._assert_layout(batch, manifest.schema)
+        np.testing.assert_array_equal(batch.x, [[2.0, 0.5, 1.0], [1.5, -0.5, 0.25]])
+
+
 class TestGenerateSynthetic:
     def test_same_seed_same_stream(self):
         schema = FeatureSchema(vanished=2, survived=3, augmented=2, classes=3)
@@ -197,7 +246,7 @@ class TestGenerateSynthetic:
         a_batches, a_train, a_test = generate_synthetic(cfg)
         b_batches, b_train, b_test = generate_synthetic(cfg)
         for a, b in zip(a_batches, b_batches):
-            np.testing.assert_array_equal(a.joined(), b.joined())
+            np.testing.assert_array_equal(a.x, b.x)
             np.testing.assert_array_equal(a.labels, b.labels)
         for a, b in ((a_train, b_train), (a_test, b_test)):
             np.testing.assert_array_equal(a[0], b[0])

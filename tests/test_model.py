@@ -112,13 +112,22 @@ class TestValidateBatch:
         with pytest.raises(SchemaError, match="vanished"):
             validate_batch(b, small_schema)
 
-    def test_row_count_mismatch(self, small_schema):
-        b = Batch.cstage(
-            vanished=np.zeros((2, 2)),
-            survived=np.zeros((3, 3)),
-            labels=one_hot_encode([0, 1, 0], 2),
-        )
+    def test_row_count_mismatch(self):
+        # blocks of unequal row count cannot be stacked into one matrix
         with pytest.raises(SchemaError, match="rows"):
+            Batch.cstage(
+                vanished=np.zeros((2, 2)),
+                survived=np.zeros((3, 3)),
+                labels=one_hot_encode([0, 1, 0], 2),
+            )
+
+    @pytest.mark.parametrize("column", [0, 4], ids=["vanished", "survived"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_features_rejected(self, small_schema, column, value):
+        x = np.zeros((2, 5))
+        x[1, column] = value
+        b = Batch.cstage(x[:, :2], x[:, 2:], one_hot_encode([0, 1], 2))
+        with pytest.raises(SchemaError, match="non-finite"):
             validate_batch(b, small_schema)
 
     def test_bad_labels(self, small_schema):
