@@ -4,9 +4,10 @@ Subcommands: ``synth`` writes a seeded synthetic stream to disk, ``cstage``
 runs a one-pass compressing-stage accumulation over a manifest in direct mode
 (or resumes one in its snapshot's mode), ``run`` executes the full experiment
 protocol, and ``report`` rebuilds the human-readable table from a
-machine-readable results file. Rejected input (a typed library error or an
-unreadable path) prints one ``opid: error:`` line to stderr and exits with
-code 2, as a rejected flag does.
+machine-readable results file. A flag left unset is not passed, so the
+library dataclass it sets keeps its own default. Rejected input (a typed
+library error or an unreadable path) prints one ``opid: error:`` line to
+stderr and exits with code 2, as a rejected flag does.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import fields
 
 from .cstage import absorb_batch, init_stats, load_stats, save_stats
 from .harness import (
@@ -52,6 +54,13 @@ def _signal(raw: str) -> tuple[float, float, float]:
     return values
 
 
+def _given(args, cls) -> dict:
+    """The parsed flags named after fields of the dataclass ``cls`` that are
+    set, as keyword arguments; a flag left unset is None."""
+    names = {f.name for f in fields(cls)}
+    return {k: v for k, v in vars(args).items() if k in names and v is not None}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="opid",
@@ -69,32 +78,35 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--batch-size", type=int, default=60)
     synth.add_argument("--estage-size", type=int, default=60,
                        help="instances in each expanding-stage set, train and test")
-    synth.add_argument("--separation", type=float, default=2.0)
-    synth.add_argument("--noise", type=float, default=1.0)
-    synth.add_argument("--signal", type=_signal, default=(1.0, 1.0, 1.0),
+    synth.add_argument("--separation", type=float)
+    synth.add_argument("--noise", type=float)
+    synth.add_argument("--signal", type=_signal,
                        help="signal fractions vanished,survived,augmented")
-    synth.add_argument("--seed", type=int, default=0)
+    synth.add_argument("--seed", type=int)
 
     cstage = sub.add_parser("cstage", help="run or resume a one-pass compressing-stage accumulation")
     cstage.add_argument("--manifest", required=True)
     cstage.add_argument("--out", required=True, help="statistics snapshot file (.npz)")
     cstage.add_argument("--resume", help="snapshot to continue from")
-    # No defaults here: a resumed pass must tell explicit flags from unset ones.
-    cstage.add_argument("--lambda", dest="lam", type=float, help="default 1.0")
-    cstage.add_argument("--rho", type=float, help="default 0.1")
+    # A resumed pass must also tell explicit flags from unset ones.
+    cstage.add_argument("--lambda", dest="lam", type=float, help=f"default {Hyperparams.lam}")
+    cstage.add_argument("--rho", type=float, help=f"default {Hyperparams.rho}")
 
     run = sub.add_parser("run", help="run the full experiment protocol")
     run.add_argument("--manifest", required=True)
     run.add_argument("--out", required=True, help="report output directory")
-    run.add_argument("--methods", type=_methods, default=ALL_METHODS)
-    run.add_argument("--lambda", dest="lam", type=_float_tuple, default=(1.0,),
+    run.add_argument("--methods", type=_methods)
+    run.add_argument("--lambda", dest="lam_grid", type=_float_tuple,
                      help="consistency weight grid (comma-separated)")
-    run.add_argument("--rho", type=_float_tuple, default=(0.1,), help="compressing-stage ridge grid")
-    run.add_argument("--gamma", type=_float_tuple, default=(1.0,), help="expanding-stage ridge grid")
-    run.add_argument("--alpha", type=_float_tuple, default=(1.0,), help="logistic loss weight grid")
-    run.add_argument("--repeats", type=int, default=20)
-    run.add_argument("--folds", type=int, default=5)
-    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--rho", dest="rho_grid", type=_float_tuple,
+                     help="compressing-stage ridge grid")
+    run.add_argument("--gamma", dest="gamma_grid", type=_float_tuple,
+                     help="expanding-stage ridge grid")
+    run.add_argument("--alpha", dest="alpha_grid", type=_float_tuple,
+                     help="logistic loss weight grid")
+    run.add_argument("--repeats", type=int)
+    run.add_argument("--folds", type=int)
+    run.add_argument("--seed", type=int)
 
     report = sub.add_parser("report", help="rebuild the table from a results.csv record")
     report.add_argument("--results", required=True)
@@ -109,16 +121,7 @@ def _cmd_synth(args) -> int:
         augmented=args.augmented,
         classes=args.classes,
     )
-    cfg = SynthConfig(
-        schema=schema,
-        batches=args.batches,
-        batch_size=args.batch_size,
-        estage_size=args.estage_size,
-        separation=args.separation,
-        noise=args.noise,
-        signal=args.signal,
-        seed=args.seed,
-    )
+    cfg = SynthConfig(schema=schema, **_given(args, SynthConfig))
     cbatches, etrain, etest = generate_synthetic(cfg)
     manifest_path = write_stream(cbatches, etrain, etest, args.out, schema)
     print(manifest_path)
@@ -131,14 +134,12 @@ def _cmd_cstage(args) -> int:
         stats = load_stats(args.resume)
         for name, given, stored in (
             ("schema", manifest.schema, stats.schema),
-            ("--lambda", args.lam, stats.lam), ("--rho", args.rho, stats.rho),
+            ("--lambda", args.lam, stats.hyper.lam), ("--rho", args.rho, stats.hyper.rho),
         ):
             if given is not None and given != stored:
                 raise SchemaError(f"{name} {given} conflicts with the snapshot's {stored}")
     else:
-        given = {"lam": args.lam, "rho": args.rho}
-        hyper = Hyperparams(**{k: v for k, v in given.items() if v is not None})
-        stats = init_stats(manifest.schema, hyper)
+        stats = init_stats(manifest.schema, Hyperparams(**_given(args, Hyperparams)))
     for batch in stream_batches(manifest):
         absorb_batch(stats, batch)
     save_stats(stats, args.out)
@@ -151,17 +152,7 @@ def _cmd_cstage(args) -> int:
 
 def _cmd_run(args) -> int:
     manifest = parse_manifest(args.manifest)
-    spec = ExperimentSpec(
-        source=manifest,
-        methods=args.methods,
-        lam_grid=args.lam,
-        rho_grid=args.rho,
-        gamma_grid=args.gamma,
-        alpha_grid=args.alpha,
-        repeats=args.repeats,
-        folds=args.folds,
-        seed=args.seed,
-    )
+    spec = ExperimentSpec(source=manifest, **_given(args, ExperimentSpec))
     table = run_experiment(spec)
     report_path, csv_path = emit_report(table, args.out)
     sys.stdout.write(format_report(table))

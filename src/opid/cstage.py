@@ -22,7 +22,6 @@ Two interchangeable accumulation strategies sit behind the same interface:
 
 from __future__ import annotations
 
-import math
 import zipfile
 import zlib
 from dataclasses import asdict, dataclass
@@ -60,15 +59,15 @@ class CStageStats:
     the (m, m) coupled normal matrix in ``inverse`` mode, with p = vanished +
     survived and m = p + survived. ``rhs`` is the (p, classes) cross-moment B
     with the one-hot labels. The footprint is fixed by the schema, never by
-    how many instances were absorbed. Single-writer: inverse-mode absorbing
+    how many instances were absorbed; inverse mode has ``hyper`` folded into
+    ``mat``. Single-writer: inverse-mode absorbing
     changes ``mat`` in place; direct mode builds new arrays and swaps them in
     only once they are checked finite.
     """
 
     mode: str
     schema: FeatureSchema
-    lam: float
-    rho: float
+    hyper: Hyperparams
     mat: np.ndarray
     rhs: np.ndarray
     batches_seen: int = 0
@@ -81,7 +80,7 @@ def init_stats(schema: FeatureSchema, hyper: Hyperparams, mode: str = DIRECT) ->
         raise SchemaError(f"unknown accumulation mode {mode!r}")
     p = schema.cstage_width
     mat = np.zeros((p, p)) if mode == DIRECT else np.eye(schema.stats_dim) / hyper.rho
-    return CStageStats(mode, schema, hyper.lam, hyper.rho, mat, np.zeros((p, schema.classes)))
+    return CStageStats(mode, schema, hyper, mat, np.zeros((p, schema.classes)))
 
 
 def absorb_batch(stats: CStageStats, batch: Batch) -> CStageStats:
@@ -104,7 +103,7 @@ def absorb_batch(stats: CStageStats, batch: Batch) -> CStageStats:
             # K = [[1+lam, -lam], [-lam, 1+lam]] (x) I_n, so the Woodbury core
             # is K^-1 + A^T M^-1 A with K^-1 = [[1+lam, lam], [lam, 1+lam]]
             # / (1+2 lam) (x) I_n (Hager 1989).
-            p, lam, x_sur = stats.schema.cstage_width, stats.lam, batch.survived
+            p, lam, x_sur = stats.schema.cstage_width, stats.hyper.lam, batch.survived
             ma = np.hstack([stats.mat[:, :p] @ x_all.T, stats.mat[:, p:] @ x_sur.T])
             checked = [rhs, ma]
         if not all(np.isfinite(a).all() for a in checked):
@@ -150,10 +149,10 @@ def _coupled_system(stats: CStageStats) -> tuple[np.ndarray | None, np.ndarray]:
     rhs = np.vstack([stats.rhs, stats.rhs[v:]])
     if stats.mode != DIRECT:
         return None, rhs
-    gram, lam = stats.mat, stats.lam
+    gram, lam = stats.mat, stats.hyper.lam
     cross = -lam * gram[:, v:]
     mat = np.block([[(1.0 + lam) * gram, cross], [cross.T, (1.0 + lam) * gram[v:, v:]]])
-    mat.flat[:: mat.shape[0] + 1] += stats.rho
+    mat.flat[:: mat.shape[0] + 1] += stats.hyper.rho
     return mat, rhs
 
 
@@ -196,8 +195,7 @@ def save_stats(stats: CStageStats, path) -> None:
             format=SNAPSHOT_FORMAT,
             mode=np.array(stats.mode),
             **asdict(stats.schema),
-            lam=stats.lam,
-            rho=stats.rho,
+            **asdict(stats.hyper),
             batches_seen=stats.batches_seen,
             mat=stats.mat,
             rhs=stats.rhs,
@@ -234,14 +232,17 @@ def load_stats(path) -> CStageStats:
     if raw["format"] != SNAPSHOT_FORMAT:
         raise SchemaError(f"{path}: snapshot format {raw['format']}, expected {SNAPSHOT_FORMAT}")
     mode, seen = str(raw["mode"]), int(raw["batches_seen"])
-    lam, rho = float(raw["lam"]), float(raw["rho"])
-    finite = 0 <= lam < math.inf and 0 < rho < math.inf
-    if mode not in (DIRECT, INVERSE) or not finite or seen < 0:
-        raise SchemaError(f"{path}: bad settings {mode=} {lam=} {rho=} batches_seen={seen}")
-    schema = FeatureSchema(*(int(raw[k]) for k in ("vanished", "survived", "augmented", "classes")))
+    if mode not in (DIRECT, INVERSE) or seen < 0:
+        raise SchemaError(f"{path}: bad settings {mode=} batches_seen={seen}")
+    try:
+        hyper = Hyperparams(lam=float(raw["lam"]), rho=float(raw["rho"]))
+        widths = (int(raw[k]) for k in ("vanished", "survived", "augmented", "classes"))
+        schema = FeatureSchema(*widths)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: bad settings: {exc}") from None
     dim = schema.cstage_width if mode == DIRECT else schema.stats_dim
     for key, shape in (("mat", (dim, dim)), ("rhs", (schema.cstage_width, schema.classes))):
         arr = raw.get(key, np.empty(0))
         if arr.shape != shape or arr.dtype != np.float64 or not np.isfinite(arr).all():
             raise SchemaError(f"{path}: {mode} snapshot needs a finite float64 {key!r} of {shape}")
-    return CStageStats(mode, schema, lam, rho, np.ascontiguousarray(raw["mat"]), raw["rhs"], seen)
+    return CStageStats(mode, schema, hyper, np.ascontiguousarray(raw["mat"]), raw["rhs"], seen)

@@ -3,7 +3,7 @@
 Both ensemble members are L2-regularized logistic models trained from scratch
 with a damped Newton iteration; the same solver backs the raw-feature
 baselines, so every classifier in the package shares one optimization
-contract: the gradient norm at the returned coefficients is below tolerance.
+contract: the gradient norm at the returned coefficients is <= ``NEWTON_TOL``.
 ``_fit_members`` fits both members with one loss weight wherever they are
 fit. The ensemble weights are picked on an 11-point grid by k-fold cross
 validation (``model._cv_accuracy``) of the probability-averaged decision.
@@ -32,6 +32,9 @@ from .model import (
 logger = logging.getLogger(__name__)
 
 WEIGHT_GRID = np.linspace(0.0, 1.0, 11)
+# train_logistic's gradient-norm tolerance and Newton iteration budget.
+NEWTON_TOL = 1e-6
+NEWTON_MAX_ITER = 500
 
 
 class SolverError(NumericError):
@@ -44,19 +47,14 @@ def logistic_objective(v: np.ndarray, x: np.ndarray, y_pm: np.ndarray, alpha: fl
     return 0.5 * float(v @ v) + alpha * float(np.logaddexp(0.0, -margins).sum())
 
 
-def train_logistic(
-    x,
-    y_pm,
-    alpha: float,
-    tol: float = 1e-6,
-    max_iter: int = 500,
-    init=None,
-) -> np.ndarray:
-    """Minimize the regularized logistic objective to gradient norm <= tol.
+def train_logistic(x, y_pm, alpha: float, init=None) -> np.ndarray:
+    """Minimize the regularized logistic objective to gradient norm <=
+    ``NEWTON_TOL``, starting from ``init`` (zeros by default).
 
     Damped Newton with Armijo backtracking; the Hessian is the identity plus
     a weighted Gram matrix, so every step is an SPD solve and the iteration
-    is globally convergent on this strictly convex objective.
+    is globally convergent on this strictly convex objective. No instances,
+    or a loss weight that is not finite and > 0, raise :class:`SchemaError`.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y_pm, dtype=np.float64)
@@ -65,18 +63,18 @@ def train_logistic(
     if y.shape != (x.shape[0],):
         raise SchemaError(f"labels have shape {y.shape}, expected ({x.shape[0]},)")
     if x.shape[0] < 1:
-        raise ValueError("need at least one instance")
-    if alpha <= 0:
-        raise ValueError(f"loss weight must be > 0, got {alpha}")
+        raise SchemaError("need at least one instance")
+    if not 0 < alpha < np.inf:
+        raise SchemaError(f"loss weight must be > 0 and finite, got {alpha}")
 
     d = x.shape[1]
     v = np.zeros(d) if init is None else np.asarray(init, dtype=np.float64).copy()
     f = logistic_objective(v, x, y, alpha)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         t = y * (x @ v)
         slack = expit(-t)
         grad = v - alpha * (x.T @ (y * slack))
-        if np.linalg.norm(grad) <= tol:
+        if np.linalg.norm(grad) <= NEWTON_TOL:
             return v
         curv = expit(t) * slack
         hess = np.eye(d) + alpha * (x.T * curv) @ x
@@ -90,7 +88,9 @@ def train_logistic(
                 break
             eta *= 0.5
         v, f = cand, f_cand
-    raise SolverError(f"no convergence to gradient norm {tol} within {max_iter} iterations")
+    raise SolverError(
+        f"no convergence to gradient norm {NEWTON_TOL} within {NEWTON_MAX_ITER} iterations"
+    )
 
 
 @dataclass(frozen=True)
@@ -123,12 +123,16 @@ class LogisticModel:
 
 @dataclass(frozen=True)
 class EnsembleModel:
-    """Two logistic members plus their cross-validated simplex weights."""
+    """Two logistic members plus their cross-validated simplex weights,
+    ``w_base`` and ``w_joint = 1 - w_base``."""
 
     clf_base: LogisticModel
     clf_joint: LogisticModel
     w_base: float
-    w_joint: float
+
+    @property
+    def w_joint(self) -> float:
+        return 1.0 - self.w_base
 
 
 def train_ovr(x, labels, alpha: float) -> LogisticModel:
@@ -176,7 +180,7 @@ def train_ensemble(data: StackedTrainSet, alpha: float = 1.0, folds: int = 5) ->
     # argmax keeps the first maximum: the smallest tied base weight, i.e. the
     # largest joint-block weight.
     w_base = float(WEIGHT_GRID[int(np.argmax(scores))])
-    return EnsembleModel(*_fit_members(data.z_joint, data.labels, alpha), w_base, 1.0 - w_base)
+    return EnsembleModel(*_fit_members(data.z_joint, data.labels, alpha), w_base)
 
 
 def predict_ensemble(x, cmodel: CStageModel, emodel: EnsembleModel) -> np.ndarray:

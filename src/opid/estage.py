@@ -40,6 +40,10 @@ from .model import (
 
 # Keeps the 1/weight ridge finite when one block's norm collapses to zero.
 WEIGHT_FLOOR = 1e-8
+# fit_unified stops once an iteration lowers the objective by no more than
+# FIT_TOL relative to it, or after FIT_MAX_ITER iterations.
+FIT_TOL = 1e-6
+FIT_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -88,10 +92,10 @@ class JointStats:
 
 @dataclass(frozen=True)
 class UnifiedTrainerState:
-    """Final iterate of the alternating trainer plus its objective trace."""
+    """Final iterate of the alternating trainer plus its objective trace,
+    one value per iteration."""
 
     model: EStageModel
-    iterations: int
     converged: bool
     trace: tuple[float, ...]
 
@@ -187,11 +191,9 @@ def objective_value(stats: JointStats, model: EStageModel, gamma: float) -> floa
     )
 
 
-def fit_unified(
-    stats: JointStats, gamma: float, tol: float = 1e-6, max_iter: int = 100
-) -> UnifiedTrainerState:
+def fit_unified(stats: JointStats, gamma: float) -> UnifiedTrainerState:
     """Alternate the two exact block updates from equal weights until the
-    relative objective decrease drops below ``tol``.
+    relative objective decrease drops below ``FIT_TOL``.
 
     Both half-steps are exact minimizations, so the objective is
     non-increasing; convergence is typically a handful of iterations. The
@@ -201,25 +203,21 @@ def fit_unified(
     w_base = 0.5
     prev = None
     trace: list[float] = []
-    model = None
     converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for _ in range(FIT_MAX_ITER):
         wb = min(max(w_base, WEIGHT_FLOOR), 1.0 - WEIGHT_FLOOR)
         v_base, v_joint = update_coefficients(stats, wb, 1.0 - wb, gamma)
-        w_base, w_joint = update_weights(v_base, v_joint)
-        model = EStageModel(v_base=v_base, v_joint=v_joint, w_base=w_base, w_joint=w_joint)
+        w_base, _ = update_weights(v_base, v_joint)
+        model = EStageModel(v_base=v_base, v_joint=v_joint, w_base=w_base)
         value = objective_value(stats, model, gamma)
         if not math.isfinite(value):
             raise NumericError("objective diverged to a non-finite value")
         trace.append(value)
-        if prev is not None and prev - value <= tol * max(1.0, abs(prev)):
+        if prev is not None and prev - value <= FIT_TOL * max(1.0, abs(prev)):
             converged = True
             break
         prev = value
-    return UnifiedTrainerState(
-        model=model, iterations=iterations, converged=converged, trace=tuple(trace)
-    )
+    return UnifiedTrainerState(model=model, converged=converged, trace=tuple(trace))
 
 
 def predict_unified(x, cmodel: CStageModel, emodel: EStageModel) -> np.ndarray:

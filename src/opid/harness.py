@@ -5,8 +5,9 @@ stream, repeated random 50/50 splits of the pooled expanding-stage rows (a
 feature matrix and its one-hot labels), training of the stacked methods
 (OPID, OPIDe) and the raw-feature logistic baselines on each split's
 training half, and aggregation into a table of mean/std accuracies with paired
-two-sided t-tests at confidence level 0.05. Identical specs (including the
-seed) produce identical tables and identical report bytes.
+two-sided t-tests at significance level 0.05, whose marks are computed from
+the stored accuracies. Identical specs (including the seed) produce
+identical tables and identical report bytes.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ ALL_METHODS = (OPID, OPIDE, BASE_ALL, BASE_S, BASE_A)
 SIGNIFICANT_BETTER = "significant_better"
 TIE = "tie"
 SIGNIFICANT_WORSE = "significant_worse"
+SIGNIFICANCE_LEVEL = 0.05  # of the two-sided paired t-test
 
 # Direct accumulation is preferred until the block dimension makes the final
 # factorization the bottleneck.
@@ -90,14 +92,25 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class ResultTable:
-    """Per-method accuracies over repeats plus pairwise significance marks."""
+    """Per-method accuracies over repeats; the repeat count and the pairwise
+    significance marks are computed from them."""
 
     methods: tuple[str, ...]
     accuracies: dict[str, tuple[float, ...]] = field(default_factory=dict)
-    marks: dict[tuple[str, str], str] = field(default_factory=dict)
-    repeats: int = 0
     seed: int | None = 0  # None: rebuilt from a record that does not store it
     failures: tuple[str, ...] = ()
+
+    @property
+    def repeats(self) -> int:
+        return len(next(iter(self.accuracies.values()))) if self.accuracies else 0
+
+    @functools.cached_property
+    def marks(self) -> dict[tuple[str, str], str]:
+        """The paired t-test mark of every ordered method pair, all ties below
+        2 repeats; ``marks[(b, a)]`` is the flip of ``marks[(a, b)]``."""
+        test = paired_t_test if self.repeats >= 2 else lambda a, b: TIE
+        acc = self.accuracies
+        return {(a, b): test(acc[a], acc[b]) for a, b in itertools.permutations(self.methods, 2)}
 
     def mean(self, method: str) -> float:
         acc = self.accuracies[method]
@@ -128,7 +141,7 @@ def run_cstage_pass(stream, schema: FeatureSchema, grid) -> dict[tuple[float, fl
     stats = init_stats(schema, Hyperparams(), mode=DIRECT)
     for batch in stream:
         absorb_batch(stats, batch)
-    return {(h.lam, h.rho): solve_model(replace(stats, lam=h.lam, rho=h.rho)) for h in points}
+    return {(h.lam, h.rho): solve_model(replace(stats, hyper=h)) for h in points}
 
 
 def k_fold_cv(x, y, grid, k: int, scorer) -> tuple[object, np.ndarray]:
@@ -149,11 +162,12 @@ def k_fold_cv(x, y, grid, k: int, scorer) -> tuple[object, np.ndarray]:
     return grid[int(np.argmax(scores))], scores
 
 
-def paired_t_test(a, b, level: float = 0.05) -> str:
+def paired_t_test(a, b) -> str:
     """Two-sided paired t-test on per-repeat accuracies.
 
     Zero-variance differences with nonzero mean count as significant by
-    convention; all-zero differences are a tie.
+    convention; a zero mean difference is a tie. Swapping ``a`` and ``b``
+    negates every difference exactly, so it flips the mark.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -161,23 +175,15 @@ def paired_t_test(a, b, level: float = 0.05) -> str:
         raise ValueError("need two equal-length accuracy vectors of size >= 2")
     diff = a - b
     mean = diff.mean()
-    if np.all(diff == 0.0):
+    if mean == 0.0:  # also where (diff - mean)**2 underflows to a zero sd
         return TIE
     sd = diff.std(ddof=1)
     if sd == 0.0:
         return SIGNIFICANT_BETTER if mean > 0 else SIGNIFICANT_WORSE
     t = mean / (sd / math.sqrt(diff.size))
     p = 2.0 * stdtr(diff.size - 1, -abs(t))
-    if p < level:
+    if p < SIGNIFICANCE_LEVEL:
         return SIGNIFICANT_BETTER if mean > 0 else SIGNIFICANT_WORSE
-    return TIE
-
-
-def _flip(mark: str) -> str:
-    if mark == SIGNIFICANT_BETTER:
-        return SIGNIFICANT_WORSE
-    if mark == SIGNIFICANT_WORSE:
-        return SIGNIFICANT_BETTER
     return TIE
 
 
@@ -252,7 +258,7 @@ class _MethodRunner:
         lam, rho, alpha = params
         cmodel = self.cmodels[(lam, rho)]
         data = build_stacked(x, y, cmodel)
-        emodel = EnsembleModel(*_fit_members(data.z_joint, data.labels, alpha), 0.5, 0.5)
+        emodel = EnsembleModel(*_fit_members(data.z_joint, data.labels, alpha), 0.5)
         return lambda x_new: predict_ensemble(x_new, cmodel, emodel)
 
 
@@ -262,25 +268,8 @@ def build_table(
     seed: int | None,
     failures: tuple[str, ...] = (),
 ) -> ResultTable:
-    """Aggregate per-repeat accuracies into a table with pairwise marks."""
-    repeats = len(next(iter(accuracies.values()))) if accuracies else 0
-    marks: dict[tuple[str, str], str] = {}
-    for i, m1 in enumerate(methods):
-        for m2 in methods[i + 1 :]:
-            if repeats >= 2:
-                mark = paired_t_test(accuracies[m1], accuracies[m2])
-            else:
-                mark = TIE
-            marks[(m1, m2)] = mark
-            marks[(m2, m1)] = _flip(mark)
-    return ResultTable(
-        methods=methods,
-        accuracies={m: tuple(accuracies[m]) for m in methods},
-        marks=marks,
-        repeats=repeats,
-        seed=seed,
-        failures=failures,
-    )
+    """Pack per-repeat accuracies into a table."""
+    return ResultTable(methods, {m: tuple(accuracies[m]) for m in methods}, seed, failures)
 
 
 def run_experiment(spec: ExperimentSpec) -> ResultTable:
@@ -369,8 +358,10 @@ def load_results(csv_path) -> ResultTable:
     An unreadable file, bytes that are not UTF-8, or a malformed record
     raise :class:`SchemaError` naming the path, and ``path:line`` where the
     line is known: a wrong header, a row without exactly three fields, a
-    non-integer repeat, an accuracy outside [0, 1], or methods with unequal
-    repeat counts. The record holds no seed, so the table's seed is ``None``.
+    non-integer repeat, an accuracy outside [0, 1], a method whose rows do
+    not number its repeats 0, 1, 2, ... in file order, or methods with
+    unequal repeat counts. The record holds no seed, so the table's seed is
+    ``None``.
     """
     accuracies: dict[str, list[float]] = {}
     last_line: dict[str, int] = {}
@@ -384,15 +375,19 @@ def load_results(csv_path) -> ResultTable:
                 continue
             try:
                 method, repeat, acc = line.split(",")
-                int(repeat)
-                acc = float(acc)
+                repeat, acc = int(repeat), float(acc)
             except ValueError:
                 raise SchemaError(
                     f"{csv_path}:{lineno}: expected method,repeat,accuracy, got {line!r}"
                 ) from None
             if not 0.0 <= acc <= 1.0:
                 raise SchemaError(f"{csv_path}:{lineno}: accuracy {acc} outside [0, 1]")
-            accuracies.setdefault(method, []).append(acc)
+            seen = accuracies.setdefault(method, [])
+            if repeat != len(seen):
+                raise SchemaError(
+                    f"{csv_path}:{lineno}: {method} repeat {repeat}, expected {len(seen)}"
+                )
+            seen.append(acc)
             last_line[method] = lineno
     methods = tuple(accuracies)
     for method in methods[1:]:

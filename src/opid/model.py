@@ -127,7 +127,7 @@ class CStageModel:
 @dataclass(frozen=True)
 class EStageModel:
     """Joint expanding-stage model: two coefficient blocks plus their
-    simplex weights.
+    simplex weights, ``w_base`` and ``w_joint = 1 - w_base``.
 
     ``v_base`` acts on the compressed representation (class-score features),
     ``v_joint`` on the joint representation (compressed + augmented). The
@@ -138,7 +138,6 @@ class EStageModel:
     v_base: np.ndarray
     v_joint: np.ndarray
     w_base: float
-    w_joint: float
 
     def __post_init__(self):
         c = self.v_base.shape[1]
@@ -148,10 +147,12 @@ class EStageModel:
             )
         if self.v_joint.shape[1] != c or self.v_joint.shape[0] < c:
             raise SchemaError(f"joint-block coefficients have bad shape {self.v_joint.shape}")
-        if self.w_base < 0 or self.w_joint < 0 or abs(self.w_base + self.w_joint - 1.0) > 1e-12:
-            raise SchemaError(
-                f"weights must lie on the simplex, got ({self.w_base}, {self.w_joint})"
-            )
+        if not 0.0 <= self.w_base <= 1.0:  # nan fails too
+            raise SchemaError(f"base-block weight must lie in [0, 1], got {self.w_base}")
+
+    @property
+    def w_joint(self) -> float:
+        return 1.0 - self.w_base
 
 
 @dataclass(frozen=True)
@@ -265,9 +266,9 @@ def _cv_accuracy(x, y, folds: int, predict) -> np.ndarray:
     x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
     n = x.shape[0]
     if folds < 2:
-        raise ValueError(f"need at least 2 folds, got {folds}")
+        raise SchemaError(f"need at least 2 folds, got {folds}")
     if n < folds:
-        raise ValueError(f"cannot make {folds} folds from {n} instances")
+        raise SchemaError(f"cannot make {folds} folds from {n} instances")
     total = 0.0
     for val_idx in np.array_split(np.arange(n), folds):
         train = np.ones(n, dtype=bool)

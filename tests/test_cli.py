@@ -5,12 +5,13 @@ import re
 import numpy as np
 import pytest
 
-from opid import harness
+from opid import cli, harness
 from opid.cli import main
 from opid.cstage import INVERSE, absorb_batch, init_stats, load_stats, save_stats
 from opid.ensemble import SolverError
-from opid.ingest import parse_manifest, stream_batches
-from opid.model import Hyperparams
+from opid.harness import ExperimentSpec
+from opid.ingest import SynthConfig, parse_manifest, stream_batches
+from opid.model import FeatureSchema, Hyperparams, SchemaError
 
 
 def _synth_args(out_dir, seed=0):
@@ -332,3 +333,78 @@ class TestRejectedInput:
         path = tmp_path / "results.csv"
         path.write_bytes(body)
         _assert_rejected(capsys, ["report", "--results", str(path)], pattern)
+
+
+class TestFlagDefaults:
+    """Flags left unset are not passed, so the dataclass defaults hold."""
+
+    @staticmethod
+    def _captured(monkeypatch, name, argv):
+        seen = []
+
+        def capture(value):
+            seen.append(value)
+            raise SchemaError("captured")
+
+        monkeypatch.setattr(cli, name, capture)
+        assert main(argv) == 2
+        (value,) = seen
+        return value
+
+    def test_synth_builds_the_default_config(self, tmp_path, monkeypatch):
+        cfg = self._captured(monkeypatch, "generate_synthetic", ["synth", "--out", str(tmp_path)])
+        schema = FeatureSchema(vanished=25, survived=50, augmented=25, classes=3)
+        assert cfg == SynthConfig(schema=schema, batches=10, batch_size=60, estage_size=60)
+
+    def test_run_builds_the_default_spec(self, tmp_path, capsys, monkeypatch):
+        main(_synth_args(tmp_path / "data"))
+        manifest_path = capsys.readouterr().out.strip()
+        argv = ["run", "--manifest", manifest_path, "--out", str(tmp_path / "out")]
+        spec = self._captured(monkeypatch, "run_experiment", argv)
+        assert spec == ExperimentSpec(source=parse_manifest(manifest_path))
+
+
+# ``opid run`` output on the stream of ``_PINNED_SYNTH``, written by an earlier
+# version of the program: reports must not change by a byte.
+_PINNED_SYNTH = [
+    "--classes", "3", "--vanished", "3", "--survived", "4", "--augmented", "3",
+    "--batches", "3", "--batch-size", "20", "--estage-size", "30", "--seed", "7",
+]
+_PINNED_RUN = ["--lambda", "0.5,1", "--repeats", "3", "--seed", "7"]
+_PINNED_REPORT = """\
+repeats=3 seed=7
+method         mean      std      vs OPID     vs OPIDe  vs BASE_ALL    vs BASE_S    vs BASE_A
+OPID         0.9111   0.1018            -            =            =            =            =
+OPIDe        0.9556   0.0509            =            -            =            =            >
+BASE_ALL     0.9333   0.0333            =            =            -            =            =
+BASE_S       0.7889   0.0509            =            =            =            -            =
+BASE_A       0.9222   0.0509            =            <            =            =            -
+"""
+_PINNED_RESULTS = """\
+method,repeat,accuracy
+OPID,0,1.0
+OPID,1,0.9333333333333333
+OPID,2,0.8
+OPIDe,0,1.0
+OPIDe,1,0.9666666666666667
+OPIDe,2,0.9
+BASE_ALL,0,0.9666666666666667
+BASE_ALL,1,0.9333333333333333
+BASE_ALL,2,0.9
+BASE_S,0,0.7333333333333333
+BASE_S,1,0.8333333333333334
+BASE_S,2,0.8
+BASE_A,0,0.9666666666666667
+BASE_A,1,0.9333333333333333
+BASE_A,2,0.8666666666666667
+"""
+
+
+def test_report_bytes_are_pinned(tmp_path, capsys):
+    # all five methods, and a two-point lambda grid so cross validation runs
+    assert main(["synth", "--out", str(tmp_path / "data"), *_PINNED_SYNTH]) == 0
+    manifest_path = capsys.readouterr().out.strip()
+    out = tmp_path / "out"
+    assert main(["run", "--manifest", manifest_path, "--out", str(out), *_PINNED_RUN]) == 0
+    assert (out / "report.txt").read_bytes() == _PINNED_REPORT.encode()
+    assert (out / "results.csv").read_bytes() == _PINNED_RESULTS.encode()

@@ -368,7 +368,7 @@ class TestSnapshot:
         loaded = load_stats(path)
         assert loaded.mode == stats.mode
         assert loaded.schema == stats.schema
-        assert loaded.lam == stats.lam and loaded.rho == stats.rho
+        assert loaded.hyper == stats.hyper
         assert loaded.batches_seen == stats.batches_seen
         np.testing.assert_array_equal(loaded.mat, stats.mat)
         np.testing.assert_array_equal(loaded.rhs, stats.rhs)

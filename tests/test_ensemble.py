@@ -52,13 +52,27 @@ class TestTrainLogistic:
         rng = np.random.default_rng(2)
         x = rng.standard_normal((30, 4))
         y = np.where(rng.random(30) < 0.5, 1.0, -1.0)
-        v0 = train_logistic(x, y, alpha=1.0, tol=1e-6)
-        v1 = train_logistic(x, y, alpha=1.0, tol=1e-6, init=rng.standard_normal(4))
+        v0 = train_logistic(x, y, alpha=1.0)
+        v1 = train_logistic(x, y, alpha=1.0, init=rng.standard_normal(4))
         assert np.abs(v0 - v1).max() <= 1e-5
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
             train_logistic(np.zeros((2, 1)), np.array([1.0, -1.0]), alpha=0.0)
+
+    @pytest.mark.parametrize("alpha", [-1.0, np.nan, np.inf])
+    def test_bad_alpha_is_a_schema_error(self, alpha):
+        # nan and inf used to reach the Newton solve; inf warned on the way
+        x, y = separable_binary(np.random.default_rng(0), n=6)
+        with pytest.raises(SchemaError, match="loss weight must be > 0 and finite"):
+            train_logistic(x, y, alpha=alpha)
+        labels = one_hot_encode((y > 0).astype(int), 2)
+        with pytest.raises(SchemaError, match="loss weight"):
+            train_ovr(x, labels, alpha=alpha)
+
+    def test_empty_training_set_is_a_schema_error(self):
+        with pytest.raises(SchemaError, match="at least one instance"):
+            train_logistic(np.zeros((0, 2)), np.zeros(0), alpha=1.0)
 
 
 class TestTrainOvr:
@@ -118,6 +132,17 @@ class TestTrainEnsemble:
         with pytest.raises(ValueError):
             train_ensemble(data, folds=5)
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
+    def test_bad_alpha_is_a_schema_error(self, alpha):
+        data = _stacked_with_noise_augmented(np.random.default_rng(7), n=20)
+        with pytest.raises(SchemaError, match="loss weight"):
+            train_ensemble(data, alpha=alpha)
+
+    def test_one_fold_is_a_schema_error(self):
+        data = _stacked_with_noise_augmented(np.random.default_rng(7), n=20)
+        with pytest.raises(SchemaError, match="at least 2 folds"):
+            train_ensemble(data, folds=1)
+
     def test_grid_contains_both_endpoints(self):
         assert WEIGHT_GRID[0] == 0.0 and WEIGHT_GRID[-1] == 1.0
 
@@ -166,7 +191,7 @@ class TestPredictEnsemble:
         x = np.hstack([rng.standard_normal((25, 4)), rng.standard_normal((25, 2))])
         clf_base = LogisticModel(coef=rng.standard_normal((3, 3)))
         clf_joint = LogisticModel(coef=rng.standard_normal((5, 3)))
-        emodel = EnsembleModel(clf_base, clf_joint, w_base, 1.0 - w_base)
+        emodel = EnsembleModel(clf_base, clf_joint, w_base)
         return cmodel, x, emodel, clf_base, clf_joint
 
     def test_full_base_weight_matches_base_member(self):
@@ -190,7 +215,7 @@ class TestPredictEnsemble:
         coef = rng.standard_normal((3, 3))
         member = LogisticModel(coef=coef)
         for w in (0.0, 0.3, 1.0):
-            emodel = EnsembleModel(member, member, w, 1.0 - w)
+            emodel = EnsembleModel(member, member, w)
             z = x @ cmodel.coef_survived
             np.testing.assert_array_equal(predict_ensemble(x, cmodel, emodel), member.predict(z))
 
@@ -199,11 +224,11 @@ class TestPredictEnsemble:
 @pytest.mark.parametrize(
     "predict, model",
     [
-        (predict_unified, EStageModel(np.zeros((3, 3)), np.zeros((5, 3)), 0.5, 0.5)),
+        (predict_unified, EStageModel(np.zeros((3, 3)), np.zeros((5, 3)), 0.5)),
         (
             predict_ensemble,
             EnsembleModel(
-                LogisticModel(np.zeros((3, 3))), LogisticModel(np.zeros((5, 3))), 0.5, 0.5
+                LogisticModel(np.zeros((3, 3))), LogisticModel(np.zeros((5, 3))), 0.5
             ),
         ),
     ],

@@ -214,6 +214,45 @@ class TestPairedTTest:
                 np.testing.assert_allclose(2.0 * half_p, 2.0 * stats.t.sf(-x, df), rtol=1e-12)
 
 
+_FLIP = {SIGNIFICANT_BETTER: SIGNIFICANT_WORSE, TIE: TIE, SIGNIFICANT_WORSE: SIGNIFICANT_BETTER}
+
+
+class TestMarks:
+    """``marks`` tests every ordered pair; (b, a) must read as the flip of (a, b)."""
+
+    @staticmethod
+    def _check(a, b):
+        table = build_table(("A", "B"), {"A": list(a), "B": list(b)}, seed=0)
+        assert table.repeats == len(a)
+        assert table.marks[("B", "A")] == _FLIP[table.marks[("A", "B")]]
+        return table.marks[("A", "B")]
+
+    def test_random_accuracies(self):
+        rng = np.random.default_rng(23)
+        for _ in range(400):
+            n = int(rng.integers(2, 12))
+            if rng.random() < 0.5:
+                a, b = rng.integers(0, 31, n) / 30, rng.integers(0, 31, n) / 30
+            else:
+                a, b = rng.random(n), rng.random(n)
+            self._check(a, b)
+
+    def test_all_zero_differences_tie(self):
+        a = [0.5, 0.7, 0.9]
+        assert self._check(a, a) == TIE
+
+    def test_zero_variance_differences_are_significant(self):
+        assert self._check([0.75, 0.5, 1.0], [0.5, 0.25, 0.75]) == SIGNIFICANT_BETTER
+
+    def test_zero_mean_with_underflowing_variance_ties(self):
+        # (d - mean)**2 underflows to 0, so sd is 0 while the differences are not
+        assert self._check([1e-170, 0.0], [0.0, 1e-170]) == TIE
+
+    @pytest.mark.parametrize("a, b", [([], []), ([0.9], [0.1])], ids=["none", "one"])
+    def test_fewer_than_two_repeats_tie(self, a, b):
+        assert self._check(a, b) == TIE
+
+
 def _spec(methods, repeats=3, seed=0, **cfg_kwargs):
     schema = cfg_kwargs.pop("schema", FeatureSchema(vanished=3, survived=5, augmented=3, classes=3))
     defaults = dict(
@@ -387,11 +426,16 @@ class TestReports:
             ("method,repeat,accuracy\nA,0,1.5\n", ":2:"),
             ("method,repeat,accuracy\nA,0,-0.1\n", ":2:"),
             ("method,repeat,accuracy\nA,0,0.5\nA,1,0.6\nB,0,0.7\n", ":4:"),
+            ("method,repeat,accuracy\nA,1,0.5\nA,0,0.6\n", ":2: A repeat 1, expected 0"),
+            ("method,repeat,accuracy\nA,0,0.5\nB,0,0.6\nA,0,0.7\n", ":4: A repeat 0, expected 1"),
+            ("method,repeat,accuracy\nA,0,0.5\nA,2,0.6\n", ":3: A repeat 2, expected 1"),
+            ("method,repeat,accuracy\nA,-1,0.5\nA,0,0.6\n", ":2: A repeat -1, expected 0"),
         ],
         ids=[
             "header", "two-cells", "four-cells", "accuracy-abc", "repeat-not-int",
             "accuracy-nan", "accuracy-inf", "accuracy-above-1", "accuracy-below-0",
-            "unequal-repeats",
+            "unequal-repeats", "repeats-reordered", "repeat-duplicated", "repeat-gap",
+            "repeat-negative",
         ],
     )
     def test_malformed_record_rejected(self, tmp_path, body, where):

@@ -172,16 +172,22 @@ class TestHyperparams:
 
 
 class TestEStageModelInvariants:
-    def test_weights_off_simplex_rejected(self):
-        with pytest.raises(SchemaError):
-            EStageModel(np.zeros((2, 2)), np.zeros((4, 2)), w_base=0.7, w_joint=0.7)
-
     def test_negative_weight_rejected(self):
         with pytest.raises(SchemaError):
-            EStageModel(np.zeros((2, 2)), np.zeros((4, 2)), w_base=-0.2, w_joint=1.2)
+            EStageModel(np.zeros((2, 2)), np.zeros((4, 2)), w_base=-0.2)
+
+    @pytest.mark.parametrize("w_base", [np.nan, 1.2])
+    def test_base_weight_outside_unit_interval_rejected(self, w_base):
+        with pytest.raises(SchemaError, match="weight"):
+            EStageModel(np.zeros((2, 2)), np.zeros((4, 2)), w_base=w_base)
+
+    @pytest.mark.parametrize("w_base", [0.0, 0.3, 0.5, 1.0])
+    def test_joint_weight_is_the_complement(self, w_base):
+        model = EStageModel(np.zeros((3, 3)), np.zeros((5, 3)), w_base=w_base)
+        assert model.w_joint == 1.0 - w_base
 
     def test_valid_model(self):
-        EStageModel(np.zeros((3, 3)), np.zeros((5, 3)), w_base=0.5, w_joint=0.5)
+        EStageModel(np.zeros((3, 3)), np.zeros((5, 3)), w_base=0.5)
 
 
 class TestSolveSpd:
