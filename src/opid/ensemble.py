@@ -4,10 +4,13 @@ Both ensemble members are L2-regularized logistic models trained from scratch
 with a damped Newton iteration; the same solver backs the raw-feature
 baselines, so every classifier in the package shares one optimization
 contract: the gradient norm at the returned coefficients is <= ``NEWTON_TOL``.
-``_fit_members`` fits both members with one loss weight wherever they are
-fit. The ensemble weights are picked on an 11-point grid by k-fold cross
-validation (``model._cv_accuracy``) of the probability-averaged decision.
-Prediction takes a feature matrix, survived columns first, augmented after.
+Training takes the joint block ``z`` of :func:`estage.build_stacked` and
+its one-hot labels: the base member is fit on the c compressed columns
+``z[:, :c]``, the joint member on all of ``z``. ``_fit_members`` fits both
+members with one loss weight wherever they are fit. The ensemble weights
+are picked on an 11-point grid by k-fold cross validation
+(``model._cv_accuracy``) of the probability-averaged decision. Prediction
+takes a feature matrix, survived columns first, augmented after.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .estage import StackedTrainSet, _model_blocks
+from .estage import _base_width, _joint_data, build_stacked
 from .model import (
     CStageModel,
     NumericError,
@@ -47,6 +50,11 @@ def logistic_objective(v: np.ndarray, x: np.ndarray, y_pm: np.ndarray, alpha: fl
     return 0.5 * float(v @ v) + alpha * float(np.logaddexp(0.0, -margins).sum())
 
 
+def _check_loss_weight(alpha: float) -> None:
+    if not 0 < alpha < np.inf:
+        raise SchemaError(f"loss weight must be > 0 and finite, got {alpha}")
+
+
 def train_logistic(x, y_pm, alpha: float, init=None) -> np.ndarray:
     """Minimize the regularized logistic objective to gradient norm <=
     ``NEWTON_TOL``, starting from ``init`` (zeros by default).
@@ -64,8 +72,7 @@ def train_logistic(x, y_pm, alpha: float, init=None) -> np.ndarray:
         raise SchemaError(f"labels have shape {y.shape}, expected ({x.shape[0]},)")
     if x.shape[0] < 1:
         raise SchemaError("need at least one instance")
-    if not 0 < alpha < np.inf:
-        raise SchemaError(f"loss weight must be > 0 and finite, got {alpha}")
+    _check_loss_weight(alpha)
 
     d = x.shape[1]
     v = np.zeros(d) if init is None else np.asarray(init, dtype=np.float64).copy()
@@ -136,12 +143,15 @@ class EnsembleModel:
 
 
 def train_ovr(x, labels, alpha: float) -> LogisticModel:
-    """Train one binary logistic task per class against the rest."""
+    """Train one binary logistic task per class against the rest. A bad loss
+    weight raises :class:`SchemaError` even when only one class is present
+    and the fit is a constant classifier."""
     x = np.asarray(x, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     c = labels.shape[1]
     if c < 2:
         raise SchemaError(f"need at least two classes, got {c}")
+    _check_loss_weight(alpha)
     present = np.flatnonzero(labels.sum(axis=0) > 0)
     if present.size == 1:
         only = int(present[0])
@@ -153,18 +163,20 @@ def train_ovr(x, labels, alpha: float) -> LogisticModel:
     return LogisticModel(coef=coef)
 
 
-def _fit_members(z_joint: np.ndarray, labels: np.ndarray, alpha: float):
+def _fit_members(z: np.ndarray, labels: np.ndarray, alpha: float):
     """The base member, fit on the leading ``labels.shape[1]`` (compressed)
-    columns of the joint block, and the joint member, fit on the whole block."""
-    z_base = z_joint[:, : labels.shape[1]]
-    return train_ovr(z_base, labels, alpha), train_ovr(z_joint, labels, alpha)
+    columns of the joint block ``z``, and the joint member, fit on all of it."""
+    return train_ovr(z[:, : labels.shape[1]], labels, alpha), train_ovr(z, labels, alpha)
 
 
-def train_ensemble(data: StackedTrainSet, alpha: float = 1.0, folds: int = 5) -> EnsembleModel:
-    """Pick the combination weight by k-fold cross validation of the
-    probability-averaged decision, then fit both members on the full
-    training set. Both members use the loss weight ``alpha``; a bad
-    ``folds`` raises before any member is fit.
+def train_ensemble(z, labels, alpha: float = 1.0, folds: int = 5) -> EnsembleModel:
+    """Fit the ensemble on a joint block ``z`` and its one-hot ``labels``.
+
+    Picks the combination weight by k-fold cross validation of the
+    probability-averaged decision, then fits both members on the full
+    training set. Both members use the loss weight ``alpha``. Labels that do
+    not fit the block, or a bad ``folds``, raise :class:`SchemaError` before
+    any member is fit.
 
     The grid contains both endpoints, so the ensemble never scores worse in
     CV than either member alone; ties go to the larger joint-block weight
@@ -176,19 +188,19 @@ def train_ensemble(data: StackedTrainSet, alpha: float = 1.0, folds: int = 5) ->
         p_joint = fold_joint.proba(z_val)
         return [argmax_decode(w * p_base + (1.0 - w) * p_joint) for w in WEIGHT_GRID]
 
-    scores = _cv_accuracy(data.z_joint, data.labels, folds, predict)
+    z, labels = _joint_data(z, labels)
+    scores = _cv_accuracy(z, labels, folds, predict)
     # argmax keeps the first maximum: the smallest tied base weight, i.e. the
     # largest joint-block weight.
     w_base = float(WEIGHT_GRID[int(np.argmax(scores))])
-    return EnsembleModel(*_fit_members(data.z_joint, data.labels, alpha), w_base)
+    return EnsembleModel(*_fit_members(z, labels, alpha), w_base)
 
 
 def predict_ensemble(x, cmodel: CStageModel, emodel: EnsembleModel) -> np.ndarray:
     """Classify the rows of an n x (survived + augmented) feature matrix by
     weighted probability averaging of the two members."""
-    z_base, z_joint = _model_blocks(
-        x, cmodel, emodel.clf_base.coef.shape[0], emodel.clf_joint.coef.shape[0]
-    )
-    combined = emodel.w_base * emodel.clf_base.proba(z_base)
-    combined += emodel.w_joint * emodel.clf_joint.proba(z_joint)
+    z = build_stacked(x, cmodel)
+    c = _base_width(z, cmodel, emodel.clf_base.coef.shape[0], emodel.clf_joint.coef.shape[0])
+    combined = emodel.w_base * emodel.clf_base.proba(z[:, :c])
+    combined += emodel.w_joint * emodel.clf_joint.proba(z)
     return argmax_decode(combined)

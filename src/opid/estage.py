@@ -1,21 +1,23 @@
 """Expanding-stage joint trainer: ridge stacking with learned block weights.
 
 The expanding stage works on feature matrices with the columns in schema
-order, survived then augmented; training adds one-hot labels, prediction
-needs the features only. The compressed class scores of the survived-feature
-classifier become input features, alongside the augmented raw features. The
-model has two blocks: ``v_base`` on the c compressed columns and ``v_joint``
-on the k-wide joint block (compressed + augmented). Training alternates two closed-form steps on
-a jointly convex objective: a ridge solve for both blocks at fixed weights,
-and an exact simplex-constrained weight update from the blocks' width-scaled
-norms. Each block's ridge is divided by its width so the narrow compressed
-block is not drowned out by the wide augmented block.
+order, survived then augmented. :func:`build_stacked` maps one to its n x k
+joint block ``z``: the compressed class scores of the survived-feature
+classifier, then the augmented raw features. Training takes ``z`` and its
+one-hot labels; prediction needs the features only. The model has two
+blocks: ``v_base`` on the c compressed columns ``z[:, :c]`` and ``v_joint``
+on all of ``z``. Training alternates two closed-form steps on a jointly
+convex objective: a ridge solve for both blocks at a fixed base weight
+``w_base`` (the joint block's is ``1 - w_base``), and an exact
+simplex-constrained weight update from the blocks' width-scaled norms. Each
+block's ridge is divided by its width so the narrow compressed block is not
+drowned out by the wide augmented block.
 
 The compressed columns lead the joint block, so both blocks' scores add up
-to one map ``z_joint @ u`` and the coefficient step is a single k x k ridge
+to one map ``z @ u`` and the coefficient step is a single k x k ridge
 solve on the joint block. With a = gamma / (c * w_base) and
-b = gamma / (k * w_joint), the compressed columns get ridge ab / (a + b) and
-the augmented ones ridge b; the blocks split back exactly as
+b = gamma / (k * (1 - w_base)), the compressed columns get ridge ab / (a + b)
+and the augmented ones ridge b; the blocks split back exactly as
 ``v_base = b/(a+b) u[:c]``, ``v_joint[:c] = a/(a+b) u[:c]``,
 ``v_joint[c:] = u[c:]``. A fit reads the data only through its weight-free
 k x k :class:`JointStats` record, formed once; it never touches the rows.
@@ -47,35 +49,6 @@ FIT_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
-class StackedTrainSet:
-    """Expanding-stage training data in stacked form.
-
-    ``z_joint`` is the joint block (n x (classes + augmented)): the
-    compressed class-score features followed by the augmented features.
-    ``labels`` is the n x classes one-hot matrix, whose width fixes how many
-    leading columns are compressed ones.
-    """
-
-    z_joint: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        z, y = self.z_joint, self.labels
-        if z.ndim != 2 or y.ndim != 2 or y.shape[0] != z.shape[0] or y.shape[1] > z.shape[1]:
-            raise SchemaError(f"labels of shape {y.shape} do not fit a joint block of {z.shape}")
-
-    @property
-    def z_base(self) -> np.ndarray:
-        """The compressed block: a view of the leading columns of ``z_joint``."""
-        return self.z_joint[:, : self.labels.shape[1]]
-
-    def stats(self) -> JointStats:
-        """The sufficient statistics that an OPID fit reads."""
-        z, y = self.z_joint, self.labels
-        return JointStats(gram=z.T @ z, zty=z.T @ y, yy=float((y**2).sum()))
-
-
-@dataclass(frozen=True)
 class JointStats:
     """Sufficient statistics of the joint block Z and one-hot labels Y:
     ``gram`` = ZᵀZ (k x k), ``zty`` = ZᵀY (k x classes) and ``yy`` = ‖Y‖²."""
@@ -89,6 +62,12 @@ class JointStats:
         if b.ndim != 2 or g.shape != (b.shape[0],) * 2 or b.shape[1] > b.shape[0]:
             raise SchemaError(f"statistics of shapes {g.shape} and {b.shape} do not fit")
 
+    @classmethod
+    def of(cls, z, labels) -> JointStats:
+        """The statistics of a joint block ``z`` and its one-hot ``labels``."""
+        z, y = _joint_data(z, labels)
+        return cls(gram=z.T @ z, zty=z.T @ y, yy=float((y**2).sum()))
+
 
 @dataclass(frozen=True)
 class UnifiedTrainerState:
@@ -100,9 +79,29 @@ class UnifiedTrainerState:
     trace: tuple[float, ...]
 
 
-def _joint_block(x, cmodel: CStageModel) -> np.ndarray:
-    """The joint block of an n x (survived + augmented) feature matrix: the
-    compressed scores of its first ``survived`` columns, then the rest."""
+def _joint_data(z, labels) -> tuple[np.ndarray, np.ndarray]:
+    """A joint block and its one-hot labels as float matrices, checked to have
+    equal row counts and no more classes than joint columns."""
+    z, y = np.asarray(z, dtype=np.float64), np.asarray(labels, dtype=np.float64)
+    if z.ndim != 2 or y.ndim != 2 or y.shape[0] != z.shape[0] or y.shape[1] > z.shape[1]:
+        raise SchemaError(f"labels of shape {y.shape} do not fit a joint block of {z.shape}")
+    return z, y
+
+
+def _base_width(z: np.ndarray, cmodel: CStageModel, base_rows: int, joint_rows: int) -> int:
+    """The width c of the compressed block ``z[:, :c]``; it and the width of
+    ``z`` must match the input widths of a trained model's two blocks."""
+    c = cmodel.coef_survived.shape[1]
+    if (c, z.shape[1]) != (base_rows, joint_rows):
+        raise SchemaError(
+            f"blocks are {c} and {z.shape[1]} wide, model expects {base_rows} and {joint_rows}"
+        )
+    return c
+
+
+def build_stacked(x, cmodel: CStageModel) -> np.ndarray:
+    """The n x k joint block of an n x (survived + augmented) feature matrix:
+    the compressed scores of its first ``survived`` columns, then the rest."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise SchemaError(f"features must be 2-D, got {x.ndim}-D")
@@ -110,62 +109,40 @@ def _joint_block(x, cmodel: CStageModel) -> np.ndarray:
     return np.hstack([compress(x[:, :s], cmodel), x[:, s:]])
 
 
-def _model_blocks(x, cmodel: CStageModel, base_rows: int, joint_rows: int):
-    """The compressed and joint blocks of a feature matrix, checked against
-    the input widths of a trained model's two blocks."""
-    z = _joint_block(x, cmodel)
-    c = cmodel.coef_survived.shape[1]
-    if (c, z.shape[1]) != (base_rows, joint_rows):
-        raise SchemaError(
-            f"blocks are {c} and {z.shape[1]} wide, model expects {base_rows} and {joint_rows}"
-        )
-    return z[:, :c], z
-
-
-def build_stacked(x, labels, cmodel: CStageModel) -> StackedTrainSet:
-    """Training data in stacked form from a feature matrix and its one-hot
-    labels."""
-    return StackedTrainSet(
-        z_joint=_joint_block(x, cmodel), labels=np.asarray(labels, dtype=np.float64)
-    )
-
-
 def update_coefficients(
-    stats: JointStats, w_base: float, w_joint: float, gamma: float
+    stats: JointStats, w_base: float, gamma: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact coefficient solve at fixed weights.
+    """Exact coefficient solve at a fixed base weight ``w_base`` in (0, 1),
+    the joint block's weight being ``1 - w_base``.
 
     Minimizes the stacked ridge objective over both blocks by the reduced
     k x k ridge solve; the per-block ridge is gamma / (width * weight). The
     reduced system is SPD because both ridge terms are strictly positive.
     """
-    if not (w_base > 0 and w_joint > 0):
-        raise SchemaError(f"weights must be > 0, got ({w_base}, {w_joint})")
+    if not 0 < w_base < 1:  # nan fails too
+        raise SchemaError(f"base weight must lie in (0, 1), got {w_base}")
     if not 0 < gamma < math.inf:
         raise SchemaError(f"ridge must be > 0 and finite, got {gamma}")
     k, c = stats.zty.shape
-    inv_a, inv_b = c * w_base / gamma, k * w_joint / gamma  # 1/a and 1/b
+    inv_a, inv_b = c * w_base / gamma, k * (1.0 - w_base) / gamma  # 1/a and 1/b
     ridge = np.repeat([1.0 / (inv_a + inv_b), 1.0 / inv_b], [c, k - c])  # ab/(a+b), b
     u = _solve_spd(stats.gram + np.diag(ridge), stats.zty, "stacked ridge")
     share = inv_a / (inv_a + inv_b)  # b/(a+b)
     return share * u[:c], np.vstack([(1.0 - share) * u[:c], u[c:]])
 
 
-def update_weights(v_base: np.ndarray, v_joint: np.ndarray) -> tuple[float, float]:
-    """Exact simplex-constrained weight update.
+def update_weights(v_base: np.ndarray, v_joint: np.ndarray) -> float:
+    """Exact simplex-constrained weight update; returns ``w_base``.
 
     Minimizes the weighted inverse penalty over w_base + w_joint = 1,
     w >= 0; the optimum is proportional to each block's Frobenius norm
     divided by the square root of its width. An all-zero model falls back
-    to (1/2, 1/2).
+    to 1/2.
     """
     r_base = np.linalg.norm(v_base) / math.sqrt(v_base.shape[0])
     r_joint = np.linalg.norm(v_joint) / math.sqrt(v_joint.shape[0])
     total = r_base + r_joint
-    if total == 0.0:
-        return 0.5, 0.5
-    w_base = r_base / total
-    return w_base, 1.0 - w_base
+    return 0.5 if total == 0.0 else r_base / total
 
 
 def objective_value(stats: JointStats, model: EStageModel, gamma: float) -> float:
@@ -206,8 +183,8 @@ def fit_unified(stats: JointStats, gamma: float) -> UnifiedTrainerState:
     converged = False
     for _ in range(FIT_MAX_ITER):
         wb = min(max(w_base, WEIGHT_FLOOR), 1.0 - WEIGHT_FLOOR)
-        v_base, v_joint = update_coefficients(stats, wb, 1.0 - wb, gamma)
-        w_base, _ = update_weights(v_base, v_joint)
+        v_base, v_joint = update_coefficients(stats, wb, gamma)
+        w_base = update_weights(v_base, v_joint)
         model = EStageModel(v_base=v_base, v_joint=v_joint, w_base=w_base)
         value = objective_value(stats, model, gamma)
         if not math.isfinite(value):
@@ -227,5 +204,6 @@ def predict_unified(x, cmodel: CStageModel, emodel: EStageModel) -> np.ndarray:
     The square-root block weighting is already absorbed into the stored
     coefficients, so the combined score is the plain sum of both blocks.
     """
-    z_base, z_joint = _model_blocks(x, cmodel, emodel.v_base.shape[0], emodel.v_joint.shape[0])
-    return argmax_decode(z_base @ emodel.v_base + z_joint @ emodel.v_joint)
+    z = build_stacked(x, cmodel)
+    c = _base_width(z, cmodel, emodel.v_base.shape[0], emodel.v_joint.shape[0])
+    return argmax_decode(z[:, :c] @ emodel.v_base + z @ emodel.v_joint)

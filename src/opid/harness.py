@@ -3,8 +3,9 @@
 Reproduces the two-stage protocol: one pass over the compressing-stage
 stream, repeated random 50/50 splits of the pooled expanding-stage rows (a
 feature matrix and its one-hot labels), training of the stacked methods
-(OPID, OPIDe) and the raw-feature logistic baselines on each split's
-training half, and aggregation into a table of mean/std accuracies with paired
+(OPID, OPIDe) on the joint block that ``build_stacked`` makes of each
+split's training half, and of the raw-feature logistic baselines on its
+columns, and aggregation into a table of mean/std accuracies with paired
 two-sided t-tests at significance level 0.05, whose marks are computed from
 the stored accuracies. Identical specs (including the seed) produce
 identical tables and identical report bytes.
@@ -25,7 +26,7 @@ from scipy.special import stdtr
 
 from .cstage import DIRECT, INVERSE, absorb_batch, init_stats, solve_model
 from .ensemble import EnsembleModel, _fit_members, predict_ensemble, train_ensemble, train_ovr
-from .estage import build_stacked, fit_unified, predict_unified
+from .estage import JointStats, build_stacked, fit_unified, predict_unified
 from .ingest import StreamManifest, SynthConfig, generate_synthetic, read_estage, stream_batches
 from .model import (CStageModel, FeatureSchema, Hyperparams, SchemaError, _accuracy,
                     _cv_accuracy, _read_text)
@@ -74,7 +75,9 @@ class ExperimentSpec:
             raise SchemaError("no methods selected")
         unknown = set(self.methods) - set(ALL_METHODS)
         if unknown:
-            raise SchemaError(f"unknown methods {sorted(unknown)}")
+            raise SchemaError(
+                f"unknown methods {sorted(unknown)}; choose from {', '.join(ALL_METHODS)}"
+            )
         repeated = [m for m in ALL_METHODS if self.methods.count(m) > 1]
         if repeated:
             raise SchemaError(f"methods selected more than once: {', '.join(repeated)}")
@@ -243,13 +246,13 @@ class _MethodRunner:
     def _fit_opid(self, params, x, y):
         lam, rho, gamma = params
         cmodel = self.cmodels[(lam, rho)]
-        emodel = fit_unified(build_stacked(x, y, cmodel).stats(), gamma).model
+        emodel = fit_unified(JointStats.of(build_stacked(x, cmodel), y), gamma).model
         return lambda x_new: predict_unified(x_new, cmodel, emodel)
 
     def _fit_opide(self, params, x, y):
         lam, rho, alpha = params
         cmodel = self.cmodels[(lam, rho)]
-        emodel = train_ensemble(build_stacked(x, y, cmodel), alpha, folds=self.spec.folds)
+        emodel = train_ensemble(build_stacked(x, cmodel), y, alpha, folds=self.spec.folds)
         return lambda x_new: predict_ensemble(x_new, cmodel, emodel)
 
     def _fit_opide_cv(self, params, x, y):
@@ -257,8 +260,7 @@ class _MethodRunner:
         # search runs only on the final fit.
         lam, rho, alpha = params
         cmodel = self.cmodels[(lam, rho)]
-        data = build_stacked(x, y, cmodel)
-        emodel = EnsembleModel(*_fit_members(data.z_joint, data.labels, alpha), 0.5)
+        emodel = EnsembleModel(*_fit_members(build_stacked(x, cmodel), y, alpha), 0.5)
         return lambda x_new: predict_ensemble(x_new, cmodel, emodel)
 
 

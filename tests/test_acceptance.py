@@ -13,7 +13,7 @@ import numpy as np
 from opid.cstage import DIRECT, INVERSE, _coupled_system, absorb_batch, init_stats, solve_model
 from opid.ensemble import train_logistic
 from opid.estage import (
-    StackedTrainSet,
+    JointStats,
     fit_unified,
     update_coefficients,
     update_weights,
@@ -212,10 +212,9 @@ def _random_stacked_instances(count: int = 20, seed: int = 4321):
         n = int(rng.integers(10, 41))
         c = int(rng.integers(2, 5))
         d_a = int(rng.integers(0, 7))
-        z_base = rng.standard_normal((n, c))
-        z_joint = np.hstack([z_base, rng.standard_normal((n, d_a))])
+        z = np.hstack([rng.standard_normal((n, c)), rng.standard_normal((n, d_a))])
         labels = one_hot_encode(rng.integers(0, c, size=n), c)
-        instances.append(StackedTrainSet(z_joint=z_joint, labels=labels))
+        instances.append((z, labels))
     return instances
 
 
@@ -223,16 +222,16 @@ def test_criterion_6_alternating_descent():
     worst_increase = -np.inf
     worst_consistency = 0.0
     all_converged = True
-    for data in _random_stacked_instances():
-        state = fit_unified(data.stats(), gamma=1.0)
+    for z, labels in _random_stacked_instances():
+        state = fit_unified(JointStats.of(z, labels), gamma=1.0)
         all_converged &= state.converged and len(state.trace) <= 100
         if len(state.trace) > 1:
             worst_increase = max(worst_increase, float(np.diff(state.trace).max()))
-        w_base, w_joint = update_weights(state.model.v_base, state.model.v_joint)
+        w_base = update_weights(state.model.v_base, state.model.v_joint)
         worst_consistency = max(
             worst_consistency,
             abs(w_base - state.model.w_base),
-            abs(w_joint - state.model.w_joint),
+            abs((1.0 - w_base) - state.model.w_joint),
         )
     _verdict(
         6,
@@ -254,7 +253,7 @@ def test_criterion_7_closed_form_weights_optimal():
         v_joint = rng.standard_normal((k, 3)) * rng.uniform(0.1, 3.0)
         sq_base = float((v_base**2).sum())
         sq_joint = float((v_joint**2).sum())
-        w_base, _ = update_weights(v_base, v_joint)
+        w_base = update_weights(v_base, v_joint)
         achieved = oracles.weight_penalty(sq_base, sq_joint, c, k, w_base)
         grid_best = min(oracles.weight_penalty(sq_base, sq_joint, c, k, w) for w in grid)
         worst_gap = max(worst_gap, achieved - grid_best)
@@ -271,10 +270,11 @@ def test_criterion_7_closed_form_weights_optimal():
 def test_criterion_8_coefficient_solve_optimal():
     worst_diff = 0.0
     worst_grad = 0.0
-    for data in _random_stacked_instances(count=20, seed=8765):
-        v_base, v_joint = update_coefficients(data.stats(), 0.5, 0.5, gamma=1.0)
+    for z, labels in _random_stacked_instances(count=20, seed=8765):
+        c = labels.shape[1]
+        v_base, v_joint = update_coefficients(JointStats.of(z, labels), 0.5, gamma=1.0)
         ref_base, ref_joint = oracles.gd_minimize_stacked(
-            data.z_base, data.z_joint, data.labels, 0.5, 0.5, gamma=1.0
+            z[:, :c], z, labels, 0.5, 0.5, gamma=1.0
         )
         worst_diff = max(
             worst_diff,
@@ -287,9 +287,7 @@ def test_criterion_8_coefficient_solve_optimal():
         def flat_objective(flat):
             vb = flat[:split].reshape(shapes[0])
             vj = flat[split:].reshape(shapes[1])
-            return oracles.stacked_objective(
-                data.z_base, data.z_joint, data.labels, vb, vj, 0.5, 0.5, 1.0
-            )
+            return oracles.stacked_objective(z[:, :c], z, labels, vb, vj, 0.5, 0.5, 1.0)
 
         grad = oracles.finite_diff_gradient(
             flat_objective, np.concatenate([v_base.ravel(), v_joint.ravel()])

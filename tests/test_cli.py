@@ -228,12 +228,16 @@ class TestRunAndReportCommands:
         assert rebuilt.splitlines()[0] == "repeats=4 seed=unknown"
         assert run_report.splitlines()[1:] == rebuilt.splitlines()[1:]
 
-    def test_unknown_method_rejected(self, stream_dir, tmp_path):
-        with pytest.raises(SystemExit):
-            main([
-                "run", "--manifest", stream_dir, "--out", str(tmp_path / "x"),
-                "--methods", "NOPE",
-            ])
+    def test_unknown_method_rejected(self, stream_dir, tmp_path, capsys):
+        argv = [
+            "run", "--manifest", stream_dir, "--out", str(tmp_path / "x"),
+            "--methods", "NOPE",
+        ]
+        _assert_rejected(
+            capsys, argv,
+            re.escape("unknown methods ['NOPE']; choose from OPID, OPIDe, BASE_ALL, BASE_S, BASE_A"),
+        )
+        assert not (tmp_path / "x").exists()
 
     @pytest.fixture
     def tiny_stream(self, tmp_path, capsys):
@@ -315,6 +319,12 @@ class TestRejectedInput:
     def test_non_finite_synth_flag_value(self, tmp_path, capsys, flag, value, pattern):
         out = tmp_path / "data"
         _assert_rejected(capsys, [*_synth_args(out), flag, value], pattern)
+        assert not out.exists()
+
+    def test_signal_needs_three_fractions(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        _assert_rejected(capsys, [*_synth_args(out), "--signal", "1,2"],
+                         re.escape("signal must be three finite fractions >= 0, got (1.0, 2.0)"))
         assert not out.exists()
 
     def test_missing_manifest(self, tmp_path, capsys):

@@ -12,7 +12,7 @@ from opid.ensemble import (
     train_logistic,
     train_ovr,
 )
-from opid.estage import StackedTrainSet, predict_unified
+from opid.estage import predict_unified
 from opid.model import CStageModel, EStageModel, SchemaError, one_hot_encode
 
 import oracles
@@ -60,15 +60,16 @@ class TestTrainLogistic:
         with pytest.raises(ValueError):
             train_logistic(np.zeros((2, 1)), np.array([1.0, -1.0]), alpha=0.0)
 
-    @pytest.mark.parametrize("alpha", [-1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("alpha", [-1.0, 0.0, np.nan, np.inf])
     def test_bad_alpha_is_a_schema_error(self, alpha):
         # nan and inf used to reach the Newton solve; inf warned on the way
         x, y = separable_binary(np.random.default_rng(0), n=6)
         with pytest.raises(SchemaError, match="loss weight must be > 0 and finite"):
             train_logistic(x, y, alpha=alpha)
-        labels = one_hot_encode((y > 0).astype(int), 2)
-        with pytest.raises(SchemaError, match="loss weight"):
-            train_ovr(x, labels, alpha=alpha)
+        # a single class present makes a constant classifier, checked all the same
+        for labels in (one_hot_encode((y > 0).astype(int), 2), one_hot_encode([1] * 6, 3)):
+            with pytest.raises(SchemaError, match="loss weight"):
+                train_ovr(x, labels, alpha=alpha)
 
     def test_empty_training_set_is_a_schema_error(self):
         with pytest.raises(SchemaError, match="at least one instance"):
@@ -121,27 +122,38 @@ def _stacked_with_noise_augmented(rng, n=60, c=3, d_a=8, noise=1.0):
     centers = 2.5 * np.eye(c)
     labels_idx = rng.integers(0, c, size=n)
     z_base = centers[labels_idx] + noise * rng.standard_normal((n, c))
-    z_joint = np.hstack([z_base, rng.standard_normal((n, d_a))])
-    return StackedTrainSet(z_joint=z_joint, labels=one_hot_encode(labels_idx, c))
+    z = np.hstack([z_base, rng.standard_normal((n, d_a))])
+    return z, one_hot_encode(labels_idx, c)
 
 
 class TestTrainEnsemble:
     def test_too_many_folds_rejected(self):
         rng = np.random.default_rng(7)
-        data = _stacked_with_noise_augmented(rng, n=4)
+        z, labels = _stacked_with_noise_augmented(rng, n=4)
         with pytest.raises(ValueError):
-            train_ensemble(data, folds=5)
+            train_ensemble(z, labels, folds=5)
 
-    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
+    @pytest.mark.parametrize("alpha", [np.nan, 0.0, np.inf])
     def test_bad_alpha_is_a_schema_error(self, alpha):
-        data = _stacked_with_noise_augmented(np.random.default_rng(7), n=20)
-        with pytest.raises(SchemaError, match="loss weight"):
-            train_ensemble(data, alpha=alpha)
+        z, labels = _stacked_with_noise_augmented(np.random.default_rng(7), n=20)
+        # single-class data, whose members are constant classifiers, too
+        for y in (labels, one_hot_encode([2] * 20, 3)):
+            with pytest.raises(SchemaError, match="loss weight"):
+                train_ensemble(z, y, alpha=alpha)
+
+    @pytest.mark.parametrize("z_shape, labels_shape", [
+        ((10, 2), (10, 3)),  # labels wider than the block
+        ((10, 5), (9, 3)),  # unequal row counts
+        ((10,), (10, 3)),
+    ])
+    def test_labels_that_do_not_fit_the_block_rejected(self, z_shape, labels_shape):
+        with pytest.raises(SchemaError, match="do not fit a joint block"):
+            train_ensemble(np.zeros(z_shape), np.zeros(labels_shape), folds=2)
 
     def test_one_fold_is_a_schema_error(self):
-        data = _stacked_with_noise_augmented(np.random.default_rng(7), n=20)
+        z, labels = _stacked_with_noise_augmented(np.random.default_rng(7), n=20)
         with pytest.raises(SchemaError, match="at least 2 folds"):
-            train_ensemble(data, folds=1)
+            train_ensemble(z, labels, folds=1)
 
     def test_grid_contains_both_endpoints(self):
         assert WEIGHT_GRID[0] == 0.0 and WEIGHT_GRID[-1] == 1.0
@@ -150,22 +162,21 @@ class TestTrainEnsemble:
         hits = 0
         for seed in range(20):
             rng = np.random.default_rng(100 + seed)
-            data = _stacked_with_noise_augmented(rng, n=60, noise=1.2)
-            model = train_ensemble(data, folds=5)
+            z, labels = _stacked_with_noise_augmented(rng, n=60, noise=1.2)
+            model = train_ensemble(z, labels, folds=5)
             hits += model.w_base >= 0.5
         assert hits > 10
 
     def test_weights_on_simplex(self):
         rng = np.random.default_rng(8)
-        data = _stacked_with_noise_augmented(rng)
-        model = train_ensemble(data, folds=5)
+        model = train_ensemble(*_stacked_with_noise_augmented(rng), folds=5)
         assert model.w_base + model.w_joint == pytest.approx(1.0, abs=1e-15)
         assert 0.0 <= model.w_base <= 1.0
 
     def test_weight_matches_naive_fold_loop(self):
         rng = np.random.default_rng(21)
-        data = _stacked_with_noise_augmented(rng, n=45, noise=1.5)
-        z, labels, c, folds = data.z_joint, data.labels, data.labels.shape[1], 3
+        z, labels = _stacked_with_noise_augmented(rng, n=45, noise=1.5)
+        c, folds = labels.shape[1], 3
         scores = np.zeros(WEIGHT_GRID.size)
         for val in np.array_split(np.arange(z.shape[0]), folds):
             z_tr, y_tr = np.delete(z, val, axis=0), np.delete(labels, val, axis=0)
@@ -177,7 +188,7 @@ class TestTrainEnsemble:
                 scores[i] += np.mean(pred == truth)
         # not all tied: the maximum is shared by w_base 0.3 and 0.4, and the first wins
         assert np.unique(scores).size > 1
-        model = train_ensemble(data, folds=folds)
+        model = train_ensemble(z, labels, folds=folds)
         assert model.w_base == WEIGHT_GRID[np.argmax(scores)]
         np.testing.assert_array_equal(model.clf_base.coef, train_ovr(z[:, :c], labels, 1.0).coef)
         np.testing.assert_array_equal(model.clf_joint.coef, train_ovr(z, labels, 1.0).coef)

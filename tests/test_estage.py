@@ -6,7 +6,6 @@ import pytest
 from opid.cstage import absorb_batch, init_stats, solve_model
 from opid.estage import (
     JointStats,
-    StackedTrainSet,
     build_stacked,
     fit_unified,
     objective_value,
@@ -30,10 +29,9 @@ import oracles
 
 
 def random_stacked(rng, n=20, c=3, d_a=4):
-    z_base = rng.standard_normal((n, c))
-    z_joint = np.hstack([z_base, rng.standard_normal((n, d_a))])
-    labels = one_hot_encode(rng.integers(0, c, size=n), c)
-    return StackedTrainSet(z_joint=z_joint, labels=labels)
+    """A random n x (c + d_a) joint block and its one-hot labels."""
+    z = np.hstack([rng.standard_normal((n, c)), rng.standard_normal((n, d_a))])
+    return z, one_hot_encode(rng.integers(0, c, size=n), c)
 
 
 class TestBuildStacked:
@@ -41,22 +39,23 @@ class TestBuildStacked:
         cmodel = CStageModel(np.zeros((5, 2)), np.zeros((3, 2)))
         augmented = np.arange(8.0).reshape(4, 2)
         x = np.hstack([np.ones((4, 3)), augmented])
-        data = build_stacked(x, one_hot_encode([0, 1, 0, 1], 2), cmodel)
-        np.testing.assert_array_equal(data.z_base, np.zeros((4, 2)))
-        np.testing.assert_array_equal(data.z_joint[:, 2:], augmented)
+        z = build_stacked(x, cmodel)
+        assert z.shape == (4, 4)
+        np.testing.assert_array_equal(z[:, :2], np.zeros((4, 2)))
+        np.testing.assert_array_equal(z[:, 2:], augmented)
 
     def test_empty_augmented_block(self):
         rng = np.random.default_rng(0)
         cmodel = CStageModel(np.zeros((5, 2)), rng.standard_normal((3, 2)))
-        data = build_stacked(rng.standard_normal((4, 3)), one_hot_encode([0, 1, 0, 1], 2), cmodel)
-        np.testing.assert_array_equal(data.z_joint, data.z_base)
+        x = rng.standard_normal((4, 3))
+        np.testing.assert_array_equal(build_stacked(x, cmodel), x @ cmodel.coef_survived)
 
     def test_leading_columns_identical(self):
         rng = np.random.default_rng(1)
         cmodel = CStageModel(np.zeros((5, 3)), rng.standard_normal((4, 3)))
         x = np.hstack([rng.standard_normal((6, 4)), rng.standard_normal((6, 2))])
-        data = build_stacked(x, one_hot_encode(rng.integers(0, 3, 6), 3), cmodel)
-        assert np.array_equal(data.z_joint[:, :3], data.z_base)
+        z = build_stacked(x, cmodel)
+        assert np.array_equal(z, np.hstack([x[:, :4] @ cmodel.coef_survived, x[:, 4:]]))
 
     def test_rejects_features_that_do_not_fit(self):
         # the survived width is 3: two columns cannot be compressed, and the
@@ -64,41 +63,40 @@ class TestBuildStacked:
         cmodel = CStageModel(np.zeros((5, 2)), np.zeros((3, 2)))
         for x in (np.zeros((2, 2)), np.zeros(5), np.zeros((2, 5, 1))):
             with pytest.raises(SchemaError):
-                build_stacked(x, one_hot_encode([0, 1], 2), cmodel)
+                build_stacked(x, cmodel)
 
 
 class TestUpdateCoefficients:
     def test_zero_labels_give_zero_coefficients(self):
         rng = np.random.default_rng(2)
-        data = random_stacked(rng)
-        zeroed = StackedTrainSet(z_joint=data.z_joint, labels=np.zeros_like(data.labels))
-        v_base, v_joint = update_coefficients(zeroed.stats(), 0.5, 0.5, gamma=1.0)
+        z, labels = random_stacked(rng)
+        v_base, v_joint = update_coefficients(
+            JointStats.of(z, np.zeros_like(labels)), 0.5, gamma=1.0
+        )
         np.testing.assert_allclose(v_base, 0.0, atol=1e-12)
         np.testing.assert_allclose(v_joint, 0.0, atol=1e-12)
 
     def test_matches_descent_oracle(self):
         rng = np.random.default_rng(3)
-        data = random_stacked(rng, n=20, c=3, d_a=4)
-        v_base, v_joint = update_coefficients(data.stats(), 0.5, 0.5, gamma=1.0)
+        z, labels = random_stacked(rng, n=20, c=3, d_a=4)
+        v_base, v_joint = update_coefficients(JointStats.of(z, labels), 0.5, gamma=1.0)
         ref_base, ref_joint = oracles.gd_minimize_stacked(
-            data.z_base, data.z_joint, data.labels, 0.5, 0.5, gamma=1.0
+            z[:, :3], z, labels, 0.5, 0.5, gamma=1.0
         )
         np.testing.assert_allclose(v_base, ref_base, atol=1e-6)
         np.testing.assert_allclose(v_joint, ref_joint, atol=1e-6)
 
     def test_finite_difference_stationarity(self):
         rng = np.random.default_rng(4)
-        data = random_stacked(rng, n=20, c=3, d_a=4)
-        v_base, v_joint = update_coefficients(data.stats(), 0.5, 0.5, gamma=1.0)
+        z, labels = random_stacked(rng, n=20, c=3, d_a=4)
+        v_base, v_joint = update_coefficients(JointStats.of(z, labels), 0.5, gamma=1.0)
         shapes = (v_base.shape, v_joint.shape)
         split = v_base.size
 
         def flat_objective(flat):
             vb = flat[:split].reshape(shapes[0])
             vj = flat[split:].reshape(shapes[1])
-            return oracles.stacked_objective(
-                data.z_base, data.z_joint, data.labels, vb, vj, 0.5, 0.5, 1.0
-            )
+            return oracles.stacked_objective(z[:, :3], z, labels, vb, vj, 0.5, 0.5, 1.0)
 
         grad = oracles.finite_diff_gradient(
             flat_objective, np.concatenate([v_base.ravel(), v_joint.ravel()])
@@ -113,11 +111,11 @@ class TestUpdateCoefficients:
         # the reduced k x k solve against the explicit (c + k)-wide one, at the
         # clamped weights and with no augmented columns (k = c)
         rng = np.random.default_rng(17)
-        data = random_stacked(rng, n=30, c=3, d_a=d_a)
+        z, labels = random_stacked(rng, n=30, c=3, d_a=d_a)
         w_joint, gamma = 1.0 - w_base, 0.7
-        v_base, v_joint = update_coefficients(data.stats(), w_base, w_joint, gamma)
+        v_base, v_joint = update_coefficients(JointStats.of(z, labels), w_base, gamma)
         scaled_base, scaled_joint = oracles.sqrt_weighted_stacked_solve(
-            data.z_base, data.z_joint, data.labels, w_base, w_joint, gamma
+            z[:, :3], z, labels, w_base, w_joint, gamma
         )
         for got, ref in ((v_base, np.sqrt(w_base) * scaled_base),
                          (v_joint, np.sqrt(w_joint) * scaled_joint)):
@@ -125,19 +123,20 @@ class TestUpdateCoefficients:
 
     def test_nonpositive_weight_rejected(self):
         rng = np.random.default_rng(5)
-        data = random_stacked(rng)
+        z, labels = random_stacked(rng)
         with pytest.raises(ValueError):
-            update_coefficients(data.stats(), 0.0, 1.0, gamma=1.0)
+            update_coefficients(JointStats.of(z, labels), 0.0, gamma=1.0)
 
     @pytest.mark.parametrize(
-        "w_base, w_joint, gamma",
-        [(np.nan, 0.5, 1.0), (0.5, np.nan, 1.0), (0.5, 0.5, 0.0), (0.5, 0.5, np.nan),
-         (0.5, 0.5, np.inf)],
+        "w_base, gamma",
+        # the joint block's weight is 1 - w_base, so w_base must lie in (0, 1)
+        [(np.nan, 1.0), (0.0, 1.0), (1.0, 1.0), (-0.1, 1.0), (1.5, 1.0),
+         (0.5, 0.0), (0.5, np.nan), (0.5, np.inf)],
     )
-    def test_bad_settings_raise_schema_error(self, w_base, w_joint, gamma):
-        data = random_stacked(np.random.default_rng(5))
+    def test_bad_settings_raise_schema_error(self, w_base, gamma):
+        stats = JointStats.of(*random_stacked(np.random.default_rng(5)))
         with pytest.raises(SchemaError):
-            update_coefficients(data.stats(), w_base, w_joint, gamma)
+            update_coefficients(stats, w_base, gamma)
 
 
 class TestUpdateWeights:
@@ -145,30 +144,27 @@ class TestUpdateWeights:
         v_base = np.full((4, 1), 0.5)  # norm 1, width 4 -> ratio 0.5
         v_joint = np.zeros((16, 1))
         v_joint[0, 0] = 2.0  # norm 2, width 16 -> ratio 0.5
-        w_base, w_joint = update_weights(v_base, v_joint)
+        w_base = update_weights(v_base, v_joint)
         assert w_base == pytest.approx(0.5, abs=1e-15)
-        assert w_joint == pytest.approx(0.5, abs=1e-15)
+        assert 1.0 - w_base == pytest.approx(0.5, abs=1e-15)
 
     def test_frozen_example(self):
         # norms 2 over width 1 and 1 over width 4: ratios 2 and 0.5
         v_base = np.array([[2.0]])
         v_joint = np.zeros((4, 1))
         v_joint[0, 0] = 1.0
-        w_base, w_joint = update_weights(v_base, v_joint)
+        w_base = update_weights(v_base, v_joint)
         assert w_base == pytest.approx(0.8, abs=1e-12)
-        assert w_joint == pytest.approx(0.2, abs=1e-12)
+        assert 1.0 - w_base == pytest.approx(0.2, abs=1e-12)
 
     def test_degenerate_all_zero_model(self):
-        assert update_weights(np.zeros((3, 3)), np.zeros((5, 3))) == (0.5, 0.5)
+        assert update_weights(np.zeros((3, 3)), np.zeros((5, 3))) == 0.5
 
     def test_exact_simplex(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
-            w_base, w_joint = update_weights(
-                rng.standard_normal((3, 3)), rng.standard_normal((7, 3))
-            )
-            assert w_base + w_joint == 1.0
-            assert w_base >= 0.0 and w_joint >= 0.0
+            w_base = update_weights(rng.standard_normal((3, 3)), rng.standard_normal((7, 3)))
+            assert 0.0 <= w_base <= 1.0
 
     def test_beats_fine_grid_and_hits_closed_form_value(self):
         rng = np.random.default_rng(7)
@@ -178,7 +174,7 @@ class TestUpdateWeights:
             v_joint = rng.standard_normal((8, 2))
             sq_base = (v_base**2).sum()
             sq_joint = (v_joint**2).sum()
-            w_base, _ = update_weights(v_base, v_joint)
+            w_base = update_weights(v_base, v_joint)
             best = oracles.weight_penalty(sq_base, sq_joint, 3, 8, w_base)
             grid_vals = [oracles.weight_penalty(sq_base, sq_joint, 3, 8, w) for w in grid]
             assert best <= min(grid_vals) + 1e-12
@@ -188,9 +184,8 @@ class TestUpdateWeights:
 
 class TestJointStats:
     def test_matches_the_rows(self):
-        data = random_stacked(np.random.default_rng(16), n=12, c=3, d_a=2)
-        stats = data.stats()
-        z, y = data.z_joint, data.labels
+        z, y = random_stacked(np.random.default_rng(16), n=12, c=3, d_a=2)
+        stats = JointStats.of(z, y)
         np.testing.assert_array_equal(stats.gram, z.T @ z)
         np.testing.assert_array_equal(stats.zty, z.T @ y)
         assert stats.yy == float((y**2).sum())
@@ -206,41 +201,53 @@ class TestJointStats:
         with pytest.raises(SchemaError):
             JointStats(np.zeros(gram_shape), np.zeros(zty_shape), 1.0)
 
+    @pytest.mark.parametrize("z_shape, labels_shape", [
+        ((5, 4), (6, 2)),  # unequal row counts
+        ((5,), (5, 2)),  # features not 2-D
+        ((5, 4), (5,)),  # labels not 2-D
+        ((5, 4, 1), (5, 2)),  # features 3-D
+        ((5, 2), (5, 3)),  # more classes than joint columns
+    ])
+    def test_rows_that_do_not_fit_rejected(self, z_shape, labels_shape):
+        with pytest.raises(SchemaError, match="do not fit a joint block"):
+            JointStats.of(np.zeros(z_shape), np.zeros(labels_shape))
+
 
 class TestObjectiveValue:
     def test_zero_model_zero_labels(self):
-        data = StackedTrainSet(np.zeros((3, 5)), np.zeros((3, 2)))
+        stats = JointStats.of(np.zeros((3, 5)), np.zeros((3, 2)))
         model = EStageModel(np.zeros((2, 2)), np.zeros((5, 2)), 0.5)
-        assert objective_value(data.stats(), model, gamma=1.0) == 0.0
+        assert objective_value(stats, model, gamma=1.0) == 0.0
 
     def test_zero_model_reports_label_energy(self):
         labels = one_hot_encode([0, 1, 0], 2)
-        data = StackedTrainSet(np.zeros((3, 5)), labels)
+        stats = JointStats.of(np.zeros((3, 5)), labels)
         model = EStageModel(np.zeros((2, 2)), np.zeros((5, 2)), 0.5)
-        assert objective_value(data.stats(), model, gamma=1.0) == pytest.approx((labels**2).sum())
+        assert objective_value(stats, model, gamma=1.0) == pytest.approx((labels**2).sum())
 
     def test_matches_naive_recompute(self):
         rng = np.random.default_rng(8)
-        data = random_stacked(rng)
+        z, labels = random_stacked(rng)
         model = EStageModel(rng.standard_normal((3, 3)), rng.standard_normal((7, 3)), 0.3)
         expected = oracles.stacked_objective(
-            data.z_base, data.z_joint, data.labels, model.v_base, model.v_joint, 0.3, 0.7, 2.0
+            z[:, :3], z, labels, model.v_base, model.v_joint, 0.3, 0.7, 2.0
         )
-        assert objective_value(data.stats(), model, gamma=2.0) == pytest.approx(expected, rel=1e-12)
+        stats = JointStats.of(z, labels)
+        assert objective_value(stats, model, gamma=2.0) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_weight_with_nonzero_block_is_an_error(self):
         rng = np.random.default_rng(9)
-        data = random_stacked(rng)
+        stats = JointStats.of(*random_stacked(rng))
         model = EStageModel(np.zeros((3, 3)), rng.standard_normal((7, 3)), 1.0)
         with pytest.raises(NumericError):
-            objective_value(data.stats(), model, gamma=1.0)
+            objective_value(stats, model, gamma=1.0)
 
     def test_zero_weight_with_zero_block_contributes_nothing(self):
         rng = np.random.default_rng(10)
-        data = random_stacked(rng)
+        z, labels = random_stacked(rng)
         model = EStageModel(np.zeros((3, 3)), np.zeros((7, 3)), 1.0)
-        assert objective_value(data.stats(), model, gamma=1.0) == pytest.approx(
-            float((data.labels**2).sum())
+        assert objective_value(JointStats.of(z, labels), model, gamma=1.0) == pytest.approx(
+            float((labels**2).sum())
         )
 
 
@@ -257,15 +264,13 @@ class TestObjectiveValue:
             k = c + d_a
             n = int(rng.integers(max(c, k // 2), 3 * k + 2))
             scales = 10.0 ** rng.uniform(-2.0, 2.0, size=k)
-            data = StackedTrainSet(
-                rng.standard_normal((n, k)) * scales, one_hot_encode(rng.integers(0, c, size=n), c)
-            )
+            z = rng.standard_normal((n, k)) * scales
+            labels = one_hot_encode(rng.integers(0, c, size=n), c)
             gamma = 10.0 ** rng.uniform(-6.0, 0.0)
-            stats = data.stats()
+            stats = JointStats.of(z, labels)
             m = fit_unified(stats, gamma).model
             row_form = oracles.stacked_objective(
-                data.z_base, data.z_joint, data.labels, m.v_base, m.v_joint, m.w_base, m.w_joint,
-                gamma,
+                z[:, :c], z, labels, m.v_base, m.v_joint, m.w_base, m.w_joint, gamma
             )
             worst = max(worst, abs(objective_value(stats, m, gamma) - row_form) / stats.yy)
         assert worst <= 1e-10
@@ -275,8 +280,10 @@ class TestFitUnified:
     def test_objective_monotone_and_converges(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
-            data = random_stacked(rng, n=int(rng.integers(10, 40)), c=3, d_a=int(rng.integers(0, 6)))
-            state = fit_unified(data.stats(), gamma=1.0)
+            z, labels = random_stacked(
+                rng, n=int(rng.integers(10, 40)), c=3, d_a=int(rng.integers(0, 6))
+            )
+            state = fit_unified(JointStats.of(z, labels), gamma=1.0)
             assert state.converged and len(state.trace) <= 100
             diffs = np.diff(state.trace)
             assert (diffs <= 1e-9).all()
@@ -284,29 +291,28 @@ class TestFitUnified:
     def test_final_trace_value_matches_row_form_oracle(self):
         rng = np.random.default_rng(19)
         for _ in range(10):
-            data = random_stacked(rng, n=int(rng.integers(10, 40)), c=3, d_a=int(rng.integers(0, 6)))
-            state = fit_unified(data.stats(), gamma=0.8)
+            z, labels = random_stacked(
+                rng, n=int(rng.integers(10, 40)), c=3, d_a=int(rng.integers(0, 6))
+            )
+            state = fit_unified(JointStats.of(z, labels), gamma=0.8)
             m = state.model
             expected = oracles.stacked_objective(
-                data.z_base, data.z_joint, data.labels, m.v_base, m.v_joint, m.w_base, m.w_joint,
-                0.8,
+                z[:, :3], z, labels, m.v_base, m.v_joint, m.w_base, m.w_joint, 0.8
             )
             assert state.trace[-1] == pytest.approx(expected, rel=1e-12)
 
     def test_final_weights_self_consistent(self):
         rng = np.random.default_rng(12)
-        data = random_stacked(rng, n=25, c=3, d_a=5)
-        state = fit_unified(data.stats(), gamma=0.5)
-        w_base, w_joint = update_weights(state.model.v_base, state.model.v_joint)
+        state = fit_unified(JointStats.of(*random_stacked(rng, n=25, c=3, d_a=5)), gamma=0.5)
+        w_base = update_weights(state.model.v_base, state.model.v_joint)
         assert abs(w_base - state.model.w_base) <= 1e-10
-        assert abs(w_joint - state.model.w_joint) <= 1e-10
+        assert abs((1.0 - w_base) - state.model.w_joint) <= 1e-10
 
     def test_mirrored_blocks_keep_equal_weights(self):
         # with no augmented features the joint block equals the compressed
         # block, so the symmetric start stays a fixed point
         rng = np.random.default_rng(13)
-        data = random_stacked(rng, n=20, c=3, d_a=0)
-        state = fit_unified(data.stats(), gamma=1.0)
+        state = fit_unified(JointStats.of(*random_stacked(rng, n=20, c=3, d_a=0)), gamma=1.0)
         assert state.model.w_base == pytest.approx(0.5, abs=1e-12)
         assert state.model.w_joint == pytest.approx(0.5, abs=1e-12)
 
@@ -314,12 +320,12 @@ class TestFitUnified:
         # at fixed weights, the explicitly sqrt-weighted design yields the
         # same minimizer up to the per-block 1/sqrt(w) scale
         rng = np.random.default_rng(14)
-        data = random_stacked(rng, n=22, c=3, d_a=4)
+        z, labels = random_stacked(rng, n=22, c=3, d_a=4)
         w_base, w_joint, gamma = 0.3, 0.7, 1.3
-        v_base, v_joint = update_coefficients(data.stats(), w_base, w_joint, gamma)
+        v_base, v_joint = update_coefficients(JointStats.of(z, labels), w_base, gamma)
 
         scaled_base, scaled_joint = oracles.sqrt_weighted_stacked_solve(
-            data.z_base, data.z_joint, data.labels, w_base, w_joint, gamma
+            z[:, :3], z, labels, w_base, w_joint, gamma
         )
         np.testing.assert_allclose(scaled_base, v_base / np.sqrt(w_base), atol=1e-6)
         np.testing.assert_allclose(scaled_joint, v_joint / np.sqrt(w_joint), atol=1e-6)
@@ -357,7 +363,7 @@ class TestPredictUnified:
 
     def test_separable_instance_fits_training_set(self):
         cmodel, (x, y), _, gamma = self._trained_setup()
-        emodel = fit_unified(build_stacked(x, y, cmodel).stats(), gamma=gamma).model
+        emodel = fit_unified(JointStats.of(build_stacked(x, cmodel), y), gamma=gamma).model
         pred = predict_unified(x, cmodel, emodel)
         assert (pred == y.argmax(axis=1)).all()
 
