@@ -11,7 +11,7 @@ its module.
 
 from .cstage import (
     DIRECT,
-    INVERSE,
+    FACTOR,
     absorb_batch,
     compress,
     init_stats,
@@ -38,7 +38,7 @@ __all__ = [
     "SolverError",
     "parse_manifest", "stream_batches", "read_estage", "SynthConfig", "generate_synthetic",
     "write_stream",
-    "DIRECT", "INVERSE", "init_stats", "absorb_batch", "solve_model", "compress", "save_stats",
+    "DIRECT", "FACTOR", "init_stats", "absorb_batch", "solve_model", "compress", "save_stats",
     "load_stats",
     "build_stacked", "fit_unified", "predict_unified", "train_ensemble", "predict_ensemble",
     "ExperimentSpec", "run_experiment", "emit_report", "load_results",

@@ -11,13 +11,13 @@ Two interchangeable accumulation strategies sit behind the same interface:
 
 * ``direct``  -- accumulate only the Gram pair G = X^T X, B = X^T Y; build
   the normal matrix M(lam, rho) and factorize it once at solve time.
-* ``inverse`` -- maintain the inverse of M through rank-2n updates
-  (n = batch size), so the solution is a single multiplication away at any
-  point of the stream. Each step factors its 2n x 2n Woodbury core once,
-  core = U^T U, and downdates M^-1 by R^T R with R = U^-T (M^-1 A)^T. One
-  BLAS ``dsyrk`` subtracts R^T R from one triangle of M^-1 in place, and a
-  blocked copy mirrors that triangle onto the other, so M^-1 stays
-  symmetric bit for bit and no (m, m) temporary is allocated.
+* ``factor``  -- maintain an upper-triangular Cholesky factor R with
+  R^T R = M, so the solution is two triangular solves away at any point of
+  the stream. Each batch adds W^T W to M for a 2n x m matrix W (n = batch
+  size), and one LAPACK ``dtpqrt`` call, the QR factorization of [R; W],
+  folds it into R in place (Golub & Van Loan, Matrix Computations, 4th ed.,
+  sec. 6.5). Unlike an updated inverse, the factor stays accurate when M
+  is ill-conditioned.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ import zlib
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.linalg.blas import dsyrk
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg.lapack import dpotrs, dtpqrt
 
 from .model import (
     Batch,
@@ -38,31 +37,32 @@ from .model import (
     NumericError,
     SchemaError,
     _cholesky,
-    _solve_spd,
     validate_batch,
 )
 
 DIRECT = "direct"
-INVERSE = "inverse"
+FACTOR = "factor"
 SNAPSHOT_FORMAT = 2  # the Gram-pair layout; unversioned snapshots predate it
-# Edge of the square blocks in which the inverse-mode downdate mirrors M^-1's
-# triangle. At m = 2220, on one core of a 2-vCPU x86-64 machine, the mirror
-# took 8.4 ms with 128, against 11.0 ms with 64, 8.7 with 256 and 10.3 with 512.
-_MIRROR_BLOCK = 128
+# Block size of the factor-mode ``dtpqrt`` update. At m = 2220 with 120 rows
+# per batch, on one core of a 2-vCPU x86-64 machine, 32 and 48 tied within the
+# noise (median absorb 55-69 ms over three interleaved runs of 80 batches);
+# 24, 40 and 64 were 2-5% slower, and 96 about 20% slower.
+_QR_BLOCK = 32
 
 
 @dataclass
 class CStageStats:
     """Streaming sufficient statistics of the compressing-stage objective.
 
-    ``mat`` is the (p, p) Gram matrix G in ``direct`` mode and the inverse of
-    the (m, m) coupled normal matrix in ``inverse`` mode, with p = vanished +
-    survived and m = p + survived. ``rhs`` is the (p, classes) cross-moment B
-    with the one-hot labels. The footprint is fixed by the schema, never by
-    how many instances were absorbed; inverse mode has ``hyper`` folded into
-    ``mat``. Single-writer: inverse-mode absorbing
-    changes ``mat`` in place; direct mode builds new arrays and swaps them in
-    only once they are checked finite.
+    ``mat`` is the (p, p) Gram matrix G in ``direct`` mode and, in ``factor``
+    mode, the upper-triangular, Fortran-ordered (m, m) R with R^T R equal to
+    the coupled normal matrix, with p = vanished + survived and m = p +
+    survived. ``rhs`` is the (p, classes) cross-moment B with the one-hot
+    labels. The footprint is fixed by the schema, never by how many
+    instances were absorbed; factor mode has ``hyper`` folded into ``mat``.
+    Single-writer: factor-mode absorbing changes ``mat`` in place; direct
+    mode builds new arrays and swaps them in only once they are checked
+    finite.
     """
 
     mode: str
@@ -74,12 +74,12 @@ class CStageStats:
 
 
 def init_stats(schema: FeatureSchema, hyper: Hyperparams, mode: str = DIRECT) -> CStageStats:
-    """Empty-stream statistics: a zero Gram matrix (direct) or the inverse
-    of the ridge-only matrix (inverse), zero right-hand side."""
-    if mode not in (DIRECT, INVERSE):
+    """Empty-stream statistics: a zero Gram matrix (direct) or the factor
+    sqrt(rho) I of the ridge-only matrix (factor), zero right-hand side."""
+    if mode not in (DIRECT, FACTOR):
         raise SchemaError(f"unknown accumulation mode {mode!r}")
-    p = schema.cstage_width
-    mat = np.zeros((p, p)) if mode == DIRECT else np.eye(schema.stats_dim) / hyper.rho
+    p, m = schema.cstage_width, schema.stats_dim
+    mat = np.zeros((p, p)) if mode == DIRECT else np.sqrt(hyper.rho) * np.eye(m, order="F")
     return CStageStats(mode, schema, hyper, mat, np.zeros((p, schema.classes)))
 
 
@@ -99,52 +99,33 @@ def absorb_batch(stats: CStageStats, batch: Batch) -> CStageStats:
             mat = stats.mat + x_all.T @ x_all
             checked = [rhs, mat]
         else:
-            # The increment is A K A^T with A = blockdiag(X^T, X_s^T) and
-            # K = [[1+lam, -lam], [-lam, 1+lam]] (x) I_n, so the Woodbury core
-            # is K^-1 + A^T M^-1 A with K^-1 = [[1+lam, lam], [lam, 1+lam]]
-            # / (1+2 lam) (x) I_n (Hager 1989).
-            p, lam, x_sur = stats.schema.cstage_width, stats.hyper.lam, batch.survived
-            ma = np.hstack([stats.mat[:, :p] @ x_all.T, stats.mat[:, p:] @ x_sur.T])
-            checked = [rhs, ma]
-        if not all(np.isfinite(a).all() for a in checked):
+            # The increment of M is W^T W with W = [[a X, b X_s], [0, d X_s]],
+            # where a^2 = b^2 + d^2 = 1 + lam and a b = -lam.
+            p, lam, n = stats.schema.cstage_width, stats.hyper.lam, batch.n
+            a = np.sqrt(1.0 + lam)
+            w = np.zeros((2 * n, stats.schema.stats_dim), order="F")
+            w[:n, :p] = a * x_all
+            w[:n, p:] = -lam / a * batch.survived
+            w[n:, p:] = np.sqrt((1.0 + 2.0 * lam) / (1.0 + lam)) * batch.survived
+            checked = [rhs, w]
+        if not all(np.isfinite(c).all() for c in checked):
             raise NumericError(
                 f"batch {stats.batches_seen} overflows the statistics to non-finite values"
             )
-        if stats.mode == INVERSE:
-            k_inv = np.array([[1.0 + lam, lam], [lam, 1.0 + lam]]) / (1.0 + 2.0 * lam)
-            core = np.kron(k_inv, np.eye(batch.n)) + np.vstack([x_all @ ma[:p], x_sur @ ma[p:]])
-            # With core = U^T U and R = U^-T (M^-1 A)^T, the downdate is R^T R.
-            # The factor rejects a non-finite core before M^-1 changes. dsyrk
-            # writes into a copy unless c is Fortran-ordered, so M^-1 is kept
-            # C-ordered and handed over transposed: its lower triangle is M^-1's
-            # upper one, which is downdated in place and then mirrored.
-            r, _ = dtrtrs(_cholesky(core, "rank-update core"), ma.T, lower=0, trans=1)
-            mat = np.ascontiguousarray(stats.mat)
-            dsyrk(-1.0, r, beta=1.0, c=mat.T, trans=1, lower=1, overwrite_c=1)
-            _mirror_upper(mat)
+        if stats.mode == FACTOR:
+            # The new R is the triangle of qr([R; W]). A Fortran-ordered R is
+            # overwritten in place; any other layout is copied once.
+            nb = min(_QR_BLOCK, w.shape[1])  # dtpqrt rejects a block wider than R
+            mat = dtpqrt(0, nb, stats.mat, w, overwrite_a=1, overwrite_b=1)[0]
     stats.mat, stats.rhs = mat, rhs
     stats.batches_seen += 1
     return stats
 
 
-def _mirror_upper(a: np.ndarray) -> None:
-    """Copy the upper triangle of the square C-ordered ``a`` onto its strict
-    lower triangle in place, one square block at a time, so that ``a`` equals
-    its transpose bit for bit. The upper triangle is only read."""
-    m = a.shape[0]
-    for i in range(0, m, _MIRROR_BLOCK):
-        rows = slice(i, i + _MIRROR_BLOCK)
-        diag = a[rows, rows]
-        np.copyto(diag, diag.T, where=np.tri(len(diag), k=-1, dtype=bool))
-        for j in range(i + _MIRROR_BLOCK, m, _MIRROR_BLOCK):
-            cols = slice(j, j + _MIRROR_BLOCK)
-            a[cols, rows] = a[rows, cols].T
-
-
 def _coupled_system(stats: CStageStats) -> tuple[np.ndarray | None, np.ndarray]:
     """M(lam, rho) and the right-hand side [B; B[v:]] of the coupled normal
     system, v = vanished. M is built from the Gram matrix in direct mode only;
-    inverse mode holds M^-1 already and gets None in its place."""
+    factor mode holds M's factor already and gets None in its place."""
     v = stats.schema.vanished
     rhs = np.vstack([stats.rhs, stats.rhs[v:]])
     if stats.mode != DIRECT:
@@ -159,12 +140,14 @@ def _coupled_system(stats: CStageStats) -> tuple[np.ndarray | None, np.ndarray]:
 def solve_model(stats: CStageStats) -> CStageModel:
     """Solve the coupled normal system for both coefficient blocks.
 
-    Direct mode builds M(lam, rho) from the Gram pair for one SPD solve;
-    inverse mode is a plain multiplication, which is what makes the anytime
+    Both modes end in one LAPACK ``dpotrs`` call on an upper Cholesky factor
+    of M(lam, rho). Direct mode builds M from the Gram pair and factors it;
+    factor mode holds the factor already, which is what makes the anytime
     solution cheap on that path.
     """
     mat, rhs = _coupled_system(stats)
-    coef = _solve_spd(mat, rhs, "normal-equation") if stats.mode == DIRECT else stats.mat @ rhs
+    factor = stats.mat if mat is None else _cholesky(mat, "normal-equation")
+    coef, _ = dpotrs(factor, rhs)
     p = stats.schema.cstage_width
     return CStageModel(coef_full=coef[:p], coef_survived=coef[p:])
 
@@ -211,8 +194,10 @@ _SNAPSHOT_SCALARS = {  # dtype kinds accepted for each 0-d snapshot field
 def load_stats(path) -> CStageStats:
     """Read a snapshot written by :func:`save_stats`. Any unreadable file,
     missing or malformed field, or other format version, unversioned
-    snapshots included, raises :class:`SchemaError`; nothing is converted,
-    but ``mat`` is returned C-ordered whatever order it was stored in."""
+    snapshots included, raises :class:`SchemaError`, and so does a factor
+    that is not upper-triangular or has a zero on its diagonal. Nothing is
+    converted, but ``mat`` is returned Fortran-ordered, the layout that factor
+    mode updates in place, whatever order it was stored in."""
     try:
         with open(path, "rb") as fh:  # np.load(path) leaks the handle of a broken archive
             data = np.load(fh)
@@ -232,7 +217,7 @@ def load_stats(path) -> CStageStats:
     if raw["format"] != SNAPSHOT_FORMAT:
         raise SchemaError(f"{path}: snapshot format {raw['format']}, expected {SNAPSHOT_FORMAT}")
     mode, seen = str(raw["mode"]), int(raw["batches_seen"])
-    if mode not in (DIRECT, INVERSE) or seen < 0:
+    if mode not in (DIRECT, FACTOR) or seen < 0:
         raise SchemaError(f"{path}: bad settings {mode=} batches_seen={seen}")
     try:
         hyper = Hyperparams(lam=float(raw["lam"]), rho=float(raw["rho"]))
@@ -245,4 +230,8 @@ def load_stats(path) -> CStageStats:
         arr = raw.get(key, np.empty(0))
         if arr.shape != shape or arr.dtype != np.float64 or not np.isfinite(arr).all():
             raise SchemaError(f"{path}: {mode} snapshot needs a finite float64 {key!r} of {shape}")
-    return CStageStats(mode, schema, hyper, np.ascontiguousarray(raw["mat"]), raw["rhs"], seen)
+    mat = np.asfortranarray(raw["mat"])
+    # column by column, with no (m, m) temporary; dpotrs divides by the diagonal
+    if mode == FACTOR and (not mat.diagonal().all() or any(mat[j + 1 :, j].any() for j in range(dim))):
+        raise SchemaError(f"{path}: factor 'mat' must be upper-triangular with a nonzero diagonal")
+    return CStageStats(mode, schema, hyper, mat, raw["rhs"], seen)

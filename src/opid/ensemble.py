@@ -137,6 +137,10 @@ class EnsembleModel:
     clf_joint: LogisticModel
     w_base: float
 
+    def __post_init__(self):
+        if not 0.0 <= self.w_base <= 1.0:  # nan fails too
+            raise SchemaError(f"base-member weight must lie in [0, 1], got {self.w_base}")
+
     @property
     def w_joint(self) -> float:
         return 1.0 - self.w_base

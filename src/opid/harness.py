@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import stdtr
 
-from .cstage import DIRECT, INVERSE, absorb_batch, init_stats, solve_model
+from .cstage import DIRECT, FACTOR, absorb_batch, init_stats, solve_model
 from .ensemble import EnsembleModel, _fit_members, predict_ensemble, train_ensemble, train_ovr
 from .estage import JointStats, build_stacked, fit_unified, predict_unified
 from .ingest import StreamManifest, SynthConfig, generate_synthetic, read_estage, stream_batches
@@ -130,8 +130,8 @@ class ResultTable:
 
 def resolve_mode(mode: str, schema: FeatureSchema) -> str:
     if mode == "auto":
-        return DIRECT if schema.stats_dim <= AUTO_DIRECT_LIMIT else INVERSE
-    if mode not in (DIRECT, INVERSE):
+        return DIRECT if schema.stats_dim <= AUTO_DIRECT_LIMIT else FACTOR
+    if mode not in (DIRECT, FACTOR):
         raise ValueError(f"unknown mode {mode!r}")
     return mode
 

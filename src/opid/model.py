@@ -211,9 +211,9 @@ def _cholesky(mat: np.ndarray, what: str) -> np.ndarray:
     the upper-triangle LAPACK routines that take U never read. LAPACK does not check for nan or
     inf, so the finiteness check stays here. A non-finite or non-SPD matrix
     raises :class:`NumericError` naming ``what``. This is the one SPD
-    factorization in the library: :func:`_solve_spd` solves with it, and the
-    inverse-mode absorb step forms from it the R whose R^T R one BLAS
-    ``dsyrk`` subtracts from M^-1 in place.
+    factorization in the library: :func:`_solve_spd` and the direct-mode
+    compressing-stage solve factor with it. Factor mode never calls it: it
+    keeps its Cholesky factor up to date by QR instead.
     """
     if not np.isfinite(mat).all():
         raise NumericError(f"{what} solve failed: the system has non-finite entries")

@@ -10,7 +10,9 @@ import time
 
 import numpy as np
 
-from opid.cstage import DIRECT, INVERSE, _coupled_system, absorb_batch, init_stats, solve_model
+from scipy.linalg.lapack import dpotri
+
+from opid.cstage import DIRECT, FACTOR, _coupled_system, absorb_batch, init_stats, solve_model
 from opid.ensemble import train_logistic
 from opid.estage import (
     JointStats,
@@ -102,25 +104,27 @@ def test_criterion_2_woodbury_path_equivalence():
     worst_identity = 0.0
     for schema, stream, hyper in _random_streams():
         direct = _run_stream(schema, stream, hyper, DIRECT)
-        inverse = _run_stream(schema, stream, hyper, INVERSE)
+        factor = _run_stream(schema, stream, hyper, FACTOR)
         m_d = solve_model(direct)
-        m_i = solve_model(inverse)
+        m_f = solve_model(factor)
         scale = max(
             np.abs(m_d.coef_full).max(), np.abs(m_d.coef_survived).max(), 1e-30
         )
         worst_rel = max(
             worst_rel,
-            np.abs(m_d.coef_full - m_i.coef_full).max() / scale,
-            np.abs(m_d.coef_survived - m_i.coef_survived).max() / scale,
+            np.abs(m_d.coef_full - m_f.coef_full).max() / scale,
+            np.abs(m_d.coef_survived - m_f.coef_survived).max() / scale,
         )
-        identity = inverse.mat @ _coupled_system(direct)[0]
+        inv_upper, _ = dpotri(factor.mat)  # M^-1 from the factor, upper triangle
+        inverse = np.triu(inv_upper) + np.triu(inv_upper, 1).T
+        identity = inverse @ _coupled_system(direct)[0]
         worst_identity = max(
             worst_identity, np.abs(identity - np.eye(schema.stats_dim)).max()
         )
     elapsed = time.monotonic() - start
     _verdict(
         2,
-        "rank-update inverse path matches the direct path",
+        "QR-updated factor path matches the direct path",
         worst_rel <= 1e-6 and worst_identity <= 1e-6 and elapsed < 10.0,
         f"rel diff {worst_rel:.2e}, identity dev {worst_identity:.2e}, {elapsed:.1f}s",
     )
@@ -143,7 +147,7 @@ def test_criterion_3_anytime_property():
             )
         )
     worst = 0.0
-    for mode in (DIRECT, INVERSE):
+    for mode in (DIRECT, FACTOR):
         stats = init_stats(schema, hyper, mode)
         for t, batch in enumerate(stream, start=1):
             absorb_batch(stats, batch)

@@ -30,13 +30,13 @@ def manifest(tmp_path):
     return ingest.parse_manifest(written)
 
 
-@pytest.mark.parametrize("limit", [harness.AUTO_DIRECT_LIMIT, 0], ids=["direct", "inverse"])
+@pytest.mark.parametrize("limit", [harness.AUTO_DIRECT_LIMIT, 0], ids=["direct", "factor"])
 def test_prequential_pass_with_suspend_and_resume(manifest, tmp_path, monkeypatch, limit):
     # test-then-train through the library API, snapshotting at the midpoint
     monkeypatch.setattr(harness, "AUTO_DIRECT_LIMIT", limit)
     schema = manifest.schema
     mode = harness.resolve_mode("auto", schema)
-    assert mode == (cstage.DIRECT if limit else cstage.INVERSE)
+    assert mode == (cstage.DIRECT if limit else cstage.FACTOR)
     hyper = model.Hyperparams(lam=1.0, rho=0.1)
     stats = cstage.init_stats(schema, hyper, mode=mode)
     uninterrupted = cstage.init_stats(schema, hyper, mode=mode)

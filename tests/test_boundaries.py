@@ -107,7 +107,7 @@ def test_manifest(stream, valid_files, data):
         stream.write_bytes(valid_files["manifest"])
 
 
-@pytest.fixture(scope="module", params=["direct", "inverse"])
+@pytest.fixture(scope="module", params=["direct", "factor"])
 def snapshot_bytes(request, tmp_path_factory):
     stats = init_stats(SCHEMA, Hyperparams(), mode=request.param)
     path = tmp_path_factory.mktemp("snap") / "stats.npz"

@@ -7,7 +7,7 @@ import pytest
 
 from opid import cli, harness
 from opid.cli import main
-from opid.cstage import INVERSE, absorb_batch, init_stats, load_stats, save_stats
+from opid.cstage import FACTOR, absorb_batch, init_stats, load_stats, save_stats
 from opid.ensemble import SolverError
 from opid.harness import ExperimentSpec
 from opid.ingest import SynthConfig, parse_manifest, stream_batches
@@ -120,22 +120,23 @@ class TestCStageCommand:
             f"{flags[0]} .* conflicts",
         )
 
-    @pytest.mark.parametrize("mode", ["direct", "inverse"])
+    @pytest.mark.parametrize("mode", ["direct", "factor"])
     def test_overflowing_batch_writes_no_snapshot(self, tmp_path, capsys, mode):
         main(_synth_args(tmp_path / "data"))
         manifest_path = capsys.readouterr().out.strip()
-        # finite 1e200 features overflow the Gram update (direct) or the
-        # rank-update core (inverse) to inf
+        # finite features overflow the Gram update (direct, 1e200) or the
+        # factor's scaled rows sqrt(1 + lam) x (factor, 1.5e308) to inf
+        value = "1.5e308," if mode == FACTOR else "1e200,"
         batch_file = tmp_path / "data" / "cstage_001.csv"
         lines = batch_file.read_text().splitlines()
         width = lines[0].count(",")  # feature columns; the label comes last
-        batch_file.write_text("".join("1e200," * width + ln.rsplit(",", 1)[1] + "\n" for ln in lines))
+        batch_file.write_text("".join(value * width + ln.rsplit(",", 1)[1] + "\n" for ln in lines))
         argv = ["cstage", "--manifest", manifest_path, "--out", str(tmp_path / "stats.npz")]
-        if mode == INVERSE:
-            # a new pass is direct; an inverse pass resumes a library-written snapshot
+        if mode == FACTOR:
+            # a new pass is direct; a factor pass resumes a library-written snapshot
             start = tmp_path / "start.npz"
             schema = parse_manifest(manifest_path).schema
-            save_stats(init_stats(schema, Hyperparams(), INVERSE), start)
+            save_stats(init_stats(schema, Hyperparams(), FACTOR), start)
             argv += ["--resume", str(start)]
         _assert_rejected(capsys, argv, "non-finite")
         assert not (tmp_path / "stats.npz").exists()
@@ -159,20 +160,20 @@ class TestCStageCommand:
             "--resume", str(out), "--lambda", "0.5", "--rho", "0.1",
         ]) == 0
 
-    def test_resume_continues_an_inverse_snapshot(self, tmp_path, capsys):
+    def test_resume_continues_a_factor_snapshot(self, tmp_path, capsys):
         main(_synth_args(tmp_path / "data"))
         manifest_path = capsys.readouterr().out.strip()
         manifest = parse_manifest(manifest_path)
         start = tmp_path / "start.npz"
-        save_stats(init_stats(manifest.schema, Hyperparams(lam=0.5), INVERSE), start)
+        save_stats(init_stats(manifest.schema, Hyperparams(lam=0.5), FACTOR), start)
         out = tmp_path / "stats.npz"
         assert main(["cstage", "--manifest", manifest_path, "--out", str(out),
                      "--resume", str(start)]) == 0
-        stats = init_stats(manifest.schema, Hyperparams(lam=0.5), INVERSE)
+        stats = init_stats(manifest.schema, Hyperparams(lam=0.5), FACTOR)
         for batch in stream_batches(manifest):
             absorb_batch(stats, batch)
         snapshot = load_stats(out)
-        assert snapshot.mode == INVERSE
+        assert snapshot.mode == FACTOR
         np.testing.assert_array_equal(snapshot.mat, stats.mat)
         np.testing.assert_array_equal(snapshot.rhs, stats.rhs)
 

@@ -4,14 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpotrs
 
 from conftest import random_cstage_stream
 from opid.cstage import (
     DIRECT,
-    INVERSE,
-    _MIRROR_BLOCK,
+    FACTOR,
+    _QR_BLOCK,
     _coupled_system,
-    _mirror_upper,
     absorb_batch,
     compress,
     init_stats,
@@ -36,6 +36,13 @@ def _schema(d_v=2, d_s=3, c=2):
     return FeatureSchema(vanished=d_v, survived=d_s, augmented=0, classes=c)
 
 
+def _factor_error(factor, direct):
+    """||R^T R - M||_F / ||M||_F for a factor-mode R and the M that direct
+    mode builds from the same stream."""
+    mat = _coupled_system(direct)[0]
+    return np.linalg.norm(factor.mat.T @ factor.mat - mat) / np.linalg.norm(mat)
+
+
 class TestInitStats:
     def test_direct_init(self):
         # direct mode keeps only the (p, p) Gram matrix and (p, c) cross-moment
@@ -45,9 +52,10 @@ class TestInitStats:
         np.testing.assert_array_equal(_coupled_system(stats)[0], 2.0 * np.eye(5))
         assert stats.batches_seen == 0
 
-    def test_inverse_init(self):
-        stats = init_stats(_schema(1, 2, 3), Hyperparams(rho=2.0), mode=INVERSE)
-        np.testing.assert_array_equal(stats.mat, 0.5 * np.eye(5))
+    def test_factor_init(self):
+        stats = init_stats(_schema(1, 2, 3), Hyperparams(rho=2.0), mode=FACTOR)
+        np.testing.assert_array_equal(stats.mat, np.sqrt(2.0) * np.eye(5))
+        assert stats.mat.flags.f_contiguous
 
     def test_zero_ridge_rejected(self):
         with pytest.raises(ValueError):
@@ -87,80 +95,73 @@ class TestAbsorb:
         np.testing.assert_allclose(_coupled_system(stats)[0], expected, atol=1e-12)
 
     @pytest.mark.parametrize("lam", [0.0, 0.5])
-    def test_inverse_mode_matches_dense_inversion(self, lam):
+    def test_factor_mode_matches_dense_matrix(self, lam):
         rng = np.random.default_rng(2)
         schema = _schema(2, 3, 2)
         hyper = Hyperparams(lam=lam, rho=1.0)
         (batch,) = random_cstage_stream(rng, 1, 5, 2, 3, 2)
         direct = absorb_batch(init_stats(schema, hyper, DIRECT), batch)
-        inverse = absorb_batch(init_stats(schema, hyper, INVERSE), batch)
-        np.testing.assert_allclose(
-            inverse.mat, np.linalg.inv(_coupled_system(direct)[0]), atol=1e-8
-        )
+        factor = absorb_batch(init_stats(schema, hyper, FACTOR), batch)
+        assert _factor_error(factor, direct) <= 1e-14
 
     @pytest.mark.parametrize("lam", [0.0, 1.0])
-    def test_symmetry_after_every_absorption(self, lam):
-        # the downdate is one symmetric product, so M^-1 is symmetric bit for bit
+    def test_factor_stays_upper_triangular(self, lam):
+        # dtpqrt writes only the upper triangle, so the strict lower one stays zero
         rng = np.random.default_rng(3)
         schema = _schema(3, 4, 3)
-        stats = init_stats(schema, Hyperparams(lam=lam, rho=0.1), INVERSE)
+        stats = init_stats(schema, Hyperparams(lam=lam, rho=0.1), FACTOR)
         for batch in random_cstage_stream(rng, 6, 7, 3, 4, 3):
             absorb_batch(stats, batch)
-            assert np.array_equal(stats.mat, stats.mat.T)
+            assert not np.tril(stats.mat, -1).any()
 
-    def test_downdate_across_mirror_blocks(self):
-        # stats_dim 330 spans three mirror blocks, the last one ragged
+    def test_factor_across_qr_blocks(self):
+        # stats_dim 330 spans eleven QR blocks, the last one ragged
         rng = np.random.default_rng(22)
         schema = _schema(30, 150, 3)
-        assert 2 * _MIRROR_BLOCK < schema.stats_dim < 3 * _MIRROR_BLOCK
+        assert schema.stats_dim > 10 * _QR_BLOCK and schema.stats_dim % _QR_BLOCK
         hyper = Hyperparams(lam=0.5, rho=1.0)
         direct = init_stats(schema, hyper, DIRECT)
-        inverse = init_stats(schema, hyper, INVERSE)
+        factor = init_stats(schema, hyper, FACTOR)
         for batch in random_cstage_stream(rng, 4, 20, 30, 150, 3):
-            expected = oracles.woodbury_downdate(inverse.mat.copy(), batch, hyper.lam)
             absorb_batch(direct, batch)
-            absorb_batch(inverse, batch)
-            assert np.array_equal(inverse.mat, inverse.mat.T)
-            scale = np.abs(expected).max()
-            assert np.abs(inverse.mat - expected).max() <= 1e-14 * scale
-            np.testing.assert_allclose(
-                inverse.mat, np.linalg.inv(_coupled_system(direct)[0]), atol=1e-8
-            )
+            absorb_batch(factor, batch)
+            assert _factor_error(factor, direct) <= 1e-14
 
-    @pytest.mark.parametrize("m", [1, 127, 128, 129, 300])
-    def test_mirror_copies_upper_triangle(self, m):
-        a = np.random.default_rng(m).standard_normal((m, m))
-        upper = np.triu(a)
-        _mirror_upper(a)
-        assert np.array_equal(np.triu(a), upper)
-        assert np.array_equal(a, a.T)
-
-    def test_inverse_absorb_allocates_no_full_temporary(self):
-        # one warm-up batch first, so lazy set-up is not counted
+    def test_factor_mode_allocates_no_full_temporary(self, tmp_path):
+        # one warm-up batch first, so lazy set-up is not counted; then an
+        # absorb and a solve, and an absorb straight after a resume
         schema = _schema(60, 250, 3)
-        warm, batch = random_cstage_stream(np.random.default_rng(23), 2, 20, 60, 250, 3)
-        stats = absorb_batch(init_stats(schema, Hyperparams(), INVERSE), warm)
+        warm, batch, after = random_cstage_stream(np.random.default_rng(23), 3, 20, 60, 250, 3)
+        stats = absorb_batch(init_stats(schema, Hyperparams(), FACTOR), warm)
+        path = tmp_path / "stats.npz"
         m = schema.stats_dim
-        tracemalloc.start()
-        try:
-            absorb_batch(stats, batch)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < m * m * 8 / 2
 
-    def test_inverse_absorb_accepts_any_matrix_layout(self):
+        def traced_peak(step):
+            tracemalloc.start()
+            try:
+                step()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak(lambda: solve_model(absorb_batch(stats, batch))) < m * m * 8 / 2
+        save_stats(stats, path)
+        resumed = load_stats(path)
+        assert traced_peak(lambda: absorb_batch(resumed, after)) < m * m * 8 / 2
+
+    def test_factor_absorb_accepts_any_matrix_layout(self):
         rng = np.random.default_rng(25)
         schema = _schema(2, 3, 2)
         hyper = Hyperparams(lam=0.9, rho=0.3)
         stream = random_cstage_stream(rng, 3, 5, 2, 3, 2)
-        whole = init_stats(schema, hyper, INVERSE)
-        other = init_stats(schema, hyper, INVERSE)
-        other.mat = np.asfortranarray(other.mat)
+        whole = init_stats(schema, hyper, FACTOR)
+        other = init_stats(schema, hyper, FACTOR)
+        other.mat = np.ascontiguousarray(other.mat)
         for b in stream:
             absorb_batch(whole, b)
             absorb_batch(other, b)
         np.testing.assert_array_equal(other.mat, whole.mat)
+        assert other.mat.flags.f_contiguous
 
     def test_single_instance_batches(self):
         rng = np.random.default_rng(4)
@@ -168,13 +169,12 @@ class TestAbsorb:
         hyper = Hyperparams(lam=0.7, rho=0.5)
         stream = random_cstage_stream(rng, 5, 1, 2, 2, 2)
         direct = init_stats(schema, hyper, DIRECT)
-        inverse = init_stats(schema, hyper, INVERSE)
+        factor = init_stats(schema, hyper, FACTOR)
         for b in stream:
             absorb_batch(direct, b)
-            absorb_batch(inverse, b)
-        np.testing.assert_allclose(
-            inverse.mat @ _coupled_system(direct)[0], np.eye(schema.stats_dim), atol=1e-8
-        )
+            absorb_batch(factor, b)
+        identity, _ = dpotrs(factor.mat, _coupled_system(direct)[0])
+        np.testing.assert_allclose(identity, np.eye(schema.stats_dim), atol=1e-8)
 
     def test_order_insensitivity_direct(self):
         rng = np.random.default_rng(5)
@@ -234,7 +234,7 @@ class TestSolveModel:
         schema = _schema(2, 3, 2)
         hyper = Hyperparams(lam=0.5, rho=0.3)
         stream = random_cstage_stream(rng, 5, 6, 2, 3, 2)
-        stats = init_stats(schema, hyper, INVERSE)
+        stats = init_stats(schema, hyper, FACTOR)
         for t, batch in enumerate(stream, start=1):
             absorb_batch(stats, batch)
             model = solve_model(stats)
@@ -242,21 +242,40 @@ class TestSolveModel:
             np.testing.assert_allclose(model.coef_full, ref_full, atol=1e-8)
             np.testing.assert_allclose(model.coef_survived, ref_sur, atol=1e-8)
 
-    def test_direct_and_inverse_paths_agree(self):
+    def test_direct_and_factor_paths_agree(self):
         rng = np.random.default_rng(9)
         schema = _schema(3, 4, 3)
         hyper = Hyperparams(lam=2.0, rho=0.05)
         stream = random_cstage_stream(rng, 5, 7, 3, 4, 3)
         direct = init_stats(schema, hyper, DIRECT)
-        inverse = init_stats(schema, hyper, INVERSE)
+        factor = init_stats(schema, hyper, FACTOR)
         for b in stream:
             absorb_batch(direct, b)
-            absorb_batch(inverse, b)
+            absorb_batch(factor, b)
         m_d = solve_model(direct)
-        m_i = solve_model(inverse)
+        m_f = solve_model(factor)
         scale = max(np.abs(m_d.coef_full).max(), np.abs(m_d.coef_survived).max())
-        assert np.abs(m_d.coef_full - m_i.coef_full).max() <= 1e-6 * scale
-        assert np.abs(m_d.coef_survived - m_i.coef_survived).max() <= 1e-6 * scale
+        assert np.abs(m_d.coef_full - m_f.coef_full).max() <= 1e-6 * scale
+        assert np.abs(m_d.coef_survived - m_f.coef_survived).max() <= 1e-6 * scale
+
+    def test_factor_does_not_drift_on_an_ill_conditioned_stream(self):
+        # column scales 10^U(-3, 3) make cond(M) about 1e12; an updated
+        # inverse drifts about 1e-8 from direct mode over these 400 batches
+        rng = np.random.default_rng(26)
+        schema = _schema(20, 40, 3)
+        hyper = Hyperparams(lam=1.0, rho=1e-3)
+        scales = 10.0 ** rng.uniform(-3.0, 3.0, schema.cstage_width)
+        direct = init_stats(schema, hyper, DIRECT)
+        factor = init_stats(schema, hyper, FACTOR)
+        for _ in range(400):
+            x = rng.standard_normal((10, schema.cstage_width)) * scales
+            batch = Batch(x, one_hot_encode(rng.integers(0, 3, 10), 3), schema.vanished)
+            absorb_batch(direct, batch)
+            absorb_batch(factor, batch)
+        coef_d, coef_f = (np.vstack([m.coef_full, m.coef_survived])
+                          for m in (solve_model(direct), solve_model(factor)))
+        assert np.abs(coef_f - coef_d).max() <= 1e-12 * np.abs(coef_d).max()
+        assert _factor_error(factor, direct) <= 1e-13
 
     def test_zero_consistency_reduces_to_standalone_ridges(self):
         rng = np.random.default_rng(10)
@@ -301,33 +320,51 @@ class TestSolveModel:
 
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.parametrize("mode", [DIRECT, INVERSE])
+    @pytest.mark.parametrize("mode", [DIRECT, FACTOR])
     def test_overflowing_features_raise_numeric_error(self, mode):
-        # finite 1e200 features overflow the Gram (direct) or Woodbury core
-        # (inverse) products to inf; the solve must fail typed
+        # finite features overflow the Gram product (direct) or the scaled rows
+        # sqrt(1 + lam) x (factor) to inf; the solve must fail typed
+        value = _OVERFLOWING[mode]
         batch = Batch.cstage(
-            np.full((4, 2), 1e200), np.full((4, 3), 1e200), one_hot_encode([0, 1, 0, 1], 2)
+            np.full((4, 2), value), np.full((4, 3), value), one_hot_encode([0, 1, 0, 1], 2)
         )
-        stats = init_stats(_schema(2, 3, 2), Hyperparams(), mode)
+        stats = init_stats(_schema(2, 3, 2), Hyperparams(lam=1.0), mode)
         with pytest.raises(NumericError, match="non-finite"):
             solve_model(absorb_batch(stats, batch))
 
+    def test_huge_features_fit_in_the_factor(self):
+        # the factor holds sqrt(M), so features of 1e200 that overflow the
+        # Gram matrix absorb and solve to finite values in factor mode
+        rng = np.random.default_rng(27)
+        x = 1e200 * rng.standard_normal((4, 5))
+        batch = Batch(x, one_hot_encode([0, 1, 0, 1], 2), 2)
+        stats = absorb_batch(init_stats(_schema(2, 3, 2), Hyperparams(lam=1.0), FACTOR), batch)
+        model = solve_model(stats)
+        assert np.isfinite(stats.mat).all()
+        assert np.isfinite(model.coef_full).all() and np.isfinite(model.coef_survived).all()
 
-    @pytest.mark.parametrize("mode", [DIRECT, INVERSE])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("mode", [DIRECT, FACTOR])
     def test_overflowing_batch_leaves_statistics_unchanged(self, mode):
         rng = np.random.default_rng(21)
         schema = _schema(2, 3, 2)
-        stats = init_stats(schema, Hyperparams(), mode)
+        stats = init_stats(schema, Hyperparams(lam=1.0), mode)
         labels = one_hot_encode([0, 1, 0, 1], 2)
         good = Batch.cstage(rng.standard_normal((4, 2)), rng.standard_normal((4, 3)), labels)
         absorb_batch(stats, good)
         before = (stats.mat.copy(), stats.rhs.copy(), stats.batches_seen)
-        huge = Batch.cstage(np.full((4, 2), 1e200), np.full((4, 3), 1e200), labels)
+        value = _OVERFLOWING[mode]
+        huge = Batch.cstage(np.full((4, 2), value), np.full((4, 3), value), labels)
         with pytest.raises(NumericError, match="non-finite"):
             absorb_batch(stats, huge)
         np.testing.assert_array_equal(stats.mat, before[0])
         np.testing.assert_array_equal(stats.rhs, before[1])
         assert stats.batches_seen == before[2]
+
+
+# Features that overflow each mode's statistics: the Gram matrix squares
+# them, while the factor only scales them by sqrt(1 + lam) = sqrt(2).
+_OVERFLOWING = {DIRECT: 1e200, FACTOR: 1.5e308}
 
 
 class TestCompress:
@@ -355,7 +392,7 @@ class TestCompress:
 
 
 class TestSnapshot:
-    @pytest.mark.parametrize("mode", [DIRECT, INVERSE])
+    @pytest.mark.parametrize("mode", [DIRECT, FACTOR])
     def test_round_trip_is_exact(self, tmp_path, mode):
         rng = np.random.default_rng(15)
         schema = _schema(2, 3, 2)
@@ -373,7 +410,7 @@ class TestSnapshot:
         np.testing.assert_array_equal(loaded.mat, stats.mat)
         np.testing.assert_array_equal(loaded.rhs, stats.rhs)
 
-    @pytest.mark.parametrize("mode", [DIRECT, INVERSE])
+    @pytest.mark.parametrize("mode", [DIRECT, FACTOR])
     def test_resume_continues_identically(self, tmp_path, mode):
         rng = np.random.default_rng(16)
         schema = _schema(2, 3, 2)
@@ -395,26 +432,34 @@ class TestSnapshot:
             np.testing.assert_array_equal(resumed.rhs, whole.rhs)
             assert resumed.batches_seen == whole.batches_seen == len(stream)
 
-    def test_fortran_ordered_snapshot_resumes_identically(self, tmp_path):
+    def test_c_ordered_snapshot_resumes_identically(self, tmp_path):
         rng = np.random.default_rng(24)
         schema = _schema(2, 3, 2)
         hyper = Hyperparams(lam=0.9, rho=0.3)
         stream = random_cstage_stream(rng, 4, 5, 2, 3, 2)
-        whole = init_stats(schema, hyper, INVERSE)
+        whole = init_stats(schema, hyper, FACTOR)
         for b in stream:
             absorb_batch(whole, b)
-        first = init_stats(schema, hyper, INVERSE)
+        first = init_stats(schema, hyper, FACTOR)
         for b in stream[:2]:
             absorb_batch(first, b)
-        first.mat = np.asfortranarray(first.mat)
-        path = tmp_path / "fortran.npz"
+        first.mat = np.ascontiguousarray(first.mat)
+        path = tmp_path / "c_order.npz"
         save_stats(first, path)
         resumed = load_stats(path)
-        assert resumed.mat.flags.c_contiguous
+        assert resumed.mat.flags.f_contiguous
         for b in stream[2:]:
             absorb_batch(resumed, b)
         np.testing.assert_array_equal(resumed.mat, whole.mat)
         np.testing.assert_array_equal(resumed.rhs, whole.rhs)
+
+    def test_negative_factor_diagonal_loads(self, tmp_path):
+        # dtpqrt may leave negative diagonal entries; R^T R is the same matrix
+        stats = init_stats(_schema(2, 3, 2), Hyperparams(lam=0.9, rho=0.3), FACTOR)
+        stats.mat = -stats.mat
+        path = tmp_path / "negative.npz"
+        save_stats(stats, path)
+        np.testing.assert_array_equal(load_stats(path).mat, stats.mat)
 
     @staticmethod
     def _snapshot_fields(tmp_path):
@@ -440,6 +485,9 @@ class TestSnapshot:
             {"rho": np.inf},
             {"batches_seen": -1},
             {"lam": None},
+            {"mode": np.array("inverse"), "mat": 0.3 * np.eye(8)},  # the layout before factors
+            {"mode": np.array("factor"), "mat": np.eye(8) + np.eye(8, k=-3)},
+            {"mode": np.array("factor"), "mat": np.diag([1.0] * 7 + [0.0])},
         ],
     )
     def test_invalid_snapshot_rejected(self, tmp_path, change):

@@ -230,6 +230,12 @@ class TestPredictEnsemble:
             z = x @ cmodel.coef_survived
             np.testing.assert_array_equal(predict_ensemble(x, cmodel, emodel), member.predict(z))
 
+    @pytest.mark.parametrize("w_base", [np.nan, -0.2, 1.5])
+    def test_base_weight_outside_unit_interval_rejected(self, w_base):
+        member = LogisticModel(coef=np.zeros((3, 3)))
+        with pytest.raises(SchemaError, match="weight"):
+            EnsembleModel(member, member, w_base)
+
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_cstage_stream
-from opid.cstage import DIRECT, INVERSE
+from opid.cstage import DIRECT, FACTOR
 from opid.ensemble import SolverError, train_ovr
 from opid.harness import (
     BASE_A,
@@ -97,9 +97,9 @@ class TestResolveMode:
         schema = FeatureSchema(vanished=10, survived=10, augmented=0, classes=2)
         assert resolve_mode("auto", schema) == DIRECT
 
-    def test_auto_picks_inverse_for_large_dims(self):
+    def test_auto_picks_factor_for_large_dims(self):
         schema = FeatureSchema(vanished=3000, survived=100, augmented=0, classes=2)
-        assert resolve_mode("auto", schema) == INVERSE
+        assert resolve_mode("auto", schema) == FACTOR
 
     def test_unknown_mode_rejected(self):
         schema = FeatureSchema(vanished=1, survived=1, augmented=0, classes=2)
