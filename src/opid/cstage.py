@@ -14,10 +14,12 @@ Two interchangeable accumulation strategies sit behind the same interface:
 * ``factor``  -- maintain an upper-triangular Cholesky factor R with
   R^T R = M, so the solution is two triangular solves away at any point of
   the stream. Each batch adds W^T W to M for a 2n x m matrix W (n = batch
-  size), and one LAPACK ``dtpqrt`` call, the QR factorization of [R; W],
-  folds it into R in place (Golub & Van Loan, Matrix Computations, 4th ed.,
-  sec. 6.5). Unlike an updated inverse, the factor stays accurate when M
-  is ill-conditioned.
+  size), and the QR factorization of [R; W] folds it into R (Golub & Van
+  Loan, Matrix Computations, 4th ed., sec. 6.5). W's lower n rows are zero
+  outside the trailing survived columns, so two LAPACK ``dtpqrt`` calls do
+  it: one folds the upper n rows into all of R in place, the other folds
+  the lower rows into R's trailing survived x survived block alone. Unlike
+  an updated inverse, the factor stays accurate when M is ill-conditioned.
 """
 
 from __future__ import annotations
@@ -43,10 +45,11 @@ from .model import (
 DIRECT = "direct"
 FACTOR = "factor"
 SNAPSHOT_FORMAT = 2  # the Gram-pair layout; unversioned snapshots predate it
-# Block size of the factor-mode ``dtpqrt`` update. At m = 2220 with 120 rows
-# per batch, on one core of a 2-vCPU x86-64 machine, 32 and 48 tied within the
-# noise (median absorb 55-69 ms over three interleaved runs of 80 batches);
-# 24, 40 and 64 were 2-5% slower, and 96 about 20% slower.
+# Block size of both factor-mode ``dtpqrt`` calls. At m = 2220, survived 960
+# and 60 rows per batch, on one core of a 2-vCPU x86-64 machine, 16, 24, 32
+# and 48 tied within the noise (median absorb 49-58 ms, quartiles about 5 ms
+# either side, over interleaved runs of 12 batches); 64 tied or was up to 4%
+# slower, and 8 and 12 were 15-19% slower.
 _QR_BLOCK = 32
 
 
@@ -60,9 +63,10 @@ class CStageStats:
     survived. ``rhs`` is the (p, classes) cross-moment B with the one-hot
     labels. The footprint is fixed by the schema, never by how many
     instances were absorbed; factor mode has ``hyper`` folded into ``mat``.
-    Single-writer: factor-mode absorbing changes ``mat`` in place; direct
-    mode builds new arrays and swaps them in only once they are checked
-    finite.
+    Single-writer: factor-mode absorbing changes ``mat`` in place, its
+    trailing (survived, survived) block through one copy that is written
+    back; direct mode builds new arrays and swaps them in only once they are
+    checked finite.
     """
 
     mode: str
@@ -100,26 +104,37 @@ def absorb_batch(stats: CStageStats, batch: Batch) -> CStageStats:
             checked = [rhs, mat]
         else:
             # The increment of M is W^T W with W = [[a X, b X_s], [0, d X_s]],
-            # where a^2 = b^2 + d^2 = 1 + lam and a b = -lam.
-            p, lam, n = stats.schema.cstage_width, stats.hyper.lam, batch.n
+            # where a^2 = b^2 + d^2 = 1 + lam and a b = -lam. The upper rows
+            # are w, the survived-only lower ones w_s.
+            p, lam = stats.schema.cstage_width, stats.hyper.lam
             a = np.sqrt(1.0 + lam)
-            w = np.zeros((2 * n, stats.schema.stats_dim), order="F")
-            w[:n, :p] = a * x_all
-            w[:n, p:] = -lam / a * batch.survived
-            w[n:, p:] = np.sqrt((1.0 + 2.0 * lam) / (1.0 + lam)) * batch.survived
-            checked = [rhs, w]
+            w = np.empty((batch.n, stats.schema.stats_dim), order="F")
+            w[:, :p] = a * x_all
+            w[:, p:] = -lam / a * batch.survived
+            w_s = np.sqrt((1.0 + 2.0 * lam) / (1.0 + lam)) * batch.survived
+            checked = [rhs, w, w_s]
         if not all(np.isfinite(c).all() for c in checked):
             raise NumericError(
                 f"batch {stats.batches_seen} overflows the statistics to non-finite values"
             )
         if stats.mode == FACTOR:
             # The new R is the triangle of qr([R; W]). A Fortran-ordered R is
-            # overwritten in place; any other layout is copied once.
-            nb = min(_QR_BLOCK, w.shape[1])  # dtpqrt rejects a block wider than R
-            mat = dtpqrt(0, nb, stats.mat, w, overwrite_a=1, overwrite_b=1)[0]
+            # overwritten in place; any other layout is copied once. W's lower
+            # rows [0, w_s] are zero in the first p columns, so with
+            # R = [[R11, R12], [0, R22]] they leave R11 and R12 as they are,
+            # and R22 becomes the triangle of qr([R22; w_s]).
+            mat = _qr_update(stats.mat, w)
+            mat[p:, p:] = _qr_update(mat[p:, p:].copy(order="F"), w_s)
     stats.mat, stats.rhs = mat, rhs
     stats.batches_seen += 1
     return stats
+
+
+def _qr_update(r: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The upper triangle of qr([r; w]) for an upper-triangular r, written
+    over r if it is Fortran-ordered; ``w`` may be overwritten too."""
+    nb = min(_QR_BLOCK, r.shape[1])  # dtpqrt rejects a block wider than r
+    return dtpqrt(0, nb, r, w, overwrite_a=1, overwrite_b=1)[0]
 
 
 def _coupled_system(stats: CStageStats) -> tuple[np.ndarray | None, np.ndarray]:

@@ -4,10 +4,13 @@ Batch files are plain delimited text: one instance per row, feature columns
 first, a single integer class label last. A JSON manifest declares the
 partition widths, the ordered compressing-stage file list, the
 expanding-stage train/test files, and the column ranges realizing each
-partition. Readers hold at most one batch in memory at a time. Both stages
-are read with their feature columns in schema order, whatever their order in
-the files: the compressing stage as :class:`Batch` objects (vanished, then
-survived), the expanding stage as (features, one-hot labels) pairs
+partition. Readers hold at most one batch in memory at a time. Each file is
+parsed in one ``np.loadtxt`` call; a file that call refuses, or whose rows
+fail a check, is read again line by line, which accepts what ``float()``
+accepts and names the file and line of a fault. Both stages are read with
+their feature columns in schema order, whatever their order in the files:
+the compressing stage as :class:`Batch` objects (vanished, then survived),
+the expanding stage as (features, one-hot labels) pairs
 (survived, then augmented).
 """
 
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,6 +38,11 @@ _MANIFEST_KEYS = {
     "estage_columns",
 }
 
+
+# The information separators U+001C-U+001F: loadtxt strips them from around a
+# value, as str.strip() does, but float() rejects them, so a batch file
+# holding one is read line by line.
+_LOADTXT_ONLY_SPACES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 # (features, one-hot labels): the rows of one file, or an expanding-stage set
 # with its feature columns in schema order.
@@ -151,12 +160,48 @@ def parse_manifest(path) -> StreamManifest:
 
 
 def _read_rows(path: Path, n_features: int, classes: int) -> _Rows:
+    """The rows of a batch file as (features, one-hot labels). A file that
+    :func:`_parse_whole` refuses is read line by line, which accepts what
+    ``float()`` accepts and names the file and line of the first fault."""
+    return _parse_whole(path, n_features, classes) or _read_rows_by_line(path, n_features, classes)
+
+
+def _parse_whole(path: Path, n_features: int, classes: int) -> _Rows | None:
+    """The rows of a batch file parsed in one ``np.loadtxt`` call and checked
+    with vectorised tests, or None if loadtxt refuses the file or a check
+    fails. Away from ``_LOADTXT_ONLY_SPACES``, loadtxt accepts a subset of
+    what ``float()`` does, with the same values."""
+    try:
+        raw = path.read_bytes()
+        if any(sep in raw for sep in _LOADTXT_ONLY_SPACES):
+            return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an empty file only warns
+            table = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, encoding="utf-8")
+    except (OSError, ValueError, Warning):
+        return None
+    feats, labels = table[:, :-1], table[:, -1]
+    # nan fails every comparison, so the label test rejects it too
+    if (
+        table.shape[1] != n_features + 1
+        or not ((0 <= labels) & (labels < classes) & (labels == np.trunc(labels))).all()
+        or not np.isfinite(feats).all()
+    ):
+        return None
+    return feats, one_hot_encode(labels, classes)
+
+
+def _read_rows_by_line(path: Path, n_features: int, classes: int) -> _Rows:
     feats = []
     labels = []
     linenos = []
     # Bytes that are not UTF-8 decode to lone surrogates, which float() rejects
     # below with the file and line named.
-    with path.open(encoding="utf-8", errors="surrogateescape") as fh:
+    try:
+        fh = path.open(encoding="utf-8", errors="surrogateescape")
+    except OSError as exc:
+        raise ManifestError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    with fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

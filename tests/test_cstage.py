@@ -115,10 +115,13 @@ class TestAbsorb:
             assert not np.tril(stats.mat, -1).any()
 
     def test_factor_across_qr_blocks(self):
-        # stats_dim 330 spans eleven QR blocks, the last one ragged
+        # stats_dim 330 spans more than ten QR blocks and the survived width
+        # 150 of the trailing block's update more than four, each with a
+        # ragged last block
         rng = np.random.default_rng(22)
         schema = _schema(30, 150, 3)
         assert schema.stats_dim > 10 * _QR_BLOCK and schema.stats_dim % _QR_BLOCK
+        assert schema.survived > 4 * _QR_BLOCK and schema.survived % _QR_BLOCK
         hyper = Hyperparams(lam=0.5, rho=1.0)
         direct = init_stats(schema, hyper, DIRECT)
         factor = init_stats(schema, hyper, FACTOR)
@@ -126,6 +129,26 @@ class TestAbsorb:
             absorb_batch(direct, batch)
             absorb_batch(factor, batch)
             assert _factor_error(factor, direct) <= 1e-14
+
+    @pytest.mark.parametrize("d_v, d_s, n", [
+        (0, 6, 4),  # no vanished block: the trailing block is half of R
+        (3, 4, 1),  # one-row batches
+        (40, 5, 7),  # survived narrower than a QR block, R wider than one
+    ])
+    def test_split_update_matches_dense_matrix(self, d_v, d_s, n):
+        # the upper rows update all of R, the survived-only rows its trailing
+        # block; after every batch R^T R is M and R stays upper-triangular
+        rng = np.random.default_rng(28)
+        schema = _schema(d_v, d_s, 3)
+        hyper = Hyperparams(lam=0.8, rho=0.2)
+        direct = init_stats(schema, hyper, DIRECT)
+        factor = init_stats(schema, hyper, FACTOR)
+        for batch in random_cstage_stream(rng, 6, n, d_v, d_s, 3):
+            absorb_batch(direct, batch)
+            absorb_batch(factor, batch)
+            assert _factor_error(factor, direct) <= 1e-14
+            assert not np.tril(factor.mat, -1).any()
+        assert factor.mat.flags.f_contiguous
 
     def test_factor_mode_allocates_no_full_temporary(self, tmp_path):
         # one warm-up batch first, so lazy set-up is not counted; then an

@@ -1,14 +1,20 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from opid.ensemble import train_ovr
 from opid.ingest import (
     ManifestError,
     SynthConfig,
+    _parse_whole,
+    _read_rows,
+    _read_rows_by_line,
     generate_synthetic,
     parse_manifest,
     read_estage,
@@ -206,6 +212,103 @@ class TestStreamBatches:
         (tmp_path / "c0.csv").write_bytes(b"0.5,1.0,2.0,0\n0.5,\xff\xfe,2.0,1\n")
         with pytest.raises(ManifestError, match=r"c0\.csv:2"):
             list(stream_batches(parse_manifest(path)))
+
+    @pytest.mark.parametrize("name, read", [
+        ("c0.csv", lambda manifest: list(stream_batches(manifest))),
+        ("test.csv", read_estage),
+    ], ids=["stream_batches", "read_estage"])
+    def test_file_removed_after_manifest_names_it(self, tmp_path, name, read):
+        manifest = parse_manifest(_write_manifest(tmp_path))
+        (tmp_path / name).unlink()
+        with pytest.raises(ManifestError, match=rf"{name}: cannot read"):
+            read(manifest)
+
+
+# (file bytes, features and labels read, or the error after "<path>"), read
+# with 2 features and 3 classes
+_PARSE_CASES = {
+    "plain": (b"1.0,-2.5,0\n3e-5,4,2\n", ([[1.0, -2.5], [3e-5, 4.0]], [0, 2])),
+    "crlf": (b"1.0,2.0,0\r\n3.0,4.0,1\r\n", ([[1.0, 2.0], [3.0, 4.0]], [0, 1])),
+    "underscore": (b"1_0,2.0,0\n", ([[10.0, 2.0]], [0])),
+    "arabic_indic_digit": ("١,2.0,1\n".encode(), ([[1.0, 2.0]], [1])),
+    "fullwidth_digit": ("１,2.0,1\n".encode(), ([[1.0, 2.0]], [1])),
+    "whitespace_only_line": (b"1.0,2.0,0\n \t\n3.0,4.0,1\n", ([[1.0, 2.0], [3.0, 4.0]], [0, 1])),
+    "separator_at_line_end": (b"1.0,2.0,0\x1c\n", ([[1.0, 2.0]], [0])),
+    "separator_inside_line": (
+        b"1.0\x1c,2.0,0\n",
+        ":1: malformed value: could not convert string to float: '1.0\\x1c'",
+    ),
+    "hash": (b"#,2.0,0\n", ":1: malformed value: could not convert string to float: '#'"),
+    "trailing_comma": (b"1.0,2.0,0,\n", ":1: expected 3 columns, got 4"),
+    "empty_file": (b"", ": file contains no instances"),
+    "blank_lines_only": (b"\n\n", ": file contains no instances"),
+    "non_utf8": (
+        b"1.0,2.0,0\n1.0,\xff,0\n",
+        ":2: malformed value: could not convert string to float: '\\udcff'",
+    ),
+    "fractional_label": (b"1.0,2.0,2.5\n", ":1: label 2.5 is not an integer in [0, 3)"),
+    "nan_label": (b"1.0,2.0,nan\n", ":1: label nan is not an integer in [0, 3)"),
+    "label_out_of_range": (b"1.0,2.0,0\n1.0,2.0,3\n", ":2: label 3.0 is not an integer in [0, 3)"),
+    "inf_feature": (b"1.0,2.0,0\n\n1.0,inf,1\n", ":3: feature values must be finite"),
+}
+
+
+class TestReadRows:
+    """The whole-file parse gives the line reader's exact result or error."""
+
+    @pytest.mark.parametrize("content, expected", _PARSE_CASES.values(), ids=_PARSE_CASES)
+    def test_case_matches_line_reader(self, tmp_path, content, expected):
+        path = tmp_path / "b.csv"
+        path.write_bytes(content)
+        for read in (_read_rows, _read_rows_by_line):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                if isinstance(expected, str):
+                    with pytest.raises(ManifestError) as info:
+                        read(path, 2, 3)
+                    assert str(info.value) == f"{path}{expected}"
+                else:
+                    feats, labels = read(path, 2, 3)
+                    np.testing.assert_array_equal(feats, expected[0], strict=True)
+                    np.testing.assert_array_equal(labels, np.eye(3)[expected[1]], strict=True)
+            assert caught == []
+
+    @pytest.mark.parametrize("name", ["plain", "crlf"])
+    def test_plain_files_take_the_whole_file_parse(self, tmp_path, name):
+        path = tmp_path / "b.csv"
+        path.write_bytes(_PARSE_CASES[name][0])
+        assert _parse_whole(path, 2, 3) is not None
+
+    _FEATURE = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.sampled_from(["-0", "1e400", "4.9e-324", "0.1000000000000000055511151231257827",
+                         "nan", "Infinity", "1_0", "١", " 1 ", "\t2\x0b", "\xa03\u3000", "1\x1c",
+                         "\x1f0", "#", ""]),
+        st.text(st.sampled_from("0123456789.-+eEinfa_ \t\x0b\x0c\x1c\x85\xa0\u3000\ufeff#\x00"),
+                max_size=6),
+    )
+    _LABEL = st.sampled_from(["0", "1", "2", "2.0", "-0", "0e0", " 1", "2.5", "3", "nan", "1\x1d"])
+    _LINE = st.one_of(
+        st.tuples(_FEATURE, _FEATURE, _LABEL).map(",".join),
+        st.lists(_FEATURE, max_size=4).map(",".join),
+    )
+
+    @settings(derandomize=True, max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=st.lists(_LINE, min_size=1, max_size=4), newline=st.sampled_from(["\n", "\r\n", "\r"]))
+    def test_whole_file_parse_agrees_with_line_reader(self, tmp_path, lines, newline):
+        path = tmp_path / "b.csv"
+        path.write_bytes(newline.join(lines).encode())
+        whole = _parse_whole(path, 2, 3)
+        try:
+            feats, labels = _read_rows_by_line(path, 2, 3)
+        except ManifestError:
+            assert whole is None
+            return
+        if whole is not None:
+            np.testing.assert_array_equal(whole[0], feats, strict=True)
+            np.testing.assert_array_equal(np.signbit(whole[0]), np.signbit(feats))
+            np.testing.assert_array_equal(whole[1], labels, strict=True)
 
 
 class TestBatchLayout:
