@@ -24,12 +24,13 @@ Two interchangeable accumulation strategies sit behind the same interface:
 
 from __future__ import annotations
 
+import math
 import zipfile
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs, dtpqrt
+from scipy.linalg.lapack import dlange, dpotrs, dtpqrt
 
 from .model import (
     Batch,
@@ -51,6 +52,11 @@ SNAPSHOT_FORMAT = 2  # the Gram-pair layout; unversioned snapshots predate it
 # either side, over interleaved runs of 12 batches); 64 tied or was up to 4%
 # slower, and 8 and 12 were 15-19% slower.
 _QR_BLOCK = 32
+# No value that dtpqrt forms exceeds _QR_HEADROOM * N, N = ||[R; W]||_F:
+# column norms stay <= N, Householder vectors are 1 over entries <= 1, and
+# T = I - Q11 of the orthogonal block reflector I - V T V^T has entries <= 2,
+# so T (V^T c) sums at most _QR_BLOCK terms of at most 2 * 2N each.
+_QR_HEADROOM = 4.0 * _QR_BLOCK
 
 
 @dataclass
@@ -63,6 +69,8 @@ class CStageStats:
     survived. ``rhs`` is the (p, classes) cross-moment B with the one-hot
     labels. The footprint is fixed by the schema, never by how many
     instances were absorbed; factor mode has ``hyper`` folded into ``mat``.
+    Factor mode keeps ``r_norm`` = ||R||_F, derived from ``mat`` when the
+    statistics are made or loaded and grown by each absorb; snapshots omit it.
     Single-writer: factor-mode absorbing changes ``mat`` in place, its
     trailing (survived, survived) block through one copy that is written
     back; direct mode builds new arrays and swaps them in only once they are
@@ -75,6 +83,10 @@ class CStageStats:
     mat: np.ndarray
     rhs: np.ndarray
     batches_seen: int = 0
+    r_norm: float | None = field(init=False)
+
+    def __post_init__(self):
+        self.r_norm = dlange("F", self.mat) if self.mode == FACTOR else None
 
 
 def init_stats(schema: FeatureSchema, hyper: Hyperparams, mode: str = DIRECT) -> CStageStats:
@@ -101,7 +113,7 @@ def absorb_batch(stats: CStageStats, batch: Batch) -> CStageStats:
         rhs = stats.rhs + x_all.T @ batch.labels
         if stats.mode == DIRECT:
             mat = stats.mat + x_all.T @ x_all
-            checked = [rhs, mat]
+            fits = np.isfinite(mat).all()
         else:
             # The increment of M is W^T W with W = [[a X, b X_s], [0, d X_s]],
             # where a^2 = b^2 + d^2 = 1 + lam and a b = -lam. The upper rows
@@ -112,8 +124,10 @@ def absorb_batch(stats: CStageStats, batch: Batch) -> CStageStats:
             w[:, :p] = a * x_all
             w[:, p:] = -lam / a * batch.survived
             w_s = np.sqrt((1.0 + 2.0 * lam) / (1.0 + lam)) * batch.survived
-            checked = [rhs, w, w_s]
-        if not all(np.isfinite(c).all() for c in checked):
+            # ||R_new||_F = ||[R; W]||_F; w_s.T is Fortran-ordered, so not copied
+            r_norm = math.hypot(stats.r_norm, dlange("F", w), dlange("F", w_s.T))
+            fits = math.isfinite(_QR_HEADROOM * r_norm)
+        if not (fits and np.isfinite(rhs).all()):
             raise NumericError(
                 f"batch {stats.batches_seen} overflows the statistics to non-finite values"
             )
@@ -125,6 +139,7 @@ def absorb_batch(stats: CStageStats, batch: Batch) -> CStageStats:
             # and R22 becomes the triangle of qr([R22; w_s]).
             mat = _qr_update(stats.mat, w)
             mat[p:, p:] = _qr_update(mat[p:, p:].copy(order="F"), w_s)
+            stats.r_norm = r_norm
     stats.mat, stats.rhs = mat, rhs
     stats.batches_seen += 1
     return stats

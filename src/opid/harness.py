@@ -14,7 +14,6 @@ identical tables and identical report bytes.
 from __future__ import annotations
 
 import functools
-import io
 import itertools
 import logging
 import math
@@ -29,7 +28,7 @@ from .ensemble import EnsembleModel, _fit_members, predict_ensemble, train_ensem
 from .estage import JointStats, build_stacked, fit_unified, predict_unified
 from .ingest import StreamManifest, SynthConfig, generate_synthetic, read_estage, stream_batches
 from .model import (CStageModel, FeatureSchema, Hyperparams, SchemaError, _accuracy,
-                    _cv_accuracy, _read_text)
+                    _cv_accuracy, _open_text)
 
 logger = logging.getLogger(__name__)
 
@@ -367,7 +366,7 @@ def load_results(csv_path) -> ResultTable:
     """
     accuracies: dict[str, list[float]] = {}
     last_line: dict[str, int] = {}
-    with io.StringIO(_read_text(csv_path), newline=None) as fh:
+    with _open_text(csv_path) as fh:
         header = fh.readline().strip()
         if header != "method,repeat,accuracy":
             raise SchemaError(f"{csv_path}:1: unrecognized results header {header!r}")

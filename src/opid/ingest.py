@@ -6,11 +6,12 @@ partition widths, the ordered compressing-stage file list, the
 expanding-stage train/test files, and the column ranges realizing each
 partition. Readers hold at most one batch in memory at a time. Each file is
 parsed in one ``np.loadtxt`` call; a file that call refuses, or whose rows
-fail a check, is read again line by line, which accepts what ``float()``
-accepts and names the file and line of a fault. Both stages are read with
-their feature columns in schema order, whatever their order in the files:
-the compressing stage as :class:`Batch` objects (vanished, then survived),
-the expanding stage as (features, one-hot labels) pairs
+fail a check, is read again line by line, which names the file and line of
+its first fault. Both readers end lines where text mode does and read each
+value as ``float()`` does once ``str.strip()`` has stripped it. Both stages
+are read with their feature columns in schema order, whatever their order in
+the files: the compressing stage as :class:`Batch` objects (vanished, then
+survived), the expanding stage as (features, one-hot labels) pairs
 (survived, then augmented).
 """
 
@@ -24,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import Batch, FeatureSchema, SchemaError, _read_text, one_hot_encode
+from .model import Batch, FeatureSchema, SchemaError, _open_text, one_hot_encode
 
 _MANIFEST_KEYS = {
     "classes",
@@ -38,11 +39,6 @@ _MANIFEST_KEYS = {
     "estage_columns",
 }
 
-
-# The information separators U+001C-U+001F: loadtxt strips them from around a
-# value, as str.strip() does, but float() rejects them, so a batch file
-# holding one is read line by line.
-_LOADTXT_ONLY_SPACES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 # (features, one-hot labels): the rows of one file, or an expanding-stage set
 # with its feature columns in schema order.
@@ -112,7 +108,7 @@ def parse_manifest(path) -> StreamManifest:
     if not path.is_file():
         raise ManifestError(f"manifest not found: {path}")
     try:
-        raw = json.loads(_read_text(path, ManifestError))
+        raw = json.load(_open_text(path, ManifestError))
     except json.JSONDecodeError as exc:
         raise ManifestError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -161,20 +157,18 @@ def parse_manifest(path) -> StreamManifest:
 
 def _read_rows(path: Path, n_features: int, classes: int) -> _Rows:
     """The rows of a batch file as (features, one-hot labels). A file that
-    :func:`_parse_whole` refuses is read line by line, which accepts what
-    ``float()`` accepts and names the file and line of the first fault."""
+    :func:`_parse_whole` refuses is read again line by line, which names the
+    file and line of the first fault."""
     return _parse_whole(path, n_features, classes) or _read_rows_by_line(path, n_features, classes)
 
 
 def _parse_whole(path: Path, n_features: int, classes: int) -> _Rows | None:
     """The rows of a batch file parsed in one ``np.loadtxt`` call and checked
     with vectorised tests, or None if loadtxt refuses the file or a check
-    fails. Away from ``_LOADTXT_ONLY_SPACES``, loadtxt accepts a subset of
-    what ``float()`` does, with the same values."""
+    fails. loadtxt strips every ``str.isspace()`` character from around a
+    value, so it accepts a subset of what the line reader does, with the
+    same values."""
     try:
-        raw = path.read_bytes()
-        if any(sep in raw for sep in _LOADTXT_ONLY_SPACES):
-            return None
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # an empty file only warns
             table = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, encoding="utf-8")
@@ -194,44 +188,32 @@ def _parse_whole(path: Path, n_features: int, classes: int) -> _Rows | None:
 def _read_rows_by_line(path: Path, n_features: int, classes: int) -> _Rows:
     feats = []
     labels = []
-    linenos = []
-    # Bytes that are not UTF-8 decode to lone surrogates, which float() rejects
-    # below with the file and line named.
-    try:
-        fh = path.open(encoding="utf-8", errors="surrogateescape")
-    except OSError as exc:
-        raise ManifestError(f"{path}: cannot read: {exc.strerror or exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if len(cells) != n_features + 1:
-                raise ManifestError(
-                    f"{path}:{lineno}: expected {n_features + 1} columns, got {len(cells)}"
-                )
-            try:
-                row = [float(c) for c in cells]
-            except ValueError as exc:
-                raise ManifestError(f"{path}:{lineno}: malformed value: {exc}") from exc
-            label = row[-1]
-            # The range test comes first: it also rejects nan and inf before int() sees them.
-            if not 0 <= label < classes or label != int(label):
-                raise ManifestError(
-                    f"{path}:{lineno}: label {label} is not an integer in [0, {classes})"
-                )
-            feats.append(row[:-1])
-            labels.append(int(label))
-            linenos.append(lineno)
+    for lineno, line in enumerate(_open_text(path, ManifestError), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        cells = line.split(",")
+        if len(cells) != n_features + 1:
+            raise ManifestError(
+                f"{path}:{lineno}: expected {n_features + 1} columns, got {len(cells)}"
+            )
+        try:
+            row = [float(c.strip()) for c in cells]
+        except ValueError as exc:
+            raise ManifestError(f"{path}:{lineno}: malformed value: {exc}") from exc
+        label = row.pop()
+        # The range test comes first: it also rejects nan and inf before int() sees them.
+        if not 0 <= label < classes or label != int(label):
+            raise ManifestError(
+                f"{path}:{lineno}: label {label} is not an integer in [0, {classes})"
+            )
+        if not all(map(math.isfinite, row)):
+            raise ManifestError(f"{path}:{lineno}: feature values must be finite")
+        feats.append(row)
+        labels.append(int(label))
     if not feats:
         raise ManifestError(f"{path}: file contains no instances")
-    feats = np.asarray(feats, dtype=np.float64)
-    finite = np.isfinite(feats).all(axis=1)
-    if not finite.all():
-        lineno = linenos[int(np.argmin(finite))]
-        raise ManifestError(f"{path}:{lineno}: feature values must be finite")
-    return feats, one_hot_encode(labels, classes)
+    return np.asarray(feats, dtype=np.float64), one_hot_encode(labels, classes)
 
 
 def _schema_order(feats: np.ndarray, columns: tuple[tuple[int, int], ...]) -> np.ndarray:

@@ -12,6 +12,7 @@ search and the ensemble weight search, lives here too.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -238,17 +239,19 @@ def _solve_spd(mat: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     return x
 
 
-def _read_text(path, error: type[SchemaError] = SchemaError) -> str:
-    """The whole of a UTF-8 text file. An unreadable file or a byte sequence
-    that is not UTF-8 raises ``error`` naming the path (and the line)."""
+def _open_text(path, error: type[SchemaError] = SchemaError) -> io.StringIO:
+    """The whole of a UTF-8 text file as a text stream whose lines end at
+    ``\\n``, ``\\r\\n`` or ``\\r``, as in text mode. An unreadable file or bytes
+    that are not UTF-8 raise ``error`` naming the path (and the line)."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
         raise error(f"{path}: cannot read: {exc.strerror or exc}") from exc
     try:
-        return raw.decode("utf-8")
+        return io.StringIO(raw.decode("utf-8"), newline=None)
     except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
+        head = raw[: exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise error(f"{path}:{line}: not UTF-8 text") from exc
 
 

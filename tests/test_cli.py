@@ -338,6 +338,7 @@ class TestRejectedInput:
 
     @pytest.mark.parametrize("body, pattern", [
         (b"method,repeat,accuracy\nOPID,0,0.5\nOPID,\xff\xfe\n", r"results\.csv:3: not UTF-8"),
+        (b"method,repeat,accuracy\rOPID,0,0.5\rOPID,\xff\xfe\r", r"results\.csv:3: not UTF-8"),
         (b"method,repeat,accuracy\nOPID,0\n", r"results\.csv:2: expected method,repeat"),
     ])
     def test_malformed_results_file(self, tmp_path, capsys, body, pattern):

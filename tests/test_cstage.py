@@ -384,6 +384,46 @@ class TestSolveModel:
         np.testing.assert_array_equal(stats.rhs, before[1])
         assert stats.batches_seen == before[2]
 
+    @pytest.mark.parametrize("round_trip", [False, True], ids=["fresh", "loaded"])
+    def test_batch_that_would_overflow_the_factor_is_refused(self, tmp_path, round_trip):
+        # W holds sqrt(2) 1e308, which is finite, and rhs stays finite with
+        # one row per class; only the columns of [R; W] overflow
+        rng = np.random.default_rng(28)
+        stats = init_stats(_schema(2, 3, 2), Hyperparams(lam=1.0), FACTOR)
+        absorb_batch(stats, Batch(rng.standard_normal((4, 5)), one_hot_encode([0, 1, 0, 1], 2), 2))
+        if round_trip:
+            save_stats(stats, tmp_path / "stats.npz")
+            stats = load_stats(tmp_path / "stats.npz")
+        before = (stats.mat.copy(), stats.rhs.copy(), stats.batches_seen)
+        with pytest.raises(NumericError, match="non-finite"):
+            absorb_batch(stats, Batch(np.full((2, 5), 1e308), one_hot_encode([0, 1], 2), 2))
+        np.testing.assert_array_equal(stats.mat, before[0], strict=True)
+        np.testing.assert_array_equal(stats.rhs, before[1], strict=True)
+        assert stats.batches_seen == before[2]
+
+    def test_huge_features_refuse_or_leave_the_factor_finite(self):
+        # Batches of 10^k and 0.6 * 10^k in every column or in one, then an
+        # ordinary batch. 0.6e308 in one column would leave a finite corner
+        # of 1.2e308 in R, on which the next QR update overflows, so the
+        # headroom must refuse it.
+        labels = one_hot_encode([0, 1], 2)
+        one_column = np.zeros((2, 5))
+        one_column[:, 0] = 1.0
+        for k in range(150, 309):
+            for value in (10.0**k, 0.6 * 10.0**k):
+                for rows in (np.ones((2, 5)), one_column):
+                    stats = init_stats(_schema(2, 3, 2), Hyperparams(lam=1.0), FACTOR)
+                    for x in (value * rows, value * rows, np.ones((2, 5))):
+                        before = (stats.mat.copy(), stats.rhs.copy(), stats.batches_seen)
+                        try:
+                            absorb_batch(stats, Batch(x, labels, 2))
+                        except NumericError:
+                            np.testing.assert_array_equal(stats.mat, before[0], strict=True)
+                            np.testing.assert_array_equal(stats.rhs, before[1], strict=True)
+                            assert stats.batches_seen == before[2]
+                        else:
+                            assert np.isfinite(stats.mat).all(), (k, value)
+
 
 # Features that overflow each mode's statistics: the Gram matrix squares
 # them, while the factor only scales them by sqrt(1 + lam) = sqrt(2).

@@ -118,6 +118,13 @@ class TestParseManifest:
         with pytest.raises(ManifestError, match=r"manifest\.json:2: not UTF-8 text"):
             parse_manifest(path)
 
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_non_utf8_line_counts_text_mode_line_ends(self, tmp_path, newline):
+        path = _write_manifest(tmp_path)
+        path.write_bytes(newline.join([b"{", b'"classes": 2,', b'"vanished": "\xff"}']))
+        with pytest.raises(ManifestError, match=r"manifest\.json:3: not UTF-8 text"):
+            parse_manifest(path)
+
     def test_missing_batch_file_rejected(self, tmp_path):
         path = _write_manifest(tmp_path, overrides={"cstage_batches": ["nope.csv"]})
         with pytest.raises(ManifestError, match="not found"):
@@ -234,22 +241,18 @@ _PARSE_CASES = {
     "fullwidth_digit": ("１,2.0,1\n".encode(), ([[1.0, 2.0]], [1])),
     "whitespace_only_line": (b"1.0,2.0,0\n \t\n3.0,4.0,1\n", ([[1.0, 2.0], [3.0, 4.0]], [0, 1])),
     "separator_at_line_end": (b"1.0,2.0,0\x1c\n", ([[1.0, 2.0]], [0])),
-    "separator_inside_line": (
-        b"1.0\x1c,2.0,0\n",
-        ":1: malformed value: could not convert string to float: '1.0\\x1c'",
-    ),
+    "separator_inside_line": (b"1.0\x1c,2.0,0\n", ([[1.0, 2.0]], [0])),
     "hash": (b"#,2.0,0\n", ":1: malformed value: could not convert string to float: '#'"),
     "trailing_comma": (b"1.0,2.0,0,\n", ":1: expected 3 columns, got 4"),
     "empty_file": (b"", ": file contains no instances"),
     "blank_lines_only": (b"\n\n", ": file contains no instances"),
-    "non_utf8": (
-        b"1.0,2.0,0\n1.0,\xff,0\n",
-        ":2: malformed value: could not convert string to float: '\\udcff'",
-    ),
+    "non_utf8": (b"1.0,2.0,0\n1.0,\xff,0\n", ":2: not UTF-8 text"),
+    "non_utf8_cr": (b"1.0,2.0,0\r1.0,2.0,1\r1.0,\xff,0\r", ":3: not UTF-8 text"),
     "fractional_label": (b"1.0,2.0,2.5\n", ":1: label 2.5 is not an integer in [0, 3)"),
     "nan_label": (b"1.0,2.0,nan\n", ":1: label nan is not an integer in [0, 3)"),
     "label_out_of_range": (b"1.0,2.0,0\n1.0,2.0,3\n", ":2: label 3.0 is not an integer in [0, 3)"),
     "inf_feature": (b"1.0,2.0,0\n\n1.0,inf,1\n", ":3: feature values must be finite"),
+    "first_fault_first": (b"1,2,0\n1,inf,1\n1,2,7\n", ":2: feature values must be finite"),
 }
 
 
@@ -273,7 +276,7 @@ class TestReadRows:
                     np.testing.assert_array_equal(labels, np.eye(3)[expected[1]], strict=True)
             assert caught == []
 
-    @pytest.mark.parametrize("name", ["plain", "crlf"])
+    @pytest.mark.parametrize("name", ["plain", "crlf", "separator_inside_line"])
     def test_plain_files_take_the_whole_file_parse(self, tmp_path, name):
         path = tmp_path / "b.csv"
         path.write_bytes(_PARSE_CASES[name][0])
