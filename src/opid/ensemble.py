@@ -44,9 +44,9 @@ class SolverError(NumericError):
     """The logistic solver did not reach its tolerance within budget."""
 
 
-def logistic_objective(v: np.ndarray, x: np.ndarray, y_pm: np.ndarray, alpha: float) -> float:
-    """0.5 * ||v||^2 plus alpha times the logistic loss over +/-1 labels."""
-    margins = y_pm * (x @ v)
+def logistic_objective(v: np.ndarray, margins: np.ndarray, alpha: float) -> float:
+    """0.5 * ||v||^2 plus alpha times the logistic loss of the ``margins``
+    ``y * (x @ v)`` of features ``x`` over +/-1 labels ``y``."""
     return 0.5 * float(v @ v) + alpha * float(np.logaddexp(0.0, -margins).sum())
 
 
@@ -76,25 +76,28 @@ def train_logistic(x, y_pm, alpha: float, init=None) -> np.ndarray:
 
     d = x.shape[1]
     v = np.zeros(d) if init is None else np.asarray(init, dtype=np.float64).copy()
-    f = logistic_objective(v, x, y, alpha)
+    t = y * (x @ v)
+    f = logistic_objective(v, t, alpha)
     for _ in range(NEWTON_MAX_ITER):
-        t = y * (x @ v)
         slack = expit(-t)
         grad = v - alpha * (x.T @ (y * slack))
         if np.linalg.norm(grad) <= NEWTON_TOL:
             return v
         curv = expit(t) * slack
-        hess = np.eye(d) + alpha * (x.T * curv) @ x
+        hess = alpha * (x.T * curv) @ x
+        hess.reshape(-1)[:: d + 1] += 1.0  # plus the identity; a fresh product is C-ordered
         direction = _solve_spd(hess, grad, "Newton system")
         slope = float(grad @ direction)
         eta = 1.0
         while eta > 2.0**-40:
             cand = v - eta * direction
-            f_cand = logistic_objective(cand, x, y, alpha)
+            t_cand = y * (x @ cand)
+            f_cand = logistic_objective(cand, t_cand, alpha)
             if f_cand <= f - 1e-4 * eta * slope:
                 break
             eta *= 0.5
-        v, f = cand, f_cand
+        # the accepted point's margins and objective start the next step
+        v, t, f = cand, t_cand, f_cand
     raise SolverError(
         f"no convergence to gradient norm {NEWTON_TOL} within {NEWTON_MAX_ITER} iterations"
     )

@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpotrs
 
 from .cstage import compress
 from .model import (
@@ -36,7 +37,7 @@ from .model import (
     EStageModel,
     NumericError,
     SchemaError,
-    _solve_spd,
+    _cholesky,
     argmax_decode,
 )
 
@@ -51,7 +52,12 @@ FIT_MAX_ITER = 100
 @dataclass(frozen=True)
 class JointStats:
     """Sufficient statistics of the joint block Z and one-hot labels Y:
-    ``gram`` = ZᵀZ (k x k), ``zty`` = ZᵀY (k x classes) and ``yy`` = ‖Y‖²."""
+    ``gram`` = ZᵀZ (k x k), ``zty`` = ZᵀY (k x classes) and ``yy`` = ‖Y‖².
+
+    They do not change within a fit, so they are checked once, here: shapes
+    that do not fit raise :class:`SchemaError`, and a nan or inf anywhere
+    raises :class:`NumericError`. The fit's steps rely on that check.
+    """
 
     gram: np.ndarray
     zty: np.ndarray
@@ -61,6 +67,8 @@ class JointStats:
         g, b = self.gram, self.zty
         if b.ndim != 2 or g.shape != (b.shape[0],) * 2 or b.shape[1] > b.shape[0]:
             raise SchemaError(f"statistics of shapes {g.shape} and {b.shape} do not fit")
+        if not (np.isfinite(g).all() and np.isfinite(b).all() and math.isfinite(self.yy)):
+            raise NumericError("joint statistics have non-finite entries")
 
     @classmethod
     def of(cls, z, labels) -> JointStats:
@@ -118,6 +126,8 @@ def update_coefficients(
     Minimizes the stacked ridge objective over both blocks by the reduced
     k x k ridge solve; the per-block ridge is gamma / (width * weight). The
     reduced system is SPD because both ridge terms are strictly positive.
+    ``stats`` were checked finite when they were made, and adding the ridge
+    changes only the diagonal, so only the diagonal is checked here.
     """
     if not 0 < w_base < 1:  # nan fails too
         raise SchemaError(f"base weight must lie in (0, 1), got {w_base}")
@@ -125,10 +135,22 @@ def update_coefficients(
         raise SchemaError(f"ridge must be > 0 and finite, got {gamma}")
     k, c = stats.zty.shape
     inv_a, inv_b = c * w_base / gamma, k * (1.0 - w_base) / gamma  # 1/a and 1/b
-    ridge = np.repeat([1.0 / (inv_a + inv_b), 1.0 / inv_b], [c, k - c])  # ab/(a+b), b
-    u = _solve_spd(stats.gram + np.diag(ridge), stats.zty, "stacked ridge")
+    mat = np.array(stats.gram, order="F")
+    diag = mat.reshape(-1, order="F")[:: k + 1]  # a view, as mat is Fortran-ordered
+    diag[:c] += 1.0 / (inv_a + inv_b)  # ab/(a+b)
+    diag[c:] += 1.0 / inv_b  # b
+    if not np.isfinite(diag).all():
+        raise NumericError("stacked ridge solve failed: the system has non-finite entries")
+    u, _ = dpotrs(_cholesky(mat, "stacked ridge", owned=True), stats.zty)
     share = inv_a / (inv_a + inv_b)  # b/(a+b)
     return share * u[:c], np.vstack([(1.0 - share) * u[:c], u[c:]])
+
+
+def _scaled_norm(block: np.ndarray) -> float:
+    """‖block‖_F / √rows. The squares are summed in memory order, as
+    ``np.linalg.norm`` sums them, so the bits are its bits."""
+    flat = block.ravel(order="K")
+    return math.sqrt(flat.dot(flat)) / math.sqrt(block.shape[0])
 
 
 def update_weights(v_base: np.ndarray, v_joint: np.ndarray) -> float:
@@ -139,8 +161,7 @@ def update_weights(v_base: np.ndarray, v_joint: np.ndarray) -> float:
     divided by the square root of its width. An all-zero model falls back
     to 1/2.
     """
-    r_base = np.linalg.norm(v_base) / math.sqrt(v_base.shape[0])
-    r_joint = np.linalg.norm(v_joint) / math.sqrt(v_joint.shape[0])
+    r_base, r_joint = _scaled_norm(v_base), _scaled_norm(v_joint)
     total = r_base + r_joint
     return 0.5 if total == 0.0 else r_base / total
 
@@ -148,24 +169,19 @@ def update_weights(v_base: np.ndarray, v_joint: np.ndarray) -> float:
 def objective_value(stats: JointStats, model: EStageModel, gamma: float) -> float:
     """Stacked ridge objective: the squared residual ⟨u, G u⟩ − 2⟨u, B⟩ + ‖Y‖²
     of the summed map u = v_joint + [v_base; 0] plus the width- and
-    weight-scaled block penalties."""
-
-    def penalty(block: np.ndarray, weight: float) -> float:
-        sq = float((block**2).sum())
-        denom = block.shape[0] * weight
-        if denom == 0.0:
-            if sq == 0.0:
-                return 0.0
-            raise NumericError("zero weight with nonzero coefficients: infinite penalty")
-        return gamma * sq / denom
-
+    weight-scaled block penalties. A zero weight on a nonzero block is an
+    infinite penalty and raises :class:`NumericError`."""
     u = model.v_joint.copy()
     u[: model.v_base.shape[0]] += model.v_base
-    return (
-        float((u * (stats.gram @ u - 2.0 * stats.zty)).sum()) + stats.yy
-        + penalty(model.v_base, model.w_base)
-        + penalty(model.v_joint, model.w_joint)
-    )
+    value = float((u * (stats.gram @ u - 2.0 * stats.zty)).sum()) + stats.yy
+    for block, weight in ((model.v_base, model.w_base), (model.v_joint, model.w_joint)):
+        sq = float((block**2).sum())
+        denom = block.shape[0] * weight
+        if denom != 0.0:
+            value += gamma * sq / denom
+        elif sq != 0.0:
+            raise NumericError("zero weight with nonzero coefficients: infinite penalty")
+    return value
 
 
 def fit_unified(stats: JointStats, gamma: float) -> UnifiedTrainerState:

@@ -203,22 +203,26 @@ def class_signs(labels: np.ndarray, cls: int) -> np.ndarray:
     return np.where(labels[:, cls] > 0, 1.0, -1.0)
 
 
-def _cholesky(mat: np.ndarray, what: str) -> np.ndarray:
+def _cholesky(mat: np.ndarray, what: str, owned: bool = False) -> np.ndarray:
     """The upper Cholesky factor U of a symmetric positive definite matrix,
     with U^T U = ``mat``.
 
     One LAPACK ``dpotrf`` call that reads only the upper triangle of ``mat``;
     the strict lower triangle of the result keeps ``mat``'s entries, which
-    the upper-triangle LAPACK routines that take U never read. LAPACK does not check for nan or
-    inf, so the finiteness check stays here. A non-finite or non-SPD matrix
-    raises :class:`NumericError` naming ``what``. This is the one SPD
-    factorization in the library: :func:`_solve_spd` and the direct-mode
-    compressing-stage solve factor with it. Factor mode never calls it: it
-    keeps its Cholesky factor up to date by QR instead.
+    the upper-triangle LAPACK routines that take U never read. LAPACK does
+    not check for nan or inf, so a non-finite ``mat`` raises
+    :class:`NumericError` naming ``what`` before LAPACK sees it; a non-SPD
+    one raises it from the factorization. ``owned=True`` hands over a
+    Fortran-ordered float64 matrix that the caller built and checked to be
+    finite: it is factored in place, without the scan, and returned as U.
+    This is the one SPD factorization in the library: :func:`_solve_spd`,
+    the expanding-stage ridge step and the direct-mode compressing-stage
+    solve factor with it. Factor mode never calls it: it keeps its Cholesky
+    factor up to date by QR instead.
     """
-    if not np.isfinite(mat).all():
+    if not owned and not np.isfinite(mat).all():
         raise NumericError(f"{what} solve failed: the system has non-finite entries")
-    u, info = dpotrf(mat, lower=0, clean=0)
+    u, info = dpotrf(mat, lower=0, clean=0, overwrite_a=owned)
     if info > 0:
         raise NumericError(f"{what} solve failed: leading minor {info} is not positive definite")
     return u

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.special import expit
 
 
 def stack_stream(batches):
@@ -144,3 +146,86 @@ def logistic_objective_loops(v, x, y_pm, alpha):
         margin = float(y_pm[j]) * float(x[j] @ v)
         total += alpha * math.log1p(math.exp(-margin)) if margin > -30 else alpha * (-margin)
     return total
+
+
+def _dposv(mat, rhs):
+    """``dposv``'s bits: the upper Cholesky factor of ``mat``, then its solve."""
+    factor, info = dpotrf(mat, lower=0, clean=0)
+    assert info == 0, f"leading minor {info} is not positive definite"
+    return dpotrs(factor, rhs)[0]
+
+
+def alternating_fit_loop(gram, zty, yy, gamma, floor, tol, max_iter):
+    """The expanding stage's alternating fit written out step by step: the
+    ridge matrix rebuilt from ``np.diag`` each iteration, the blocks split
+    by ``vstack``, the weights from ``np.linalg.norm`` and the objective with
+    its per-block penalty. Returns (v_base, v_joint, w_base, trace,
+    converged), the quantities ``fit_unified`` must reproduce bit for bit."""
+
+    def penalty(block, weight):
+        sq = float((block**2).sum())
+        denom = block.shape[0] * weight
+        return 0.0 if denom == 0.0 and sq == 0.0 else gamma * sq / denom
+
+    k, c = zty.shape
+    w_base, prev, trace, converged = 0.5, None, [], False
+    for _ in range(max_iter):
+        wb = min(max(w_base, floor), 1.0 - floor)
+        inv_a, inv_b = c * wb / gamma, k * (1.0 - wb) / gamma
+        ridge = np.repeat([1.0 / (inv_a + inv_b), 1.0 / inv_b], [c, k - c])
+        u = _dposv(gram + np.diag(ridge), zty)
+        share = inv_a / (inv_a + inv_b)
+        v_base, v_joint = share * u[:c], np.vstack([(1.0 - share) * u[:c], u[c:]])
+        r_base = np.linalg.norm(v_base) / math.sqrt(v_base.shape[0])
+        r_joint = np.linalg.norm(v_joint) / math.sqrt(v_joint.shape[0])
+        total = r_base + r_joint
+        w_base = 0.5 if total == 0.0 else r_base / total
+        summed = v_joint.copy()
+        summed[:c] += v_base
+        value = (
+            float((summed * (gram @ summed - 2.0 * zty)).sum()) + yy
+            + penalty(v_base, w_base)
+            + penalty(v_joint, 1.0 - w_base)
+        )
+        trace.append(value)
+        if prev is not None and prev - value <= tol * max(1.0, abs(prev)):
+            converged = True
+            break
+        prev = value
+    return v_base, v_joint, w_base, tuple(trace), converged
+
+
+def newton_logistic_loop(x, y_pm, alpha, init, tol, max_iter):
+    """Damped Newton on the regularized logistic objective written out step
+    by step: margins recomputed at every point, the Hessian built on
+    ``np.eye``. Returns the coefficients ``train_logistic`` must reproduce
+    bit for bit, the number of Newton steps and the number of halved
+    line-search steps; the objective was evaluated at 1 + steps + halvings
+    points."""
+
+    def objective(v):
+        return 0.5 * float(v @ v) + alpha * float(np.logaddexp(0.0, -(y_pm * (x @ v))).sum())
+
+    d = x.shape[1]
+    v = np.zeros(d) if init is None else np.array(init, dtype=np.float64)
+    f = objective(v)
+    halvings = 0
+    for steps in range(max_iter):
+        t = y_pm * (x @ v)
+        slack = expit(-t)
+        grad = v - alpha * (x.T @ (y_pm * slack))
+        if np.linalg.norm(grad) <= tol:
+            return v, steps, halvings
+        curv = expit(t) * slack
+        direction = _dposv(np.eye(d) + alpha * (x.T * curv) @ x, grad)
+        slope = float(grad @ direction)
+        eta = 1.0
+        while eta > 2.0**-40:
+            cand = v - eta * direction
+            f_cand = objective(cand)
+            if f_cand <= f - 1e-4 * eta * slope:
+                break
+            eta *= 0.5
+            halvings += 1
+        v, f = cand, f_cand
+    raise AssertionError("no convergence")

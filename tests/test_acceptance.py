@@ -98,7 +98,7 @@ def test_criterion_1_one_pass_equals_batch_oracle():
     )
 
 
-def test_criterion_2_woodbury_path_equivalence():
+def test_criterion_2_factor_path_equivalence():
     start = time.monotonic()
     worst_rel = 0.0
     worst_identity = 0.0

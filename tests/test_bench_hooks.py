@@ -16,7 +16,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opid import cstage, harness, ingest, model
+import oracles
+
+from opid import cstage, ensemble, estage, harness, ingest, model
 from opid.harness import ALL_METHODS, ExperimentSpec, run_experiment
 
 
@@ -98,6 +100,33 @@ def test_cross_validation_is_called_positionally(manifest, monkeypatch):
     assert counted.accuracies == plain.accuracies
     # OPID 2 x 1 x 1, OPIDe 2 x 1 x 2 and BASE_S 2 grid points, 5 folds each
     assert len(fits) == (2 + 4 + 2) * spec.folds
+
+
+def test_solver_counters_count_steps_and_evaluated_points(monkeypatch):
+    # The tracer counts calls to these module attributes: one coefficient
+    # update per alternating step, one objective per evaluated Newton point.
+    calls = {"update_coefficients": 0, "logistic_objective": 0}
+    for module, name in ((estage, "update_coefficients"), (ensemble, "logistic_objective")):
+        def counting(*args, _original=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    rng = np.random.default_rng(4)
+    z = rng.standard_normal((30, 7))
+    labels = model.one_hot_encode(z[:, :3].argmax(axis=1), 3)
+    state = estage.fit_unified(estage.JointStats.of(z, labels), 1.0)
+    assert len(state.trace) > 2 and calls["update_coefficients"] == len(state.trace)
+
+    x = rng.standard_normal((40, 4))
+    y = np.where(x[:, 0] + 0.5 * rng.standard_normal(40) > 0, 1.0, -1.0)
+    init = 3.0 * rng.standard_normal(4)
+    ensemble.train_logistic(x, y, 3.0, init=init)
+    _, steps, halvings = oracles.newton_logistic_loop(
+        x, y, 3.0, init, ensemble.NEWTON_TOL, ensemble.NEWTON_MAX_ITER
+    )
+    # the start point, then each line-search candidate: one per step plus one per halving
+    assert halvings > 0 and calls["logistic_objective"] == 1 + steps + halvings
 
 
 def test_traced_targets_resolve():

@@ -3,7 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from opid import model as model_module
 from opid.ensemble import (
+    NEWTON_MAX_ITER,
+    NEWTON_TOL,
     WEIGHT_GRID,
     EnsembleModel,
     LogisticModel,
@@ -13,7 +16,7 @@ from opid.ensemble import (
     train_ovr,
 )
 from opid.estage import predict_unified
-from opid.model import CStageModel, EStageModel, SchemaError, one_hot_encode
+from opid.model import CStageModel, EStageModel, NumericError, SchemaError, one_hot_encode
 
 import oracles
 
@@ -74,6 +77,55 @@ class TestTrainLogistic:
     def test_empty_training_set_is_a_schema_error(self):
         with pytest.raises(SchemaError, match="at least one instance"):
             train_logistic(np.zeros((0, 2)), np.zeros(0), alpha=1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_non_finite_feature_raises_before_lapack(monkeypatch, bad):
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("LAPACK called on a non-finite system")
+
+    monkeypatch.setattr(model_module, "dpotrf", no_lapack)
+    monkeypatch.setattr(model_module, "dpotrs", no_lapack)
+    x, y = separable_binary(np.random.default_rng(0), n=8)
+    x[3, 1] = bad
+    with pytest.raises(NumericError, match="Newton system solve failed: .*non-finite"):
+        train_logistic(x, y, alpha=1.0)
+
+
+class TestTrainLogisticMatchesTheStepByStepLoop:
+    """``train_logistic`` returns the bits of the Newton loop written out step
+    by step (``oracles.newton_logistic_loop``)."""
+
+    @staticmethod
+    def _assert_same_fit(x, y, alpha, init=None):
+        got = train_logistic(x, y, alpha, init=init)
+        ref, _, halvings = oracles.newton_logistic_loop(
+            x, y, alpha, init, NEWTON_TOL, NEWTON_MAX_ITER
+        )
+        assert np.array_equal(got, ref)
+        return halvings
+
+    @pytest.mark.parametrize("with_init", [False, True], ids=["zeros", "init"])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
+    def test_random_tasks(self, alpha, with_init):
+        rng = np.random.default_rng(30)
+        for _ in range(4):
+            # a column slice, as the base member's compressed columns are passed
+            x = rng.standard_normal((40, 6))[:, :4]
+            y = np.where(x[:, 0] + 0.5 * rng.standard_normal(40) > 0, 1.0, -1.0)
+            init = 3.0 * rng.standard_normal(4) if with_init else None
+            self._assert_same_fit(x, y, alpha, init)
+
+    def test_a_fit_that_backtracks(self):
+        # from a far start the full Newton step overshoots and is halved
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((40, 4))
+        y = np.where(x[:, 0] + 0.5 * rng.standard_normal(40) > 0, 1.0, -1.0)
+        assert self._assert_same_fit(x, y, 3.0, 3.0 * rng.standard_normal(4)) > 0
+
+    def test_zero_features(self):
+        self._assert_same_fit(np.zeros((5, 3)), np.array([1.0, -1.0, 1.0, 1.0, -1.0]), 1.0)
 
 
 class TestTrainOvr:

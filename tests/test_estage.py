@@ -5,6 +5,8 @@ import pytest
 
 from opid.cstage import absorb_batch, init_stats, solve_model
 from opid.estage import (
+    FIT_MAX_ITER,
+    FIT_TOL,
     JointStats,
     build_stacked,
     fit_unified,
@@ -14,6 +16,7 @@ from opid.estage import (
     update_coefficients,
     update_weights,
 )
+from opid import estage, model as model_module
 from opid.ingest import SynthConfig, generate_synthetic
 from opid.model import (
     CStageModel,
@@ -213,6 +216,49 @@ class TestJointStats:
             JointStats.of(np.zeros(z_shape), np.zeros(labels_shape))
 
 
+class TestNonFiniteInputs:
+    """A nan or inf in the statistics raises :class:`NumericError` where they
+    are made, and a ridge that overflows the diagonal raises it before the
+    solve; LAPACK never sees a non-finite system."""
+
+    @pytest.fixture(autouse=True)
+    def no_lapack(self, monkeypatch):
+        def no_lapack(*args, **kwargs):
+            raise AssertionError("LAPACK called on a non-finite system")
+
+        monkeypatch.setattr(model_module, "dpotrf", no_lapack)
+        monkeypatch.setattr(estage, "dpotrs", no_lapack)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["gram", "zty", "yy"])
+    def test_statistics_with_a_non_finite_entry(self, bad, where):
+        args = {"gram": np.eye(4), "zty": np.ones((4, 2)), "yy": 1.0}
+        if where == "yy":
+            args["yy"] = bad
+        else:
+            args[where][1, 0] = bad
+        with pytest.raises(NumericError, match="non-finite"):
+            JointStats(**args)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["z", "labels"])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_rows_with_a_non_finite_entry(self, bad, where):
+        z, labels = random_stacked(np.random.default_rng(22))
+        {"z": z, "labels": labels}[where][2, 1] = bad
+        with pytest.raises(NumericError, match="non-finite"):
+            JointStats.of(z, labels)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_ridge_that_overflows_the_diagonal(self):
+        stats = JointStats(np.diag([1.7e308, 1.0, 1.0]), np.ones((3, 2)), 1.0)
+        # a ridge of about 1e308 overflows the first diagonal entry; gram itself is finite
+        for fit in (lambda: update_coefficients(stats, 0.5, 1.5e308),
+                    lambda: fit_unified(stats, 1.5e308)):
+            with pytest.raises(NumericError, match="stacked ridge solve failed: .*non-finite"):
+                fit()
+
+
 class TestObjectiveValue:
     def test_zero_model_zero_labels(self):
         stats = JointStats.of(np.zeros((3, 5)), np.zeros((3, 2)))
@@ -329,6 +375,42 @@ class TestFitUnified:
         )
         np.testing.assert_allclose(scaled_base, v_base / np.sqrt(w_base), atol=1e-6)
         np.testing.assert_allclose(scaled_joint, v_joint / np.sqrt(w_joint), atol=1e-6)
+
+
+class TestFitUnifiedMatchesTheStepByStepLoop:
+    """``fit_unified`` returns the bits of the alternating loop written out
+    step by step (``oracles.alternating_fit_loop``)."""
+
+    @staticmethod
+    def _assert_same_fit(stats, gamma):
+        state = fit_unified(stats, gamma)
+        v_base, v_joint, w_base, trace, converged = oracles.alternating_fit_loop(
+            stats.gram, stats.zty, stats.yy, gamma, WEIGHT_FLOOR, FIT_TOL, FIT_MAX_ITER
+        )
+        m = state.model
+        assert np.array_equal(m.v_base, v_base) and np.array_equal(m.v_joint, v_joint)
+        # norms of a block in another memory order than the loop's change these bits
+        assert m.w_base == w_base
+        assert state.trace == trace and state.converged == converged
+        return state
+
+    @pytest.mark.parametrize("gamma", [0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("c, d_a", [(3, 0), (3, 4), (5, 50)], ids=["k=c", "narrow", "wide"])
+    def test_random_blocks(self, gamma, c, d_a):
+        rng = np.random.default_rng(100 + c + d_a)
+        for _ in range(4):
+            n = int(rng.integers(c + d_a, 3 * (c + d_a) + 5))
+            z, labels = random_stacked(rng, n=n, c=c, d_a=d_a)
+            z *= 10.0 ** rng.uniform(-1.0, 1.0, size=z.shape[1])
+            state = self._assert_same_fit(JointStats.of(z, labels), gamma)
+            # with k = c the equal weights are a fixed point
+            assert len(state.trace) > 2 or d_a == 0
+
+    def test_zero_labels(self):
+        # the all-zero model takes the w = 1/2 branch at every step
+        z, labels = random_stacked(np.random.default_rng(20), n=15, c=3, d_a=4)
+        state = self._assert_same_fit(JointStats.of(z, np.zeros_like(labels)), 1.0)
+        assert state.model.w_base == 0.5 and state.trace == (0.0, 0.0)
 
 
 class TestPredictUnified:

@@ -219,7 +219,7 @@ class TestSolveSpd:
     def test_wide_core_rhs_matches_oracle(self):
         rng = np.random.default_rng(1)
         core = self._spd(rng, 120)
-        rhs = rng.standard_normal((2220, 120)).T  # a transposed view, as the core solve passes
+        rhs = rng.standard_normal((2220, 120)).T  # a transposed, Fortran-ordered view
         np.testing.assert_array_equal(model._solve_spd(core, rhs, "x"), oracles.spd_solve(core, rhs))
 
     @pytest.mark.parametrize("mat", [[[1.0, 2.0], [2.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]]],
@@ -249,7 +249,7 @@ class TestCholesky:
         rng = np.random.default_rng(5)
         x = rng.standard_normal((60, 20))
         mat = x.T @ x + np.eye(20)
-        u = np.triu(model._cholesky(mat, "core"))
+        u = np.triu(model._cholesky(mat, "normal-equation"))
         assert np.all(np.diag(u) > 0)
         np.testing.assert_allclose(u.T @ u, mat, rtol=0, atol=1e-12 * np.abs(mat).max())
 
@@ -260,14 +260,15 @@ class TestCholesky:
         scrambled = mat.copy()
         scrambled[np.tril_indices(10, -1)] = rng.standard_normal(45) * 1e3
         np.testing.assert_array_equal(
-            np.triu(model._cholesky(scrambled, "core")), np.triu(model._cholesky(mat, "core"))
+            np.triu(model._cholesky(scrambled, "normal-equation")),
+            np.triu(model._cholesky(mat, "normal-equation")),
         )
 
     @pytest.mark.parametrize("mat", [[[1.0, 2.0], [2.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]]],
                              ids=["indefinite", "singular-psd"])
     def test_non_spd_raises(self, mat):
-        with pytest.raises(NumericError, match="rank-update core solve failed: .*positive definite"):
-            model._cholesky(np.array(mat), "rank-update core")
+        with pytest.raises(NumericError, match="normal-equation solve failed: .*positive definite"):
+            model._cholesky(np.array(mat), "normal-equation")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_raises_before_lapack(self, monkeypatch, bad):
@@ -277,5 +278,18 @@ class TestCholesky:
         monkeypatch.setattr(model, "dpotrf", no_lapack)
         mat = np.eye(3)
         mat[2, 0] = bad  # in the lower triangle, which LAPACK would not even read
-        with pytest.raises(NumericError, match="rank-update core solve failed: .*non-finite"):
-            model._cholesky(mat, "rank-update core")
+        with pytest.raises(NumericError, match="normal-equation solve failed: .*non-finite"):
+            model._cholesky(mat, "normal-equation")
+
+    def test_owned_matrix_is_factored_in_place_without_the_scan(self):
+        # the factor is the caller's matrix, with the bits of a factored copy
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((40, 12))
+        mat = x.T @ x + np.eye(12)
+        owned = np.array(mat, order="F")
+        owned[5, 2] = np.nan  # in the lower triangle: only the skipped scan would see it
+        u = model._cholesky(owned, "stacked ridge", owned=True)
+        assert np.shares_memory(u, owned)
+        np.testing.assert_array_equal(np.triu(u), np.triu(model._cholesky(mat, "stacked ridge")))
+        with pytest.raises(NumericError, match="stacked ridge solve failed: .*positive definite"):
+            model._cholesky(-np.eye(3, order="F"), "stacked ridge", owned=True)
