@@ -11,15 +11,22 @@ Two interchangeable accumulation strategies sit behind the same interface:
 
 * ``direct``  -- accumulate only the Gram pair G = X^T X, B = X^T Y; build
   the normal matrix M(lam, rho) and factorize it once at solve time.
-* ``factor``  -- maintain an upper-triangular Cholesky factor R with
-  R^T R = M, so the solution is two triangular solves away at any point of
-  the stream. Each batch adds W^T W to M for a 2n x m matrix W (n = batch
-  size), and the QR factorization of [R; W] folds it into R (Golub & Van
-  Loan, Matrix Computations, 4th ed., sec. 6.5). W's lower n rows are zero
-  outside the trailing survived columns, so two LAPACK ``dtpqrt`` calls do
-  it: one folds the upper n rows into all of R in place, the other folds
-  the lower rows into R's trailing survived x survived block alone. Unlike
-  an updated inverse, the factor stays accurate when M is ill-conditioned.
+* ``factor``  -- maintain a Cholesky factor of M, so the solution is three
+  triangular solves away at any point of the stream. The factor lives in
+  split coordinates: with E placing the survived classifier phi in theta's
+  survived slots, sigma = (theta + E phi) / sqrt(2) and delta = (theta -
+  E phi) / sqrt(2) share their vanished part t = theta_v / sqrt(2). The
+  consistency term lam ||X theta - X_s phi||^2 = 2 lam ||X delta||^2
+  touches delta alone, so in the unknowns (sigma_s, delta_s, t) the normal
+  matrix has an exact zero survived x survived block between sigma_s and
+  delta_s. Its factor is two (p, p) upper triangles, p = vanished +
+  survived: P1 over (sigma_s, t) and P2 over (delta_s, t), sharing their
+  trailing vanished x vanished corner. Each batch of n rows adds A^T A +
+  B^T B with A = [X_s, 0, X_v] and B = c [0, X_s, X_v], c^2 = 1 + 2 lam,
+  and a LAPACK ``dtpqrt`` call folds each into its triangle: the QR update
+  of a Cholesky factor (Golub & Van Loan, Matrix Computations, 4th ed.,
+  sec. 6.5), 4 n p^2 flops per batch. Unlike an updated inverse, the factor
+  stays accurate when M is ill-conditioned.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ import zlib
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dlange, dpotrs, dtpqrt
+from scipy.linalg.lapack import dlange, dpotrs, dtpqrt, dtrtrs
 
 from .model import (
     Batch,
@@ -45,17 +52,21 @@ from .model import (
 
 DIRECT = "direct"
 FACTOR = "factor"
-SNAPSHOT_FORMAT = 2  # the Gram-pair layout; unversioned snapshots predate it
-# Block size of both factor-mode ``dtpqrt`` calls. At m = 2220, survived 960
-# and 60 rows per batch, on one core of a 2-vCPU x86-64 machine, 16, 24, 32
-# and 48 tied within the noise (median absorb 49-58 ms, quartiles about 5 ms
-# either side, over interleaved runs of 12 batches); 64 tied or was up to 4%
-# slower, and 8 and 12 were 15-19% slower.
+# 3: factor mode's split layout; 2 held one (m, m) factor, and unversioned
+# snapshots predate the Gram-pair layout of direct mode
+SNAPSHOT_FORMAT = 3
+# Block size of both factor-mode ``dtpqrt`` calls. At width p = 1260
+# (survived 960, vanished 300) and 60 rows per batch, on one core of a
+# 2-vCPU x86-64 machine, 16, 32 and 48 tied within the noise: median absorb
+# 31.1, 31.3 and 29.6 ms over 11 runs of 15 batches each, interleaved in
+# rotating order, with single runs spreading 22-40 ms. At the old single
+# triangle's width 2220, 8 and 12 were 15-19% slower.
 _QR_BLOCK = 32
-# No value that dtpqrt forms exceeds _QR_HEADROOM * N, N = ||[R; W]||_F:
-# column norms stay <= N, Householder vectors are 1 over entries <= 1, and
-# T = I - Q11 of the orthogonal block reflector I - V T V^T has entries <= 2,
-# so T (V^T c) sums at most _QR_BLOCK terms of at most 2 * 2N each.
+# No value that dtpqrt forms exceeds _QR_HEADROOM * N, N = ||[P; W]||_F for
+# the triangle P and the rows W it folds in: column norms stay <= N,
+# Householder vectors are 1 over entries <= 1, and T = I - Q11 of the
+# orthogonal block reflector I - V T V^T has entries <= 2, so T (V^T c) sums
+# at most _QR_BLOCK terms of at most 2 * 2N each.
 _QR_HEADROOM = 4.0 * _QR_BLOCK
 
 
@@ -63,18 +74,20 @@ _QR_HEADROOM = 4.0 * _QR_BLOCK
 class CStageStats:
     """Streaming sufficient statistics of the compressing-stage objective.
 
-    ``mat`` is the (p, p) Gram matrix G in ``direct`` mode and, in ``factor``
-    mode, the upper-triangular, Fortran-ordered (m, m) R with R^T R equal to
-    the coupled normal matrix, with p = vanished + survived and m = p +
-    survived. ``rhs`` is the (p, classes) cross-moment B with the one-hot
-    labels. The footprint is fixed by the schema, never by how many
-    instances were absorbed; factor mode has ``hyper`` folded into ``mat``.
-    Factor mode keeps ``r_norm`` = ||R||_F, derived from ``mat`` when the
-    statistics are made or loaded and grown by each absorb; snapshots omit it.
-    Single-writer: factor-mode absorbing changes ``mat`` in place, its
-    trailing (survived, survived) block through one copy that is written
-    back; direct mode builds new arrays and swaps them in only once they are
-    checked finite.
+    ``mat`` is the (p, p) Gram matrix G in ``direct`` mode, p = vanished +
+    survived. In ``factor`` mode it is the Fortran-ordered (p, 2p) [P1 | P2]
+    of two upper triangles, the factor of the coupled normal matrix in the
+    split unknowns (see the module docstring), each ordered survived first,
+    then vanished; their trailing (vanished, vanished) corners are one block
+    of that factor, kept bit-equal in both. ``rhs`` is the (p, classes)
+    cross-moment B with the one-hot labels, in schema order. The footprint
+    is fixed by the schema, never by how many instances were absorbed;
+    factor mode has ``hyper`` folded into ``mat``. Factor mode keeps
+    ``r_norm``, the Frobenius norm of the whole factor with the corner
+    counted once, derived from ``mat`` when the statistics are made or
+    loaded and grown by each absorb; snapshots omit it. Single-writer:
+    factor-mode absorbing changes ``mat`` in place; direct mode builds new
+    arrays and swaps them in only once they are checked finite.
     """
 
     mode: str
@@ -86,16 +99,33 @@ class CStageStats:
     r_norm: float | None = field(init=False)
 
     def __post_init__(self):
-        self.r_norm = dlange("F", self.mat) if self.mode == FACTOR else None
+        self.r_norm = _factor_norm(self.mat, self.schema.survived) if self.mode == FACTOR else None
+
+
+def _factor_norm(mat: np.ndarray, s: int) -> float:
+    """sqrt(||mat||^2 - ||corner||^2) for the shared corner mat[s:, s:p],
+    formed from the two norms as a * sqrt((1 - q)(1 + q)), q = b / a <= 1,
+    so no square overflows."""
+    whole = dlange("F", mat)
+    q = dlange("F", mat[s:, s : mat.shape[0]]) / whole if whole else 0.0
+    return whole * math.sqrt((1.0 - q) * (1.0 + q))
 
 
 def init_stats(schema: FeatureSchema, hyper: Hyperparams, mode: str = DIRECT) -> CStageStats:
-    """Empty-stream statistics: a zero Gram matrix (direct) or the factor
-    sqrt(rho) I of the ridge-only matrix (factor), zero right-hand side."""
+    """Empty-stream statistics: a zero Gram matrix (direct) or the factor of
+    the ridge-only matrix (factor), P1 = P2 = diag(sqrt(rho) I_survived,
+    sqrt(2 rho) I_vanished), and a zero right-hand side."""
     if mode not in (DIRECT, FACTOR):
         raise SchemaError(f"unknown accumulation mode {mode!r}")
-    p, m = schema.cstage_width, schema.stats_dim
-    mat = np.zeros((p, p)) if mode == DIRECT else np.sqrt(hyper.rho) * np.eye(m, order="F")
+    p, s = schema.cstage_width, schema.survived
+    if mode == DIRECT:
+        mat = np.zeros((p, p))
+    else:
+        rows = np.arange(p)
+        mat = np.zeros((p, 2 * p), order="F")
+        mat[rows, rows] = mat[rows, p + rows] = np.repeat(
+            [np.sqrt(hyper.rho), np.sqrt(2.0 * hyper.rho)], [s, p - s]
+        )
     return CStageStats(mode, schema, hyper, mat, np.zeros((p, schema.classes)))
 
 
@@ -115,71 +145,86 @@ def absorb_batch(stats: CStageStats, batch: Batch) -> CStageStats:
             mat = stats.mat + x_all.T @ x_all
             fits = np.isfinite(mat).all()
         else:
-            # The increment of M is W^T W with W = [[a X, b X_s], [0, d X_s]],
-            # where a^2 = b^2 + d^2 = 1 + lam and a b = -lam. The upper rows
-            # are w, the survived-only lower ones w_s.
-            p, lam = stats.schema.cstage_width, stats.hyper.lam
-            a = np.sqrt(1.0 + lam)
-            w = np.empty((batch.n, stats.schema.stats_dim), order="F")
-            w[:, :p] = a * x_all
-            w[:, p:] = -lam / a * batch.survived
-            w_s = np.sqrt((1.0 + 2.0 * lam) / (1.0 + lam)) * batch.survived
-            # ||R_new||_F = ||[R; W]||_F; w_s.T is Fortran-ordered, so not copied
-            r_norm = math.hypot(stats.r_norm, dlange("F", w), dlange("F", w_s.T))
+            # The increment A^T A + B^T B has A = [X_s, 0, X_v] and B = c [0,
+            # X_s, X_v]: the gathered w = [X_s, X_v] in P1's unknowns and c w
+            # in P2's. ||A||^2 + ||B||^2 = (1 + c^2) ||w||^2, and QR keeps the
+            # Frobenius norm, so the factor's norm grows to r_norm; it bounds
+            # ||[P1; w]||_F and ||[P2; c w]||_F for both dtpqrt calls.
+            s, lam = stats.schema.survived, stats.hyper.lam
+            w = np.empty(x_all.shape, order="F")
+            w[:, :s] = batch.survived
+            w[:, s:] = batch.vanished
+            r_norm = math.hypot(stats.r_norm, dlange("F", w) * math.sqrt(2.0 + 2.0 * lam))
             fits = math.isfinite(_QR_HEADROOM * r_norm)
         if not (fits and np.isfinite(rhs).all()):
             raise NumericError(
                 f"batch {stats.batches_seen} overflows the statistics to non-finite values"
             )
-        if stats.mode == FACTOR:
-            # The new R is the triangle of qr([R; W]). A Fortran-ordered R is
-            # overwritten in place; any other layout is copied once. W's lower
-            # rows [0, w_s] are zero in the first p columns, so with
-            # R = [[R11, R12], [0, R22]] they leave R11 and R12 as they are,
-            # and R22 becomes the triangle of qr([R22; w_s]).
-            mat = _qr_update(stats.mat, w)
-            mat[p:, p:] = _qr_update(mat[p:, p:].copy(order="F"), w_s)
-            stats.r_norm = r_norm
+    if stats.mode == FACTOR:
+        # A Fortran-ordered mat is updated in place; any other layout is
+        # copied once. Each dtpqrt call leaves its triangle's corner as the
+        # shared block of the new factor, so it is handed to the other half.
+        mat = np.asfortranarray(stats.mat)
+        p = stats.schema.cstage_width
+        p1, p2 = mat[:, :p], mat[:, p:]
+        cw = math.sqrt(1.0 + 2.0 * lam) * w
+        _qr_update(p1, w)
+        p2[s:, s:] = p1[s:, s:]
+        _qr_update(p2, cw)
+        p1[s:, s:] = p2[s:, s:]
+        stats.r_norm = r_norm
     stats.mat, stats.rhs = mat, rhs
     stats.batches_seen += 1
     return stats
 
 
-def _qr_update(r: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The upper triangle of qr([r; w]) for an upper-triangular r, written
-    over r if it is Fortran-ordered; ``w`` may be overwritten too."""
+def _qr_update(r: np.ndarray, w: np.ndarray) -> None:
+    """Overwrite the Fortran-ordered upper-triangular ``r`` with the upper
+    triangle of qr([r; w]); ``w`` is overwritten too."""
     nb = min(_QR_BLOCK, r.shape[1])  # dtpqrt rejects a block wider than r
-    return dtpqrt(0, nb, r, w, overwrite_a=1, overwrite_b=1)[0]
+    dtpqrt(0, nb, r, w, overwrite_a=1, overwrite_b=1)
 
 
-def _coupled_system(stats: CStageStats) -> tuple[np.ndarray | None, np.ndarray]:
+def _coupled_system(stats: CStageStats) -> tuple[np.ndarray, np.ndarray]:
     """M(lam, rho) and the right-hand side [B; B[v:]] of the coupled normal
-    system, v = vanished. M is built from the Gram matrix in direct mode only;
-    factor mode holds M's factor already and gets None in its place."""
+    system, v = vanished, built from direct mode's Gram pair."""
     v = stats.schema.vanished
-    rhs = np.vstack([stats.rhs, stats.rhs[v:]])
-    if stats.mode != DIRECT:
-        return None, rhs
     gram, lam = stats.mat, stats.hyper.lam
     cross = -lam * gram[:, v:]
     mat = np.block([[(1.0 + lam) * gram, cross], [cross.T, (1.0 + lam) * gram[v:, v:]]])
     mat.flat[:: mat.shape[0] + 1] += stats.hyper.rho
-    return mat, rhs
+    return mat, np.vstack([stats.rhs, stats.rhs[v:]])
 
 
 def solve_model(stats: CStageStats) -> CStageModel:
     """Solve the coupled normal system for both coefficient blocks.
 
-    Both modes end in one LAPACK ``dpotrs`` call on an upper Cholesky factor
-    of M(lam, rho). Direct mode builds M from the Gram pair and factors it;
-    factor mode holds the factor already, which is what makes the anytime
-    solution cheap on that path.
+    Direct mode builds M from the Gram pair, factors it and solves with one
+    LAPACK ``dpotrs`` call. Factor mode holds the factor already, which is
+    what makes the anytime solution cheap on that path: three ``dtrtrs``
+    calls, P1^T then P1 over (sigma_s, t), then P2 over (delta_s, t).
+    delta_s has no right-hand side, so P2 needs only the back-substitution.
     """
-    mat, rhs = _coupled_system(stats)
-    factor = stats.mat if mat is None else _cholesky(mat, "normal-equation")
-    coef, _ = dpotrs(factor, rhs)
     p = stats.schema.cstage_width
-    return CStageModel(coef_full=coef[:p], coef_survived=coef[p:])
+    if stats.mode == DIRECT:
+        mat, rhs = _coupled_system(stats)
+        coef, _ = dpotrs(_cholesky(mat, "normal-equation"), rhs)
+        return CStageModel(coef_full=coef[:p], coef_survived=coef[p:])
+    # The right-hand side in the split unknowns is sqrt(2) [B_s; 0; B_v].
+    # Solving with [B_s; B_v] instead gives the unknowns over sqrt(2), which
+    # maps back as theta_v = 2 t, theta_s = sigma_s + delta_s and
+    # phi = sigma_s - delta_s.
+    v, s = stats.schema.vanished, stats.schema.survived
+    p1, p2 = stats.mat[:, :p], stats.mat[:, p:]
+    y, singular = dtrtrs(p1, np.vstack([stats.rhs[v:], stats.rhs[:v]]), trans=1)
+    sigma_t, _ = dtrtrs(p1, y)
+    y[:s] = 0.0
+    delta_t, singular_2 = dtrtrs(p2, y)
+    if singular or singular_2:  # dtrtrs solves nothing then; it returns the right-hand side
+        raise NumericError("factor solve failed: a triangle has a zero on its diagonal")
+    sigma, delta = sigma_t[:s], delta_t[:s]
+    return CStageModel(coef_full=np.vstack([2.0 * sigma_t[s:], sigma + delta]),
+                       coef_survived=sigma - delta)
 
 
 def compress(x_sur, model: CStageModel) -> np.ndarray:
@@ -225,7 +270,8 @@ def load_stats(path) -> CStageStats:
     """Read a snapshot written by :func:`save_stats`. Any unreadable file,
     missing or malformed field, or other format version, unversioned
     snapshots included, raises :class:`SchemaError`, and so does a factor
-    that is not upper-triangular or has a zero on its diagonal. Nothing is
+    whose halves are not upper-triangular, have a zero on their diagonals or
+    differ anywhere in their shared corner. Nothing is
     converted, but ``mat`` is returned Fortran-ordered, the layout that factor
     mode updates in place, whatever order it was stored in."""
     try:
@@ -255,13 +301,22 @@ def load_stats(path) -> CStageStats:
         schema = FeatureSchema(*widths)
     except SchemaError as exc:
         raise SchemaError(f"{path}: bad settings: {exc}") from None
-    dim = schema.cstage_width if mode == DIRECT else schema.stats_dim
-    for key, shape in (("mat", (dim, dim)), ("rhs", (schema.cstage_width, schema.classes))):
+    p = schema.cstage_width
+    mat_shape = (p, p) if mode == DIRECT else (p, 2 * p)
+    for key, shape in (("mat", mat_shape), ("rhs", (p, schema.classes))):
         arr = raw.get(key, np.empty(0))
         if arr.shape != shape or arr.dtype != np.float64 or not np.isfinite(arr).all():
             raise SchemaError(f"{path}: {mode} snapshot needs a finite float64 {key!r} of {shape}")
     mat = np.asfortranarray(raw["mat"])
-    # column by column, with no (m, m) temporary; dpotrs divides by the diagonal
-    if mode == FACTOR and (not mat.diagonal().all() or any(mat[j + 1 :, j].any() for j in range(dim))):
-        raise SchemaError(f"{path}: factor 'mat' must be upper-triangular with a nonzero diagonal")
+    if mode == FACTOR:
+        p1, p2, s = mat[:, :p], mat[:, p:], schema.survived
+        # column by column, with no (p, p) temporary; dtrtrs divides by the diagonal
+        if not (p1.diagonal().all() and p2.diagonal().all()) or any(
+            p1[j + 1 :, j].any() or p2[j + 1 :, j].any() for j in range(p)
+        ):
+            raise SchemaError(
+                f"{path}: factor 'mat' halves must be upper-triangular with a nonzero diagonal"
+            )
+        if p1[s:, s:].tobytes() != p2[s:, s:].tobytes():
+            raise SchemaError(f"{path}: factor 'mat' halves must share their corner bit for bit")
     return CStageStats(mode, schema, hyper, mat, raw["rhs"], seen)

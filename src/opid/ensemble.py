@@ -76,28 +76,31 @@ def train_logistic(x, y_pm, alpha: float, init=None) -> np.ndarray:
 
     d = x.shape[1]
     v = np.zeros(d) if init is None else np.asarray(init, dtype=np.float64).copy()
-    t = y * (x @ v)
-    f = logistic_objective(v, t, alpha)
-    for _ in range(NEWTON_MAX_ITER):
-        slack = expit(-t)
-        grad = v - alpha * (x.T @ (y * slack))
-        if np.linalg.norm(grad) <= NEWTON_TOL:
-            return v
-        curv = expit(t) * slack
-        hess = alpha * (x.T * curv) @ x
-        hess.reshape(-1)[:: d + 1] += 1.0  # plus the identity; a fresh product is C-ordered
-        direction = _solve_spd(hess, grad, "Newton system")
-        slope = float(grad @ direction)
-        eta = 1.0
-        while eta > 2.0**-40:
-            cand = v - eta * direction
-            t_cand = y * (x @ cand)
-            f_cand = logistic_objective(cand, t_cand, alpha)
-            if f_cand <= f - 1e-4 * eta * slope:
-                break
-            eta *= 0.5
-        # the accepted point's margins and objective start the next step
-        v, t, f = cand, t_cand, f_cand
+    # a nan or inf feature reaches _solve_spd's finiteness check and fails
+    # there, typed; numpy must not warn about it first
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = y * (x @ v)
+        f = logistic_objective(v, t, alpha)
+        for _ in range(NEWTON_MAX_ITER):
+            slack = expit(-t)
+            grad = v - alpha * (x.T @ (y * slack))
+            if np.linalg.norm(grad) <= NEWTON_TOL:
+                return v
+            curv = expit(t) * slack
+            hess = alpha * (x.T * curv) @ x
+            hess.reshape(-1)[:: d + 1] += 1.0  # plus the identity; a fresh product is C-ordered
+            direction = _solve_spd(hess, grad, "Newton system")
+            slope = float(grad @ direction)
+            eta = 1.0
+            while eta > 2.0**-40:
+                cand = v - eta * direction
+                t_cand = y * (x @ cand)
+                f_cand = logistic_objective(cand, t_cand, alpha)
+                if f_cand <= f - 1e-4 * eta * slope:
+                    break
+                eta *= 0.5
+            # the accepted point's margins and objective start the next step
+            v, t, f = cand, t_cand, f_cand
     raise SolverError(
         f"no convergence to gradient norm {NEWTON_TOL} within {NEWTON_MAX_ITER} iterations"
     )

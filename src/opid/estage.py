@@ -74,7 +74,8 @@ class JointStats:
     def of(cls, z, labels) -> JointStats:
         """The statistics of a joint block ``z`` and its one-hot ``labels``."""
         z, y = _joint_data(z, labels)
-        return cls(gram=z.T @ z, zty=z.T @ y, yy=float((y**2).sum()))
+        with np.errstate(over="ignore", invalid="ignore"):  # checked when made
+            return cls(gram=z.T @ z, zty=z.T @ y, yy=float((y**2).sum()))
 
 
 @dataclass(frozen=True)
@@ -117,6 +118,10 @@ def build_stacked(x, cmodel: CStageModel) -> np.ndarray:
     return np.hstack([compress(x[:, :s], cmodel), x[:, s:]])
 
 
+# A ridge that overflows the diagonal is checked after it is added. Called
+# once per alternating step; as a decorator, errstate costs about half what a
+# with-block does.
+@np.errstate(over="ignore")
 def update_coefficients(
     stats: JointStats, w_base: float, gamma: float
 ) -> tuple[np.ndarray, np.ndarray]:

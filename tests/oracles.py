@@ -39,6 +39,26 @@ def batch_normal_solve(batches, lam, rho):
     return coef[:p], coef[p:]
 
 
+def split_factor(stats):
+    """Factor mode's [P1 | P2] assembled into the (m, m) block factor R' of
+    the unknowns (sigma_s, delta_s, t), and the (m, m) map T from them to
+    the coupled system's unknowns (theta, phi), so that R'^T R' = T^T M T
+    for the coupled normal matrix M. The corner is read from P1."""
+    v, s = stats.schema.vanished, stats.schema.survived
+    p, m = v + s, v + 2 * s
+    p1, p2 = stats.mat[:, :p], stats.mat[:, p:]
+    r = np.zeros((m, m))
+    r[:s, :s], r[:s, 2 * s :] = p1[:s, :s], p1[:s, s:]
+    r[s : 2 * s, s : 2 * s], r[s : 2 * s, 2 * s :] = p2[:s, :s], p2[:s, s:]
+    r[2 * s :, 2 * s :] = p1[s:, s:]
+    half = np.eye(s) / math.sqrt(2.0)
+    t = np.zeros((m, m))
+    t[:v, 2 * s :] = math.sqrt(2.0) * np.eye(v)  # theta_v = sqrt(2) t
+    t[v:p, :s], t[v:p, s : 2 * s] = half, half  # theta_s = (sigma_s + delta_s) / sqrt(2)
+    t[p:, :s], t[p:, s : 2 * s] = half, -half  # phi = (sigma_s - delta_s) / sqrt(2)
+    return r, t
+
+
 def cstage_gradient(batches, coef_full, coef_survived, lam, rho):
     """Stationarity residual of the coupled objective, accumulated batch by
     batch straight from its definition."""

@@ -115,8 +115,10 @@ def test_criterion_2_factor_path_equivalence():
             np.abs(m_d.coef_full - m_f.coef_full).max() / scale,
             np.abs(m_d.coef_survived - m_f.coef_survived).max() / scale,
         )
-        inv_upper, _ = dpotri(factor.mat)  # M^-1 from the factor, upper triangle
-        inverse = np.triu(inv_upper) + np.triu(inv_upper, 1).T
+        # M^-1 = T M'^-1 T^T, with M'^-1 from the block factor R' of M' = T^T M T
+        r, t = oracles.split_factor(factor)
+        inv_upper, _ = dpotri(r)  # upper triangle of M'^-1
+        inverse = t @ (np.triu(inv_upper) + np.triu(inv_upper, 1).T) @ t.T
         identity = inverse @ _coupled_system(direct)[0]
         worst_identity = max(
             worst_identity, np.abs(identity - np.eye(schema.stats_dim)).max()

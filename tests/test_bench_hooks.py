@@ -44,7 +44,9 @@ def test_prequential_pass_with_suspend_and_resume(manifest, tmp_path, monkeypatc
     uninterrupted = cstage.init_stats(schema, hyper, mode=mode)
     snapshot = tmp_path / "mid.npz"
     correct = rows = 0
+    seen = []
     for i, batch in enumerate(ingest.stream_batches(manifest)):
+        seen.append(batch)
         scores = cstage.compress(batch.survived, cstage.solve_model(stats))
         pred = model.argmax_decode(scores)
         correct += int((pred == batch.labels.argmax(axis=1)).sum())
@@ -60,6 +62,10 @@ def test_prequential_pass_with_suspend_and_resume(manifest, tmp_path, monkeypatc
     np.testing.assert_array_equal(final.coef_survived, reference.coef_survived)
     np.testing.assert_array_equal(final.coef_full, reference.coef_full)
     assert stats.mode == mode and stats.batches_seen == 4
+    # the benchmark's coefficient check: within 1e-8 of one batch solve
+    ref = np.vstack(oracles.batch_normal_solve(seen, hyper.lam, hyper.rho))
+    coef = np.vstack([final.coef_full, final.coef_survived])
+    assert np.linalg.norm(coef - ref) <= 1e-8 * np.linalg.norm(ref)
 
 
 def test_evaluate_runs_once_per_method_per_repeat(manifest, monkeypatch):

@@ -125,7 +125,7 @@ class TestCStageCommand:
         main(_synth_args(tmp_path / "data"))
         manifest_path = capsys.readouterr().out.strip()
         # finite features overflow the Gram update (direct, 1e200) or the
-        # factor's scaled rows sqrt(1 + lam) x (factor, 1.5e308) to inf
+        # factor's norm bound (factor, 1.5e308) to inf
         value = "1.5e308," if mode == FACTOR else "1e200,"
         batch_file = tmp_path / "data" / "cstage_001.csv"
         lines = batch_file.read_text().splitlines()

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg.lapack import dlange, dpotrs
 
 from conftest import random_cstage_stream
 from opid.cstage import (
@@ -37,10 +38,21 @@ def _schema(d_v=2, d_s=3, c=2):
 
 
 def _factor_error(factor, direct):
-    """||R^T R - M||_F / ||M||_F for a factor-mode R and the M that direct
-    mode builds from the same stream."""
-    mat = _coupled_system(direct)[0]
-    return np.linalg.norm(factor.mat.T @ factor.mat - mat) / np.linalg.norm(mat)
+    """||R'^T R' - T^T M T||_F / ||T^T M T||_F for the block factor R' that
+    factor mode keeps, its map T and the M that direct mode builds from the
+    same stream."""
+    r, t = oracles.split_factor(factor)
+    mat = t.T @ _coupled_system(direct)[0] @ t
+    return np.linalg.norm(r.T @ r - mat) / np.linalg.norm(mat)
+
+
+def _halves_upper_with_one_corner(stats):
+    """Both halves of a factor-mode ``mat`` are upper-triangular and their
+    trailing (vanished, vanished) corners are bit-equal."""
+    p, s = stats.schema.cstage_width, stats.schema.survived
+    p1, p2 = stats.mat[:, :p], stats.mat[:, p:]
+    return (not np.tril(p1, -1).any() and not np.tril(p2, -1).any()
+            and p1[s:, s:].tobytes() == p2[s:, s:].tobytes())
 
 
 class TestInitStats:
@@ -53,9 +65,13 @@ class TestInitStats:
         assert stats.batches_seen == 0
 
     def test_factor_init(self):
+        # P1 = P2 = diag(sqrt(rho) I_survived, sqrt(2 rho) I_vanished)
         stats = init_stats(_schema(1, 2, 3), Hyperparams(rho=2.0), mode=FACTOR)
-        np.testing.assert_array_equal(stats.mat, np.sqrt(2.0) * np.eye(5))
+        half = np.diag([np.sqrt(2.0), np.sqrt(2.0), 2.0])
+        np.testing.assert_array_equal(stats.mat, np.hstack([half, half]))
         assert stats.mat.flags.f_contiguous
+        r, t = oracles.split_factor(stats)
+        np.testing.assert_allclose(r.T @ r, t.T @ (2.0 * np.eye(5)) @ t, atol=1e-15)
 
     def test_zero_ridge_rejected(self):
         with pytest.raises(ValueError):
@@ -112,15 +128,16 @@ class TestAbsorb:
         stats = init_stats(schema, Hyperparams(lam=lam, rho=0.1), FACTOR)
         for batch in random_cstage_stream(rng, 6, 7, 3, 4, 3):
             absorb_batch(stats, batch)
-            assert not np.tril(stats.mat, -1).any()
+            assert _halves_upper_with_one_corner(stats)
 
     def test_factor_across_qr_blocks(self):
-        # stats_dim 330 spans more than ten QR blocks and the survived width
-        # 150 of the trailing block's update more than four, each with a
-        # ragged last block
+        # the width p = 180 of both dtpqrt calls spans more than five QR
+        # blocks with a ragged last block, and the survived width 150 before
+        # the shared corner more than four
         rng = np.random.default_rng(22)
         schema = _schema(30, 150, 3)
-        assert schema.stats_dim > 10 * _QR_BLOCK and schema.stats_dim % _QR_BLOCK
+        p = schema.cstage_width
+        assert p > 5 * _QR_BLOCK and p % _QR_BLOCK
         assert schema.survived > 4 * _QR_BLOCK and schema.survived % _QR_BLOCK
         hyper = Hyperparams(lam=0.5, rho=1.0)
         direct = init_stats(schema, hyper, DIRECT)
@@ -131,13 +148,14 @@ class TestAbsorb:
             assert _factor_error(factor, direct) <= 1e-14
 
     @pytest.mark.parametrize("d_v, d_s, n", [
-        (0, 6, 4),  # no vanished block: the trailing block is half of R
+        (0, 6, 4),  # no vanished block: the shared corner is empty
         (3, 4, 1),  # one-row batches
-        (40, 5, 7),  # survived narrower than a QR block, R wider than one
+        (40, 5, 7),  # survived narrower than a QR block, p wider than one
     ])
     def test_split_update_matches_dense_matrix(self, d_v, d_s, n):
-        # the upper rows update all of R, the survived-only rows its trailing
-        # block; after every batch R^T R is M and R stays upper-triangular
+        # w updates P1, c w updates P2, and the corner passes between them;
+        # after every batch R'^T R' is T^T M T, both halves stay
+        # upper-triangular and their corners stay bit-equal
         rng = np.random.default_rng(28)
         schema = _schema(d_v, d_s, 3)
         hyper = Hyperparams(lam=0.8, rho=0.2)
@@ -147,7 +165,7 @@ class TestAbsorb:
             absorb_batch(direct, batch)
             absorb_batch(factor, batch)
             assert _factor_error(factor, direct) <= 1e-14
-            assert not np.tril(factor.mat, -1).any()
+            assert _halves_upper_with_one_corner(factor)
         assert factor.mat.flags.f_contiguous
 
     def test_factor_mode_allocates_no_full_temporary(self, tmp_path):
@@ -196,8 +214,22 @@ class TestAbsorb:
         for b in stream:
             absorb_batch(direct, b)
             absorb_batch(factor, b)
-        identity, _ = dpotrs(factor.mat, _coupled_system(direct)[0])
+        r, t = oracles.split_factor(factor)
+        identity, _ = dpotrs(r, t.T @ _coupled_system(direct)[0] @ t)
         np.testing.assert_allclose(identity, np.eye(schema.stats_dim), atol=1e-8)
+
+    @pytest.mark.parametrize("d_v, lam, n", [(4, 0.7, 6), (0, 0.7, 6), (4, 0.0, 6), (4, 0.7, 1)],
+                             ids=["plain", "no-vanished", "lam0", "one-row"])
+    def test_r_norm_is_the_norm_of_the_block_factor(self, d_v, lam, n):
+        # grown batch by batch, and derived from mat with the corner counted
+        # once, r_norm is ||R'||_F
+        rng = np.random.default_rng(29)
+        stats = init_stats(_schema(d_v, 5, 3), Hyperparams(lam=lam, rho=0.3), FACTOR)
+        for batch in random_cstage_stream(rng, 50, n, d_v, 5, 3):
+            absorb_batch(stats, batch)
+        expected = dlange("F", oracles.split_factor(stats)[0])
+        for r_norm in (stats.r_norm, dataclasses.replace(stats).r_norm):
+            assert abs(r_norm - expected) <= 1e-12 * expected
 
     def test_order_insensitivity_direct(self):
         rng = np.random.default_rng(5)
@@ -300,6 +332,15 @@ class TestSolveModel:
         assert np.abs(coef_f - coef_d).max() <= 1e-12 * np.abs(coef_d).max()
         assert _factor_error(factor, direct) <= 1e-13
 
+    @pytest.mark.parametrize("column", [1, 6], ids=["P1", "P2"])
+    def test_factor_with_a_zero_diagonal_entry_raises(self, column):
+        # snapshots are checked for this when loaded; a factor set by hand is not
+        stats = init_stats(_schema(2, 3, 2), Hyperparams(), FACTOR)
+        stats.rhs[:] = 1.0
+        stats.mat[1, column] = 0.0
+        with pytest.raises(NumericError, match="zero on its diagonal"):
+            solve_model(stats)
+
     def test_zero_consistency_reduces_to_standalone_ridges(self):
         rng = np.random.default_rng(10)
         hyper = Hyperparams(lam=0.0, rho=0.4)
@@ -342,11 +383,10 @@ class TestSolveModel:
         np.testing.assert_allclose(model.coef_survived, ref_sur, atol=1e-10)
 
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("mode", [DIRECT, FACTOR])
     def test_overflowing_features_raise_numeric_error(self, mode):
-        # finite features overflow the Gram product (direct) or the scaled rows
-        # sqrt(1 + lam) x (factor) to inf; the solve must fail typed
+        # finite features overflow the Gram product (direct) or the factor's
+        # norm bound (factor) to inf; the solve must fail typed
         value = _OVERFLOWING[mode]
         batch = Batch.cstage(
             np.full((4, 2), value), np.full((4, 3), value), one_hot_encode([0, 1, 0, 1], 2)
@@ -366,7 +406,6 @@ class TestSolveModel:
         assert np.isfinite(stats.mat).all()
         assert np.isfinite(model.coef_full).all() and np.isfinite(model.coef_survived).all()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("mode", [DIRECT, FACTOR])
     def test_overflowing_batch_leaves_statistics_unchanged(self, mode):
         rng = np.random.default_rng(21)
@@ -426,7 +465,8 @@ class TestSolveModel:
 
 
 # Features that overflow each mode's statistics: the Gram matrix squares
-# them, while the factor only scales them by sqrt(1 + lam) = sqrt(2).
+# them, while the factor's norm bound only scales their norm by
+# sqrt(2 + 2 lam) = 2.
 _OVERFLOWING = {DIRECT: 1e200, FACTOR: 1.5e308}
 
 
@@ -540,7 +580,7 @@ class TestSnapshot:
             {"rhs": np.zeros((8, 2))},
             {"mat": np.full((5, 5), np.nan)},
             {"mat": np.zeros((5, 5), dtype=np.int64)},
-            {"format": 3},
+            {"format": 2},  # the single-triangle factor's format
             {"survived": 0},
             {"classes": 2.5},
             {"lam": -1.0},
@@ -549,8 +589,8 @@ class TestSnapshot:
             {"batches_seen": -1},
             {"lam": None},
             {"mode": np.array("inverse"), "mat": 0.3 * np.eye(8)},  # the layout before factors
-            {"mode": np.array("factor"), "mat": np.eye(8) + np.eye(8, k=-3)},
-            {"mode": np.array("factor"), "mat": np.diag([1.0] * 7 + [0.0])},
+            {"mode": np.array("factor"), "mat": np.hstack([np.eye(5) + np.eye(5, k=-3), np.eye(5)])},
+            {"mode": np.array("factor"), "mat": np.hstack([np.eye(5), np.diag([1.0, 1.0, 0.0, 1.0, 1.0])])},
         ],
     )
     def test_invalid_snapshot_rejected(self, tmp_path, change):
@@ -560,6 +600,45 @@ class TestSnapshot:
         np.savez(path, **{k: v for k, v in fields.items() if v is not None})
         with pytest.raises(SchemaError):
             load_stats(path)
+
+    @staticmethod
+    def _factor_snapshot(tmp_path, **change):
+        """A factor snapshot of a few batches with ``change`` applied to its
+        fields; ``mat`` may be given as a function of the stored one."""
+        stats = init_stats(_schema(2, 3, 2), Hyperparams(lam=0.9, rho=0.3), FACTOR)
+        for b in random_cstage_stream(np.random.default_rng(30), 3, 4, 2, 3, 2):
+            absorb_batch(stats, b)
+        path = tmp_path / "factor.npz"
+        save_stats(stats, path)
+        with np.load(path) as data:
+            fields = {key: data[key] for key in data.files}
+        if callable(change.get("mat")):
+            change["mat"] = change["mat"](fields["mat"].copy())
+        fields.update(change)
+        np.savez(path, **fields)
+        return path
+
+    def test_single_triangle_factor_snapshot_rejected(self, tmp_path):
+        # format 2 stored one (m, m) upper triangle R with R^T R = M
+        path = self._factor_snapshot(tmp_path, format=2, mat=np.triu(np.ones((8, 8))))
+        with pytest.raises(SchemaError, match="format 2, expected 3"):
+            load_stats(path)
+
+    def test_factor_corners_that_differ_rejected(self, tmp_path):
+        def nudge(mat):  # one ulp on the last diagonal entry of P2's corner
+            mat[-1, -1] = np.nextafter(mat[-1, -1], np.inf)
+            return mat
+
+        with pytest.raises(SchemaError, match="corner"):
+            load_stats(self._factor_snapshot(tmp_path, mat=nudge))
+
+    def test_lower_entry_in_the_second_half_rejected(self, tmp_path):
+        def below(mat):  # row 3 lies below P2's diagonal in its first column
+            mat[3, 5] = 1e-300
+            return mat
+
+        with pytest.raises(SchemaError, match="upper-triangular"):
+            load_stats(self._factor_snapshot(tmp_path, mat=below))
 
     def test_unversioned_snapshot_rejected(self, tmp_path):
         # the layout from before format versions: a coupled (m, m) matrix

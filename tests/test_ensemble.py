@@ -80,7 +80,6 @@ class TestTrainLogistic:
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_non_finite_feature_raises_before_lapack(monkeypatch, bad):
     def no_lapack(*args, **kwargs):
         raise AssertionError("LAPACK called on a non-finite system")

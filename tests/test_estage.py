@@ -242,14 +242,12 @@ class TestNonFiniteInputs:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("where", ["z", "labels"])
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_rows_with_a_non_finite_entry(self, bad, where):
         z, labels = random_stacked(np.random.default_rng(22))
         {"z": z, "labels": labels}[where][2, 1] = bad
         with pytest.raises(NumericError, match="non-finite"):
             JointStats.of(z, labels)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_ridge_that_overflows_the_diagonal(self):
         stats = JointStats(np.diag([1.7e308, 1.0, 1.0]), np.ones((3, 2)), 1.0)
         # a ridge of about 1e308 overflows the first diagonal entry; gram itself is finite
