@@ -9,8 +9,13 @@ so each instance is read exactly once and memory never grows with the data.
 
 Two interchangeable accumulation strategies sit behind the same interface:
 
-* ``direct``  -- accumulate only the Gram pair G = X^T X, B = X^T Y; build
-  the normal matrix M(lam, rho) and factorize it once at solve time.
+* ``direct``  -- accumulate only the Gram pair G = X^T X, B = X^T Y, G as
+  its upper triangle, which one BLAS ``dsyrk`` call per batch updates in
+  place. At solve time it builds the factor that ``factor`` mode keeps,
+  below, from G at the given (lam, rho) and solves with it the same way:
+  two Cholesky factorizations of width p = vanished + survived and one
+  ``dsyrk``, 2 p^3 / 3 + v^2 s flops for v vanished and s survived, where
+  the dense coupled matrix of width v + 2s took (v + 2s)^3 / 3.
 * ``factor``  -- maintain a Cholesky factor of M, so the solution is three
   triangular solves away at any point of the stream. The factor lives in
   split coordinates: with E placing the survived classifier phi in theta's
@@ -37,7 +42,8 @@ import zlib
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dlange, dpotrs, dtpqrt, dtrtrs
+from scipy.linalg.blas import dsyrk
+from scipy.linalg.lapack import dlange, dlantr, dtpqrt, dtrtrs
 
 from .model import (
     Batch,
@@ -68,26 +74,41 @@ _QR_BLOCK = 32
 # orthogonal block reflector I - V T V^T has entries <= 2, so T (V^T c) sums
 # at most _QR_BLOCK terms of at most 2 * 2N each.
 _QR_HEADROOM = 4.0 * _QR_BLOCK
+# A direct snapshot is refused unless every upper entry of G has |G_ij| <=
+# _GRAM_SLACK * (G_ii + G_jj) / 2 and the diagonal is nonnegative. The
+# exact Gram matrix has |G_ij| <= sqrt(G_ii G_jj) <= (G_ii + G_jj) / 2; over
+# N rows in all, rounding moves each computed sum by a factor within 1 +- g,
+# g = N u / (1 - N u) for the unit roundoff u, and (1 + g) / (1 - g) <= 2
+# while N < 2^51, so every G that a pass computes is accepted.
+_GRAM_SLACK = 2.0
+# No partial sum that direct mode's dsyrk forms exceeds _GRAM_HEADROOM *
+# max_i d_i, d the computed new diagonal diag(G) + sum_k x_ki^2: |G_ij| +
+# sum_k |x_ki x_kj| <= _GRAM_SLACK * (d_i + d_j) / 2 exactly for the batch's
+# rows x, and rounding over fewer than 2^51 of them moves the sums and d by
+# less than a factor 2 together.
+_GRAM_HEADROOM = 2.0 * _GRAM_SLACK
 
 
 @dataclass
 class CStageStats:
     """Streaming sufficient statistics of the compressing-stage objective.
 
-    ``mat`` is the (p, p) Gram matrix G in ``direct`` mode, p = vanished +
-    survived. In ``factor`` mode it is the Fortran-ordered (p, 2p) [P1 | P2]
-    of two upper triangles, the factor of the coupled normal matrix in the
-    split unknowns (see the module docstring), each ordered survived first,
-    then vanished; their trailing (vanished, vanished) corners are one block
-    of that factor, kept bit-equal in both. ``rhs`` is the (p, classes)
+    ``mat`` is the upper triangle of the (p, p) Gram matrix G in ``direct``
+    mode, p = vanished + survived, in schema order; its strict lower triangle
+    is never read (a fresh pass leaves it zero). In ``factor`` mode it is
+    the Fortran-ordered (p, 2p) [P1 | P2] of two upper triangles, the factor
+    of the coupled normal matrix in the split unknowns (see the module
+    docstring), each ordered survived first, then vanished; their trailing
+    (vanished, vanished) corners are one block of that factor, kept
+    bit-equal in both. ``rhs`` is the (p, classes)
     cross-moment B with the one-hot labels, in schema order. The footprint
     is fixed by the schema, never by how many instances were absorbed;
     factor mode has ``hyper`` folded into ``mat``. Factor mode keeps
     ``r_norm``, the Frobenius norm of the whole factor with the corner
     counted once, derived from ``mat`` when the statistics are made or
-    loaded and grown by each absorb; snapshots omit it. Single-writer:
-    factor-mode absorbing changes ``mat`` in place; direct mode builds new
-    arrays and swaps them in only once they are checked finite.
+    loaded and grown by each absorb; snapshots omit it. Single-writer: an
+    absorb checks first that the batch cannot overflow ``mat``, then
+    changes it in place in either mode.
     """
 
     mode: str
@@ -112,14 +133,15 @@ def _factor_norm(mat: np.ndarray, s: int) -> float:
 
 
 def init_stats(schema: FeatureSchema, hyper: Hyperparams, mode: str = DIRECT) -> CStageStats:
-    """Empty-stream statistics: a zero Gram matrix (direct) or the factor of
-    the ridge-only matrix (factor), P1 = P2 = diag(sqrt(rho) I_survived,
-    sqrt(2 rho) I_vanished), and a zero right-hand side."""
+    """Empty-stream statistics: a zero Fortran-ordered Gram matrix (direct),
+    the layout ``dsyrk`` updates in place, or the factor of the ridge-only
+    matrix (factor), P1 = P2 = diag(sqrt(rho) I_survived, sqrt(2 rho)
+    I_vanished), and a zero right-hand side."""
     if mode not in (DIRECT, FACTOR):
         raise SchemaError(f"unknown accumulation mode {mode!r}")
     p, s = schema.cstage_width, schema.survived
     if mode == DIRECT:
-        mat = np.zeros((p, p))
+        mat = np.zeros((p, p), order="F")
     else:
         rows = np.arange(p)
         mat = np.zeros((p, 2 * p), order="F")
@@ -133,7 +155,7 @@ def absorb_batch(stats: CStageStats, batch: Batch) -> CStageStats:
     """Fold one compressing-stage batch into the statistics (in place).
 
     One-pass contract: each batch is absorbed exactly once. A batch that
-    overflows the statistics to non-finite values raises
+    could overflow the statistics to non-finite values raises
     :class:`NumericError` and leaves them as they were.
     """
     validate_batch(batch, stats.schema)
@@ -142,8 +164,10 @@ def absorb_batch(stats: CStageStats, batch: Batch) -> CStageStats:
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
         rhs = stats.rhs + x_all.T @ batch.labels
         if stats.mode == DIRECT:
-            mat = stats.mat + x_all.T @ x_all
-            fits = np.isfinite(mat).all()
+            # G is a Gram matrix up to _GRAM_SLACK, which load_stats checks
+            # for snapshots, so the new diagonal bounds every entry
+            diag = stats.mat.diagonal() + np.square(x_all).sum(axis=0)
+            fits = np.isfinite(_GRAM_HEADROOM * diag).all()
         else:
             # The increment A^T A + B^T B has A = [X_s, 0, X_v] and B = c [0,
             # X_s, X_v]: the gathered w = [X_s, X_v] in P1's unknowns and c w
@@ -160,11 +184,14 @@ def absorb_batch(stats: CStageStats, batch: Batch) -> CStageStats:
             raise NumericError(
                 f"batch {stats.batches_seen} overflows the statistics to non-finite values"
             )
-    if stats.mode == FACTOR:
-        # A Fortran-ordered mat is updated in place; any other layout is
-        # copied once. Each dtpqrt call leaves its triangle's corner as the
-        # shared block of the new factor, so it is handed to the other half.
-        mat = np.asfortranarray(stats.mat)
+    # A Fortran-ordered mat is updated in place; any other layout is copied
+    # once.
+    mat = np.asfortranarray(stats.mat)
+    if stats.mode == DIRECT:
+        mat = dsyrk(1.0, x_all.T, beta=1.0, c=mat, overwrite_c=1)  # upper triangle only
+    else:
+        # Each dtpqrt call leaves its triangle's corner as the shared block
+        # of the new factor, so it is handed to the other half.
         p = stats.schema.cstage_width
         p1, p2 = mat[:, :p], mat[:, p:]
         cw = math.sqrt(1.0 + 2.0 * lam) * w
@@ -185,37 +212,68 @@ def _qr_update(r: np.ndarray, w: np.ndarray) -> None:
     dtpqrt(0, nb, r, w, overwrite_a=1, overwrite_b=1)
 
 
-def _coupled_system(stats: CStageStats) -> tuple[np.ndarray, np.ndarray]:
-    """M(lam, rho) and the right-hand side [B; B[v:]] of the coupled normal
-    system, v = vanished, built from direct mode's Gram pair."""
-    v = stats.schema.vanished
-    gram, lam = stats.mat, stats.hyper.lam
-    cross = -lam * gram[:, v:]
-    mat = np.block([[(1.0 + lam) * gram, cross], [cross.T, (1.0 + lam) * gram[v:, v:]]])
-    mat.flat[:: mat.shape[0] + 1] += stats.hyper.rho
-    return mat, np.vstack([stats.rhs, stats.rhs[v:]])
+def _factor_from_gram(stats: CStageStats) -> np.ndarray:
+    """Factor mode's [P1 | P2] for direct mode's Gram matrix G at ``hyper``.
+
+    In split order (survived, then vanished) and with c^2 = 1 + 2 lam, P2
+    factors [[c^2 G_ss + rho I, c^2 G_sv], [c^2 G_vs, K]] for K = (1 + c^2)
+    G_vv + 2 rho I, which gives A2 and B2, and P1 factors [[G_ss + rho I,
+    G_sv], [G_vs, K - B2^T B2]], whose corner C is the shared one and is
+    copied into P2. G_sv is read as G_vs^T, and LAPACK reads only the upper
+    triangles, so G's strict lower triangle is never used. Both halves are
+    factored in place in the one (p, 2p) array.
+    """
+    v, s = stats.schema.vanished, stats.schema.survived
+    p, c2, rho = v + s, 1.0 + 2.0 * stats.hyper.lam, stats.hyper.rho
+    gram = stats.mat
+    mat = np.zeros((p, 2 * p), order="F")
+    p1, p2 = mat[:, :p], mat[:, p:]
+    p1[:s, :s] = gram[v:, v:]
+    p1[:s, s:] = gram[:v, v:].T
+    p1[s:, s:] = gram[:v, :v]
+    with np.errstate(over="ignore"):  # checked before each factorization
+        np.multiply(p1, c2, out=p2)
+        p2[s:, s:] += p1[s:, s:]
+        p1[s:, s:] = p2[s:, s:]
+        rows = np.arange(p)
+        ridge = np.repeat([rho, 2.0 * rho], [s, v])
+        mat[rows, rows] += ridge
+        mat[rows, p + rows] += ridge
+    _factor_in_place(p2)
+    if v:
+        p1[s:, s:] = dsyrk(-1.0, p2[:s, s:], beta=1.0, c=p1[s:, s:], trans=1)
+    _factor_in_place(p1)
+    p2[s:, s:] = p1[s:, s:]
+    return mat
+
+
+def _factor_in_place(half: np.ndarray) -> None:
+    """Cholesky-factor the upper triangle of a Fortran-ordered half in place,
+    after checking that triangle, which is all that LAPACK reads, for
+    non-finite entries."""
+    if not math.isfinite(dlantr("M", half)):
+        raise NumericError("normal-equation solve failed: the system has non-finite entries")
+    _cholesky(half, "normal-equation", owned=True)
 
 
 def solve_model(stats: CStageStats) -> CStageModel:
     """Solve the coupled normal system for both coefficient blocks.
 
-    Direct mode builds M from the Gram pair, factors it and solves with one
-    LAPACK ``dpotrs`` call. Factor mode holds the factor already, which is
-    what makes the anytime solution cheap on that path: three ``dtrtrs``
-    calls, P1^T then P1 over (sigma_s, t), then P2 over (delta_s, t).
-    delta_s has no right-hand side, so P2 needs only the back-substitution.
+    Factor mode holds the factor [P1 | P2] already, which is what makes the
+    anytime solution cheap on that path; direct mode builds it from the Gram
+    matrix at ``hyper`` first (:func:`_factor_from_gram`). Both then make three
+    ``dtrtrs`` calls, P1^T then P1 over (sigma_s, t), then P2 over
+    (delta_s, t). delta_s has no right-hand side, so P2 needs only the
+    back-substitution.
     """
     p = stats.schema.cstage_width
-    if stats.mode == DIRECT:
-        mat, rhs = _coupled_system(stats)
-        coef, _ = dpotrs(_cholesky(mat, "normal-equation"), rhs)
-        return CStageModel(coef_full=coef[:p], coef_survived=coef[p:])
+    mat = _factor_from_gram(stats) if stats.mode == DIRECT else stats.mat
     # The right-hand side in the split unknowns is sqrt(2) [B_s; 0; B_v].
     # Solving with [B_s; B_v] instead gives the unknowns over sqrt(2), which
     # maps back as theta_v = 2 t, theta_s = sigma_s + delta_s and
     # phi = sigma_s - delta_s.
     v, s = stats.schema.vanished, stats.schema.survived
-    p1, p2 = stats.mat[:, :p], stats.mat[:, p:]
+    p1, p2 = mat[:, :p], mat[:, p:]
     y, singular = dtrtrs(p1, np.vstack([stats.rhs[v:], stats.rhs[:v]]), trans=1)
     sigma_t, _ = dtrtrs(p1, y)
     y[:s] = 0.0
@@ -269,11 +327,14 @@ _SNAPSHOT_SCALARS = {  # dtype kinds accepted for each 0-d snapshot field
 def load_stats(path) -> CStageStats:
     """Read a snapshot written by :func:`save_stats`. Any unreadable file,
     missing or malformed field, or other format version, unversioned
-    snapshots included, raises :class:`SchemaError`, and so does a factor
-    whose halves are not upper-triangular, have a zero on their diagonals or
-    differ anywhere in their shared corner. Nothing is
-    converted, but ``mat`` is returned Fortran-ordered, the layout that factor
-    mode updates in place, whatever order it was stored in."""
+    snapshots included, raises :class:`SchemaError`, and so does a direct
+    ``mat`` whose upper triangle is not a Gram matrix up to rounding (see
+    ``_GRAM_SLACK``) or a factor whose halves are not upper-triangular, have
+    a zero on their diagonals or differ anywhere in their shared corner.
+    Nothing is converted, but ``mat`` is returned Fortran-ordered, the layout
+    that both modes update in place, whatever order it was stored in. A
+    direct ``mat`` may hold the whole symmetric G or only its upper triangle:
+    only the upper one is read."""
     try:
         with open(path, "rb") as fh:  # np.load(path) leaks the handle of a broken archive
             data = np.load(fh)
@@ -308,7 +369,20 @@ def load_stats(path) -> CStageStats:
         if arr.shape != shape or arr.dtype != np.float64 or not np.isfinite(arr).all():
             raise SchemaError(f"{path}: {mode} snapshot needs a finite float64 {key!r} of {shape}")
     mat = np.asfortranarray(raw["mat"])
-    if mode == FACTOR:
+    if mode == DIRECT:
+        # column by column over the upper triangle, with no (p, p) temporary;
+        # absorb_batch bounds every entry of G by its diagonal
+        diag = mat.diagonal()
+        with np.errstate(over="ignore"):  # an infinite bound refuses every batch
+            if (diag < 0.0).any() or any(
+                (np.abs(mat[:j, j]) > _GRAM_SLACK * (diag[:j] + diag[j]) / 2.0).any()
+                for j in range(p)
+            ):
+                raise SchemaError(
+                    f"{path}: direct 'mat' must be a Gram matrix: a nonnegative diagonal and "
+                    f"|G_ij| <= {_GRAM_SLACK:g} (G_ii + G_jj) / 2"
+                )
+    else:
         p1, p2, s = mat[:, :p], mat[:, p:], schema.survived
         # column by column, with no (p, p) temporary; dtrtrs divides by the diagonal
         if not (p1.diagonal().all() and p2.diagonal().all()) or any(

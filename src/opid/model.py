@@ -217,8 +217,9 @@ def _cholesky(mat: np.ndarray, what: str, owned: bool = False) -> np.ndarray:
     finite: it is factored in place, without the scan, and returned as U.
     This is the one SPD factorization in the library: :func:`_solve_spd`,
     the expanding-stage ridge step and the direct-mode compressing-stage
-    solve factor with it. Factor mode never calls it: it keeps its Cholesky
-    factor up to date by QR instead.
+    solve factor with it, the last one both halves of its split factor in
+    place. Factor mode never calls it: it keeps its Cholesky factor up to
+    date by QR instead.
     """
     if not owned and not np.isfinite(mat).all():
         raise NumericError(f"{what} solve failed: the system has non-finite entries")

@@ -39,6 +39,18 @@ def batch_normal_solve(batches, lam, rho):
     return coef[:p], coef[p:]
 
 
+def coupled_matrix(stats):
+    """The dense (m, m) coupled normal matrix M(lam, rho), m = vanished + 2
+    survived, built from direct mode's statistics. Direct mode keeps only
+    G's upper triangle, so G is mirrored from it first."""
+    v, lam = stats.schema.vanished, stats.hyper.lam
+    gram = np.triu(stats.mat) + np.triu(stats.mat, 1).T
+    cross = -lam * gram[:, v:]
+    mat = np.block([[(1.0 + lam) * gram, cross], [cross.T, (1.0 + lam) * gram[v:, v:]]])
+    mat.flat[:: mat.shape[0] + 1] += stats.hyper.rho
+    return mat
+
+
 def split_factor(stats):
     """Factor mode's [P1 | P2] assembled into the (m, m) block factor R' of
     the unknowns (sigma_s, delta_s, t), and the (m, m) map T from them to

@@ -12,7 +12,7 @@ import numpy as np
 
 from scipy.linalg.lapack import dpotri
 
-from opid.cstage import DIRECT, FACTOR, _coupled_system, absorb_batch, init_stats, solve_model
+from opid.cstage import DIRECT, FACTOR, absorb_batch, init_stats, solve_model
 from opid.ensemble import train_logistic
 from opid.estage import (
     JointStats,
@@ -119,7 +119,7 @@ def test_criterion_2_factor_path_equivalence():
         r, t = oracles.split_factor(factor)
         inv_upper, _ = dpotri(r)  # upper triangle of M'^-1
         inverse = t @ (np.triu(inv_upper) + np.triu(inv_upper, 1).T) @ t.T
-        identity = inverse @ _coupled_system(direct)[0]
+        identity = inverse @ oracles.coupled_matrix(direct)
         worst_identity = max(
             worst_identity, np.abs(identity - np.eye(schema.stats_dim)).max()
         )

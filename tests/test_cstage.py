@@ -12,7 +12,6 @@ from opid.cstage import (
     DIRECT,
     FACTOR,
     _QR_BLOCK,
-    _coupled_system,
     absorb_batch,
     compress,
     init_stats,
@@ -42,8 +41,18 @@ def _factor_error(factor, direct):
     factor mode keeps, its map T and the M that direct mode builds from the
     same stream."""
     r, t = oracles.split_factor(factor)
-    mat = t.T @ _coupled_system(direct)[0] @ t
+    mat = t.T @ oracles.coupled_matrix(direct) @ t
     return np.linalg.norm(r.T @ r - mat) / np.linalg.norm(mat)
+
+
+def _traced_peak(step):
+    """The tracemalloc peak, in bytes, of one call of ``step``."""
+    tracemalloc.start()
+    try:
+        step()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _halves_upper_with_one_corner(stats):
@@ -61,7 +70,7 @@ class TestInitStats:
         stats = init_stats(_schema(1, 2, 3), Hyperparams(rho=2.0), mode=DIRECT)
         np.testing.assert_array_equal(stats.mat, np.zeros((3, 3)))
         np.testing.assert_array_equal(stats.rhs, np.zeros((3, 3)))
-        np.testing.assert_array_equal(_coupled_system(stats)[0], 2.0 * np.eye(5))
+        np.testing.assert_array_equal(oracles.coupled_matrix(stats), 2.0 * np.eye(5))
         assert stats.batches_seen == 0
 
     def test_factor_init(self):
@@ -88,7 +97,7 @@ class TestAbsorb:
         schema = _schema(2, 3, 2)
         (batch,) = random_cstage_stream(rng, 1, 6, 2, 3, 2)
         stats = absorb_batch(init_stats(schema, Hyperparams(lam=0.0, rho=1.0)), batch)
-        mat, _ = _coupled_system(stats)
+        mat = oracles.coupled_matrix(stats)
         p = schema.cstage_width
         np.testing.assert_array_equal(mat[:p, p:], np.zeros((p, 3)))
         np.testing.assert_array_equal(mat[p:, :p], np.zeros((3, p)))
@@ -108,7 +117,7 @@ class TestAbsorb:
         lam = hyper.lam
         k = np.kron([[1.0 + lam, -lam], [-lam, 1.0 + lam]], np.eye(n))
         expected = hyper.rho * np.eye(schema.stats_dim) + a @ k @ a.T
-        np.testing.assert_allclose(_coupled_system(stats)[0], expected, atol=1e-12)
+        np.testing.assert_allclose(oracles.coupled_matrix(stats), expected, atol=1e-12)
 
     @pytest.mark.parametrize("lam", [0.0, 0.5])
     def test_factor_mode_matches_dense_matrix(self, lam):
@@ -176,19 +185,23 @@ class TestAbsorb:
         stats = absorb_batch(init_stats(schema, Hyperparams(), FACTOR), warm)
         path = tmp_path / "stats.npz"
         m = schema.stats_dim
-
-        def traced_peak(step):
-            tracemalloc.start()
-            try:
-                step()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        assert traced_peak(lambda: solve_model(absorb_batch(stats, batch))) < m * m * 8 / 2
+        assert _traced_peak(lambda: solve_model(absorb_batch(stats, batch))) < m * m * 8 / 2
         save_stats(stats, path)
         resumed = load_stats(path)
-        assert traced_peak(lambda: absorb_batch(resumed, after)) < m * m * 8 / 2
+        assert _traced_peak(lambda: absorb_batch(resumed, after)) < m * m * 8 / 2
+
+    def test_direct_mode_allocates_no_full_temporary(self):
+        # after a warm-up batch, an absorb folds the batch into G's upper
+        # triangle in place, and a solve factors both halves of [P1 | P2] in
+        # one (p, 2p) array, with no (m, m) coupled matrix
+        schema = _schema(60, 250, 3)
+        warm, batch = random_cstage_stream(np.random.default_rng(23), 2, 20, 60, 250, 3)
+        stats = absorb_batch(init_stats(schema, Hyperparams(), DIRECT), warm)
+        p, m = schema.cstage_width, schema.stats_dim
+        gram = stats.mat
+        assert _traced_peak(lambda: absorb_batch(stats, batch)) < p * p * 8 / 2
+        assert stats.mat is gram
+        assert _traced_peak(lambda: solve_model(stats)) < m * m * 8
 
     def test_factor_absorb_accepts_any_matrix_layout(self):
         rng = np.random.default_rng(25)
@@ -215,7 +228,7 @@ class TestAbsorb:
             absorb_batch(direct, b)
             absorb_batch(factor, b)
         r, t = oracles.split_factor(factor)
-        identity, _ = dpotrs(r, t.T @ _coupled_system(direct)[0] @ t)
+        identity, _ = dpotrs(r, t.T @ oracles.coupled_matrix(direct) @ t)
         np.testing.assert_allclose(identity, np.eye(schema.stats_dim), atol=1e-8)
 
     @pytest.mark.parametrize("d_v, lam, n", [(4, 0.7, 6), (0, 0.7, 6), (4, 0.0, 6), (4, 0.7, 1)],
@@ -230,6 +243,19 @@ class TestAbsorb:
         expected = dlange("F", oracles.split_factor(stats)[0])
         for r_norm in (stats.r_norm, dataclasses.replace(stats).r_norm):
             assert abs(r_norm - expected) <= 1e-12 * expected
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_direct_gram_is_the_upper_triangle(self, lam):
+        # dsyrk writes only the upper triangle, so the strict lower one stays zero
+        rng = np.random.default_rng(33)
+        stream = random_cstage_stream(rng, 4, 6, 3, 4, 3)
+        stats = init_stats(_schema(3, 4, 3), Hyperparams(lam=lam, rho=0.1), DIRECT)
+        for batch in stream:
+            absorb_batch(stats, batch)
+        x_all = oracles.stack_stream(stream)[0]
+        np.testing.assert_allclose(np.triu(stats.mat), np.triu(x_all.T @ x_all), atol=1e-12)
+        assert not np.tril(stats.mat, -1).any()
+        assert stats.mat.flags.f_contiguous
 
     def test_order_insensitivity_direct(self):
         rng = np.random.default_rng(5)
@@ -252,7 +278,7 @@ class TestAbsorb:
         stats = init_stats(schema, hyper)
         for b in random_cstage_stream(rng, 5, 4, 2, 3, 2):
             absorb_batch(stats, b)
-            eigs = np.linalg.eigvalsh(_coupled_system(stats)[0])
+            eigs = np.linalg.eigvalsh(oracles.coupled_matrix(stats))
             assert eigs.min() >= hyper.rho - 1e-10  # data adds a PSD increment
 
     def test_footprint_independent_of_stream_length(self):
@@ -296,6 +322,36 @@ class TestSolveModel:
             ref_full, ref_sur = oracles.batch_normal_solve(stream[:t], hyper.lam, hyper.rho)
             np.testing.assert_allclose(model.coef_full, ref_full, atol=1e-8)
             np.testing.assert_allclose(model.coef_survived, ref_sur, atol=1e-8)
+
+    @pytest.mark.parametrize("lam", [0.0, 10.0])
+    @pytest.mark.parametrize("d_v, d_s", [(0, 4), (3, 1), (0, 1)],
+                             ids=["no-vanished", "one-survived", "one-survived-no-vanished"])
+    def test_direct_solve_at_edge_shapes(self, d_v, d_s, lam):
+        # an empty shared corner (v = 0) and one-column P1 and P2 tops (s = 1)
+        rng = np.random.default_rng(31)
+        hyper = Hyperparams(lam=lam, rho=0.2)
+        stream = random_cstage_stream(rng, 3, 5, d_v, d_s, 3)
+        stats = init_stats(_schema(d_v, d_s, 3), hyper, DIRECT)
+        for b in stream:
+            absorb_batch(stats, b)
+        model = solve_model(stats)
+        ref_full, ref_sur = oracles.batch_normal_solve(stream, hyper.lam, hyper.rho)
+        np.testing.assert_allclose(model.coef_full, ref_full, atol=1e-10)
+        np.testing.assert_allclose(model.coef_survived, ref_sur, atol=1e-10)
+
+    def test_direct_solve_leaves_the_statistics_unchanged(self):
+        # one pass serves every (lam, rho): the solve must not write into G
+        rng = np.random.default_rng(34)
+        stats = init_stats(_schema(3, 4, 3), Hyperparams(lam=0.5, rho=0.1), DIRECT)
+        for b in random_cstage_stream(rng, 3, 6, 3, 4, 3):
+            absorb_batch(stats, b)
+        before = (stats.mat.copy(), stats.rhs.copy())
+        first = solve_model(stats)
+        np.testing.assert_array_equal(stats.mat, before[0], strict=True)
+        np.testing.assert_array_equal(stats.rhs, before[1], strict=True)
+        again = solve_model(stats)
+        np.testing.assert_array_equal(again.coef_full, first.coef_full)
+        np.testing.assert_array_equal(again.coef_survived, first.coef_survived)
 
     def test_direct_and_factor_paths_agree(self):
         rng = np.random.default_rng(9)
@@ -395,6 +451,16 @@ class TestSolveModel:
         with pytest.raises(NumericError, match="non-finite"):
             solve_model(absorb_batch(stats, batch))
 
+    def test_direct_solve_that_overflows_raises(self):
+        # G holds entries near 1e301, which are finite, but c^2 = 1 + 2 lam
+        # scales them past the largest double when the factor is built
+        rng = np.random.default_rng(36)
+        stats = init_stats(_schema(2, 3, 2), Hyperparams(lam=1e10), DIRECT)
+        absorb_batch(stats, Batch(1e150 * rng.standard_normal((4, 5)), one_hot_encode([0, 1, 0, 1], 2), 2))
+        assert np.isfinite(stats.mat).all()
+        with pytest.raises(NumericError, match="non-finite"):
+            solve_model(stats)
+
     def test_huge_features_fit_in_the_factor(self):
         # the factor holds sqrt(M), so features of 1e200 that overflow the
         # Gram matrix absorb and solve to finite values in factor mode
@@ -462,6 +528,32 @@ class TestSolveModel:
                             assert stats.batches_seen == before[2]
                         else:
                             assert np.isfinite(stats.mat).all(), (k, value)
+
+    def test_huge_features_refuse_or_leave_the_gram_finite(self):
+        # Batches of 10^k and 0.6 * 10^k around sqrt(float max) ~ 1.34e154,
+        # where the squares in G overflow, in every column or in one, then an
+        # ordinary batch. Each is refused with the statistics unchanged, or
+        # leaves G finite.
+        labels = one_hot_encode([0, 1], 2)
+        one_column = np.zeros((2, 5))
+        one_column[:, 0] = 1.0
+        refused = 0
+        for k in range(150, 156):
+            for value in (10.0**k, 0.6 * 10.0**k):
+                for rows in (np.ones((2, 5)), one_column):
+                    stats = init_stats(_schema(2, 3, 2), Hyperparams(lam=1.0), DIRECT)
+                    for x in (value * rows, value * rows, np.ones((2, 5))):
+                        before = (stats.mat.copy(), stats.rhs.copy(), stats.batches_seen)
+                        try:
+                            absorb_batch(stats, Batch(x, labels, 2))
+                        except NumericError:
+                            refused += 1
+                            np.testing.assert_array_equal(stats.mat, before[0], strict=True)
+                            np.testing.assert_array_equal(stats.rhs, before[1], strict=True)
+                            assert stats.batches_seen == before[2]
+                        else:
+                            assert np.isfinite(stats.mat).all(), (k, value)
+        assert refused  # the range reaches the refusal edge
 
 
 # Features that overflow each mode's statistics: the Gram matrix squares
@@ -555,6 +647,72 @@ class TestSnapshot:
             absorb_batch(resumed, b)
         np.testing.assert_array_equal(resumed.mat, whole.mat)
         np.testing.assert_array_equal(resumed.rhs, whole.rhs)
+
+    def test_full_and_upper_gram_snapshots_resume_identically(self, tmp_path):
+        # a direct pass leaves G's strict lower triangle zero, while snapshots
+        # written before G was kept as its upper triangle hold the whole
+        # symmetric G; the solve reads only the upper one, so both resume to
+        # the same coefficients bit for bit
+        rng = np.random.default_rng(35)
+        schema, hyper = _schema(2, 3, 2), Hyperparams(lam=0.9, rho=0.3)
+        stream = random_cstage_stream(rng, 4, 5, 2, 3, 2)
+        first = init_stats(schema, hyper, DIRECT)
+        for b in stream[:2]:
+            absorb_batch(first, b)
+        upper = first.mat
+        assert not np.tril(upper, -1).any()
+        coefs = []
+        for name, mat in (("upper", upper), ("full", np.triu(upper) + np.triu(upper, 1).T)):
+            path = tmp_path / f"{name}.npz"
+            save_stats(dataclasses.replace(first, mat=mat), path)
+            resumed = load_stats(path)
+            np.testing.assert_array_equal(resumed.mat, mat)
+            for b in stream[2:]:
+                absorb_batch(resumed, b)
+            model = solve_model(resumed)
+            coefs.append(np.vstack([model.coef_full, model.coef_survived]))
+        np.testing.assert_array_equal(coefs[0], coefs[1], strict=True)
+
+    @staticmethod
+    def _direct_snapshot(tmp_path, mat):
+        stats = init_stats(_schema(1, 2, 2), Hyperparams(lam=1.0), DIRECT)
+        stats.mat = mat
+        path = tmp_path / "direct.npz"
+        save_stats(stats, path)
+        return path
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            {(0, 1): 1.7e308},  # zero diagonal: one row of 5e153 would overflow G_01 in place
+            {(1, 1): -1.0},
+            {(0, 0): 1.0, (2, 2): 3.0, (0, 2): np.nextafter(4.0, np.inf)},
+            {(0, 0): 1.0, (2, 2): 3.0, (0, 2): -np.nextafter(4.0, np.inf)},
+        ],
+    )
+    def test_direct_snapshot_that_is_no_gram_matrix_rejected(self, tmp_path, entries):
+        mat = np.zeros((3, 3))
+        for at, value in entries.items():
+            mat[at] = value
+        with pytest.raises(SchemaError, match="Gram matrix"):
+            load_stats(self._direct_snapshot(tmp_path, mat))
+
+    def test_direct_snapshot_at_the_gram_slack_loads(self, tmp_path):
+        # |G_02| = 2 (G_00 + G_22) / 2 is the edge; the lower triangle is not read
+        mat = np.diag([1.0, 0.0, 3.0])
+        mat[0, 2], mat[2, 0] = -4.0, 1e300
+        np.testing.assert_array_equal(load_stats(self._direct_snapshot(tmp_path, mat)).mat, mat)
+
+    def test_pass_with_equal_columns_loads(self, tmp_path):
+        # equal columns put |G_ij| at (G_ii + G_jj) / 2 before rounding
+        rng = np.random.default_rng(36)
+        stats = init_stats(_schema(1, 2, 2), Hyperparams(lam=1.0), DIRECT)
+        for _ in range(20):
+            x = np.repeat(rng.standard_normal((50, 1)) * 10.0 ** rng.uniform(-3, 3), 3, axis=1)
+            absorb_batch(stats, Batch(x, one_hot_encode(rng.integers(0, 2, 50), 2), 1))
+        path = tmp_path / "equal.npz"
+        save_stats(stats, path)
+        np.testing.assert_array_equal(load_stats(path).mat, stats.mat)
 
     def test_negative_factor_diagonal_loads(self, tmp_path):
         # dtpqrt may leave negative diagonal entries; R^T R is the same matrix
