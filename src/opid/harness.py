@@ -1,14 +1,16 @@
 """End-to-end experiment harness.
 
-Reproduces the two-stage protocol: one pass over the compressing-stage
-stream, repeated random 50/50 splits of the pooled expanding-stage rows (a
-feature matrix and its one-hot labels), training of the stacked methods
-(OPID, OPIDe) on the joint block that ``build_stacked`` makes of each
-split's training half, and of the raw-feature logistic baselines on its
-columns, and aggregation into a table of mean/std accuracies with paired
-two-sided t-tests at significance level 0.05, whose marks are computed from
-the stored accuracies. Identical specs (including the seed) produce
-identical tables and identical report bytes.
+Reproduces the two-stage protocol on a stream on disk, as ``opid run``
+does: one pass over the compressing-stage stream, repeated random 50/50
+splits of the pooled expanding-stage rows (a feature matrix and its one-hot
+labels), training of the stacked methods (OPID, OPIDe) on the joint block
+that ``build_stacked`` makes of each split's training half, and of the
+raw-feature logistic baselines on its columns, and aggregation into a table
+of mean/std accuracies with paired two-sided t-tests at significance level
+0.05, whose marks are computed from the stored accuracies. Identical specs
+(including the seed) produce identical tables and identical report bytes.
+``resolve_mode`` and ``model.Batch.cstage`` have no caller here and stay on
+purpose, for ``perfbench/worker.py`` and ``perfbench/spans.py`` in turn.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from scipy.special import stdtr
 from .cstage import DIRECT, FACTOR, absorb_batch, init_stats, solve_model
 from .ensemble import EnsembleModel, _fit_members, predict_ensemble, train_ensemble, train_ovr
 from .estage import JointStats, build_stacked, fit_unified, predict_unified
-from .ingest import StreamManifest, SynthConfig, generate_synthetic, read_estage, stream_batches
+from .ingest import StreamManifest, read_estage, stream_batches
 from .model import (CStageModel, FeatureSchema, Hyperparams, SchemaError, _accuracy,
                     _cv_accuracy, _open_text)
 
@@ -51,9 +53,10 @@ AUTO_DIRECT_LIMIT = 2048
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Everything needed to reproduce one experiment."""
+    """Everything needed to reproduce one experiment on a stream on disk; a
+    synthetic one gets its manifest from ``write_stream`` then ``parse_manifest``."""
 
-    source: StreamManifest | SynthConfig
+    source: StreamManifest
     methods: tuple[str, ...] = ALL_METHODS
     lam_grid: tuple[float, ...] = (1.0,)
     rho_grid: tuple[float, ...] = (0.1,)
@@ -64,6 +67,8 @@ class ExperimentSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.source, StreamManifest):
+            raise SchemaError(f"source must be a StreamManifest, got {type(self.source).__name__}")
         if self.repeats < 1:
             raise SchemaError(f"repeats must be >= 1, got {self.repeats}")
         if self.folds < 2:
@@ -94,13 +99,16 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class ResultTable:
-    """Per-method accuracies over repeats; the repeat count and the pairwise
-    significance marks are computed from them."""
+    """Per-method accuracies, keyed in method order, the seed and the failures;
+    the methods, the repeat count and the significance marks derive from them."""
 
-    methods: tuple[str, ...]
     accuracies: dict[str, tuple[float, ...]] = field(default_factory=dict)
     seed: int | None = 0  # None: rebuilt from a record that does not store it
     failures: tuple[str, ...] = ()
+
+    @property
+    def methods(self) -> tuple[str, ...]:
+        return tuple(self.accuracies)
 
     @property
     def repeats(self) -> int:
@@ -116,15 +124,11 @@ class ResultTable:
 
     def mean(self, method: str) -> float:
         acc = self.accuracies[method]
-        if not acc:
-            return float("nan")
-        return float(np.mean(acc))
+        return float(np.mean(acc)) if acc else math.nan
 
     def std(self, method: str) -> float:
         acc = self.accuracies[method]
-        if len(acc) < 2:
-            return 0.0
-        return float(np.std(acc, ddof=1))
+        return float(np.std(acc, ddof=1)) if len(acc) >= 2 else 0.0
 
 
 def resolve_mode(mode: str, schema: FeatureSchema) -> str:
@@ -157,10 +161,7 @@ def k_fold_cv(x, y, grid, k: int, scorer) -> tuple[object, np.ndarray]:
     if not grid:
         raise ValueError("empty hyperparameter grid")
 
-    def predict(x_train, y_train, x_val):
-        return [scorer(params, x_train, y_train, x_val) for params in grid]
-
-    scores = _cv_accuracy(x, y, k, predict) / k
+    scores = _cv_accuracy(x, y, k, lambda *fold: [scorer(params, *fold) for params in grid]) / k
     return grid[int(np.argmax(scores))], scores
 
 
@@ -189,20 +190,6 @@ def paired_t_test(a, b) -> str:
     return TIE
 
 
-def _materialize(source):
-    """Schema, a single-use compressing-stage batch iterator, and the pooled
-    expanding-stage rows (features, one-hot labels)."""
-    if isinstance(source, SynthConfig):
-        cbatches, (x_train, y_train), (x_test, y_test) = generate_synthetic(source)
-        stream = iter(cbatches)
-    elif isinstance(source, StreamManifest):
-        (x_train, y_train), (x_test, y_test) = read_estage(source)
-        stream = stream_batches(source)
-    else:
-        raise TypeError(f"unsupported experiment source {type(source)!r}")
-    return source.schema, stream, np.vstack([x_train, x_test]), np.vstack([y_train, y_test])
-
-
 def _fit_baseline(columns: slice, alpha: float, x: np.ndarray, y: np.ndarray):
     clf = train_ovr(x[:, columns], y, alpha)
     return lambda x_new: clf.predict(x_new[:, columns])
@@ -217,10 +204,10 @@ class _MethodRunner:
     by k-fold cross validation on the training half.
     """
 
-    def __init__(self, spec: ExperimentSpec, schema: FeatureSchema, cmodels: dict):
+    def __init__(self, spec: ExperimentSpec, cmodels: dict):
         self.spec = spec
         self.cmodels = cmodels
-        s = schema.survived
+        s = spec.source.schema.survived
         stacked_grid = functools.partial(itertools.product, spec.lam_grid, spec.rho_grid)
         # method -> (grid, final fit, cross-validation fit)
         self.methods = {
@@ -269,8 +256,8 @@ def build_table(
     seed: int | None,
     failures: tuple[str, ...] = (),
 ) -> ResultTable:
-    """Pack per-repeat accuracies into a table."""
-    return ResultTable(methods, {m: tuple(accuracies[m]) for m in methods}, seed, failures)
+    """Pack per-repeat accuracies into a table, in the order of ``methods``."""
+    return ResultTable({m: tuple(accuracies[m]) for m in methods}, seed, failures)
 
 
 def run_experiment(spec: ExperimentSpec) -> ResultTable:
@@ -283,10 +270,11 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
     cross-validates; a method failure aborts the whole repeat with a logged
     reason.
     """
-    schema, stream, pool_x, pool_y = _materialize(spec.source)
-    cmodels = run_cstage_pass(stream, schema, itertools.product(spec.lam_grid, spec.rho_grid))
-
-    runner = _MethodRunner(spec, schema, cmodels)
+    source = spec.source
+    (x_train, y_train), (x_test, y_test) = read_estage(source)
+    pool_x, pool_y = np.vstack([x_train, x_test]), np.vstack([y_train, y_test])
+    grid = itertools.product(spec.lam_grid, spec.rho_grid)
+    runner = _MethodRunner(spec, run_cstage_pass(stream_batches(source), source.schema, grid))
     n_pool = pool_x.shape[0]
     n_train = n_pool // 2
     # OPIDe's weight search always splits the training half into folds; so does any tuned grid

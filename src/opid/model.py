@@ -13,6 +13,7 @@ search and the ensemble weight search, lives here too.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -161,17 +162,19 @@ class Hyperparams:
     """Regularization knobs of the compressing stage.
 
     ``lam`` weighs the consistency coupling between the two compressing-stage
-    classifiers (0 decouples them) and ``rho`` is their ridge.
+    classifiers (0 decouples them) and ``rho`` is their ridge. The solve
+    scales by 1 + 2 lam and 2 rho, so both must be finite.
     """
 
     lam: float = 1.0
     rho: float = 0.1
 
     def __post_init__(self):
-        if not 0 <= self.lam < np.inf:
-            raise SchemaError(f"consistency weight must be >= 0 and finite, got {self.lam}")
-        if not 0 < self.rho < np.inf:
-            raise SchemaError(f"ridge must be > 0 and finite, got {self.rho}")
+        # float(): numpy scalars would warn on the overflow that is tested for
+        if not (self.lam >= 0 and math.isfinite(1.0 + 2.0 * float(self.lam))):
+            raise SchemaError(f"consistency weight must be >= 0, 1 + 2 lam finite, got {self.lam}")
+        if not (self.rho > 0 and math.isfinite(2.0 * float(self.rho))):
+            raise SchemaError(f"ridge must be > 0, 2 rho finite, got {self.rho}")
 
 
 def one_hot_encode(labels, classes: int) -> np.ndarray:
@@ -289,7 +292,13 @@ def _cv_accuracy(x, y, folds: int, predict) -> np.ndarray:
 
 def validate_batch(batch: Batch, schema: FeatureSchema) -> None:
     """Check a batch against a schema; raises :class:`SchemaError` naming
-    the offending dimension."""
+    the offending dimension. Features and labels must be 2-D arrays of a
+    real numeric dtype (bool, integer or floating), checked first so that
+    no other check does arithmetic on anything else."""
+    for name, a in (("features", batch.x), ("labels", batch.labels)):
+        if not isinstance(a, np.ndarray) or a.ndim != 2 or a.dtype.kind not in "biuf":
+            got = f"{a.ndim}-D {a.dtype}" if isinstance(a, np.ndarray) else type(a).__name__
+            raise SchemaError(f"batch {name} must be a 2-D real numeric array, got {got}")
     n = batch.n
     if n < 1:
         raise SchemaError("batch must contain at least one instance")

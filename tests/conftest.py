@@ -1,9 +1,8 @@
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from opid.ingest import SynthConfig, generate_synthetic
+from opid.ingest import StreamManifest, SynthConfig, generate_synthetic, parse_manifest, write_stream
 from opid.model import Batch, FeatureSchema, one_hot_encode
 
 
@@ -27,22 +26,7 @@ def small_schema():
     return FeatureSchema(vanished=2, survived=3, augmented=2, classes=2)
 
 
-@pytest.fixture
-def synth_instance():
-    """A modest separable-ish synthetic problem shared by several tests."""
-    schema = FeatureSchema(vanished=4, survived=6, augmented=3, classes=3)
-    cfg = SynthConfig(
-        schema=schema,
-        batches=5,
-        batch_size=30,
-        estage_size=40,
-        separation=3.0,
-        noise=0.7,
-        seed=11,
-    )
-    cbatches, etrain, etest = generate_synthetic(cfg)
-    return schema, cfg, cbatches, etrain, etest
-
-
-def rng_for(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed)
+def synth_manifest(cfg: SynthConfig, out_dir) -> StreamManifest:
+    """``cfg``'s stream written to ``out_dir`` and read back, as ``opid synth``
+    writes a stream and ``opid run`` reads it: the one experiment source."""
+    return parse_manifest(write_stream(*generate_synthetic(cfg), out_dir, cfg.schema))

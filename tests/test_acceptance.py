@@ -12,6 +12,7 @@ import numpy as np
 
 from scipy.linalg.lapack import dpotri
 
+from conftest import synth_manifest
 from opid.cstage import DIRECT, FACTOR, absorb_batch, init_stats, solve_model
 from opid.ensemble import train_logistic
 from opid.estage import (
@@ -332,7 +333,7 @@ def test_criterion_9_logistic_solver_contract():
     )
 
 
-def test_criterion_10_qualitative_accuracy_pattern():
+def test_criterion_10_qualitative_accuracy_pattern(tmp_path):
     start = time.monotonic()
     schema = FeatureSchema(vanished=25, survived=50, augmented=25, classes=3)
     details = []
@@ -349,7 +350,8 @@ def test_criterion_10_qualitative_accuracy_pattern():
             seed=7,
         )
         spec = ExperimentSpec(
-            source=cfg, methods=(OPID, OPIDE, BASE_ALL, BASE_A), repeats=20, seed=7
+            source=synth_manifest(cfg, tmp_path / f"n{estage_n}"),
+            methods=(OPID, OPIDE, BASE_ALL, BASE_A), repeats=20, seed=7,
         )
         table = run_experiment(spec)
         means = {m: table.mean(m) for m in spec.methods}
@@ -378,7 +380,8 @@ def test_criterion_11_deterministic_reports(tmp_path):
         separation=2.5, noise=0.8, seed=13,
     )
     spec = ExperimentSpec(
-        source=cfg, methods=(OPID, OPIDE, BASE_ALL, BASE_A), repeats=5, seed=13
+        source=synth_manifest(cfg, tmp_path / "stream"),
+        methods=(OPID, OPIDE, BASE_ALL, BASE_A), repeats=5, seed=13,
     )
     outputs = []
     for name in ("first", "second"):

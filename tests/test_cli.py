@@ -300,6 +300,9 @@ class TestRejectedInput:
         (["run", "--methods", "OPID,OPID,BASE_S"], "methods selected more than once: OPID"),
         (["run", "--seed", "-1"], "seed must be >= 0"),
         (["synth", "--seed", "-1"], "seed must be >= 0"),
+        (["run", "--lambda", "1e308"], "1 \\+ 2 lam finite"),
+        (["cstage", "--lambda", "1e308"], "1 \\+ 2 lam finite"),
+        (["cstage", "--rho", "1e308"], "2 rho finite"),
     ])
     def test_bad_flag_values(self, manifest_path, tmp_path, capsys, argv, pattern):
         source = [] if argv[0] == "synth" else ["--manifest", manifest_path]

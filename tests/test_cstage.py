@@ -290,6 +290,36 @@ class TestAbsorb:
             absorb_batch(stats, b)
             assert (stats.mat.shape, stats.rhs.shape) == shapes
 
+    @pytest.mark.parametrize("mode", [DIRECT, FACTOR])
+    @pytest.mark.parametrize("x, labels", [
+        (np.ones(5), np.eye(2)),
+        (np.full((2, 5), "1"), np.eye(2)),
+        (np.ones((2, 5), dtype=complex), np.eye(2)),
+        (np.ones((2, 5)).tolist(), np.eye(2)),
+        (np.ones((2, 5)), np.eye(2, dtype=object)),
+        (np.ones((2, 5)), np.array([0.0, 1.0])),
+        (np.ones((2, 5)), np.eye(2, dtype=complex)),
+    ], ids=["x-1d", "x-str", "x-complex", "x-list", "labels-object", "labels-1d", "labels-complex"])
+    def test_malformed_batch_contents_rejected_first(self, mode, x, labels):
+        stats = init_stats(_schema(2, 3, 2), Hyperparams(), mode)
+        before = (stats.mat.copy(), stats.rhs.copy())
+        with pytest.raises(SchemaError, match="must be a 2-D real numeric array"):
+            absorb_batch(stats, Batch(x, labels, 2))
+        np.testing.assert_array_equal(stats.mat, before[0], strict=True)
+        np.testing.assert_array_equal(stats.rhs, before[1], strict=True)
+        assert stats.batches_seen == 0
+
+    @pytest.mark.parametrize("mode", [DIRECT, FACTOR])
+    @pytest.mark.parametrize("dtype", [bool, np.int64, np.uint8, np.float32])
+    def test_real_numeric_dtypes_absorb_like_float64(self, mode, dtype):
+        x = np.arange(10).reshape(2, 5) % 3 == 1
+        labels = one_hot_encode([0, 1], 2)
+        got, want = (init_stats(_schema(2, 3, 2), Hyperparams(), mode) for _ in range(2))
+        absorb_batch(got, Batch(x.astype(dtype), labels.astype(dtype), 2))
+        absorb_batch(want, Batch(x.astype(np.float64), labels, 2))
+        np.testing.assert_array_equal(got.mat, want.mat, strict=True)
+        np.testing.assert_array_equal(got.rhs, want.rhs, strict=True)
+
 
 class TestSolveModel:
     def test_empty_stream_gives_zero_model(self):
@@ -460,6 +490,28 @@ class TestSolveModel:
         assert np.isfinite(stats.mat).all()
         with pytest.raises(NumericError, match="non-finite"):
             solve_model(stats)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(lam=1e308), dict(rho=1e308), dict(lam=np.float64(1e308)), dict(rho=np.float64(1e308)),
+    ], ids=["lam", "rho", "lam-float64", "rho-float64"])
+    def test_settings_whose_solve_constants_overflow_rejected(self, kwargs):
+        # 1 + 2 lam and 2 rho would be inf: 0 * inf turns the factor's zero
+        # lower triangle into nan, and the ridge into an inf diagonal
+        stats = absorb_batch(init_stats(_schema(2, 3, 2), Hyperparams()),
+                             Batch(np.ones((2, 5)), one_hot_encode([0, 1], 2), 2))
+        with pytest.raises(SchemaError, match="finite"):
+            solve_model(dataclasses.replace(stats, hyper=Hyperparams(**kwargs)))
+
+    def test_largest_consistency_weight_solves_or_fails_typed(self):
+        # 1 + 2 lam is finite, near the largest double: factor mode folds
+        # sqrt(1 + 2 lam) into the rows and solves, direct mode's (1 + 2 lam) G
+        # overflows, and its solve says so with no warning first
+        hyper = Hyperparams(lam=0.49 * np.finfo(float).max)
+        batch = Batch(np.ones((2, 5)), one_hot_encode([0, 1], 2), 2)
+        model = solve_model(absorb_batch(init_stats(_schema(2, 3, 2), hyper, FACTOR), batch))
+        assert np.isfinite(model.coef_full).all() and np.isfinite(model.coef_survived).all()
+        with pytest.raises(NumericError, match="non-finite"):
+            solve_model(absorb_batch(init_stats(_schema(2, 3, 2), hyper, DIRECT), batch))
 
     def test_huge_features_fit_in_the_factor(self):
         # the factor holds sqrt(M), so features of 1e200 that overflow the
@@ -757,6 +809,15 @@ class TestSnapshot:
         path = tmp_path / "bad.npz"
         np.savez(path, **{k: v for k, v in fields.items() if v is not None})
         with pytest.raises(SchemaError):
+            load_stats(path)
+
+    @pytest.mark.parametrize("key", ["lam", "rho"])
+    def test_snapshot_whose_solve_constants_overflow_rejected(self, tmp_path, key):
+        fields = self._snapshot_fields(tmp_path)
+        fields[key] = np.float64(1e308)
+        path = tmp_path / "bad.npz"
+        np.savez(path, **fields)
+        with pytest.raises(SchemaError, match="bad settings: .* finite, got 1e"):
             load_stats(path)
 
     @staticmethod

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import random_cstage_stream
+from conftest import random_cstage_stream, synth_manifest
 from opid.cstage import DIRECT, FACTOR
 from opid.ensemble import SolverError, train_ovr
 from opid.harness import (
@@ -27,7 +27,7 @@ from opid.harness import (
     run_experiment,
 )
 from opid import harness
-from opid.ingest import SynthConfig, generate_synthetic, parse_manifest, write_stream
+from opid.ingest import SynthConfig
 from opid.model import FeatureSchema, Hyperparams, SchemaError
 
 import oracles
@@ -253,7 +253,7 @@ class TestMarks:
         assert self._check(a, b) == TIE
 
 
-def _spec(methods, repeats=3, seed=0, **cfg_kwargs):
+def _spec(out_dir, methods, repeats=3, seed=0, **cfg_kwargs):
     schema = cfg_kwargs.pop("schema", FeatureSchema(vanished=3, survived=5, augmented=3, classes=3))
     defaults = dict(
         schema=schema, batches=4, batch_size=30, estage_size=40,
@@ -261,51 +261,52 @@ def _spec(methods, repeats=3, seed=0, **cfg_kwargs):
     )
     defaults.update(cfg_kwargs)
     return ExperimentSpec(
-        source=SynthConfig(**defaults), methods=methods, repeats=repeats, seed=seed
+        source=synth_manifest(SynthConfig(**defaults), out_dir), methods=methods,
+        repeats=repeats, seed=seed,
     )
 
 
 class TestRunExperiment:
-    def test_separable_survived_baseline_is_perfect(self):
-        spec = _spec((BASE_S,), repeats=2, noise=0.0, separation=4.0)
+    def test_separable_survived_baseline_is_perfect(self, tmp_path):
+        spec = _spec(tmp_path, (BASE_S,), repeats=2, noise=0.0, separation=4.0)
         table = run_experiment(spec)
         assert table.mean(BASE_S) == 1.0
 
-    def test_single_repeat_has_zero_std(self):
-        spec = _spec((BASE_ALL,), repeats=1)
+    def test_single_repeat_has_zero_std(self, tmp_path):
+        spec = _spec(tmp_path, (BASE_ALL,), repeats=1)
         table = run_experiment(spec)
         assert table.std(BASE_ALL) == 0.0
         assert table.repeats == 1
 
-    def test_noise_augmented_baseline_is_chance_level(self):
+    def test_noise_augmented_baseline_is_chance_level(self, tmp_path):
         spec = _spec(
-            (BASE_A,), repeats=4, estage_size=500, signal=(1.0, 1.0, 0.0), noise=1.0
+            tmp_path, (BASE_A,), repeats=4, estage_size=500, signal=(1.0, 1.0, 0.0), noise=1.0
         )
         table = run_experiment(spec)
         assert abs(table.mean(BASE_A) - 1.0 / 3.0) <= 0.1
 
-    def test_deterministic_tables(self):
-        spec = _spec((OPID, OPIDE, BASE_ALL), repeats=3, seed=9)
+    def test_deterministic_tables(self, tmp_path):
+        spec = _spec(tmp_path, (OPID, OPIDE, BASE_ALL), repeats=3, seed=9)
         t1 = run_experiment(spec)
         t2 = run_experiment(spec)
         assert t1.accuracies == t2.accuracies
         assert t1.marks == t2.marks
 
-    def test_stacked_methods_dominate_noise_augmented_baseline(self):
+    def test_stacked_methods_dominate_noise_augmented_baseline(self, tmp_path):
         for seed in (0, 1, 2):
             spec = _spec(
-                (OPID, BASE_A), repeats=3, seed=seed,
+                tmp_path / str(seed), (OPID, BASE_A), repeats=3, seed=seed,
                 batches=6, batch_size=50, estage_size=60, signal=(1.0, 1.0, 0.1),
             )
             table = run_experiment(spec)
             assert table.mean(OPID) >= table.mean(BASE_A)
 
-    def test_grid_search_path(self):
+    def test_grid_search_path(self, tmp_path):
         spec = ExperimentSpec(
-            source=SynthConfig(
+            source=synth_manifest(SynthConfig(
                 schema=FeatureSchema(vanished=2, survived=4, augmented=2, classes=2),
                 batches=3, batch_size=20, estage_size=30, separation=2.5, noise=0.8, seed=6,
-            ),
+            ), tmp_path),
             methods=(OPID, BASE_ALL),
             lam_grid=(0.1, 1.0),
             gamma_grid=(0.1, 1.0),
@@ -317,20 +318,29 @@ class TestRunExperiment:
         assert len(table.accuracies[OPID]) == 2
         assert not table.failures
 
-    def test_bad_method_rejected(self):
-        with pytest.raises(ValueError):
-            _spec(("SOMETHING",))
+    @pytest.mark.parametrize("source", [
+        SynthConfig(FeatureSchema(vanished=2, survived=3, augmented=2, classes=2), 2, 10, 5),
+        "manifest.json",
+        None,
+    ], ids=["synth-config", "path", "none"])
+    def test_source_other_than_a_manifest_rejected(self, source):
+        with pytest.raises(SchemaError, match=f"got {type(source).__name__}$"):
+            ExperimentSpec(source=source)
 
-    def test_method_failure_aborts_repeat_with_reason(self, caplog, monkeypatch):
+    def test_bad_method_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            _spec(tmp_path, ("SOMETHING",))
+
+    def test_method_failure_aborts_repeat_with_reason(self, caplog, monkeypatch, tmp_path):
         def no_convergence(*args, **kwargs):
             raise SolverError("no convergence to gradient norm 1e-06 within 50 iterations")
 
         monkeypatch.setattr(harness, "train_ensemble", no_convergence)
         spec = ExperimentSpec(
-            source=SynthConfig(
+            source=synth_manifest(SynthConfig(
                 schema=FeatureSchema(vanished=2, survived=3, augmented=2, classes=2),
                 batches=2, batch_size=10, estage_size=5, seed=1,
-            ),
+            ), tmp_path),
             methods=(OPIDE,),
             folds=2,
             repeats=2,
@@ -340,6 +350,8 @@ class TestRunExperiment:
             table = run_experiment(spec)
         assert len(table.failures) == 2
         assert table.repeats == 0
+        assert table.methods == (OPIDE,)
+        assert format_report(table).splitlines()[2].startswith(f"{OPIDE} ")
         assert "aborted (OPIDe): no convergence" in table.failures[0]
         assert np.isnan(table.mean(OPIDE))
 
@@ -347,27 +359,27 @@ class TestRunExperiment:
         ((), "no methods selected"),
         ((OPID, OPID, BASE_S), "methods selected more than once: OPID"),
     ], ids=["empty", "repeated"])
-    def test_empty_or_repeated_methods_rejected(self, methods, pattern):
+    def test_empty_or_repeated_methods_rejected(self, tmp_path, methods, pattern):
         with pytest.raises(SchemaError, match=pattern):
-            _spec(methods)
+            _spec(tmp_path, methods)
 
     @pytest.mark.parametrize("grid", ["lam_grid", "rho_grid", "gamma_grid", "alpha_grid"])
-    def test_empty_grid_rejected(self, grid):
+    def test_empty_grid_rejected(self, tmp_path, grid):
         with pytest.raises(SchemaError, match=f"{grid} is empty"):
-            ExperimentSpec(source=_spec((OPID,)).source, **{grid: ()})
+            ExperimentSpec(source=_spec(tmp_path, (OPID,)).source, **{grid: ()})
 
     @pytest.mark.parametrize("methods, grid", [
         ((OPIDE,), {}),
         ((OPID,), {"gamma_grid": (0.5, 1.0)}),
         ((BASE_S,), {"alpha_grid": (0.5, 1.0)}),
     ])
-    def test_more_folds_than_training_rows_rejected(self, methods, grid):
+    def test_more_folds_than_training_rows_rejected(self, tmp_path, methods, grid):
         # pool of 10 rows -> 5 training rows, too few for 8 folds
         spec = ExperimentSpec(
-            source=SynthConfig(
+            source=synth_manifest(SynthConfig(
                 schema=FeatureSchema(vanished=2, survived=3, augmented=2, classes=2),
                 batches=2, batch_size=10, estage_size=5, seed=1,
-            ),
+            ), tmp_path),
             methods=methods, folds=8, repeats=2, seed=0, **grid,
         )
         pattern = f"--folds 8 exceeds the 5 rows of the training half, which {methods[0]} splits"
@@ -380,7 +392,7 @@ class TestRunExperiment:
             schema=FeatureSchema(vanished=2, survived=4, augmented=2, classes=2),
             batches=3, batch_size=20, estage_size=30, separation=2.5, seed=6,
         )
-        manifest = parse_manifest(write_stream(*generate_synthetic(cfg), tmp_path, cfg.schema))
+        manifest = synth_manifest(cfg, tmp_path)
         opened = []
         real = harness.stream_batches
 
@@ -400,7 +412,7 @@ class TestRunExperiment:
 
 class TestReports:
     def test_emit_and_reload_round_trip(self, tmp_path):
-        spec = _spec((OPID, BASE_S), repeats=3, seed=2)
+        spec = _spec(tmp_path / "stream", (OPID, BASE_S), repeats=3, seed=2)
         table = run_experiment(spec)
         report_path, csv_path = emit_report(table, tmp_path)
         reloaded = load_results(csv_path)
@@ -445,13 +457,21 @@ class TestReports:
             load_results(path)
 
     def test_reports_are_byte_deterministic(self, tmp_path):
-        spec = _spec((OPIDE, BASE_A), repeats=3, seed=4)
+        spec = _spec(tmp_path / "stream", (OPIDE, BASE_A), repeats=3, seed=4)
         paths = []
         for name in ("a", "b"):
             table = run_experiment(spec)
             paths.append(emit_report(table, tmp_path / name))
         assert (paths[0][0].read_bytes() == paths[1][0].read_bytes())
         assert (paths[0][1].read_bytes() == paths[1][1].read_bytes())
+
+    def test_methods_are_the_accuracy_keys_in_order(self, tmp_path):
+        methods = ("B", "A", "C")
+        table = build_table(methods, {"A": [0.5], "B": [0.6], "C": [0.7]}, seed=0)
+        assert table.methods == methods == tuple(table.accuracies)
+        _, csv_path = emit_report(table, tmp_path)
+        reloaded = load_results(csv_path)
+        assert reloaded.methods == methods == tuple(reloaded.accuracies)
 
     def test_empty_method_set_writes_headers_only(self, tmp_path):
         table = build_table((), {}, seed=0)
