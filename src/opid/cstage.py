@@ -7,15 +7,22 @@ survived-feature classifier retains what the vanished features knew. The
 entire stream is summarized by a fixed-size pair of sufficient statistics,
 so each instance is read exactly once and memory never grows with the data.
 
-Two interchangeable accumulation strategies sit behind the same interface:
+Two interchangeable accumulation strategies sit behind the same interface,
+and both keep upper-triangular factors that a LAPACK ``dtpqrt`` call updates
+in place: the QR update of a Cholesky factor (Golub & Van Loan, Matrix
+Computations, 4th ed., sec. 6.5), 4 n p^2 flops for a batch of n rows and a
+triangle of width p = vanished + survived. Unlike an updated inverse, a
+factor stays accurate when its matrix is ill-conditioned.
 
-* ``direct``  -- accumulate only the Gram pair G = X^T X, B = X^T Y, G as
-  its upper triangle, which one BLAS ``dsyrk`` call per batch updates in
-  place. At solve time it builds the factor that ``factor`` mode keeps,
-  below, from G at the given (lam, rho) and solves with it the same way:
-  two Cholesky factorizations of width p = vanished + survived and one
-  ``dsyrk``, 2 p^3 / 3 + v^2 s flops for v vanished and s survived, where
-  the dense coupled matrix of width v + 2s took (v + 2s)^3 / 3.
+* ``direct``  -- keep R, the triangular factor of the stream itself (R^T R
+  = G = X^T X, columns ordered survived, then vanished), and B = X^T Y.
+  Neither holds lam or rho, so one pass serves any number of (lam, rho)
+  settings. At solve time it forms G = R^T R with one ``dsyrk`` call and
+  builds from it the factor that ``factor`` mode keeps, below, then solves
+  with it the same way: two Cholesky factorizations of width p and one more
+  ``dsyrk``, 2 p^3 / 3 + v^2 s flops beyond forming G for v vanished and s
+  survived, where the dense coupled matrix of width v + 2s took
+  (v + 2s)^3 / 3.
 * ``factor``  -- maintain a Cholesky factor of M, so the solution is three
   triangular solves away at any point of the stream. The factor lives in
   split coordinates: with E placing the survived classifier phi in theta's
@@ -24,14 +31,11 @@ Two interchangeable accumulation strategies sit behind the same interface:
   consistency term lam ||X theta - X_s phi||^2 = 2 lam ||X delta||^2
   touches delta alone, so in the unknowns (sigma_s, delta_s, t) the normal
   matrix has an exact zero survived x survived block between sigma_s and
-  delta_s. Its factor is two (p, p) upper triangles, p = vanished +
-  survived: P1 over (sigma_s, t) and P2 over (delta_s, t), sharing their
-  trailing vanished x vanished corner. Each batch of n rows adds A^T A +
-  B^T B with A = [X_s, 0, X_v] and B = c [0, X_s, X_v], c^2 = 1 + 2 lam,
-  and a LAPACK ``dtpqrt`` call folds each into its triangle: the QR update
-  of a Cholesky factor (Golub & Van Loan, Matrix Computations, 4th ed.,
-  sec. 6.5), 4 n p^2 flops per batch. Unlike an updated inverse, the factor
-  stays accurate when M is ill-conditioned.
+  delta_s. Its factor is two (p, p) upper triangles: P1 over (sigma_s, t)
+  and P2 over (delta_s, t), sharing their trailing vanished x vanished
+  corner. Each batch adds A^T A + B^T B with A = [X_s, 0, X_v] and B = c
+  [0, X_s, X_v], c^2 = 1 + 2 lam, and one ``dtpqrt`` call folds each into
+  its triangle.
 """
 
 from __future__ import annotations
@@ -58,10 +62,11 @@ from .model import (
 
 DIRECT = "direct"
 FACTOR = "factor"
-# 3: factor mode's split layout; 2 held one (m, m) factor, and unversioned
-# snapshots predate the Gram-pair layout of direct mode
-SNAPSHOT_FORMAT = 3
-# Block size of both factor-mode ``dtpqrt`` calls. At width p = 1260
+# 4: direct mode's triangular factor; 3 held G's upper triangle in direct
+# mode, 2 one (m, m) factor in factor mode, and unversioned snapshots
+# predate the Gram-pair layout of direct mode
+SNAPSHOT_FORMAT = 4
+# Block size of every ``dtpqrt`` call. At width p = 1260
 # (survived 960, vanished 300) and 60 rows per batch, on one core of a
 # 2-vCPU x86-64 machine, 16, 32 and 48 tied within the noise: median absorb
 # 31.1, 31.3 and 29.6 ms over 11 runs of 15 batches each, interleaved in
@@ -74,41 +79,26 @@ _QR_BLOCK = 32
 # orthogonal block reflector I - V T V^T has entries <= 2, so T (V^T c) sums
 # at most _QR_BLOCK terms of at most 2 * 2N each.
 _QR_HEADROOM = 4.0 * _QR_BLOCK
-# A direct snapshot is refused unless every upper entry of G has |G_ij| <=
-# _GRAM_SLACK * (G_ii + G_jj) / 2 and the diagonal is nonnegative. The
-# exact Gram matrix has |G_ij| <= sqrt(G_ii G_jj) <= (G_ii + G_jj) / 2; over
-# N rows in all, rounding moves each computed sum by a factor within 1 +- g,
-# g = N u / (1 - N u) for the unit roundoff u, and (1 + g) / (1 - g) <= 2
-# while N < 2^51, so every G that a pass computes is accepted.
-_GRAM_SLACK = 2.0
-# No partial sum that direct mode's dsyrk forms exceeds _GRAM_HEADROOM *
-# max_i d_i, d the computed new diagonal diag(G) + sum_k x_ki^2: |G_ij| +
-# sum_k |x_ki x_kj| <= _GRAM_SLACK * (d_i + d_j) / 2 exactly for the batch's
-# rows x, and rounding over fewer than 2^51 of them moves the sums and d by
-# less than a factor 2 together.
-_GRAM_HEADROOM = 2.0 * _GRAM_SLACK
 
 
 @dataclass
 class CStageStats:
     """Streaming sufficient statistics of the compressing-stage objective.
 
-    ``mat`` is the upper triangle of the (p, p) Gram matrix G in ``direct``
-    mode, p = vanished + survived, in schema order; its strict lower triangle
-    is never read (a fresh pass leaves it zero). In ``factor`` mode it is
-    the Fortran-ordered (p, 2p) [P1 | P2] of two upper triangles, the factor
-    of the coupled normal matrix in the split unknowns (see the module
-    docstring), each ordered survived first, then vanished; their trailing
-    (vanished, vanished) corners are one block of that factor, kept
-    bit-equal in both. ``rhs`` is the (p, classes)
-    cross-moment B with the one-hot labels, in schema order. The footprint
-    is fixed by the schema, never by how many instances were absorbed;
-    factor mode has ``hyper`` folded into ``mat``. Factor mode keeps
-    ``r_norm``, the Frobenius norm of the whole factor with the corner
-    counted once, derived from ``mat`` when the statistics are made or
-    loaded and grown by each absorb; snapshots omit it. Single-writer: an
-    absorb checks first that the batch cannot overflow ``mat``, then
-    changes it in place in either mode.
+    ``mat`` is Fortran-ordered and holds upper triangles whose columns are
+    ordered survived first, then vanished, p = vanished + survived wide. In
+    ``direct`` mode it is the (p, p) factor R of the stream, R^T R = X^T X,
+    whose rows may be zero. In ``factor`` mode it is the (p, 2p) [P1 | P2],
+    the factor of the coupled normal matrix in the split unknowns (see the
+    module docstring); their trailing (vanished, vanished) corners are one
+    block of that factor, kept bit-equal in both. ``rhs`` is the (p,
+    classes) cross-moment B with the one-hot labels, in schema order. The
+    footprint is fixed by the schema, never by how many instances were
+    absorbed; factor mode has ``hyper`` folded into ``mat``. ``r_norm`` is
+    the Frobenius norm of the whole factor, a shared corner counted once,
+    derived from ``mat`` when the statistics are made or loaded and grown by
+    each absorb; snapshots omit it. Single-writer: an absorb checks first
+    that the batch cannot overflow ``mat``, then changes it in place.
     """
 
     mode: str
@@ -117,26 +107,26 @@ class CStageStats:
     mat: np.ndarray
     rhs: np.ndarray
     batches_seen: int = 0
-    r_norm: float | None = field(init=False)
+    r_norm: float = field(init=False)
 
     def __post_init__(self):
-        self.r_norm = _factor_norm(self.mat, self.schema.survived) if self.mode == FACTOR else None
+        self.r_norm = _factor_norm(self.mat, self.schema.survived)
 
 
 def _factor_norm(mat: np.ndarray, s: int) -> float:
-    """sqrt(||mat||^2 - ||corner||^2) for the shared corner mat[s:, s:p],
-    formed from the two norms as a * sqrt((1 - q)(1 + q)), q = b / a <= 1,
-    so no square overflows."""
-    whole = dlange("F", mat)
-    q = dlange("F", mat[s:, s : mat.shape[0]]) / whole if whole else 0.0
+    """||mat||_F, or sqrt(||mat||^2 - ||corner||^2) for the shared corner
+    mat[s:, s:p] of a (p, 2p) factor, formed from the two norms as
+    a * sqrt((1 - q)(1 + q)), q = b / a <= 1, so no square overflows."""
+    p, whole = mat.shape[0], dlange("F", mat)
+    q = dlange("F", mat[s:, s:p]) / whole if whole and mat.shape[1] > p else 0.0
     return whole * math.sqrt((1.0 - q) * (1.0 + q))
 
 
 def init_stats(schema: FeatureSchema, hyper: Hyperparams, mode: str = DIRECT) -> CStageStats:
-    """Empty-stream statistics: a zero Fortran-ordered Gram matrix (direct),
-    the layout ``dsyrk`` updates in place, or the factor of the ridge-only
-    matrix (factor), P1 = P2 = diag(sqrt(rho) I_survived, sqrt(2 rho)
-    I_vanished), and a zero right-hand side."""
+    """Empty-stream statistics: a zero factor R (direct) or the factor of the
+    ridge-only matrix (factor), P1 = P2 = diag(sqrt(rho) I_survived,
+    sqrt(2 rho) I_vanished), both Fortran-ordered, the layout ``dtpqrt``
+    updates in place, and a zero right-hand side."""
     if mode not in (DIRECT, FACTOR):
         raise SchemaError(f"unknown accumulation mode {mode!r}")
     p, s = schema.cstage_width, schema.survived
@@ -160,27 +150,21 @@ def absorb_batch(stats: CStageStats, batch: Batch) -> CStageStats:
     """
     validate_batch(batch, stats.schema)
 
-    x_all = batch.x
+    # The batch's rows in split order, w = [X_s, X_v]. Direct mode folds w
+    # into R. In factor mode the increment A^T A + B^T B has A = [X_s, 0,
+    # X_v] and B = c [0, X_s, X_v]: w in P1's unknowns and c w in P2's, with
+    # ||A||^2 + ||B||^2 = (1 + c^2) ||w||^2. QR keeps the Frobenius norm, so
+    # the factor's norm grows to r_norm in either mode; it bounds ||[R; w]||_F,
+    # or ||[P1; w]||_F and ||[P2; c w]||_F, for every dtpqrt call.
+    s, lam = stats.schema.survived, stats.hyper.lam
+    w = np.empty(batch.x.shape, order="F")
+    w[:, :s] = batch.survived
+    w[:, s:] = batch.vanished
+    scale = 1.0 if stats.mode == DIRECT else math.sqrt(2.0 + 2.0 * lam)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
-        rhs = stats.rhs + x_all.T @ batch.labels
-        if stats.mode == DIRECT:
-            # G is a Gram matrix up to _GRAM_SLACK, which load_stats checks
-            # for snapshots, so the new diagonal bounds every entry
-            diag = stats.mat.diagonal() + np.square(x_all).sum(axis=0)
-            fits = np.isfinite(_GRAM_HEADROOM * diag).all()
-        else:
-            # The increment A^T A + B^T B has A = [X_s, 0, X_v] and B = c [0,
-            # X_s, X_v]: the gathered w = [X_s, X_v] in P1's unknowns and c w
-            # in P2's. ||A||^2 + ||B||^2 = (1 + c^2) ||w||^2, and QR keeps the
-            # Frobenius norm, so the factor's norm grows to r_norm; it bounds
-            # ||[P1; w]||_F and ||[P2; c w]||_F for both dtpqrt calls.
-            s, lam = stats.schema.survived, stats.hyper.lam
-            w = np.empty(x_all.shape, order="F")
-            w[:, :s] = batch.survived
-            w[:, s:] = batch.vanished
-            r_norm = math.hypot(stats.r_norm, dlange("F", w) * math.sqrt(2.0 + 2.0 * lam))
-            fits = math.isfinite(_QR_HEADROOM * r_norm)
-        if not (fits and np.isfinite(rhs).all()):
+        rhs = stats.rhs + batch.x.T @ batch.labels
+        r_norm = math.hypot(stats.r_norm, dlange("F", w) * scale)
+        if not (math.isfinite(_QR_HEADROOM * r_norm) and np.isfinite(rhs).all()):
             raise NumericError(
                 f"batch {stats.batches_seen} overflows the statistics to non-finite values"
             )
@@ -188,7 +172,7 @@ def absorb_batch(stats: CStageStats, batch: Batch) -> CStageStats:
     # once.
     mat = np.asfortranarray(stats.mat)
     if stats.mode == DIRECT:
-        mat = dsyrk(1.0, x_all.T, beta=1.0, c=mat, overwrite_c=1)  # upper triangle only
+        _qr_update(mat, w)
     else:
         # Each dtpqrt call leaves its triangle's corner as the shared block
         # of the new factor, so it is handed to the other half.
@@ -199,8 +183,7 @@ def absorb_batch(stats: CStageStats, batch: Batch) -> CStageStats:
         p2[s:, s:] = p1[s:, s:]
         _qr_update(p2, cw)
         p1[s:, s:] = p2[s:, s:]
-        stats.r_norm = r_norm
-    stats.mat, stats.rhs = mat, rhs
+    stats.mat, stats.rhs, stats.r_norm = mat, rhs, r_norm
     stats.batches_seen += 1
     return stats
 
@@ -213,24 +196,21 @@ def _qr_update(r: np.ndarray, w: np.ndarray) -> None:
 
 
 def _factor_from_gram(stats: CStageStats) -> np.ndarray:
-    """Factor mode's [P1 | P2] for direct mode's Gram matrix G at ``hyper``.
+    """Factor mode's [P1 | P2] for direct mode's factor R at ``hyper``.
 
-    In split order (survived, then vanished) and with c^2 = 1 + 2 lam, P2
-    factors [[c^2 G_ss + rho I, c^2 G_sv], [c^2 G_vs, K]] for K = (1 + c^2)
-    G_vv + 2 rho I, which gives A2 and B2, and P1 factors [[G_ss + rho I,
-    G_sv], [G_vs, K - B2^T B2]], whose corner C is the shared one and is
-    copied into P2. G_sv is read as G_vs^T, and LAPACK reads only the upper
-    triangles, so G's strict lower triangle is never used. Both halves are
-    factored in place in the one (p, 2p) array.
+    One ``dsyrk`` call forms the upper triangle of G = R^T R, already in
+    split order (survived, then vanished), in P1's slot. With c^2 = 1 + 2
+    lam, P2 factors [[c^2 G_ss + rho I, c^2 G_sv], [c^2 G_vs, K]] for K =
+    (1 + c^2) G_vv + 2 rho I, which gives A2 and B2, and P1 factors [[G_ss +
+    rho I, G_sv], [G_vs, K - B2^T B2]], whose corner C is the shared one and
+    is copied into P2. LAPACK reads only the upper triangles. Both halves
+    are factored in place in the one (p, 2p) array.
     """
     v, s = stats.schema.vanished, stats.schema.survived
     p, c2, rho = v + s, 1.0 + 2.0 * stats.hyper.lam, stats.hyper.rho
-    gram = stats.mat
     mat = np.zeros((p, 2 * p), order="F")
     p1, p2 = mat[:, :p], mat[:, p:]
-    p1[:s, :s] = gram[v:, v:]
-    p1[:s, s:] = gram[:v, v:].T
-    p1[s:, s:] = gram[:v, :v]
+    dsyrk(1.0, stats.mat, c=p1, trans=1, overwrite_c=1)  # non-finite entries are checked below
     with np.errstate(over="ignore"):  # checked before each factorization
         np.multiply(p1, c2, out=p2)
         p2[s:, s:] += p1[s:, s:]
@@ -260,8 +240,8 @@ def solve_model(stats: CStageStats) -> CStageModel:
     """Solve the coupled normal system for both coefficient blocks.
 
     Factor mode holds the factor [P1 | P2] already, which is what makes the
-    anytime solution cheap on that path; direct mode builds it from the Gram
-    matrix at ``hyper`` first (:func:`_factor_from_gram`). Both then make three
+    anytime solution cheap on that path; direct mode builds it from its
+    factor R at ``hyper`` first (:func:`_factor_from_gram`). Both then make three
     ``dtrtrs`` calls, P1^T then P1 over (sigma_s, t), then P2 over
     (delta_s, t). delta_s has no right-hand side, so P2 needs only the
     back-substitution.
@@ -327,14 +307,13 @@ _SNAPSHOT_SCALARS = {  # dtype kinds accepted for each 0-d snapshot field
 def load_stats(path) -> CStageStats:
     """Read a snapshot written by :func:`save_stats`. Any unreadable file,
     missing or malformed field, or other format version, unversioned
-    snapshots included, raises :class:`SchemaError`, and so does a direct
-    ``mat`` whose upper triangle is not a Gram matrix up to rounding (see
-    ``_GRAM_SLACK``) or a factor whose halves are not upper-triangular, have
-    a zero on their diagonals or differ anywhere in their shared corner.
-    Nothing is converted, but ``mat`` is returned Fortran-ordered, the layout
-    that both modes update in place, whatever order it was stored in. A
-    direct ``mat`` may hold the whole symmetric G or only its upper triangle:
-    only the upper one is read."""
+    snapshots included, raises :class:`SchemaError`, and so does a ``mat``
+    whose triangles (one in direct mode, two in factor mode) are not
+    upper-triangular, or a factor whose halves have a zero on their
+    diagonals or differ anywhere in their shared corner. Direct mode's R may
+    have zero rows. Nothing is converted, but ``mat`` is returned
+    Fortran-ordered, the layout that both modes update in place, whatever
+    order it was stored in."""
     try:
         with open(path, "rb") as fh:  # np.load(path) leaks the handle of a broken archive
             data = np.load(fh)
@@ -369,28 +348,14 @@ def load_stats(path) -> CStageStats:
         if arr.shape != shape or arr.dtype != np.float64 or not np.isfinite(arr).all():
             raise SchemaError(f"{path}: {mode} snapshot needs a finite float64 {key!r} of {shape}")
     mat = np.asfortranarray(raw["mat"])
-    if mode == DIRECT:
-        # column by column over the upper triangle, with no (p, p) temporary;
-        # absorb_batch bounds every entry of G by its diagonal
-        diag = mat.diagonal()
-        with np.errstate(over="ignore"):  # an infinite bound refuses every batch
-            if (diag < 0.0).any() or any(
-                (np.abs(mat[:j, j]) > _GRAM_SLACK * (diag[:j] + diag[j]) / 2.0).any()
-                for j in range(p)
-            ):
-                raise SchemaError(
-                    f"{path}: direct 'mat' must be a Gram matrix: a nonnegative diagonal and "
-                    f"|G_ij| <= {_GRAM_SLACK:g} (G_ii + G_jj) / 2"
-                )
-    else:
-        p1, p2, s = mat[:, :p], mat[:, p:], schema.survived
-        # column by column, with no (p, p) temporary; dtrtrs divides by the diagonal
-        if not (p1.diagonal().all() and p2.diagonal().all()) or any(
-            p1[j + 1 :, j].any() or p2[j + 1 :, j].any() for j in range(p)
-        ):
-            raise SchemaError(
-                f"{path}: factor 'mat' halves must be upper-triangular with a nonzero diagonal"
-            )
+    halves = (mat,) if mode == DIRECT else (mat[:, :p], mat[:, p:])
+    # column by column, with no (p, p) temporary
+    if any(half[j + 1 :, j].any() for j in range(p) for half in halves):
+        raise SchemaError(f"{path}: each ({p}, {p}) block of {mode} 'mat' must be upper-triangular")
+    if mode == FACTOR:
+        p1, p2, s = *halves, schema.survived
+        if not (p1.diagonal().all() and p2.diagonal().all()):  # dtrtrs divides by them
+            raise SchemaError(f"{path}: factor 'mat' halves must have a nonzero diagonal")
         if p1[s:, s:].tobytes() != p2[s:, s:].tobytes():
             raise SchemaError(f"{path}: factor 'mat' halves must share their corner bit for bit")
     return CStageStats(mode, schema, hyper, mat, raw["rhs"], seen)

@@ -19,6 +19,7 @@ import functools
 import itertools
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -51,6 +52,13 @@ SIGNIFICANCE_LEVEL = 0.05  # of the two-sided paired t-test
 AUTO_DIRECT_LIMIT = 2048
 
 
+_GRIDS = ("lam_grid", "rho_grid", "gamma_grid", "alpha_grid")
+
+
+def _is_a(value, kind: type) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Everything needed to reproduce one experiment on a stream on disk; a
@@ -69,6 +77,15 @@ class ExperimentSpec:
     def __post_init__(self):
         if not isinstance(self.source, StreamManifest):
             raise SchemaError(f"source must be a StreamManifest, got {type(self.source).__name__}")
+        # bool is an int and str a sequence, so neither passes for a number or a list
+        for name in ("repeats", "folds", "seed"):
+            if not _is_a(getattr(self, name), numbers.Integral):
+                raise SchemaError(f"{name} must be an int, got {getattr(self, name)!r}")
+        for name, kind, what in (("methods", str, "method names"),
+                                 *((grid, numbers.Real, "numbers") for grid in _GRIDS)):
+            values = getattr(self, name)
+            if not (isinstance(values, (tuple, list)) and all(_is_a(v, kind) for v in values)):
+                raise SchemaError(f"{name} must be a tuple or list of {what}, got {values!r}")
         if self.repeats < 1:
             raise SchemaError(f"repeats must be >= 1, got {self.repeats}")
         if self.folds < 2:
@@ -85,7 +102,7 @@ class ExperimentSpec:
         repeated = [m for m in ALL_METHODS if self.methods.count(m) > 1]
         if repeated:
             raise SchemaError(f"methods selected more than once: {', '.join(repeated)}")
-        for name in ("lam_grid", "rho_grid", "gamma_grid", "alpha_grid"):
+        for name in _GRIDS:
             if not getattr(self, name):
                 raise SchemaError(f"{name} is empty")
         for lam, rho in itertools.product(self.lam_grid, self.rho_grid):
@@ -141,8 +158,8 @@ def resolve_mode(mode: str, schema: FeatureSchema) -> str:
 
 def run_cstage_pass(stream, schema: FeatureSchema, grid) -> dict[tuple[float, float], CStageModel]:
     """Absorb every batch of the stream exactly once and solve at every (lam, rho)
-    point of ``grid``: the direct-mode Gram statistics hold neither, so one pass
-    serves the whole grid. An empty stream yields all-zero models."""
+    point of ``grid``: direct mode's factor of the stream holds neither, so one
+    pass serves the whole grid. An empty stream yields all-zero models."""
     points = [Hyperparams(lam=lam, rho=rho) for lam, rho in grid]  # checked before the pass
     stats = init_stats(schema, Hyperparams(), mode=DIRECT)
     for batch in stream:

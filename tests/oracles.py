@@ -41,10 +41,12 @@ def batch_normal_solve(batches, lam, rho):
 
 def coupled_matrix(stats):
     """The dense (m, m) coupled normal matrix M(lam, rho), m = vanished + 2
-    survived, built from direct mode's statistics. Direct mode keeps only
-    G's upper triangle, so G is mirrored from it first."""
-    v, lam = stats.schema.vanished, stats.hyper.lam
-    gram = np.triu(stats.mat) + np.triu(stats.mat, 1).T
+    survived, built from direct mode's statistics. Direct mode keeps the
+    factor R of G in split order (survived, then vanished), so G is R^T R
+    permuted back to schema order (vanished, then survived)."""
+    v, s, lam = stats.schema.vanished, stats.schema.survived, stats.hyper.lam
+    order = np.concatenate([np.arange(s, v + s), np.arange(s)])
+    gram = (stats.mat.T @ stats.mat)[np.ix_(order, order)]
     cross = -lam * gram[:, v:]
     mat = np.block([[(1.0 + lam) * gram, cross], [cross.T, (1.0 + lam) * gram[v:, v:]]])
     mat.flat[:: mat.shape[0] + 1] += stats.hyper.rho

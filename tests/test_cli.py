@@ -124,9 +124,8 @@ class TestCStageCommand:
     def test_overflowing_batch_writes_no_snapshot(self, tmp_path, capsys, mode):
         main(_synth_args(tmp_path / "data"))
         manifest_path = capsys.readouterr().out.strip()
-        # finite features overflow the Gram update (direct, 1e200) or the
-        # factor's norm bound (factor, 1.5e308) to inf
-        value = "1.5e308," if mode == FACTOR else "1e200,"
+        # finite features overflow the factor's norm bound to inf in either mode
+        value = "1.5e308,"
         batch_file = tmp_path / "data" / "cstage_001.csv"
         lines = batch_file.read_text().splitlines()
         width = lines[0].count(",")  # feature columns; the label comes last
@@ -140,6 +139,22 @@ class TestCStageCommand:
             argv += ["--resume", str(start)]
         _assert_rejected(capsys, argv, "non-finite")
         assert not (tmp_path / "stats.npz").exists()
+
+    def test_batch_whose_gram_overflows_absorbs_then_fails_at_solve(self, tmp_path, capsys):
+        # One row of 6.71e153 in every feature column: direct mode's factor
+        # holds it, so cstage accumulates it, while the solve's (1 + c^2) G_vv
+        # is not finite at lam = 1, so run fails typed
+        main(_synth_args(tmp_path / "data"))
+        manifest_path = capsys.readouterr().out.strip()
+        batch_file = tmp_path / "data" / "cstage_001.csv"
+        first = batch_file.read_text().splitlines()[0]
+        batch_file.write_text("6.71e153," * first.count(",") + first.rsplit(",", 1)[1] + "\n")
+        out = tmp_path / "stats.npz"
+        assert main(["cstage", "--manifest", manifest_path, "--out", str(out)]) == 0
+        assert np.isfinite(load_stats(out).mat).all()
+        argv = ["run", "--manifest", manifest_path, "--out", str(tmp_path / "res"),
+                "--methods", "OPID", "--repeats", "2", "--seed", "0"]
+        _assert_rejected(capsys, argv, "non-finite")
 
     def test_new_pass_defaults_to_direct_mode(self, tmp_path, capsys):
         # stats_dim 2 * 1025 = 2050 lies above the harness's auto-mode limit

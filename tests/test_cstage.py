@@ -66,7 +66,8 @@ def _halves_upper_with_one_corner(stats):
 
 class TestInitStats:
     def test_direct_init(self):
-        # direct mode keeps only the (p, p) Gram matrix and (p, c) cross-moment
+        # direct mode keeps only the (p, p) factor of the Gram matrix and the
+        # (p, c) cross-moment
         stats = init_stats(_schema(1, 2, 3), Hyperparams(rho=2.0), mode=DIRECT)
         np.testing.assert_array_equal(stats.mat, np.zeros((3, 3)))
         np.testing.assert_array_equal(stats.rhs, np.zeros((3, 3)))
@@ -191,16 +192,16 @@ class TestAbsorb:
         assert _traced_peak(lambda: absorb_batch(resumed, after)) < m * m * 8 / 2
 
     def test_direct_mode_allocates_no_full_temporary(self):
-        # after a warm-up batch, an absorb folds the batch into G's upper
-        # triangle in place, and a solve factors both halves of [P1 | P2] in
-        # one (p, 2p) array, with no (m, m) coupled matrix
+        # after a warm-up batch, an absorb folds the batch into R in place,
+        # and a solve forms G and factors both halves of [P1 | P2] in one
+        # (p, 2p) array, with no (m, m) coupled matrix
         schema = _schema(60, 250, 3)
         warm, batch = random_cstage_stream(np.random.default_rng(23), 2, 20, 60, 250, 3)
         stats = absorb_batch(init_stats(schema, Hyperparams(), DIRECT), warm)
         p, m = schema.cstage_width, schema.stats_dim
-        gram = stats.mat
+        factor = stats.mat
         assert _traced_peak(lambda: absorb_batch(stats, batch)) < p * p * 8 / 2
-        assert stats.mat is gram
+        assert stats.mat is factor
         assert _traced_peak(lambda: solve_model(stats)) < m * m * 8
 
     def test_factor_absorb_accepts_any_matrix_layout(self):
@@ -246,14 +247,16 @@ class TestAbsorb:
 
     @pytest.mark.parametrize("lam", [0.0, 1.0])
     def test_direct_gram_is_the_upper_triangle(self, lam):
-        # dsyrk writes only the upper triangle, so the strict lower one stays zero
+        # direct mode keeps the Gram matrix as an upper-triangular factor R
+        # in split order (survived, then vanished), with R^T R = X^T X
         rng = np.random.default_rng(33)
         stream = random_cstage_stream(rng, 4, 6, 3, 4, 3)
         stats = init_stats(_schema(3, 4, 3), Hyperparams(lam=lam, rho=0.1), DIRECT)
         for batch in stream:
             absorb_batch(stats, batch)
-        x_all = oracles.stack_stream(stream)[0]
-        np.testing.assert_allclose(np.triu(stats.mat), np.triu(x_all.T @ x_all), atol=1e-12)
+        x_all, x_sur, _ = oracles.stack_stream(stream)
+        w = np.hstack([x_sur, x_all[:, :3]])
+        np.testing.assert_allclose(stats.mat.T @ stats.mat, w.T @ w, atol=1e-12)
         assert not np.tril(stats.mat, -1).any()
         assert stats.mat.flags.f_contiguous
 
@@ -471,8 +474,8 @@ class TestSolveModel:
 
     @pytest.mark.parametrize("mode", [DIRECT, FACTOR])
     def test_overflowing_features_raise_numeric_error(self, mode):
-        # finite features overflow the Gram product (direct) or the factor's
-        # norm bound (factor) to inf; the solve must fail typed
+        # finite features overflow the factor's norm bound to inf in either
+        # mode; the solve must fail typed
         value = _OVERFLOWING[mode]
         batch = Batch.cstage(
             np.full((4, 2), value), np.full((4, 3), value), one_hot_encode([0, 1, 0, 1], 2)
@@ -558,6 +561,38 @@ class TestSolveModel:
         np.testing.assert_array_equal(stats.rhs, before[1], strict=True)
         assert stats.batches_seen == before[2]
 
+    @pytest.mark.parametrize("round_trip", [False, True], ids=["fresh", "loaded"])
+    def test_direct_batch_at_the_norm_edge_is_refused(self, tmp_path, round_trip):
+        # ||w||_F = sqrt(10) 1e306 puts _QR_HEADROOM * r_norm past the
+        # largest double, as in factor mode; a tenth of it is absorbed
+        rng = np.random.default_rng(38)
+        stats = init_stats(_schema(2, 3, 2), Hyperparams(lam=1.0), DIRECT)
+        absorb_batch(stats, Batch(rng.standard_normal((4, 5)), one_hot_encode([0, 1, 0, 1], 2), 2))
+        if round_trip:
+            save_stats(stats, tmp_path / "stats.npz")
+            stats = load_stats(tmp_path / "stats.npz")
+        before = (stats.mat.copy(), stats.rhs.copy(), stats.batches_seen)
+        labels = one_hot_encode([0, 1], 2)
+        with pytest.raises(NumericError, match="non-finite"):
+            absorb_batch(stats, Batch(np.full((2, 5), 1e306), labels, 2))
+        np.testing.assert_array_equal(stats.mat, before[0], strict=True)
+        np.testing.assert_array_equal(stats.rhs, before[1], strict=True)
+        assert stats.batches_seen == before[2]
+        absorb_batch(stats, Batch(np.full((2, 5), 1e305), labels, 2))
+        assert np.isfinite(stats.mat).all()
+
+    def test_direct_solve_whose_gram_overflows_raises(self):
+        # one row of 2e154 fits in R, but G = R^T R holds 4e308, which the
+        # solve forms and must refuse typed, with no warning first (the suite
+        # turns warnings into errors)
+        x = np.zeros((1, 5))
+        x[0, 3] = 2e154
+        stats = absorb_batch(init_stats(_schema(2, 3, 2), Hyperparams(lam=0.0), DIRECT),
+                             Batch(x, one_hot_encode([1], 2), 2))
+        assert np.isfinite(stats.mat).all()
+        with pytest.raises(NumericError, match="non-finite"):
+            solve_model(stats)
+
     def test_huge_features_refuse_or_leave_the_factor_finite(self):
         # Batches of 10^k and 0.6 * 10^k in every column or in one, then an
         # ordinary batch. 0.6e308 in one column would leave a finite corner
@@ -582,15 +617,15 @@ class TestSolveModel:
                             assert np.isfinite(stats.mat).all(), (k, value)
 
     def test_huge_features_refuse_or_leave_the_gram_finite(self):
-        # Batches of 10^k and 0.6 * 10^k around sqrt(float max) ~ 1.34e154,
-        # where the squares in G overflow, in every column or in one, then an
-        # ordinary batch. Each is refused with the statistics unchanged, or
-        # leaves G finite.
+        # Batches of 10^k and 0.6 * 10^k around float max / _QR_HEADROOM ~
+        # 1.4e306, where the norm bound of R overflows, in every column or in
+        # one, then an ordinary batch. Each is refused with the statistics
+        # unchanged, or leaves R finite.
         labels = one_hot_encode([0, 1], 2)
         one_column = np.zeros((2, 5))
         one_column[:, 0] = 1.0
         refused = 0
-        for k in range(150, 156):
+        for k in range(303, 309):
             for value in (10.0**k, 0.6 * 10.0**k):
                 for rows in (np.ones((2, 5)), one_column):
                     stats = init_stats(_schema(2, 3, 2), Hyperparams(lam=1.0), DIRECT)
@@ -608,10 +643,10 @@ class TestSolveModel:
         assert refused  # the range reaches the refusal edge
 
 
-# Features that overflow each mode's statistics: the Gram matrix squares
-# them, while the factor's norm bound only scales their norm by
-# sqrt(2 + 2 lam) = 2.
-_OVERFLOWING = {DIRECT: 1e200, FACTOR: 1.5e308}
+# Features that overflow each mode's norm bound, which scales their norm by
+# 1 (direct) or sqrt(2 + 2 lam) = 2 (factor) and refuses it near float max /
+# _QR_HEADROOM ~ 1.4e306.
+_OVERFLOWING = {DIRECT: 1e306, FACTOR: 1.5e308}
 
 
 class TestCompress:
@@ -700,31 +735,6 @@ class TestSnapshot:
         np.testing.assert_array_equal(resumed.mat, whole.mat)
         np.testing.assert_array_equal(resumed.rhs, whole.rhs)
 
-    def test_full_and_upper_gram_snapshots_resume_identically(self, tmp_path):
-        # a direct pass leaves G's strict lower triangle zero, while snapshots
-        # written before G was kept as its upper triangle hold the whole
-        # symmetric G; the solve reads only the upper one, so both resume to
-        # the same coefficients bit for bit
-        rng = np.random.default_rng(35)
-        schema, hyper = _schema(2, 3, 2), Hyperparams(lam=0.9, rho=0.3)
-        stream = random_cstage_stream(rng, 4, 5, 2, 3, 2)
-        first = init_stats(schema, hyper, DIRECT)
-        for b in stream[:2]:
-            absorb_batch(first, b)
-        upper = first.mat
-        assert not np.tril(upper, -1).any()
-        coefs = []
-        for name, mat in (("upper", upper), ("full", np.triu(upper) + np.triu(upper, 1).T)):
-            path = tmp_path / f"{name}.npz"
-            save_stats(dataclasses.replace(first, mat=mat), path)
-            resumed = load_stats(path)
-            np.testing.assert_array_equal(resumed.mat, mat)
-            for b in stream[2:]:
-                absorb_batch(resumed, b)
-            model = solve_model(resumed)
-            coefs.append(np.vstack([model.coef_full, model.coef_survived]))
-        np.testing.assert_array_equal(coefs[0], coefs[1], strict=True)
-
     @staticmethod
     def _direct_snapshot(tmp_path, mat):
         stats = init_stats(_schema(1, 2, 2), Hyperparams(lam=1.0), DIRECT)
@@ -733,27 +743,28 @@ class TestSnapshot:
         save_stats(stats, path)
         return path
 
-    @pytest.mark.parametrize(
-        "entries",
-        [
-            {(0, 1): 1.7e308},  # zero diagonal: one row of 5e153 would overflow G_01 in place
-            {(1, 1): -1.0},
-            {(0, 0): 1.0, (2, 2): 3.0, (0, 2): np.nextafter(4.0, np.inf)},
-            {(0, 0): 1.0, (2, 2): 3.0, (0, 2): -np.nextafter(4.0, np.inf)},
-        ],
-    )
-    def test_direct_snapshot_that_is_no_gram_matrix_rejected(self, tmp_path, entries):
-        mat = np.zeros((3, 3))
-        for at, value in entries.items():
-            mat[at] = value
-        with pytest.raises(SchemaError, match="Gram matrix"):
+    def test_direct_entry_below_the_diagonal_rejected(self, tmp_path):
+        mat = np.triu(np.ones((3, 3)))
+        mat[2, 1] = 1e-300
+        with pytest.raises(SchemaError, match="upper-triangular"):
             load_stats(self._direct_snapshot(tmp_path, mat))
 
-    def test_direct_snapshot_at_the_gram_slack_loads(self, tmp_path):
-        # |G_02| = 2 (G_00 + G_22) / 2 is the edge; the lower triangle is not read
-        mat = np.diag([1.0, 0.0, 3.0])
-        mat[0, 2], mat[2, 0] = -4.0, 1e300
+    def test_direct_factor_with_zero_rows_loads(self, tmp_path):
+        # a stream of fewer than p rows leaves zero rows in R
+        mat = np.zeros((3, 3))
+        mat[0] = [2.0, -1.0, 0.5]
         np.testing.assert_array_equal(load_stats(self._direct_snapshot(tmp_path, mat)).mat, mat)
+
+    def test_gram_snapshot_of_format_3_rejected(self, tmp_path):
+        # format 3 kept G's upper triangle in direct mode, itself an upper
+        # triangle that would load silently as R
+        x = np.random.default_rng(37).standard_normal((6, 3))
+        path = self._direct_snapshot(tmp_path, np.triu(x.T @ x))
+        with np.load(path) as data:
+            fields = {key: data[key] for key in data.files}
+        np.savez(path, **{**fields, "format": 3})
+        with pytest.raises(SchemaError, match="format 3, expected 4"):
+            load_stats(path)
 
     def test_pass_with_equal_columns_loads(self, tmp_path):
         # equal columns put |G_ij| at (G_ii + G_jj) / 2 before rounding
@@ -840,7 +851,7 @@ class TestSnapshot:
     def test_single_triangle_factor_snapshot_rejected(self, tmp_path):
         # format 2 stored one (m, m) upper triangle R with R^T R = M
         path = self._factor_snapshot(tmp_path, format=2, mat=np.triu(np.ones((8, 8))))
-        with pytest.raises(SchemaError, match="format 2, expected 3"):
+        with pytest.raises(SchemaError, match="format 2, expected 4"):
             load_stats(path)
 
     def test_factor_corners_that_differ_rejected(self, tmp_path):

@@ -363,6 +363,30 @@ class TestRunExperiment:
         with pytest.raises(SchemaError, match=pattern):
             _spec(tmp_path, methods)
 
+    @pytest.mark.parametrize("setting, value", [
+        ("lam_grid", ("1",)),
+        ("gamma_grid", ("1",)),
+        ("rho_grid", 0.1),
+        ("alpha_grid", (True,)),
+        ("lam_grid", "1.0"),
+        ("methods", "OPID"),
+        ("methods", {"OPID"}),
+        ("methods", (1,)),
+        ("repeats", "3"),
+        ("folds", 2.5),
+        ("seed", 1.5),
+        ("seed", True),
+    ])
+    def test_setting_of_the_wrong_type_rejected(self, tmp_path, setting, value):
+        with pytest.raises(SchemaError, match=f"^{setting} must be "):
+            ExperimentSpec(source=_spec(tmp_path, (OPID,)).source, **{setting: value})
+
+    def test_lists_and_numpy_numbers_accepted(self, tmp_path):
+        spec = ExperimentSpec(source=_spec(tmp_path, (OPID,)).source, methods=[OPID, BASE_S],
+                              lam_grid=[np.float64(0.5), 1], rho_grid=[np.float32(0.1)],
+                              repeats=np.int64(2), folds=3, seed=np.uint8(4))
+        assert run_experiment(spec).methods == (OPID, BASE_S)
+
     @pytest.mark.parametrize("grid", ["lam_grid", "rho_grid", "gamma_grid", "alpha_grid"])
     def test_empty_grid_rejected(self, tmp_path, grid):
         with pytest.raises(SchemaError, match=f"{grid} is empty"):
