@@ -7,11 +7,12 @@ classifier, then the augmented raw features. Training takes ``z`` and its
 one-hot labels; prediction needs the features only. The model has two
 blocks: ``v_base`` on the c compressed columns ``z[:, :c]`` and ``v_joint``
 on all of ``z``. Training alternates two closed-form steps on a jointly
-convex objective: a ridge solve for both blocks at a fixed base weight
-``w_base`` (the joint block's is ``1 - w_base``), and an exact
-simplex-constrained weight update from the blocks' width-scaled norms. Each
-block's ridge is divided by its width so the narrow compressed block is not
-drowned out by the wide augmented block.
+convex objective, starting from a base weight ``w_base``, 1/2 by default:
+a ridge solve for both blocks at a fixed ``w_base`` (the joint block's
+weight is ``1 - w_base``), and an exact simplex-constrained weight update
+from the blocks' width-scaled norms. Each block's ridge is divided by its
+width so the narrow compressed block is not drowned out by the wide
+augmented block.
 
 The compressed columns lead the joint block, so both blocks' scores add up
 to one map ``z @ u`` and the coefficient step is a single k x k ridge
@@ -26,6 +27,7 @@ k x k :class:`JointStats` record, formed once; it never touches the rows.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,16 +191,20 @@ def objective_value(stats: JointStats, model: EStageModel, gamma: float) -> floa
     return value
 
 
-def fit_unified(stats: JointStats, gamma: float) -> UnifiedTrainerState:
-    """Alternate the two exact block updates from equal weights until the
-    relative objective decrease drops below ``FIT_TOL``.
+def fit_unified(stats: JointStats, gamma: float, w_base: float = 0.5) -> UnifiedTrainerState:
+    """Alternate the two exact block updates from ``w_base``, 1/2 by default,
+    until the relative objective decrease drops below ``FIT_TOL``.
 
     Both half-steps are exact minimizations, so the objective is
-    non-increasing; convergence is typically a handful of iterations. The
-    last operation is always the weight update, so the returned weights are
-    exactly consistent with the returned coefficients.
+    non-increasing; convergence is typically a handful of iterations, and
+    fewer from the ``w_base`` of a fit to similar statistics. The last
+    operation is always the weight update, so the returned weights are
+    exactly consistent with the returned coefficients. A start weight that
+    is not a real number in [0, 1] raises :class:`SchemaError`; 0 and 1,
+    which a fit can return, are accepted and start from the floored weight.
     """
-    w_base = 0.5
+    if isinstance(w_base, bool) or not (isinstance(w_base, numbers.Real) and 0 <= w_base <= 1):
+        raise SchemaError(f"start weight must be a real number in [0, 1], got {w_base!r}")
     prev = None
     trace: list[float] = []
     converged = False

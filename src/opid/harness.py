@@ -219,11 +219,19 @@ class _MethodRunner:
     ``(params, x, y) -> predictor``; a predictor maps a feature matrix in
     schema order to class indices. A grid with more than one point is tuned
     by k-fold cross validation on the training half.
+
+    OPID's fits warm-start: each ``evaluate`` call resets ``w_base`` to 1/2,
+    and each OPID fit in it (the CV fits in fold and grid order, then the
+    final fit) starts from the base weight the previous one returned. The
+    fold training sets overlap and their joint blocks nearly agree, so a
+    fit starts close to where the last one stopped. Nothing carries from one
+    ``evaluate`` call to the next, so a repeat depends only on its split.
     """
 
     def __init__(self, spec: ExperimentSpec, cmodels: dict):
         self.spec = spec
         self.cmodels = cmodels
+        self.w_base = 0.5
         s = spec.source.schema.survived
         stacked_grid = functools.partial(itertools.product, spec.lam_grid, spec.rho_grid)
         # method -> (grid, final fit, cross-validation fit)
@@ -238,6 +246,7 @@ class _MethodRunner:
 
     def evaluate(self, method: str, x_train, y_train, x_test, y_test) -> float:
         grid, fit, cv_fit = self.methods[method]
+        self.w_base = 0.5
         params = grid[0]
         if len(grid) > 1:
             def scorer(params, x_tr, y_tr, x_va):
@@ -249,7 +258,8 @@ class _MethodRunner:
     def _fit_opid(self, params, x, y):
         lam, rho, gamma = params
         cmodel = self.cmodels[(lam, rho)]
-        emodel = fit_unified(JointStats.of(build_stacked(x, cmodel), y), gamma).model
+        emodel = fit_unified(JointStats.of(build_stacked(x, cmodel), y), gamma, self.w_base).model
+        self.w_base = emodel.w_base
         return lambda x_new: predict_unified(x_new, cmodel, emodel)
 
     def _fit_opide(self, params, x, y):

@@ -189,12 +189,13 @@ def _dposv(mat, rhs):
     return dpotrs(factor, rhs)[0]
 
 
-def alternating_fit_loop(gram, zty, yy, gamma, floor, tol, max_iter):
-    """The expanding stage's alternating fit written out step by step: the
-    ridge matrix rebuilt from ``np.diag`` each iteration, the blocks split
-    by ``vstack``, the weights from ``np.linalg.norm`` and the objective with
-    its per-block penalty. Returns (v_base, v_joint, w_base, trace,
-    converged), the quantities ``fit_unified`` must reproduce bit for bit."""
+def alternating_fit_loop(gram, zty, yy, gamma, floor, tol, max_iter, start=0.5):
+    """The expanding stage's alternating fit written out step by step from
+    the base weight ``start``: the ridge matrix rebuilt from ``np.diag`` each
+    iteration, the blocks split by ``vstack``, the weights from
+    ``np.linalg.norm`` and the objective with its per-block penalty. Returns
+    (v_base, v_joint, w_base, trace, converged), the quantities
+    ``fit_unified`` must reproduce bit for bit."""
 
     def penalty(block, weight):
         sq = float((block**2).sum())
@@ -202,7 +203,7 @@ def alternating_fit_loop(gram, zty, yy, gamma, floor, tol, max_iter):
         return 0.0 if denom == 0.0 and sq == 0.0 else gamma * sq / denom
 
     k, c = zty.shape
-    w_base, prev, trace, converged = 0.5, None, [], False
+    w_base, prev, trace, converged = start, None, [], False
     for _ in range(max_iter):
         wb = min(max(w_base, floor), 1.0 - floor)
         inv_a, inv_b = c * wb / gamma, k * (1.0 - wb) / gamma

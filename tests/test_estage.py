@@ -374,16 +374,46 @@ class TestFitUnified:
         np.testing.assert_allclose(scaled_base, v_base / np.sqrt(w_base), atol=1e-6)
         np.testing.assert_allclose(scaled_joint, v_joint / np.sqrt(w_joint), atol=1e-6)
 
+    def test_start_at_the_converged_weight_stops_on_step_two(self):
+        rng = np.random.default_rng(16)
+        z, labels = random_stacked(rng, n=30, c=3, d_a=4)
+        stats, gamma = JointStats.of(z, labels), 0.8
+        cold = fit_unified(stats, gamma)
+        warm = fit_unified(stats, gamma, cold.model.w_base)
+        assert len(cold.trace) > 2 and len(warm.trace) == 2 and warm.converged
+        m = warm.model
+        ref_base, ref_joint = oracles.gd_minimize_stacked(
+            z[:, :3], z, labels, m.w_base, m.w_joint, gamma
+        )
+        descent = oracles.stacked_objective(
+            z[:, :3], z, labels, ref_base, ref_joint, m.w_base, m.w_joint, gamma
+        )
+        for ref in (cold.trace[-1], descent):
+            assert abs(warm.trace[-1] - ref) <= FIT_TOL * abs(ref)
+
+    @pytest.mark.parametrize(
+        "w_base", [np.nan, np.inf, -np.inf, -0.1, 1.5, True, "0.5", None, 0.5 + 0j]
+    )
+    def test_bad_start_weight_rejected_before_any_solve(self, w_base, monkeypatch):
+        def no_lapack(*args, **kwargs):
+            raise AssertionError("LAPACK called")
+
+        monkeypatch.setattr(estage, "_cholesky", no_lapack)
+        monkeypatch.setattr(estage, "dpotrs", no_lapack)
+        stats = JointStats.of(*random_stacked(np.random.default_rng(5)))
+        with pytest.raises(SchemaError, match="start weight must be a real number in"):
+            fit_unified(stats, 1.0, w_base)
+
 
 class TestFitUnifiedMatchesTheStepByStepLoop:
     """``fit_unified`` returns the bits of the alternating loop written out
     step by step (``oracles.alternating_fit_loop``)."""
 
     @staticmethod
-    def _assert_same_fit(stats, gamma):
-        state = fit_unified(stats, gamma)
+    def _assert_same_fit(stats, gamma, *start):
+        state = fit_unified(stats, gamma, *start)
         v_base, v_joint, w_base, trace, converged = oracles.alternating_fit_loop(
-            stats.gram, stats.zty, stats.yy, gamma, WEIGHT_FLOOR, FIT_TOL, FIT_MAX_ITER
+            stats.gram, stats.zty, stats.yy, gamma, WEIGHT_FLOOR, FIT_TOL, FIT_MAX_ITER, *start
         )
         m = state.model
         assert np.array_equal(m.v_base, v_base) and np.array_equal(m.v_joint, v_joint)
@@ -403,6 +433,18 @@ class TestFitUnifiedMatchesTheStepByStepLoop:
             state = self._assert_same_fit(JointStats.of(z, labels), gamma)
             # with k = c the equal weights are a fixed point
             assert len(state.trace) > 2 or d_a == 0
+
+    @pytest.mark.parametrize("start", [0.1, 0.9, 0.0, 1.0, "converged"])
+    @pytest.mark.parametrize("c, d_a", [(3, 4), (5, 50)], ids=["narrow", "wide"])
+    def test_random_blocks_from_a_start_weight(self, c, d_a, start):
+        # 0 and 1, which update_weights can return, start from the floored weight
+        rng = np.random.default_rng(200 + c + d_a)
+        for gamma in (0.1, 1.0, 10.0):
+            z, labels = random_stacked(rng, n=3 * (c + d_a), c=c, d_a=d_a)
+            z *= 10.0 ** rng.uniform(-1.0, 1.0, size=z.shape[1])
+            stats = JointStats.of(z, labels)
+            w = fit_unified(stats, gamma).model.w_base if start == "converged" else start
+            self._assert_same_fit(stats, gamma, w)
 
     def test_zero_labels(self):
         # the all-zero model takes the w = 1/2 branch at every step
