@@ -17,12 +17,10 @@ factor stays accurate when its matrix is ill-conditioned.
 * ``direct``  -- keep R, the triangular factor of the stream itself (R^T R
   = G = X^T X, columns ordered survived, then vanished), and B = X^T Y.
   Neither holds lam or rho, so one pass serves any number of (lam, rho)
-  settings. At solve time it forms G = R^T R with one ``dsyrk`` call and
-  builds from it the factor that ``factor`` mode keeps, below, then solves
-  with it the same way: two Cholesky factorizations of width p and one more
-  ``dsyrk``, 2 p^3 / 3 + v^2 s flops beyond forming G for v vanished and s
-  survived, where the dense coupled matrix of width v + 2s took
-  (v + 2s)^3 / 3.
+  settings. ``factor`` mode's increment depends on a batch only through
+  X^T X = R^T R, so the solve folds R's p rows into the ridge-only factor
+  to build the factor that mode keeps, below: two ``dtpqrt`` calls, about
+  2 p^3 / 3 flops each on triangular rows.
 * ``factor``  -- maintain a Cholesky factor of M, so the solution is three
   triangular solves away at any point of the stream. The factor lives in
   split coordinates: with E placing the survived classifier phi in theta's
@@ -46,8 +44,7 @@ import zlib
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.linalg.blas import dsyrk
-from scipy.linalg.lapack import dlange, dlantr, dtpqrt, dtrtrs
+from scipy.linalg.lapack import dlange, dtpqrt, dtrtrs
 
 from .model import (
     Batch,
@@ -56,7 +53,7 @@ from .model import (
     Hyperparams,
     NumericError,
     SchemaError,
-    _cholesky,
+    _replacing,
     validate_batch,
 )
 
@@ -151,89 +148,68 @@ def absorb_batch(stats: CStageStats, batch: Batch) -> CStageStats:
     validate_batch(batch, stats.schema)
 
     # The batch's rows in split order, w = [X_s, X_v]. Direct mode folds w
-    # into R. In factor mode the increment A^T A + B^T B has A = [X_s, 0,
-    # X_v] and B = c [0, X_s, X_v]: w in P1's unknowns and c w in P2's, with
-    # ||A||^2 + ||B||^2 = (1 + c^2) ||w||^2. QR keeps the Frobenius norm, so
-    # the factor's norm grows to r_norm in either mode; it bounds ||[R; w]||_F,
-    # or ||[P1; w]||_F and ||[P2; c w]||_F, for every dtpqrt call.
+    # into R, factor mode w into P1 and c w into P2, a squared norm of
+    # (1 + c^2) ||w||^2 in all. QR keeps the Frobenius norm, so the factor's
+    # norm grows to r_norm in either mode; it bounds the norm of every dtpqrt
+    # call's input.
     s, lam = stats.schema.survived, stats.hyper.lam
     w = np.empty(batch.x.shape, order="F")
     w[:, :s] = batch.survived
     w[:, s:] = batch.vanished
+    # rhs in float64: an integer or bool product would wrap or saturate
+    x, y = (np.asarray(a, dtype=np.float64) for a in (batch.x, batch.labels))
     scale = 1.0 if stats.mode == DIRECT else math.sqrt(2.0 + 2.0 * lam)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
-        rhs = stats.rhs + batch.x.T @ batch.labels
+        rhs = stats.rhs + x.T @ y
         r_norm = math.hypot(stats.r_norm, dlange("F", w) * scale)
         if not (math.isfinite(_QR_HEADROOM * r_norm) and np.isfinite(rhs).all()):
             raise NumericError(
                 f"batch {stats.batches_seen} overflows the statistics to non-finite values"
             )
-    # A Fortran-ordered mat is updated in place; any other layout is copied
-    # once.
+    # A Fortran-ordered mat is updated in place, any other layout copied once
     mat = np.asfortranarray(stats.mat)
     if stats.mode == DIRECT:
         _qr_update(mat, w)
     else:
-        # Each dtpqrt call leaves its triangle's corner as the shared block
-        # of the new factor, so it is handed to the other half.
-        p = stats.schema.cstage_width
-        p1, p2 = mat[:, :p], mat[:, p:]
-        cw = math.sqrt(1.0 + 2.0 * lam) * w
-        _qr_update(p1, w)
-        p2[s:, s:] = p1[s:, s:]
-        _qr_update(p2, cw)
-        p1[s:, s:] = p2[s:, s:]
+        _fold_split(mat, w, s, lam)
     stats.mat, stats.rhs, stats.r_norm = mat, rhs, r_norm
     stats.batches_seen += 1
     return stats
 
 
-def _qr_update(r: np.ndarray, w: np.ndarray) -> None:
+def _qr_update(r: np.ndarray, w: np.ndarray, l: int = 0) -> None:
     """Overwrite the Fortran-ordered upper-triangular ``r`` with the upper
-    triangle of qr([r; w]); ``w`` is overwritten too."""
+    triangle of qr([r; w]); ``w`` is overwritten too. The last ``l`` rows of
+    ``w`` are upper trapezoidal, and the zeros below them are not read."""
     nb = min(_QR_BLOCK, r.shape[1])  # dtpqrt rejects a block wider than r
-    dtpqrt(0, nb, r, w, overwrite_a=1, overwrite_b=1)
+    dtpqrt(l, nb, r, w, overwrite_a=1, overwrite_b=1)
 
 
-def _factor_from_gram(stats: CStageStats) -> np.ndarray:
-    """Factor mode's [P1 | P2] for direct mode's factor R at ``hyper``.
-
-    One ``dsyrk`` call forms the upper triangle of G = R^T R, already in
-    split order (survived, then vanished), in P1's slot. With c^2 = 1 + 2
-    lam, P2 factors [[c^2 G_ss + rho I, c^2 G_sv], [c^2 G_vs, K]] for K =
-    (1 + c^2) G_vv + 2 rho I, which gives A2 and B2, and P1 factors [[G_ss +
-    rho I, G_sv], [G_vs, K - B2^T B2]], whose corner C is the shared one and
-    is copied into P2. LAPACK reads only the upper triangles. Both halves
-    are factored in place in the one (p, 2p) array.
-    """
-    v, s = stats.schema.vanished, stats.schema.survived
-    p, c2, rho = v + s, 1.0 + 2.0 * stats.hyper.lam, stats.hyper.rho
-    mat = np.zeros((p, 2 * p), order="F")
+def _fold_split(mat: np.ndarray, rows: np.ndarray, s: int, lam: float, l: int = 0) -> None:
+    """Fold ``rows`` w (split order) into [P1 | P2] in place: w into P1 and
+    c w into P2, c^2 = 1 + 2 lam (see the module docstring). Each call hands
+    its new shared corner to the other half. ``rows`` is only read; one work
+    array holds w, then c w. ``l`` is as in :func:`_qr_update`."""
+    p = mat.shape[0]
     p1, p2 = mat[:, :p], mat[:, p:]
-    dsyrk(1.0, stats.mat, c=p1, trans=1, overwrite_c=1)  # non-finite entries are checked below
-    with np.errstate(over="ignore"):  # checked before each factorization
-        np.multiply(p1, c2, out=p2)
-        p2[s:, s:] += p1[s:, s:]
-        p1[s:, s:] = p2[s:, s:]
-        rows = np.arange(p)
-        ridge = np.repeat([rho, 2.0 * rho], [s, v])
-        mat[rows, rows] += ridge
-        mat[rows, p + rows] += ridge
-    _factor_in_place(p2)
-    if v:
-        p1[s:, s:] = dsyrk(-1.0, p2[:s, s:], beta=1.0, c=p1[s:, s:], trans=1)
-    _factor_in_place(p1)
+    w = np.array(rows, order="F")
+    _qr_update(p1, w, l)
     p2[s:, s:] = p1[s:, s:]
-    return mat
+    np.multiply(rows, math.sqrt(1.0 + 2.0 * lam), out=w)
+    _qr_update(p2, w, l)
+    p1[s:, s:] = p2[s:, s:]
 
 
-def _factor_in_place(half: np.ndarray) -> None:
-    """Cholesky-factor the upper triangle of a Fortran-ordered half in place,
-    after checking that triangle, which is all that LAPACK reads, for
-    non-finite entries."""
-    if not math.isfinite(dlantr("M", half)):
-        raise NumericError("normal-equation solve failed: the system has non-finite entries")
-    _cholesky(half, "normal-equation", owned=True)
+def _split_factor(stats: CStageStats) -> np.ndarray:
+    """Factor mode's [P1 | P2] for direct mode's R at ``hyper``: R's
+    triangular rows folded into the ridge-only factor, refused before the
+    fold by factor mode's absorb rule on the norm that mode would reach."""
+    ridge, lam = init_stats(stats.schema, stats.hyper, FACTOR), stats.hyper.lam
+    r_norm = math.hypot(ridge.r_norm, math.sqrt(2.0 + 2.0 * lam) * stats.r_norm)
+    if not math.isfinite(_QR_HEADROOM * r_norm):
+        raise NumericError("direct-mode solve failed: the factor overflows to non-finite values")
+    _fold_split(ridge.mat, stats.mat, stats.schema.survived, lam, l=stats.schema.cstage_width)
+    return ridge.mat
 
 
 def solve_model(stats: CStageStats) -> CStageModel:
@@ -241,13 +217,13 @@ def solve_model(stats: CStageStats) -> CStageModel:
 
     Factor mode holds the factor [P1 | P2] already, which is what makes the
     anytime solution cheap on that path; direct mode builds it from its
-    factor R at ``hyper`` first (:func:`_factor_from_gram`). Both then make three
+    factor R at ``hyper`` first (:func:`_split_factor`). Both then make three
     ``dtrtrs`` calls, P1^T then P1 over (sigma_s, t), then P2 over
     (delta_s, t). delta_s has no right-hand side, so P2 needs only the
-    back-substitution.
+    back-substitution. ``stats`` is only read.
     """
     p = stats.schema.cstage_width
-    mat = _factor_from_gram(stats) if stats.mode == DIRECT else stats.mat
+    mat = _split_factor(stats) if stats.mode == DIRECT else stats.mat
     # The right-hand side in the split unknowns is sqrt(2) [B_s; 0; B_v].
     # Solving with [B_s; B_v] instead gives the unknowns over sqrt(2), which
     # maps back as theta_v = 2 t, theta_s = sigma_s + delta_s and
@@ -283,9 +259,11 @@ def save_stats(stats: CStageStats, path) -> None:
 
     Binary container with exact float round-trip: format version, mode tag,
     schema widths, regularization, batch counter, and the ``mat``/``rhs`` pair.
-    The file is written at exactly ``path``, whatever its suffix.
+    The file is written at exactly ``path``, whatever its suffix, and
+    replaces it only once complete, so a failed save leaves an existing
+    snapshot there as it was.
     """
-    with open(path, "wb") as fh:  # np.savez(path) appends ".npz" to any other suffix
+    with _replacing(path, binary=True) as fh:  # np.savez(path) appends ".npz" to any other suffix
         np.savez(
             fh,
             format=SNAPSHOT_FORMAT,

@@ -31,7 +31,7 @@ from .ensemble import EnsembleModel, _fit_members, predict_ensemble, train_ensem
 from .estage import JointStats, build_stacked, fit_unified, predict_unified
 from .ingest import StreamManifest, read_estage, stream_batches
 from .model import (CStageModel, FeatureSchema, Hyperparams, SchemaError, _accuracy,
-                    _cv_accuracy, _open_text)
+                    _cv_accuracy, _open_text, _replacing)
 
 logger = logging.getLogger(__name__)
 
@@ -353,17 +353,19 @@ def format_report(table: ResultTable) -> str:
 
 def emit_report(table: ResultTable, out_dir) -> tuple[Path, Path]:
     """Write the human-readable table and the machine-readable record
-    (one row per method per repeat, floats in exact shortest repr)."""
+    (one row per method per repeat, floats in exact shortest repr), each
+    whole or not at all, as ``opid report`` may rewrite the record it read."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "results.csv"
-    with csv_path.open("w") as fh:
+    with _replacing(csv_path) as fh:
         fh.write("method,repeat,accuracy\n")
         for method in table.methods:
             for repeat, acc in enumerate(table.accuracies[method]):
                 fh.write(f"{method},{repeat},{repr(acc)}\n")
     report_path = out / "report.txt"
-    report_path.write_text(format_report(table))
+    with _replacing(report_path) as fh:
+        fh.write(format_report(table))
     return report_path, csv_path
 
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import io
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -218,11 +220,9 @@ def _cholesky(mat: np.ndarray, what: str, owned: bool = False) -> np.ndarray:
     one raises it from the factorization. ``owned=True`` hands over a
     Fortran-ordered float64 matrix that the caller built and checked to be
     finite: it is factored in place, without the scan, and returned as U.
-    This is the one SPD factorization in the library: :func:`_solve_spd`,
-    the expanding-stage ridge step and the direct-mode compressing-stage
-    solve factor with it, the last one both halves of its split factor in
-    place. Factor mode never calls it: it keeps its Cholesky factor up to
-    date by QR instead.
+    This is the one SPD factorization in the library: :func:`_solve_spd` and
+    the expanding-stage ridge step factor with it. The compressing stage
+    never calls it: both of its modes build their Cholesky factors by QR.
     """
     if not owned and not np.isfinite(mat).all():
         raise NumericError(f"{what} solve failed: the system has non-finite entries")
@@ -261,6 +261,25 @@ def _open_text(path, error: type[SchemaError] = SchemaError) -> io.StringIO:
         head = raw[: exc.start]
         line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise error(f"{path}:{line}: not UTF-8 text") from exc
+
+
+@contextmanager
+def _replacing(path, binary: bool = False):
+    """A sibling file for writing that replaces ``path`` once the block ends;
+    if the block fails, it is removed and ``path`` is left as it was. An
+    error in opening or renaming it names ``path``."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb" if binary else "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except OSError as exc:
+        if exc.filename != str(tmp):
+            raise
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _accuracy(pred: np.ndarray, labels: np.ndarray) -> float:

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from opid import cli, harness
+from opid import cli, cstage, harness
 from opid.cli import main
 from opid.cstage import FACTOR, absorb_batch, init_stats, load_stats, save_stats
 from opid.ensemble import SolverError
@@ -140,10 +140,10 @@ class TestCStageCommand:
         _assert_rejected(capsys, argv, "non-finite")
         assert not (tmp_path / "stats.npz").exists()
 
-    def test_batch_whose_gram_overflows_absorbs_then_fails_at_solve(self, tmp_path, capsys):
+    def test_batch_whose_gram_overflows_absorbs_and_solves(self, tmp_path, capsys):
         # One row of 6.71e153 in every feature column: direct mode's factor
-        # holds it, so cstage accumulates it, while the solve's (1 + c^2) G_vv
-        # is not finite at lam = 1, so run fails typed
+        # holds it, so cstage accumulates it, though G = R^T R would not be
+        # finite; the solve never forms G, so run completes
         main(_synth_args(tmp_path / "data"))
         manifest_path = capsys.readouterr().out.strip()
         batch_file = tmp_path / "data" / "cstage_001.csv"
@@ -154,7 +154,7 @@ class TestCStageCommand:
         assert np.isfinite(load_stats(out).mat).all()
         argv = ["run", "--manifest", manifest_path, "--out", str(tmp_path / "res"),
                 "--methods", "OPID", "--repeats", "2", "--seed", "0"]
-        _assert_rejected(capsys, argv, "non-finite")
+        assert main(argv) == 0
 
     def test_new_pass_defaults_to_direct_mode(self, tmp_path, capsys):
         # stats_dim 2 * 1025 = 2050 lies above the harness's auto-mode limit
@@ -438,3 +438,39 @@ def test_report_bytes_are_pinned(tmp_path, capsys):
     assert main(["run", "--manifest", manifest_path, "--out", str(out), *_PINNED_RUN]) == 0
     assert (out / "report.txt").read_bytes() == _PINNED_REPORT.encode()
     assert (out / "results.csv").read_bytes() == _PINNED_RESULTS.encode()
+
+
+# A second pin, also written by an earlier version of the program, whose
+# compressing-stage width 60 spans more than one ``_QR_BLOCK`` column block, on
+# a 2 x 2 (lambda, rho) grid of direct-mode solves.
+_PINNED_WIDE_SYNTH = [
+    "--classes", "3", "--vanished", "20", "--survived", "40", "--augmented", "10",
+    "--batches", "4", "--batch-size", "40", "--estage-size", "40", "--seed", "11",
+]
+_PINNED_WIDE_RUN = ["--methods", "OPID,OPIDe", "--lambda", "0.1,1", "--rho", "0.1,1",
+                    "--repeats", "3", "--seed", "11"]
+_PINNED_WIDE_REPORT = """\
+repeats=3 seed=11
+method         mean      std      vs OPID     vs OPIDe
+OPID         0.9333   0.0144            -            =
+OPIDe        0.9667   0.0144            =            -
+"""
+_PINNED_WIDE_RESULTS = """\
+method,repeat,accuracy
+OPID,0,0.95
+OPID,1,0.925
+OPID,2,0.925
+OPIDe,0,0.975
+OPIDe,1,0.95
+OPIDe,2,0.975
+"""
+
+
+def test_wide_report_bytes_are_pinned(tmp_path, capsys):
+    assert cstage._QR_BLOCK < 60
+    assert main(["synth", "--out", str(tmp_path / "data"), *_PINNED_WIDE_SYNTH]) == 0
+    manifest_path = capsys.readouterr().out.strip()
+    out = tmp_path / "out"
+    assert main(["run", "--manifest", manifest_path, "--out", str(out), *_PINNED_WIDE_RUN]) == 0
+    assert (out / "report.txt").read_bytes() == _PINNED_WIDE_REPORT.encode()
+    assert (out / "results.csv").read_bytes() == _PINNED_WIDE_RESULTS.encode()

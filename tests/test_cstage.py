@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import errno
 import tracemalloc
 
 import numpy as np
@@ -193,7 +194,7 @@ class TestAbsorb:
 
     def test_direct_mode_allocates_no_full_temporary(self):
         # after a warm-up batch, an absorb folds the batch into R in place,
-        # and a solve forms G and factors both halves of [P1 | P2] in one
+        # and a solve folds a copy of R into the ridge-only [P1 | P2], one
         # (p, 2p) array, with no (m, m) coupled matrix
         schema = _schema(60, 250, 3)
         warm, batch = random_cstage_stream(np.random.default_rng(23), 2, 20, 60, 250, 3)
@@ -313,15 +314,20 @@ class TestAbsorb:
         assert stats.batches_seen == 0
 
     @pytest.mark.parametrize("mode", [DIRECT, FACTOR])
-    @pytest.mark.parametrize("dtype", [bool, np.int64, np.uint8, np.float32])
+    @pytest.mark.parametrize("dtype", [bool, np.int8, np.int64, np.uint8, np.float32])
     def test_real_numeric_dtypes_absorb_like_float64(self, mode, dtype):
-        x = np.arange(10).reshape(2, 5) % 3 == 1
-        labels = one_hot_encode([0, 1], 2)
+        # four rows of one class: the cross-moment sums four features of half
+        # the dtype's range per entry, which an integer or bool product wraps
+        # or saturates
+        half = np.iinfo(dtype).max // 2 + 1 if np.dtype(dtype).kind in "iu" else 1
+        x = np.full((4, 5), half, dtype=dtype)
+        labels = one_hot_encode([1, 1, 1, 1], 2)
         got, want = (init_stats(_schema(2, 3, 2), Hyperparams(), mode) for _ in range(2))
-        absorb_batch(got, Batch(x.astype(dtype), labels.astype(dtype), 2))
+        absorb_batch(got, Batch(x, labels.astype(dtype), 2))
         absorb_batch(want, Batch(x.astype(np.float64), labels, 2))
         np.testing.assert_array_equal(got.mat, want.mat, strict=True)
         np.testing.assert_array_equal(got.rhs, want.rhs, strict=True)
+        assert got.r_norm == want.r_norm
 
 
 class TestSolveModel:
@@ -372,19 +378,23 @@ class TestSolveModel:
         np.testing.assert_allclose(model.coef_full, ref_full, atol=1e-10)
         np.testing.assert_allclose(model.coef_survived, ref_sur, atol=1e-10)
 
-    def test_direct_solve_leaves_the_statistics_unchanged(self):
-        # one pass serves every (lam, rho): the solve must not write into G
-        rng = np.random.default_rng(34)
-        stats = init_stats(_schema(3, 4, 3), Hyperparams(lam=0.5, rho=0.1), DIRECT)
-        for b in random_cstage_stream(rng, 3, 6, 3, 4, 3):
+    @pytest.mark.parametrize("mode", [DIRECT, FACTOR])
+    def test_solve_leaves_the_statistics_unchanged(self, mode):
+        # one pass serves every (lam, rho), so neither mode's solve may write
+        # into the statistics; width 40 spans two column blocks
+        assert _QR_BLOCK < 40
+        rng = np.random.default_rng(41)
+        stats = init_stats(_schema(15, 25, 3), Hyperparams(lam=0.7, rho=0.2), mode)
+        for b in random_cstage_stream(rng, 3, 30, 15, 25, 3):
             absorb_batch(stats, b)
-        before = (stats.mat.copy(), stats.rhs.copy())
+        before = (stats.mat.copy(), stats.rhs.copy(), stats.r_norm)
         first = solve_model(stats)
+        again = solve_model(stats)
         np.testing.assert_array_equal(stats.mat, before[0], strict=True)
         np.testing.assert_array_equal(stats.rhs, before[1], strict=True)
-        again = solve_model(stats)
-        np.testing.assert_array_equal(again.coef_full, first.coef_full)
-        np.testing.assert_array_equal(again.coef_survived, first.coef_survived)
+        assert stats.mat.flags.f_contiguous and stats.r_norm == before[2]
+        np.testing.assert_array_equal(again.coef_full, first.coef_full, strict=True)
+        np.testing.assert_array_equal(again.coef_survived, first.coef_survived, strict=True)
 
     def test_direct_and_factor_paths_agree(self):
         rng = np.random.default_rng(9)
@@ -485,14 +495,22 @@ class TestSolveModel:
             solve_model(absorb_batch(stats, batch))
 
     def test_direct_solve_that_overflows_raises(self):
-        # G holds entries near 1e301, which are finite, but c^2 = 1 + 2 lam
-        # scales them past the largest double when the factor is built
+        # R holds entries near 1e302, which direct mode absorbs, but
+        # sqrt(2 + 2 lam) ||R||_F is past the norm that factor mode would
+        # admit, so the solve refuses by factor mode's absorb rule, with no
+        # warning first and with the statistics untouched
         rng = np.random.default_rng(36)
-        stats = init_stats(_schema(2, 3, 2), Hyperparams(lam=1e10), DIRECT)
-        absorb_batch(stats, Batch(1e150 * rng.standard_normal((4, 5)), one_hot_encode([0, 1, 0, 1], 2), 2))
+        batch = Batch(1e302 * rng.standard_normal((4, 5)), one_hot_encode([0, 1, 0, 1], 2), 2)
+        stats = absorb_batch(init_stats(_schema(2, 3, 2), Hyperparams(lam=1e10), DIRECT), batch)
         assert np.isfinite(stats.mat).all()
+        before = (stats.mat.copy(), stats.rhs.copy(), stats.r_norm)
         with pytest.raises(NumericError, match="non-finite"):
             solve_model(stats)
+        np.testing.assert_array_equal(stats.mat, before[0], strict=True)
+        np.testing.assert_array_equal(stats.rhs, before[1], strict=True)
+        assert stats.r_norm == before[2]
+        with pytest.raises(NumericError, match="non-finite"):
+            absorb_batch(init_stats(_schema(2, 3, 2), Hyperparams(lam=1e10), FACTOR), batch)
 
     @pytest.mark.parametrize("kwargs", [
         dict(lam=1e308), dict(rho=1e308), dict(lam=np.float64(1e308)), dict(rho=np.float64(1e308)),
@@ -505,16 +523,18 @@ class TestSolveModel:
         with pytest.raises(SchemaError, match="finite"):
             solve_model(dataclasses.replace(stats, hyper=Hyperparams(**kwargs)))
 
-    def test_largest_consistency_weight_solves_or_fails_typed(self):
-        # 1 + 2 lam is finite, near the largest double: factor mode folds
-        # sqrt(1 + 2 lam) into the rows and solves, direct mode's (1 + 2 lam) G
-        # overflows, and its solve says so with no warning first
+    def test_largest_consistency_weight_solves_in_both_modes(self):
+        # 1 + 2 lam is finite, near the largest double: both modes fold
+        # sqrt(1 + 2 lam) into the rows of P2 and solve, to the same model
         hyper = Hyperparams(lam=0.49 * np.finfo(float).max)
-        batch = Batch(np.ones((2, 5)), one_hot_encode([0, 1], 2), 2)
-        model = solve_model(absorb_batch(init_stats(_schema(2, 3, 2), hyper, FACTOR), batch))
-        assert np.isfinite(model.coef_full).all() and np.isfinite(model.coef_survived).all()
-        with pytest.raises(NumericError, match="non-finite"):
-            solve_model(absorb_batch(init_stats(_schema(2, 3, 2), hyper, DIRECT), batch))
+        rng = np.random.default_rng(39)
+        batch = Batch(rng.standard_normal((8, 5)), one_hot_encode(np.arange(8) % 2, 2), 2)
+        factor, direct = (solve_model(absorb_batch(init_stats(_schema(2, 3, 2), hyper, mode), batch))
+                          for mode in (FACTOR, DIRECT))
+        for got, want in ((direct.coef_full, factor.coef_full),
+                          (direct.coef_survived, factor.coef_survived)):
+            assert np.isfinite(got).all() and np.isfinite(want).all()
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_huge_features_fit_in_the_factor(self):
         # the factor holds sqrt(M), so features of 1e200 that overflow the
@@ -581,17 +601,22 @@ class TestSolveModel:
         absorb_batch(stats, Batch(np.full((2, 5), 1e305), labels, 2))
         assert np.isfinite(stats.mat).all()
 
-    def test_direct_solve_whose_gram_overflows_raises(self):
-        # one row of 2e154 fits in R, but G = R^T R holds 4e308, which the
-        # solve forms and must refuse typed, with no warning first (the suite
-        # turns warnings into errors)
-        x = np.zeros((1, 5))
-        x[0, 3] = 2e154
-        stats = absorb_batch(init_stats(_schema(2, 3, 2), Hyperparams(lam=0.0), DIRECT),
-                             Batch(x, one_hot_encode([1], 2), 2))
-        assert np.isfinite(stats.mat).all()
-        with pytest.raises(NumericError, match="non-finite"):
-            solve_model(stats)
+    def test_direct_solve_whose_gram_overflows_succeeds(self):
+        # a column of 2e154 fits in R, though G = R^T R would hold more than
+        # the largest double; the solve never forms G, so it succeeds with
+        # no warning (the suite turns warnings into errors) and agrees with
+        # factor mode on the same full-rank stream
+        x = np.random.default_rng(40).standard_normal((8, 5))
+        x[:, 3] *= 2e154
+        batch = Batch(x, one_hot_encode(np.arange(8) % 2, 2), 2)
+        direct, factor = (absorb_batch(init_stats(_schema(2, 3, 2), Hyperparams(lam=1.0), mode), batch)
+                          for mode in (DIRECT, FACTOR))
+        with np.errstate(over="ignore"):
+            assert np.isinf(x[:, 3] @ x[:, 3])
+        d, f = solve_model(direct), solve_model(factor)
+        for got, want in ((d.coef_full, f.coef_full), (d.coef_survived, f.coef_survived)):
+            assert np.isfinite(got).all()
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_huge_features_refuse_or_leave_the_factor_finite(self):
         # Batches of 10^k and 0.6 * 10^k in every column or in one, then an
@@ -879,6 +904,45 @@ class TestSnapshot:
         np.savez(path, **fields)
         with pytest.raises(SchemaError, match="format"):
             load_stats(path)
+
+    @pytest.mark.parametrize("mode", [DIRECT, FACTOR])
+    def test_failed_save_keeps_the_old_snapshot(self, tmp_path, monkeypatch, mode):
+        # a pass that resumes from stats.npz and saves onto it: a save that
+        # fails midway, as on a full disk, leaves the old snapshot loadable
+        # and bit for bit as it was, and no temporary file behind
+        first, second = random_cstage_stream(np.random.default_rng(42), 2, 5, 2, 3, 2)
+        stats = absorb_batch(init_stats(_schema(), Hyperparams(), mode), first)
+        path = tmp_path / "stats.npz"
+        save_stats(stats, path)
+        old, mat, rhs = path.read_bytes(), stats.mat.copy(), stats.rhs.copy()
+
+        def full_disk(fh, **arrays):
+            fh.write(b"PK\x03\x04partial")
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        absorb_batch(stats, second)
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "savez", full_disk)
+            with pytest.raises(OSError, match="No space left"):
+                save_stats(stats, path)
+        assert [f.name for f in tmp_path.iterdir()] == ["stats.npz"]
+        assert path.read_bytes() == old
+        loaded = load_stats(path)
+        np.testing.assert_array_equal(loaded.mat, mat, strict=True)
+        np.testing.assert_array_equal(loaded.rhs, rhs, strict=True)
+        assert loaded.batches_seen == 1
+
+    def test_save_error_names_the_given_path(self, tmp_path):
+        # a missing directory, and a directory in the snapshot's place: the
+        # error names the path asked for, and no temporary file is left
+        (tmp_path / "dir").mkdir()
+        stats = init_stats(_schema(), Hyperparams())
+        for path in (tmp_path / "missing" / "stats.npz", tmp_path / "dir"):
+            with pytest.raises(OSError) as info:
+                save_stats(stats, path)
+            assert info.value.filename == str(path)
+        assert [f.name for f in tmp_path.iterdir()] == ["dir"]
+        assert not any((tmp_path / "dir").iterdir())
 
     @pytest.mark.parametrize("content", [b"", b"not a snapshot", b"PK\x03\x04broken"])
     def test_unreadable_file_rejected(self, tmp_path, content):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import errno
+
 import numpy as np
 import pytest
 
@@ -545,6 +547,23 @@ class TestReports:
         _, csv_path = emit_report(table, tmp_path)
         reloaded = load_results(csv_path)
         assert reloaded.methods == methods == tuple(reloaded.accuracies)
+
+    def test_failed_write_keeps_the_old_report(self, tmp_path, monkeypatch):
+        # opid report --out can rewrite the record it read: a write that
+        # fails midway leaves the old file as it was, and no temporary file
+        _, csv_path = emit_report(build_table(("A",), {"A": [0.5]}, seed=0), tmp_path)
+        report_path = tmp_path / "report.txt"
+        old = report_path.read_bytes()
+
+        def full_disk(table):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(harness, "format_report", full_disk)
+        with pytest.raises(OSError, match="No space left"):
+            emit_report(build_table(("A",), {"A": [0.75]}, seed=0), tmp_path)
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["report.txt", "results.csv"]
+        assert report_path.read_bytes() == old
+        assert load_results(csv_path).accuracies == {"A": (0.75,)}
 
     def test_empty_method_set_writes_headers_only(self, tmp_path):
         table = build_table((), {}, seed=0)
