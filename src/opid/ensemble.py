@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .estage import _base_width, _joint_data, build_stacked
+from .estage import _joint_data, build_stacked
 from .model import (
     CStageModel,
     NumericError,
@@ -204,6 +204,17 @@ def train_ensemble(z, labels, alpha: float = 1.0, folds: int = 5) -> EnsembleMod
     # largest joint-block weight.
     w_base = float(WEIGHT_GRID[int(np.argmax(scores))])
     return EnsembleModel(*_fit_members(z, labels, alpha), w_base)
+
+
+def _base_width(z: np.ndarray, cmodel: CStageModel, base_rows: int, joint_rows: int) -> int:
+    """The width c of the compressed block ``z[:, :c]``; it and the width of
+    ``z`` must match the input widths of a trained model's two blocks."""
+    c = cmodel.coef_survived.shape[1]
+    if (c, z.shape[1]) != (base_rows, joint_rows):
+        raise SchemaError(
+            f"blocks are {c} and {z.shape[1]} wide, model expects {base_rows} and {joint_rows}"
+        )
+    return c
 
 
 def predict_ensemble(x, cmodel: CStageModel, emodel: EnsembleModel) -> np.ndarray:

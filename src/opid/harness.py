@@ -28,7 +28,7 @@ from scipy.special import stdtr
 
 from .cstage import DIRECT, FACTOR, absorb_batch, init_stats, solve_model
 from .ensemble import EnsembleModel, _fit_members, predict_ensemble, train_ensemble, train_ovr
-from .estage import JointStats, build_stacked, fit_unified, predict_unified
+from .estage import build_stacked, fit_unified, predict_unified
 from .ingest import StreamManifest, read_estage, stream_batches
 from .model import (CStageModel, FeatureSchema, Hyperparams, SchemaError, _accuracy,
                     _cv_accuracy, _open_text, _replacing)
@@ -218,20 +218,14 @@ class _MethodRunner:
     Every method is a hyperparameter grid plus fit functions
     ``(params, x, y) -> predictor``; a predictor maps a feature matrix in
     schema order to class indices. A grid with more than one point is tuned
-    by k-fold cross validation on the training half.
-
-    OPID's fits warm-start: each ``evaluate`` call resets ``w_base`` to 1/2,
-    and each OPID fit in it (the CV fits in fold and grid order, then the
-    final fit) starts from the base weight the previous one returned. The
-    fold training sets overlap and their joint blocks nearly agree, so a
-    fit starts close to where the last one stopped. Nothing carries from one
-    ``evaluate`` call to the next, so a repeat depends only on its split.
+    by k-fold cross validation on the training half. Every fit depends only
+    on its own rows and parameters, so a repeat depends only on its split;
+    an OPID fit is one ridge solve.
     """
 
     def __init__(self, spec: ExperimentSpec, cmodels: dict):
         self.spec = spec
         self.cmodels = cmodels
-        self.w_base = 0.5
         s = spec.source.schema.survived
         stacked_grid = functools.partial(itertools.product, spec.lam_grid, spec.rho_grid)
         # method -> (grid, final fit, cross-validation fit)
@@ -246,7 +240,6 @@ class _MethodRunner:
 
     def evaluate(self, method: str, x_train, y_train, x_test, y_test) -> float:
         grid, fit, cv_fit = self.methods[method]
-        self.w_base = 0.5
         params = grid[0]
         if len(grid) > 1:
             def scorer(params, x_tr, y_tr, x_va):
@@ -258,8 +251,7 @@ class _MethodRunner:
     def _fit_opid(self, params, x, y):
         lam, rho, gamma = params
         cmodel = self.cmodels[(lam, rho)]
-        emodel = fit_unified(JointStats.of(build_stacked(x, cmodel), y), gamma, self.w_base).model
-        self.w_base = emodel.w_base
+        emodel = fit_unified(build_stacked(x, cmodel), y, gamma)
         return lambda x_new: predict_unified(x_new, cmodel, emodel)
 
     def _fit_opide(self, params, x, y):

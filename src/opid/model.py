@@ -130,33 +130,17 @@ class CStageModel:
 
 @dataclass(frozen=True)
 class EStageModel:
-    """Joint expanding-stage model: two coefficient blocks plus their
-    simplex weights, ``w_base`` and ``w_joint = 1 - w_base``.
+    """Joint expanding-stage model: the k x c map ``coef`` from the joint
+    block (c compressed class scores, then the augmented features) to class
+    scores."""
 
-    ``v_base`` acts on the compressed representation (class-score features),
-    ``v_joint`` on the joint representation (compressed + augmented). The
-    square-root block weighting of the combined predictor is absorbed into
-    the coefficients, so scoring is the plain sum of both blocks.
-    """
-
-    v_base: np.ndarray
-    v_joint: np.ndarray
-    w_base: float
+    coef: np.ndarray
 
     def __post_init__(self):
-        c = self.v_base.shape[1]
-        if self.v_base.shape[0] != c:
-            raise SchemaError(
-                f"compressed-block coefficients must be square, got {self.v_base.shape}"
-            )
-        if self.v_joint.shape[1] != c or self.v_joint.shape[0] < c:
-            raise SchemaError(f"joint-block coefficients have bad shape {self.v_joint.shape}")
-        if not 0.0 <= self.w_base <= 1.0:  # nan fails too
-            raise SchemaError(f"base-block weight must lie in [0, 1], got {self.w_base}")
-
-    @property
-    def w_joint(self) -> float:
-        return 1.0 - self.w_base
+        if self.coef.ndim != 2 or self.coef.shape[0] < self.coef.shape[1]:
+            raise SchemaError(f"joint-block coefficients have bad shape {self.coef.shape}")
+        if not np.isfinite(self.coef).all():
+            raise NumericError("model coefficients must be finite")
 
 
 @dataclass(frozen=True)
@@ -221,7 +205,7 @@ def _cholesky(mat: np.ndarray, what: str, owned: bool = False) -> np.ndarray:
     Fortran-ordered float64 matrix that the caller built and checked to be
     finite: it is factored in place, without the scan, and returned as U.
     This is the one SPD factorization in the library: :func:`_solve_spd` and
-    the expanding-stage ridge step factor with it. The compressing stage
+    the expanding stage's one ridge solve factor with it. The compressing stage
     never calls it: both of its modes build their Cholesky factors by QR.
     """
     if not owned and not np.isfinite(mat).all():

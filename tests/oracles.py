@@ -133,30 +133,34 @@ def sqrt_weighted_stacked_solve(z_base, z_joint, y, w_base, w_joint, gamma):
     return scaled[:c], scaled[c:]
 
 
-def gd_minimize_stacked(z_base, z_joint, y, w_base, w_joint, gamma, tol=1e-10, max_iter=500_000):
-    """Steepest descent with exact line search on the stacked ridge
-    objective (a quadratic), down to the requested gradient norm."""
-    c = z_base.shape[1]
-    k = z_joint.shape[1]
-    reg_base = gamma / (c * w_base)
-    reg_joint = gamma / (k * w_joint)
-    v_base = np.zeros((c, y.shape[1]))
-    v_joint = np.zeros((k, y.shape[1]))
+def joint_ridge_objective(z, y, u, gamma):
+    """OPID's objective at v_base = 0 in row form: ‖Z u − Y‖² + (gamma / k)‖u‖²."""
+    return float(((z @ u - y) ** 2).sum() + gamma / z.shape[1] * (u**2).sum())
+
+
+def joint_ridge_lstsq(z, y, gamma):
+    """The minimizer of ``joint_ridge_objective`` by least squares on the
+    augmented rows [Z; sqrt(gamma / k) I] against [Y; 0], without normal
+    equations."""
+    k = z.shape[1]
+    design = np.vstack([z, math.sqrt(gamma / k) * np.eye(k)])
+    target = np.vstack([y, np.zeros((k, y.shape[1]))])
+    return np.linalg.lstsq(design, target, rcond=None)[0]
+
+
+def gd_minimize_joint_ridge(z, y, gamma, tol=1e-10, max_iter=500_000):
+    """Steepest descent with exact line search on ``joint_ridge_objective``
+    (a quadratic), from zero down to the requested gradient norm."""
+    reg = gamma / z.shape[1]
+    u = np.zeros((z.shape[1], y.shape[1]))
     for _ in range(max_iter):
-        resid = z_base @ v_base + z_joint @ v_joint - y
-        g_base = 2.0 * (z_base.T @ resid + reg_base * v_base)
-        g_joint = 2.0 * (z_joint.T @ resid + reg_joint * v_joint)
-        sq = (g_base**2).sum() + (g_joint**2).sum()
+        grad = 2.0 * (z.T @ (z @ u - y) + reg * u)
+        sq = (grad**2).sum()
         if math.sqrt(sq) <= tol:
             break
-        applied = z_base @ g_base + z_joint @ g_joint
-        curvature = 2.0 * (
-            (applied**2).sum() + reg_base * (g_base**2).sum() + reg_joint * (g_joint**2).sum()
-        )
-        step = sq / curvature
-        v_base -= step * g_base
-        v_joint -= step * g_joint
-    return v_base, v_joint
+        step = sq / (2.0 * (((z @ grad) ** 2).sum() + reg * sq))
+        u -= step * grad
+    return u
 
 
 def finite_diff_gradient(func, point, eps=1e-6):
@@ -168,10 +172,6 @@ def finite_diff_gradient(func, point, eps=1e-6):
         bump[i] = eps
         grad[i] = (func(point + bump) - func(point - bump)) / (2.0 * eps)
     return grad
-
-
-def weight_penalty(sq_base, sq_joint, width_base, width_joint, w_base):
-    return sq_base / (width_base * w_base) + sq_joint / (width_joint * (1.0 - w_base))
 
 
 def logistic_objective_loops(v, x, y_pm, alpha):
@@ -189,13 +189,18 @@ def _dposv(mat, rhs):
     return dpotrs(factor, rhs)[0]
 
 
-def alternating_fit_loop(gram, zty, yy, gamma, floor, tol, max_iter, start=0.5):
-    """The expanding stage's alternating fit written out step by step from
-    the base weight ``start``: the ridge matrix rebuilt from ``np.diag`` each
-    iteration, the blocks split by ``vstack``, the weights from
-    ``np.linalg.norm`` and the objective with its per-block penalty. Returns
-    (v_base, v_joint, w_base, trace, converged), the quantities
-    ``fit_unified`` must reproduce bit for bit."""
+def alternating_fit_loop(gram, zty, yy, gamma, floor=1e-8, tol=1e-6, max_iter=100, start=0.5):
+    """Alternating descent on OPID's two-block objective, written out step
+    by step from the base weight ``start``: a k x k ridge solve for both
+    blocks at a fixed weight, clamped to [floor, 1 - floor], then the
+    closed-form weight update, until an iteration lowers the objective by no
+    more than ``tol`` relative to it or after ``max_iter`` iterations. The
+    ridge matrix is rebuilt from ``np.diag`` each iteration, the blocks split
+    by ``vstack``, the weights come from ``np.linalg.norm`` and the objective
+    from its per-block penalty. Returns (v_base, v_joint, w_base, trace,
+    converged); the one-solve fit must reach an objective no higher than
+    this loop's.
+    """
 
     def penalty(block, weight):
         sq = float((block**2).sum())

@@ -292,7 +292,7 @@ class TestPredictEnsemble:
 @pytest.mark.parametrize(
     "predict, model",
     [
-        (predict_unified, EStageModel(np.zeros((3, 3)), np.zeros((5, 3)), 0.5)),
+        (predict_unified, EStageModel(np.zeros((5, 3)))),
         (
             predict_ensemble,
             EnsembleModel(

@@ -1,9 +1,13 @@
-"""The top-level ``opid`` namespace exports exactly the documented API and
-imports no more of scipy than it uses."""
+"""The top-level ``opid`` namespace exports exactly the documented API,
+imports no more of scipy than it uses, and every library name the README
+cites exists."""
 
 from __future__ import annotations
 
+import importlib
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -36,3 +40,25 @@ def test_import_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_readme_names_resolve():
+    # an inline `module.NAME` (or `module.NAME.attr`) naming an opid module
+    # must resolve there; a deleted or renamed name left in the README fails
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    text = re.sub(r"^```.*?^```", "", text, flags=re.S | re.M)  # fenced blocks hold file names
+    modules = "|".join(m.name for m in pkgutil.iter_modules(opid.__path__))
+    cited = {
+        (module, path)
+        for span in re.findall(r"`([^`]+)`", text)
+        for module, path in re.findall(rf"(?<![\w./])({modules})\.(\w+(?:\.\w+)*)", span)
+    }
+    assert ("harness", "SIGNIFICANCE_LEVEL") in cited
+    missing = []
+    for module, path in sorted(cited):
+        owner = importlib.import_module(f"opid.{module}")
+        for attr in path.split("."):
+            owner = getattr(owner, attr, None)
+        if owner is None:
+            missing.append(f"{module}.{path}")
+    assert missing == []

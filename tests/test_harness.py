@@ -436,53 +436,33 @@ class TestRunExperiment:
         assert len(table.accuracies[OPID]) == 2
 
 
-class TestOpidWarmStart:
-    """Within one ``evaluate`` call each OPID fit starts from the base weight
-    the previous fit returned; every call starts from 1/2."""
+def test_opid_makes_one_factorization_per_fit(tmp_path, monkeypatch):
+    # every OPID fit of a repeat, the k-fold fits of each grid point and then
+    # the final fit, is one ridge solve: one Cholesky factorization, no iteration
+    fits, factorizations = [], []
+    real_fit, real_cholesky = harness.fit_unified, estage._cholesky
 
-    # warm coefficient updates over cold ones: 0.114 measured on this stream
-    COST_BOUND = 0.25
+    def counted_fit(*args):
+        fits.append(None)
+        return real_fit(*args)
 
-    def test_fits_chain_their_weights_and_save_updates(self, tmp_path, monkeypatch):
-        fits, updates = [], []
-        real_fit, real_evaluate = harness.fit_unified, harness._MethodRunner.evaluate
-        real_update = estage.update_coefficients
+    def counted_cholesky(*args, **kwargs):
+        factorizations.append(None)
+        return real_cholesky(*args, **kwargs)
 
-        def recorded_fit(stats, gamma, w_base=0.5):
-            state = real_fit(stats, gamma, w_base)
-            fits[-1].append((stats, gamma, w_base, state.model.w_base))
-            return state
-
-        def marked_evaluate(self, *args):
-            fits.append([])
-            return real_evaluate(self, *args)
-
-        def counted_update(*args):
-            updates.append(None)
-            return real_update(*args)
-
-        monkeypatch.setattr(harness, "fit_unified", recorded_fit)
-        monkeypatch.setattr(harness._MethodRunner, "evaluate", marked_evaluate)
-        monkeypatch.setattr(estage, "update_coefficients", counted_update)
-        spec = ExperimentSpec(
-            source=synth_manifest(SynthConfig(
-                schema=FeatureSchema(vanished=3, survived=5, augmented=3, classes=3),
-                batches=4, batch_size=30, estage_size=40, separation=3.0, noise=0.8, seed=5,
-            ), tmp_path),
-            methods=(OPID,), lam_grid=(0.1, 1.0), rho_grid=(0.1, 1.0), gamma_grid=(0.1, 1.0),
-            repeats=2, seed=3,
-        )
-        table = run_experiment(spec)
-        assert len(table.accuracies[OPID]) == 2 and not table.failures
-        assert [len(calls) for calls in fits] == [8 * spec.folds + 1] * 2
-        for calls in fits:
-            starts = [start for _, _, start, _ in calls]
-            returned = [w for *_, w in calls]
-            assert starts == [0.5] + returned[:-1]
-        warm = len(updates)
-        monkeypatch.undo()
-        cold = sum(len(real_fit(stats, gamma).trace) for calls in fits for stats, gamma, *_ in calls)
-        assert warm <= self.COST_BOUND * cold
+    monkeypatch.setattr(harness, "fit_unified", counted_fit)
+    monkeypatch.setattr(estage, "_cholesky", counted_cholesky)
+    spec = ExperimentSpec(
+        source=synth_manifest(SynthConfig(
+            schema=FeatureSchema(vanished=3, survived=5, augmented=3, classes=3),
+            batches=4, batch_size=30, estage_size=40, separation=3.0, noise=0.8, seed=5,
+        ), tmp_path),
+        methods=(OPID,), lam_grid=(0.1, 1.0), rho_grid=(0.1, 1.0), gamma_grid=(0.1, 1.0),
+        repeats=2, seed=3,
+    )
+    table = run_experiment(spec)
+    assert len(table.accuracies[OPID]) == 2 and not table.failures
+    assert len(factorizations) == len(fits) == spec.repeats * (8 * spec.folds + 1)
 
 
 class TestReports:

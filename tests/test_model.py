@@ -172,22 +172,21 @@ class TestHyperparams:
 
 
 class TestEStageModelInvariants:
-    def test_negative_weight_rejected(self):
-        with pytest.raises(SchemaError):
-            EStageModel(np.zeros((2, 2)), np.zeros((4, 2)), w_base=-0.2)
+    @pytest.mark.parametrize("shape", [(5,), (5, 3, 1), (2, 3)], ids=["1-D", "3-D", "k<c"])
+    def test_bad_shape_rejected(self, shape):
+        with pytest.raises(SchemaError, match="bad shape"):
+            EStageModel(np.zeros(shape))
 
-    @pytest.mark.parametrize("w_base", [np.nan, 1.2])
-    def test_base_weight_outside_unit_interval_rejected(self, w_base):
-        with pytest.raises(SchemaError, match="weight"):
-            EStageModel(np.zeros((2, 2)), np.zeros((4, 2)), w_base=w_base)
-
-    @pytest.mark.parametrize("w_base", [0.0, 0.3, 0.5, 1.0])
-    def test_joint_weight_is_the_complement(self, w_base):
-        model = EStageModel(np.zeros((3, 3)), np.zeros((5, 3)), w_base=w_base)
-        assert model.w_joint == 1.0 - w_base
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_coefficients_rejected(self, bad):
+        coef = np.zeros((5, 3))
+        coef[4, 2] = bad
+        with pytest.raises(NumericError, match="finite"):
+            EStageModel(coef)
 
     def test_valid_model(self):
-        EStageModel(np.zeros((3, 3)), np.zeros((5, 3)), w_base=0.5)
+        EStageModel(np.zeros((5, 3)))
+        EStageModel(np.zeros((3, 3)))  # no augmented columns
 
 
 class TestSolveSpd:
