@@ -13,7 +13,7 @@ gamma (a + b)² with a = ‖v_base‖/√c and b = ‖v_joint‖/√k. As c <= k
 triangle inequality gives a + b >= ‖u‖/√k for the one map
 u = v_joint + [v_base; 0] that the loss sees, with equality at v_base = 0.
 So the optimum is the plain ridge u = (ZᵀZ + (gamma/k) I)⁻¹ ZᵀY on the
-joint block: one k x k Cholesky solve, and the weights vanish.
+joint block: one k x k solve by ``model._solve_spd``, and the weights vanish.
 """
 
 from __future__ import annotations
@@ -21,15 +21,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs
 
 from .cstage import compress
 from .model import (
     CStageModel,
     EStageModel,
-    NumericError,
     SchemaError,
-    _cholesky,
+    _solve_spd,
     argmax_decode,
 )
 
@@ -55,7 +53,7 @@ def build_stacked(x, cmodel: CStageModel) -> np.ndarray:
 
 def fit_unified(z, labels, gamma: float) -> EStageModel:
     """Fit OPID on a joint block ``z`` and its one-hot ``labels``: the ridge
-    (ZᵀZ + (gamma/k) I)⁻¹ ZᵀY over the k joint columns.
+    (ZᵀZ + (gamma/k) I)⁻¹ ZᵀY over the k joint columns, by ``_solve_spd``.
 
     Labels that do not fit the block, or a ridge outside (0, inf), raise
     :class:`SchemaError`. A nan or inf in the system, or an overflow in
@@ -65,14 +63,10 @@ def fit_unified(z, labels, gamma: float) -> EStageModel:
     if not 0 < gamma < math.inf:
         raise SchemaError(f"ridge must be > 0 and finite, got {gamma}")
     k = z.shape[1]
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+    with np.errstate(over="ignore", invalid="ignore"):  # _solve_spd checks
         mat, zty = z.T @ z, z.T @ y
         mat.reshape(-1)[:: k + 1] += gamma / k  # a fresh product is C-ordered
-    if not (np.isfinite(mat).all() and np.isfinite(zty).all()):
-        raise NumericError("stacked ridge solve failed: the system has non-finite entries")
-    # mat is symmetric, so its transpose is the Fortran-ordered matrix itself
-    coef, _ = dpotrs(_cholesky(mat.T, "stacked ridge", owned=True), zty)
-    return EStageModel(coef)
+    return EStageModel(_solve_spd(mat, zty, "stacked ridge"))
 
 
 def predict_unified(x, cmodel: CStageModel, emodel: EStageModel) -> np.ndarray:

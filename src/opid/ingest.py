@@ -27,17 +27,20 @@ import numpy as np
 
 from .model import Batch, FeatureSchema, SchemaError, _open_text, one_hot_encode
 
-_MANIFEST_KEYS = {
-    "classes",
-    "vanished",
-    "survived",
-    "augmented",
-    "cstage_batches",
-    "estage_train",
-    "estage_test",
-    "cstage_columns",
-    "estage_columns",
+# each manifest key and the Python type its JSON value must parse to; the
+# array must hold strings
+_MANIFEST_TYPES = {
+    "classes": int,
+    "vanished": int,
+    "survived": int,
+    "augmented": int,
+    "cstage_batches": list,
+    "estage_train": str,
+    "estage_test": str,
+    "cstage_columns": dict,
+    "estage_columns": dict,
 }
+_JSON_NAMES = {int: "integer", str: "string", list: "array of strings", dict: "object"}
 
 
 # (features, one-hot labels): the rows of one file, or an expanding-stage set
@@ -113,28 +116,25 @@ def parse_manifest(path) -> StreamManifest:
         raise ManifestError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ManifestError(f"{path}: manifest must be a JSON object")
-    unknown = set(raw) - _MANIFEST_KEYS
+    unknown = set(raw) - set(_MANIFEST_TYPES)
     if unknown:
         raise ManifestError(f"{path}: unknown manifest keys {sorted(unknown)}")
-    missing = _MANIFEST_KEYS - set(raw)
+    missing = set(_MANIFEST_TYPES) - set(raw)
     if missing:
         raise ManifestError(f"{path}: missing manifest keys {sorted(missing)}")
-
-    widths = {k: raw[k] for k in ("vanished", "survived", "augmented", "classes")}
-    for key, value in widths.items():
-        if type(value) is not int:  # not 3.7, 2.0, "3" or true
+    for key, kind in _MANIFEST_TYPES.items():
+        value = raw[key]
+        # type(), not isinstance(): a width of true is not an integer
+        if type(value) is not kind or (kind is list and not all(type(p) is str for p in value)):
             raise ManifestError(f"{path}: malformed manifest field: {key} must be a JSON "
-                                f"integer, got {value!r}")
+                                f"{_JSON_NAMES[kind]}, got {value!r}")
+
+    schema = FeatureSchema(**{k: raw[k] for k in ("vanished", "survived", "augmented", "classes")})
     base = path.parent
-    try:
-        c_raw, e_raw = dict(raw["cstage_columns"]), dict(raw["estage_columns"])
-        batches = tuple(base / p for p in raw["cstage_batches"])
-        train, test = base / raw["estage_train"], base / raw["estage_test"]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ManifestError(f"{path}: malformed manifest field: {exc}") from exc
-    schema = FeatureSchema(**widths)
-    c_cols = {k: _parse_range(v, f"cstage {k}") for k, v in c_raw.items()}
-    e_cols = {k: _parse_range(v, f"estage {k}") for k, v in e_raw.items()}
+    batches = tuple(base / p for p in raw["cstage_batches"])
+    train, test = base / raw["estage_train"], base / raw["estage_test"]
+    c_cols = {k: _parse_range(v, f"cstage {k}") for k, v in raw["cstage_columns"].items()}
+    e_cols = {k: _parse_range(v, f"estage {k}") for k, v in raw["estage_columns"].items()}
     if set(c_cols) != {"vanished", "survived"}:
         raise ManifestError(f"cstage_columns must map exactly vanished/survived, got {sorted(c_cols)}")
     if set(e_cols) != {"survived", "augmented"}:
@@ -281,7 +281,8 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[list[Batch], _Rows, _Rows]:
 
     The expanding-stage train and test sets are (features, one-hot labels)
     pairs in schema order. Features are Gaussian around per-class means; the
-    survived partition carries its label signal in both stages.
+    survived partition carries its label signal in both stages. Settings
+    whose draws overflow raise :class:`SchemaError`.
     """
     rng = np.random.default_rng(cfg.seed)
     schema = cfg.schema
@@ -289,25 +290,30 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[list[Batch], _Rows, _Rows]:
     total = sum(widths)
 
     means = np.zeros((schema.classes, total))
-    offset = 0
-    for width, fraction in zip(widths, cfg.signal):
-        if width:
-            directions = rng.standard_normal((schema.classes, width))
-            directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-            means[:, offset : offset + width] = cfg.separation * fraction * directions
-        offset += width
 
     def draw(n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
         labels = _balanced_labels(n, schema.classes, rng)
         feats = means[labels, start:stop] + cfg.noise * rng.standard_normal((n, stop - start))
         return feats, one_hot_encode(labels, schema.classes)
 
-    cbatches = [
-        Batch(*draw(cfg.batch_size, 0, schema.cstage_width), schema.vanished)
-        for _ in range(cfg.batches)
-    ]
-    train = draw(cfg.estage_size, schema.vanished, total)
-    return cbatches, train, draw(cfg.estage_size, schema.vanished, total)
+    with np.errstate(over="ignore", invalid="ignore"):  # the draws are checked below
+        offset = 0
+        for width, fraction in zip(widths, cfg.signal):
+            if width:
+                directions = rng.standard_normal((schema.classes, width))
+                directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+                means[:, offset : offset + width] = cfg.separation * fraction * directions
+            offset += width
+        cbatches = [
+            Batch(*draw(cfg.batch_size, 0, schema.cstage_width), schema.vanished)
+            for _ in range(cfg.batches)
+        ]
+        train = draw(cfg.estage_size, schema.vanished, total)
+        test = draw(cfg.estage_size, schema.vanished, total)
+    if not all(np.isfinite(feats).all() for feats in (*(b.x for b in cbatches), train[0], test[0])):
+        raise SchemaError(f"separation {cfg.separation} and noise {cfg.noise}, with signal "
+                          f"{cfg.signal}, draw features that are not finite")
+    return cbatches, train, test
 
 
 def _write_batch_file(path: Path, feats: np.ndarray, labels: np.ndarray) -> None:

@@ -192,42 +192,24 @@ def class_signs(labels: np.ndarray, cls: int) -> np.ndarray:
     return np.where(labels[:, cls] > 0, 1.0, -1.0)
 
 
-def _cholesky(mat: np.ndarray, what: str, owned: bool = False) -> np.ndarray:
-    """The upper Cholesky factor U of a symmetric positive definite matrix,
-    with U^T U = ``mat``.
-
-    One LAPACK ``dpotrf`` call that reads only the upper triangle of ``mat``;
-    the strict lower triangle of the result keeps ``mat``'s entries, which
-    the upper-triangle LAPACK routines that take U never read. LAPACK does
-    not check for nan or inf, so a non-finite ``mat`` raises
-    :class:`NumericError` naming ``what`` before LAPACK sees it; a non-SPD
-    one raises it from the factorization. ``owned=True`` hands over a
-    Fortran-ordered float64 matrix that the caller built and checked to be
-    finite: it is factored in place, without the scan, and returned as U.
-    This is the one SPD factorization in the library: :func:`_solve_spd` and
-    the expanding stage's one ridge solve factor with it. The compressing stage
-    never calls it: both of its modes build their Cholesky factors by QR.
-    """
-    if not owned and not np.isfinite(mat).all():
-        raise NumericError(f"{what} solve failed: the system has non-finite entries")
-    u, info = dpotrf(mat, lower=0, clean=0, overwrite_a=owned)
-    if info > 0:
-        raise NumericError(f"{what} solve failed: leading minor {info} is not positive definite")
-    return u
-
-
 def _solve_spd(mat: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     """Solve the symmetric positive definite system ``mat @ x = rhs``.
 
-    The factor of :func:`_cholesky` and one LAPACK ``dpotrs`` call, which
-    together give ``dposv``'s bits; only the upper triangle of ``mat`` is read
-    and ``rhs`` may be a vector or a matrix. A non-finite system raises
-    :class:`NumericError` naming ``what`` before LAPACK sees it, and a
-    non-SPD one raises it from the factorization.
+    The one SPD solve in the library: the logistic Newton step and the
+    expanding stage's ridge both call it, and the compressing stage, which
+    builds its Cholesky factors by QR, never does. One LAPACK ``dpotrf`` on
+    the upper triangle of ``mat`` and one ``dpotrs``, which together give
+    ``dposv``'s bits; ``rhs`` may be a vector or a matrix, and neither input
+    is ever written. LAPACK does not check for nan or inf, so a non-finite
+    system raises :class:`NumericError` naming ``what`` before LAPACK sees
+    it; a non-SPD one raises it from the factorization.
     """
-    if not np.isfinite(rhs).all():
+    if not (np.isfinite(mat).all() and np.isfinite(rhs).all()):
         raise NumericError(f"{what} solve failed: the system has non-finite entries")
-    x, _ = dpotrs(_cholesky(mat, what), rhs)
+    u, info = dpotrf(mat, lower=0, clean=0)
+    if info > 0:
+        raise NumericError(f"{what} solve failed: leading minor {info} is not positive definite")
+    x, _ = dpotrs(u, rhs)
     return x
 
 

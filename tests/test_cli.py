@@ -330,14 +330,18 @@ class TestRejectedInput:
         args[args.index("--batches") + 1] = "0"
         _assert_rejected(capsys, args, "batch counts and sizes must be >= 1")
 
-    @pytest.mark.parametrize("flag, value, pattern", [
-        ("--separation", "nan", "separation and noise must be >= 0 and finite"),
-        ("--noise", "inf", "separation and noise must be >= 0 and finite"),
-        ("--signal", "2,nan,1", "signal must be three finite fractions >= 0"),
-    ], ids=["separation-nan", "noise-inf", "signal-nan"])
-    def test_non_finite_synth_flag_value(self, tmp_path, capsys, flag, value, pattern):
+    @pytest.mark.parametrize("flags, pattern", [
+        (["--separation", "nan"], "separation and noise must be >= 0 and finite"),
+        (["--noise", "inf"], "separation and noise must be >= 0 and finite"),
+        (["--signal", "2,nan,1"], "signal must be three finite fractions >= 0"),
+        # finite settings whose draws overflow
+        (["--noise", "1e308"], "separation .* and noise 1e[+]?308, .* not finite"),
+        (["--separation", "1e308", "--signal", "2,2,2"],
+         "separation 1e[+]?308 and noise .*, with signal [(]2.0, 2.0, 2.0[)], .* not finite"),
+    ], ids=["separation-nan", "noise-inf", "signal-nan", "noise-overflow", "separation-overflow"])
+    def test_non_finite_synth_flag_value(self, tmp_path, capsys, flags, pattern):
         out = tmp_path / "data"
-        _assert_rejected(capsys, [*_synth_args(out), flag, value], pattern)
+        _assert_rejected(capsys, [*_synth_args(out), *flags], pattern)
         assert not out.exists()
 
     def test_signal_needs_three_fractions(self, tmp_path, capsys):

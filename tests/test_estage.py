@@ -134,23 +134,19 @@ class TestUpdateCoefficients:
 
 class TestJointStats:
     """The joint statistics ZᵀZ and ZᵀY that :func:`fit_unified` forms from
-    its rows and hands to LAPACK, with the ridge gamma / k on the diagonal."""
+    its rows and hands to ``_solve_spd``, with the ridge gamma / k on the
+    diagonal."""
 
     def test_matches_the_rows(self, monkeypatch):
         z, y = random_stacked(np.random.default_rng(16), n=12, c=3, d_a=2)
         seen = {}
-        cholesky, solve = estage._cholesky, estage.dpotrs
+        solve = estage._solve_spd
 
-        def spy_cholesky(mat, *args, **kwargs):
-            seen["mat"] = mat.copy()
-            return cholesky(mat, *args, **kwargs)
+        def spy_solve(mat, rhs, what):
+            seen["mat"], seen["zty"] = mat.copy(), rhs.copy()
+            return solve(mat, rhs, what)
 
-        def spy_solve(factor, rhs, *args, **kwargs):
-            seen["zty"] = rhs.copy()
-            return solve(factor, rhs, *args, **kwargs)
-
-        monkeypatch.setattr(estage, "_cholesky", spy_cholesky)
-        monkeypatch.setattr(estage, "dpotrs", spy_solve)
+        monkeypatch.setattr(estage, "_solve_spd", spy_solve)
         fit_unified(z, y, 1.5)
         expected = z.T @ z
         expected[np.diag_indices_from(expected)] += 1.5 / 5
@@ -181,7 +177,7 @@ class TestNonFiniteInputs:
             raise AssertionError("LAPACK called on a non-finite system")
 
         monkeypatch.setattr(model_module, "dpotrf", no_lapack)
-        monkeypatch.setattr(estage, "dpotrs", no_lapack)
+        monkeypatch.setattr(model_module, "dpotrs", no_lapack)
 
     # finite rows whose ZᵀZ, or whose ZᵀY alone, overflows to inf; a BLAS
     # that fuses multiply and add sums such rows to inf, never to nan
@@ -270,11 +266,10 @@ class TestFitUnified:
 
     @pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan, np.inf, -np.inf])
     def test_bad_ridge_rejected_before_any_solve(self, gamma, monkeypatch):
-        def no_lapack(*args, **kwargs):
-            raise AssertionError("LAPACK called")
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve called")
 
-        monkeypatch.setattr(estage, "_cholesky", no_lapack)
-        monkeypatch.setattr(estage, "dpotrs", no_lapack)
+        monkeypatch.setattr(estage, "_solve_spd", no_solve)
         with pytest.raises(SchemaError, match="ridge must be > 0 and finite"):
             fit_unified(*random_stacked(np.random.default_rng(5)), gamma)
 

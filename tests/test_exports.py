@@ -1,9 +1,10 @@
 """The top-level ``opid`` namespace exports exactly the documented API,
-imports no more of scipy than it uses, and every library name the README
-cites exists."""
+imports no more of scipy than it uses, reaches LAPACK only through the
+routines listed here, and every library name the README cites exists."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -40,6 +41,32 @@ def test_import_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+# each module that calls LAPACK and the routines it imports: the one SPD
+# solve in model, the QR kernel and its guards in cstage. Each routine a run
+# calls first faults in more of the library's pages, which peak RSS counts.
+LAPACK_IMPORTS = {
+    "model": {"dpotrf", "dpotrs"},
+    "cstage": {"dlange", "dtpqrt", "dtrtrs"},
+}
+
+
+def test_lapack_surface_is_pinned():
+    seen = {}
+    for path in sorted(Path(opid.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "scipy.linalg.lapack":
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module == "scipy.linalg":
+                names = {alias.name for alias in node.names} & {"lapack", "get_lapack_funcs"}
+            elif isinstance(node, ast.Import):
+                names = {a.name for a in node.names if a.name.startswith("scipy.linalg.lapack")}
+            else:
+                continue
+            if names:
+                seen.setdefault(path.stem, set()).update(names)
+    assert seen == LAPACK_IMPORTS
 
 
 def test_readme_names_resolve():

@@ -28,7 +28,7 @@ from opid.harness import (
     run_cstage_pass,
     run_experiment,
 )
-from opid import estage, harness
+from opid import harness, model as model_module
 from opid.ingest import SynthConfig
 from opid.model import FeatureSchema, Hyperparams, SchemaError
 
@@ -440,18 +440,18 @@ def test_opid_makes_one_factorization_per_fit(tmp_path, monkeypatch):
     # every OPID fit of a repeat, the k-fold fits of each grid point and then
     # the final fit, is one ridge solve: one Cholesky factorization, no iteration
     fits, factorizations = [], []
-    real_fit, real_cholesky = harness.fit_unified, estage._cholesky
+    real_fit, real_dpotrf = harness.fit_unified, model_module.dpotrf
 
     def counted_fit(*args):
         fits.append(None)
         return real_fit(*args)
 
-    def counted_cholesky(*args, **kwargs):
+    def counted_dpotrf(*args, **kwargs):
         factorizations.append(None)
-        return real_cholesky(*args, **kwargs)
+        return real_dpotrf(*args, **kwargs)
 
     monkeypatch.setattr(harness, "fit_unified", counted_fit)
-    monkeypatch.setattr(estage, "_cholesky", counted_cholesky)
+    monkeypatch.setattr(model_module, "dpotrf", counted_dpotrf)
     spec = ExperimentSpec(
         source=synth_manifest(SynthConfig(
             schema=FeatureSchema(vanished=3, survived=5, augmented=3, classes=3),

@@ -89,10 +89,16 @@ class TestParseManifest:
     @pytest.mark.parametrize("field, value", [
         ("classes", "three"), ("survived", None), ("augmented", float("inf")),
         ("cstage_columns", 5), ("cstage_batches", [7]), ("estage_train", {"a": 1}),
+        # each accepted or misreported when iterated as it comes
+        ("cstage_batches", "ab"), ("cstage_batches", "c0.csv"), ("cstage_batches", {"c0.csv": 1}),
+        ("cstage_columns", [["vanished", [0, 1]], ["survived", [1, 3]]]),
+        ("estage_columns", [["survived", [0, 2]], ["augmented", [2, 3]]]),
     ])
     def test_malformed_field_rejected(self, tmp_path, field, value):
+        for name in ("a", "b"):  # so that "ab" read letter by letter names real files
+            (tmp_path / name).write_text("0.5,1.0,2.0,0\n")
         path = _write_manifest(tmp_path, overrides={field: value})
-        with pytest.raises(ManifestError, match="malformed manifest field"):
+        with pytest.raises(ManifestError, match=f"malformed manifest field: {field} must be a JSON"):
             parse_manifest(path)
 
     @pytest.mark.parametrize("field, value", [

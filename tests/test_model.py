@@ -224,11 +224,11 @@ class TestSolveSpd:
     @pytest.mark.parametrize("mat", [[[1.0, 2.0], [2.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]]],
                              ids=["indefinite", "singular-psd"])
     def test_non_spd_raises(self, mat):
-        with pytest.raises(NumericError, match="stacked ridge solve failed"):
+        with pytest.raises(NumericError, match="stacked ridge solve failed: .*positive definite"):
             model._solve_spd(np.array(mat), np.ones(2), "stacked ridge")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("where", ["mat", "rhs"])
+    @pytest.mark.parametrize("where", ["mat", "rhs", "mat-lower"])
     def test_non_finite_raises_before_lapack(self, monkeypatch, bad, where):
         def no_lapack(*args, **kwargs):
             raise AssertionError("LAPACK called on a non-finite system")
@@ -236,59 +236,53 @@ class TestSolveSpd:
         monkeypatch.setattr(model, "dpotrf", no_lapack)
         monkeypatch.setattr(model, "dpotrs", no_lapack)
         args = {"mat": np.eye(3), "rhs": np.ones((3, 2))}
-        args[where][1, 1] = bad
+        if where == "mat-lower":
+            args["mat"][2, 0] = bad  # below the diagonal, which LAPACK would not even read
+        else:
+            args[where][1, 1] = bad
         with pytest.raises(NumericError, match="Newton system solve failed: .*non-finite"):
             model._solve_spd(args["mat"], args["rhs"], "Newton system")
 
-
-class TestCholesky:
-    """``_cholesky`` is the one SPD factorization: upper U with U^T U = mat."""
-
-    def test_upper_factor_reproduces_the_matrix(self):
+    def test_small_residual(self):
         rng = np.random.default_rng(5)
-        x = rng.standard_normal((60, 20))
-        mat = x.T @ x + np.eye(20)
-        u = np.triu(model._cholesky(mat, "normal-equation"))
-        assert np.all(np.diag(u) > 0)
-        np.testing.assert_allclose(u.T @ u, mat, rtol=0, atol=1e-12 * np.abs(mat).max())
+        mat = self._spd(rng, 20)
+        rhs = rng.standard_normal((20, 3))
+        x = model._solve_spd(mat, rhs, "normal-equation")
+        assert np.linalg.norm(mat @ x - rhs) <= 1e-12 * np.linalg.norm(mat) * np.linalg.norm(x)
 
     def test_reads_only_the_upper_triangle(self):
         rng = np.random.default_rng(6)
-        x = rng.standard_normal((30, 10))
-        mat = x.T @ x + np.eye(10)
+        mat = self._spd(rng, 10)
+        rhs = rng.standard_normal(10)
         scrambled = mat.copy()
         scrambled[np.tril_indices(10, -1)] = rng.standard_normal(45) * 1e3
         np.testing.assert_array_equal(
-            np.triu(model._cholesky(scrambled, "normal-equation")),
-            np.triu(model._cholesky(mat, "normal-equation")),
+            model._solve_spd(scrambled, rhs, "x"), model._solve_spd(mat, rhs, "x")
         )
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_inputs_are_never_written(self, order):
+        rng = np.random.default_rng(7)
+        mat = np.array(self._spd(rng, 12), order=order)
+        rhs = np.array(rng.standard_normal((12, 3)), order=order)
+        mat_before, rhs_before = mat.copy(), rhs.copy()
+        x = model._solve_spd(mat, rhs, "x")
+        assert not (np.shares_memory(x, mat) or np.shares_memory(x, rhs))
+        np.testing.assert_array_equal(mat, mat_before)
+        np.testing.assert_array_equal(rhs, rhs_before)
+
+
+class TestCholesky:
+    """The Cholesky step of ``_solve_spd``: a non-SPD matrix stops at ``dpotrf``."""
 
     @pytest.mark.parametrize("mat", [[[1.0, 2.0], [2.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]]],
                              ids=["indefinite", "singular-psd"])
-    def test_non_spd_raises(self, mat):
-        with pytest.raises(NumericError, match="normal-equation solve failed: .*positive definite"):
-            model._cholesky(np.array(mat), "normal-equation")
+    def test_non_spd_raises(self, monkeypatch, mat):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("dpotrs called after a failed factorization")
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_raises_before_lapack(self, monkeypatch, bad):
-        def no_lapack(*args, **kwargs):
-            raise AssertionError("LAPACK called on a non-finite matrix")
+        monkeypatch.setattr(model, "dpotrs", no_solve)
+        with pytest.raises(NumericError, match="normal-equation solve failed: "
+                                               "leading minor 2 is not positive definite"):
+            model._solve_spd(np.array(mat), np.ones(2), "normal-equation")
 
-        monkeypatch.setattr(model, "dpotrf", no_lapack)
-        mat = np.eye(3)
-        mat[2, 0] = bad  # in the lower triangle, which LAPACK would not even read
-        with pytest.raises(NumericError, match="normal-equation solve failed: .*non-finite"):
-            model._cholesky(mat, "normal-equation")
-
-    def test_owned_matrix_is_factored_in_place_without_the_scan(self):
-        # the factor is the caller's matrix, with the bits of a factored copy
-        rng = np.random.default_rng(7)
-        x = rng.standard_normal((40, 12))
-        mat = x.T @ x + np.eye(12)
-        owned = np.array(mat, order="F")
-        owned[5, 2] = np.nan  # in the lower triangle: only the skipped scan would see it
-        u = model._cholesky(owned, "stacked ridge", owned=True)
-        assert np.shares_memory(u, owned)
-        np.testing.assert_array_equal(np.triu(u), np.triu(model._cholesky(mat, "stacked ridge")))
-        with pytest.raises(NumericError, match="stacked ridge solve failed: .*positive definite"):
-            model._cholesky(-np.eye(3, order="F"), "stacked ridge", owned=True)
