@@ -206,22 +206,21 @@ def train_ensemble(z, labels, alpha: float = 1.0, folds: int = 5) -> EnsembleMod
     return EnsembleModel(*_fit_members(z, labels, alpha), w_base)
 
 
-def _base_width(z: np.ndarray, cmodel: CStageModel, base_rows: int, joint_rows: int) -> int:
-    """The width c of the compressed block ``z[:, :c]``; it and the width of
-    ``z`` must match the input widths of a trained model's two blocks."""
-    c = cmodel.coef_survived.shape[1]
-    if (c, z.shape[1]) != (base_rows, joint_rows):
+def _ensemble_decision(z: np.ndarray, c: int, emodel: EnsembleModel) -> np.ndarray:
+    """Classify the rows of a joint block ``z`` whose compressed block is
+    ``z[:, :c]`` by weighted probability averaging of the two members; the
+    widths of both blocks must match the members' input widths."""
+    expected = (emodel.clf_base.coef.shape[0], emodel.clf_joint.coef.shape[0])
+    if (c, z.shape[1]) != expected:
         raise SchemaError(
-            f"blocks are {c} and {z.shape[1]} wide, model expects {base_rows} and {joint_rows}"
+            f"blocks are {c} and {z.shape[1]} wide, model expects {expected[0]} and {expected[1]}"
         )
-    return c
+    combined = emodel.w_base * emodel.clf_base.proba(z[:, :c])
+    combined += emodel.w_joint * emodel.clf_joint.proba(z)
+    return argmax_decode(combined)
 
 
 def predict_ensemble(x, cmodel: CStageModel, emodel: EnsembleModel) -> np.ndarray:
     """Classify the rows of an n x (survived + augmented) feature matrix by
     weighted probability averaging of the two members."""
-    z = build_stacked(x, cmodel)
-    c = _base_width(z, cmodel, emodel.clf_base.coef.shape[0], emodel.clf_joint.coef.shape[0])
-    combined = emodel.w_base * emodel.clf_base.proba(z[:, :c])
-    combined += emodel.w_joint * emodel.clf_joint.proba(z)
-    return argmax_decode(combined)
+    return _ensemble_decision(build_stacked(x, cmodel), cmodel.coef_survived.shape[1], emodel)

@@ -69,14 +69,19 @@ def fit_unified(z, labels, gamma: float) -> EStageModel:
     return EStageModel(_solve_spd(mat, zty, "stacked ridge"))
 
 
-def predict_unified(x, cmodel: CStageModel, emodel: EStageModel) -> np.ndarray:
-    """Classify the rows of an n x (survived + augmented) feature matrix with
+def _unified_decision(z: np.ndarray, classes: int, emodel: EStageModel) -> np.ndarray:
+    """Classify the rows of a joint block ``z`` over ``classes`` classes with
     the joint model's scores ``z @ coef``."""
-    z = build_stacked(x, cmodel)
-    shape = (z.shape[1], cmodel.coef_survived.shape[1])
+    shape = (z.shape[1], classes)
     if shape != emodel.coef.shape:
         raise SchemaError(
             f"joint block is {shape[0]} wide over {shape[1]} classes, "
             f"model expects {emodel.coef.shape[0]} over {emodel.coef.shape[1]}"
         )
     return argmax_decode(z @ emodel.coef)
+
+
+def predict_unified(x, cmodel: CStageModel, emodel: EStageModel) -> np.ndarray:
+    """Classify the rows of an n x (survived + augmented) feature matrix with
+    the joint model's scores ``z @ coef``."""
+    return _unified_decision(build_stacked(x, cmodel), cmodel.coef_survived.shape[1], emodel)

@@ -7,8 +7,11 @@ labels), training of the stacked methods (OPID, OPIDe) on the joint block
 that ``build_stacked`` makes of each split's training half, and of the
 raw-feature logistic baselines on its columns, and aggregation into a table
 of mean/std accuracies with paired two-sided t-tests at significance level
-0.05, whose marks are computed from the stored accuracies. Identical specs
-(including the seed) produce identical tables and identical report bytes.
+0.05, whose marks are computed from the stored accuracies. A stacked method
+tunes on one joint block per (lam, rho) point per repeat: k-fold cross
+validation over gamma (OPID) or alpha (OPIDe) runs on that block's rows.
+Identical specs (including the seed) produce identical tables and identical
+report bytes.
 ``resolve_mode`` and ``model.Batch.cstage`` have no caller here and stay on
 purpose, for ``perfbench/worker.py`` and ``perfbench/spans.py`` in turn.
 """
@@ -27,8 +30,9 @@ import numpy as np
 from scipy.special import stdtr
 
 from .cstage import DIRECT, FACTOR, absorb_batch, init_stats, solve_model
-from .ensemble import EnsembleModel, _fit_members, predict_ensemble, train_ensemble, train_ovr
-from .estage import build_stacked, fit_unified, predict_unified
+from .ensemble import (EnsembleModel, _ensemble_decision, _fit_members, predict_ensemble,
+                       train_ensemble, train_ovr)
+from .estage import _unified_decision, build_stacked, fit_unified, predict_unified
 from .ingest import StreamManifest, read_estage, stream_batches
 from .model import (CStageModel, FeatureSchema, Hyperparams, SchemaError, _accuracy,
                     _cv_accuracy, _open_text, _replacing)
@@ -207,66 +211,81 @@ def paired_t_test(a, b) -> str:
     return TIE
 
 
-def _fit_baseline(columns: slice, alpha: float, x: np.ndarray, y: np.ndarray):
-    clf = train_ovr(x[:, columns], y, alpha)
-    return lambda x_new: clf.predict(x_new[:, columns])
+def _columns(x: np.ndarray, columns: slice) -> np.ndarray:
+    return x[:, columns]
+
+
+def _score_baseline(alpha, x_train, y_train, x_val):
+    return train_ovr(x_train, y_train, alpha).predict(x_val)
+
+
+def _final_baseline(columns, alpha, x_train, y_train, x_test):
+    return _score_baseline(alpha, x_train, y_train, x_test[:, columns])
+
+
+def _score_opid(gamma, z_train, y_train, z_val):
+    return _unified_decision(z_val, y_train.shape[1], fit_unified(z_train, y_train, gamma))
+
+
+def _final_opid(cmodel, gamma, z_train, y_train, x_test):
+    return predict_unified(x_test, cmodel, fit_unified(z_train, y_train, gamma))
+
+
+def _score_opide(alpha, z_train, y_train, z_val):
+    # Equal-weight probability averaging inside CV; the full weight grid
+    # search runs only on the final fit.
+    emodel = EnsembleModel(*_fit_members(z_train, y_train, alpha), 0.5)
+    return _ensemble_decision(z_val, y_train.shape[1], emodel)
 
 
 class _MethodRunner:
     """Trains and scores one method per repeat.
 
-    Every method is a hyperparameter grid plus fit functions
-    ``(params, x, y) -> predictor``; a predictor maps a feature matrix in
-    schema order to class indices. A grid with more than one point is tuned
-    by k-fold cross validation on the training half. Every fit depends only
-    on its own rows and parameters, so a repeat depends only on its split;
-    an OPID fit is one ridge solve.
+    A method fits on one block of the training half per view, built once per
+    repeat: a stacked method (OPID, OPIDe) has one view per (lam, rho) point,
+    the compressing-stage model whose ``build_stacked`` joint block it fits
+    on, and a baseline has one, its raw columns. A method with more than one
+    (view, grid) point is tuned by one ``k_fold_cv`` per view, on the block's
+    rows over the method's own grid (gamma for OPID, the loss weight alpha
+    for the rest). The scores, concatenated in grid order, pick the first
+    best point, and its block serves the final fit. Every fit depends only
+    on its own rows and parameters, so a repeat depends only on its split.
     """
 
     def __init__(self, spec: ExperimentSpec, cmodels: dict):
         self.spec = spec
-        self.cmodels = cmodels
-        s = spec.source.schema.survived
-        stacked_grid = functools.partial(itertools.product, spec.lam_grid, spec.rho_grid)
-        # method -> (grid, final fit, cross-validation fit)
+        stacked = [cmodels[point] for point in itertools.product(spec.lam_grid, spec.rho_grid)]
+        # method -> (views, block(x, view), grid, cross-validation scorer,
+        #            final(view, params, block, y, x_test) -> test predictions)
         self.methods = {
-            OPID: (list(stacked_grid(spec.gamma_grid)), self._fit_opid, self._fit_opid),
-            OPIDE: (list(stacked_grid(spec.alpha_grid)), self._fit_opide, self._fit_opide_cv),
+            OPID: (stacked, build_stacked, spec.gamma_grid, _score_opid, _final_opid),
+            OPIDE: (stacked, build_stacked, spec.alpha_grid, _score_opide, self._final_opide),
         }
+        s = spec.source.schema.survived
         baselines = {BASE_ALL: slice(None), BASE_S: slice(s), BASE_A: slice(s, None)}
         for method, columns in baselines.items():
-            fit = functools.partial(_fit_baseline, columns)
-            self.methods[method] = (list(spec.alpha_grid), fit, fit)
+            self.methods[method] = ([columns], _columns, spec.alpha_grid, _score_baseline,
+                                    _final_baseline)
+
+    def tuned(self, method: str) -> bool:
+        views, _, grid, *_ = self.methods[method]
+        return len(views) * len(grid) > 1
 
     def evaluate(self, method: str, x_train, y_train, x_test, y_test) -> float:
-        grid, fit, cv_fit = self.methods[method]
-        params = grid[0]
-        if len(grid) > 1:
-            def scorer(params, x_tr, y_tr, x_va):
-                return cv_fit(params, x_tr, y_tr)(x_va)
+        views, block, grid, scorer, final = self.methods[method]
+        blocks = [block(x_train, view) for view in views]
+        best = 0
+        if self.tuned(method):
+            folds = self.spec.folds
+            scores = [k_fold_cv(z, y_train, grid, folds, scorer)[1] for z in blocks]
+            best = int(np.argmax(np.concatenate(scores)))
+        view, params = divmod(best, len(grid))
+        pred = final(views[view], grid[params], blocks[view], y_train, x_test)
+        return _accuracy(pred, y_test)
 
-            params, _ = k_fold_cv(x_train, y_train, grid, self.spec.folds, scorer)
-        return _accuracy(fit(params, x_train, y_train)(x_test), y_test)
-
-    def _fit_opid(self, params, x, y):
-        lam, rho, gamma = params
-        cmodel = self.cmodels[(lam, rho)]
-        emodel = fit_unified(build_stacked(x, cmodel), y, gamma)
-        return lambda x_new: predict_unified(x_new, cmodel, emodel)
-
-    def _fit_opide(self, params, x, y):
-        lam, rho, alpha = params
-        cmodel = self.cmodels[(lam, rho)]
-        emodel = train_ensemble(build_stacked(x, cmodel), y, alpha, folds=self.spec.folds)
-        return lambda x_new: predict_ensemble(x_new, cmodel, emodel)
-
-    def _fit_opide_cv(self, params, x, y):
-        # Equal-weight probability averaging inside CV; the full weight grid
-        # search runs only on the final fit.
-        lam, rho, alpha = params
-        cmodel = self.cmodels[(lam, rho)]
-        emodel = EnsembleModel(*_fit_members(build_stacked(x, cmodel), y, alpha), 0.5)
-        return lambda x_new: predict_ensemble(x_new, cmodel, emodel)
+    def _final_opide(self, cmodel, alpha, z_train, y_train, x_test):
+        emodel = train_ensemble(z_train, y_train, alpha, folds=self.spec.folds)
+        return predict_ensemble(x_test, cmodel, emodel)
 
 
 def build_table(
@@ -297,7 +316,7 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
     n_pool = pool_x.shape[0]
     n_train = n_pool // 2
     # OPIDe's weight search always splits the training half into folds; so does any tuned grid
-    folded = [m for m in spec.methods if m == OPIDE or len(runner.methods[m][0]) > 1]
+    folded = [m for m in spec.methods if m == OPIDE or runner.tuned(m)]
     if folded and spec.folds > n_train:
         raise SchemaError(f"--folds {spec.folds} exceeds the {n_train} rows of the training half, "
                           f"which {folded[0]} splits into folds")

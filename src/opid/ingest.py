@@ -28,7 +28,7 @@ import numpy as np
 from .model import Batch, FeatureSchema, SchemaError, _open_text, one_hot_encode
 
 # each manifest key and the Python type its JSON value must parse to; the
-# array must hold strings
+# array must hold at least one string, and strings only
 _MANIFEST_TYPES = {
     "classes": int,
     "vanished": int,
@@ -40,7 +40,7 @@ _MANIFEST_TYPES = {
     "cstage_columns": dict,
     "estage_columns": dict,
 }
-_JSON_NAMES = {int: "integer", str: "string", list: "array of strings", dict: "object"}
+_JSON_NAMES = {int: "integer", str: "string", list: "non-empty array of strings", dict: "object"}
 
 
 # (features, one-hot labels): the rows of one file, or an expanding-stage set
@@ -125,7 +125,9 @@ def parse_manifest(path) -> StreamManifest:
     for key, kind in _MANIFEST_TYPES.items():
         value = raw[key]
         # type(), not isinstance(): a width of true is not an integer
-        if type(value) is not kind or (kind is list and not all(type(p) is str for p in value)):
+        if type(value) is not kind or (
+            kind is list and not (value and all(type(p) is str for p in value))
+        ):
             raise ManifestError(f"{path}: malformed manifest field: {key} must be a JSON "
                                 f"{_JSON_NAMES[kind]}, got {value!r}")
 

@@ -270,8 +270,8 @@ def _cv_accuracy(x, y, folds: int, predict) -> np.ndarray:
         train = np.ones(n, dtype=bool)
         train[val_idx] = False
         preds = predict(x[train], y[train], x[val_idx])
-        y_val = y[val_idx]
-        total = total + np.array([_accuracy(pred, y_val) for pred in preds])
+        truth = y[val_idx].argmax(axis=1)  # decoded once for every candidate
+        total = total + (np.asarray(preds) == truth).mean(axis=1)
     return total
 
 

@@ -10,7 +10,9 @@ not import ``perfbench`` and repeats its calls on a tiny stream instead.
 from __future__ import annotations
 
 import ast
+import contextlib
 import importlib
+import io
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,7 @@ import pytest
 
 import oracles
 
-from opid import cstage, ensemble, harness, ingest, model
+from opid import cli, cstage, ensemble, harness, ingest, model
 from opid.harness import ALL_METHODS, ExperimentSpec, run_experiment
 
 
@@ -106,6 +108,36 @@ def test_cross_validation_is_called_positionally(manifest, monkeypatch):
     assert counted.accuracies == plain.accuracies
     # OPID 2 x 1 x 1, OPIDe 2 x 1 x 2 and BASE_S 2 grid points, 5 folds each
     assert len(fits) == (2 + 4 + 2) * spec.folds
+
+
+def test_grid_workload_counts_one_scorer_call_per_fit(manifest, tmp_path, monkeypatch):
+    # The grid workload's arguments: the tracer reads harness.cv_fits from
+    # the scorer calls of k_fold_cv, and the repeat clock wraps evaluate.
+    fits, evaluations = [], []
+    original_cv, original_evaluate = harness.k_fold_cv, harness._MethodRunner.evaluate
+
+    def k_fold_cv(x, y, grid, k, scorer):
+        def counting(*args):
+            fits.append(args[0])
+            return scorer(*args)
+
+        return original_cv(x, y, grid, k, counting)
+
+    def evaluate(runner_self, method, *args, **kwargs):
+        evaluations.append(method)
+        return original_evaluate(runner_self, method, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "k_fold_cv", k_fold_cv)
+    monkeypatch.setattr(harness._MethodRunner, "evaluate", evaluate)
+    repeats, folds = 2, 5
+    argv = ["run", "--manifest", str(tmp_path / "manifest.json"), "--out", str(tmp_path / "out"),
+            "--seed", "101", "--methods", "OPID", "--lambda", "0.1,1", "--rho", "0.1,1",
+            "--gamma", "0.1,1", "--repeats", str(repeats), "--folds", str(folds)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert evaluations == ["OPID"] * repeats
+    # 2 x 2 x 2 grid points, each fit once per fold
+    assert len(fits) == repeats * 8 * folds
 
 
 def test_solver_counters_count_steps_and_evaluated_points(monkeypatch):

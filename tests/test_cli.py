@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -348,6 +350,18 @@ class TestRejectedInput:
         out = tmp_path / "data"
         _assert_rejected(capsys, [*_synth_args(out), "--signal", "1,2"],
                          re.escape("signal must be three finite fractions >= 0, got (1.0, 2.0)"))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["cstage", "run"])
+    def test_manifest_without_cstage_batches_rejected(self, manifest_path, tmp_path, capsys,
+                                                      command):
+        manifest = json.loads(Path(manifest_path).read_text())
+        manifest["cstage_batches"] = []
+        edited = tmp_path / "data" / "empty.json"
+        edited.write_text(json.dumps(manifest))
+        out = tmp_path / "out"
+        _assert_rejected(capsys, [command, "--manifest", str(edited), "--out", str(out)],
+                         "malformed manifest field: cstage_batches must be a JSON non-empty array")
         assert not out.exists()
 
     def test_missing_manifest(self, tmp_path, capsys):

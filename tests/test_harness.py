@@ -28,7 +28,7 @@ from opid.harness import (
     run_cstage_pass,
     run_experiment,
 )
-from opid import harness, model as model_module
+from opid import estage, harness, model as model_module
 from opid.ingest import SynthConfig
 from opid.model import FeatureSchema, Hyperparams, SchemaError
 
@@ -463,6 +463,81 @@ def test_opid_makes_one_factorization_per_fit(tmp_path, monkeypatch):
     table = run_experiment(spec)
     assert len(table.accuracies[OPID]) == 2 and not table.failures
     assert len(factorizations) == len(fits) == spec.repeats * (8 * spec.folds + 1)
+
+
+def _opid_grid_spec(out_dir, lam_grid, rho_grid, gamma_grid, repeats=2):
+    return ExperimentSpec(
+        source=synth_manifest(SynthConfig(
+            schema=FeatureSchema(vanished=3, survived=5, augmented=3, classes=3),
+            batches=4, batch_size=30, estage_size=40, separation=3.0, noise=0.8, seed=5,
+        ), out_dir),
+        methods=(OPID,), lam_grid=lam_grid, rho_grid=rho_grid, gamma_grid=gamma_grid,
+        repeats=repeats, seed=3,
+    )
+
+
+def test_opid_builds_each_joint_block_once_per_repeat(tmp_path, monkeypatch):
+    # the training half's block per (lam, rho) point, which every fold and
+    # gamma reuses, then the test half's block inside predict_unified
+    calls = []
+
+    def counting(half, real):
+        def build_stacked(x, cmodel):
+            calls.append((half, id(x), id(cmodel), x.shape[0]))
+            return real(x, cmodel)
+
+        return build_stacked
+
+    monkeypatch.setattr(harness, "build_stacked", counting("train", harness.build_stacked))
+    monkeypatch.setattr(estage, "build_stacked", counting("test", estage.build_stacked))
+    spec = _opid_grid_spec(tmp_path, (0.1, 1.0), (0.1, 1.0), (0.1, 1.0))
+    table = run_experiment(spec)
+    assert len(table.accuracies[OPID]) == 2 and not table.failures
+    assert len(calls) == spec.repeats * (4 + 1)
+    n_pool = 2 * 40
+    for repeat in range(spec.repeats):
+        *train, test = calls[5 * repeat:5 * repeat + 5]
+        assert {half for half, *_ in train} == {"train"} and test[0] == "test"
+        assert len({x for _, x, _, _ in train}) == 1  # one training half
+        assert len({cmodel for _, _, cmodel, _ in train}) == 4  # one block per (lam, rho)
+        assert train[0][3] == n_pool // 2 and test[3] == n_pool - n_pool // 2
+
+
+def test_tied_grid_points_across_blocks_pick_the_first(tmp_path, monkeypatch):
+    # a constant model ties every (lam, rho, gamma) point; the first wins,
+    # and its training block serves the final fit
+    cmodels, blocks, fits, predictions = {}, {}, [], []
+    real_pass, real_build, real_predict = (harness.run_cstage_pass, harness.build_stacked,
+                                           harness.predict_unified)
+
+    def run_cstage_pass(*args):
+        cmodels.update(real_pass(*args))
+        return cmodels
+
+    def build_stacked(x, cmodel):
+        blocks[id(cmodel)] = real_build(x, cmodel)
+        return blocks[id(cmodel)]
+
+    def constant_fit(z, labels, gamma):
+        fits.append((z, gamma))
+        return model_module.EStageModel(np.ones((z.shape[1], labels.shape[1])))
+
+    def predict_unified(x, cmodel, emodel):
+        predictions.append(cmodel)
+        return real_predict(x, cmodel, emodel)
+
+    for name, fake in (("run_cstage_pass", run_cstage_pass), ("build_stacked", build_stacked),
+                       ("fit_unified", constant_fit), ("predict_unified", predict_unified)):
+        monkeypatch.setattr(harness, name, fake)
+    spec = _opid_grid_spec(tmp_path, (1.0, 0.1), (0.5, 0.1), (1.0, 0.1), repeats=1)
+    table = run_experiment(spec)
+    assert len(table.accuracies[OPID]) == 1 and not table.failures
+    assert len(fits) == 8 * spec.folds + 1
+    first = cmodels[(spec.lam_grid[0], spec.rho_grid[0])]
+    final_block, final_gamma = fits[-1]
+    assert final_gamma == spec.gamma_grid[0]
+    assert final_block is blocks[id(first)]
+    assert predictions == [first]
 
 
 class TestReports:

@@ -93,6 +93,8 @@ class TestParseManifest:
         ("cstage_batches", "ab"), ("cstage_batches", "c0.csv"), ("cstage_batches", {"c0.csv": 1}),
         ("cstage_columns", [["vanished", [0, 1]], ["survived", [1, 3]]]),
         ("estage_columns", [["survived", [0, 2]], ["augmented", [2, 3]]]),
+        # a stream with no compressing stage at all
+        ("cstage_batches", []),
     ])
     def test_malformed_field_rejected(self, tmp_path, field, value):
         for name in ("a", "b"):  # so that "ab" read letter by letter names real files
