@@ -51,6 +51,27 @@ def build_stacked(x, cmodel: CStageModel) -> np.ndarray:
     return np.hstack([compress(x[:, :s], cmodel), x[:, s:]])
 
 
+def _normal_system(z, labels) -> tuple[np.ndarray, np.ndarray]:
+    """The normal system (ZᵀZ, ZᵀY) of a joint block ``z`` and its one-hot
+    ``labels``, after ``_joint_data``'s checks; one system serves every ridge."""
+    z, y = _joint_data(z, labels)
+    with np.errstate(over="ignore", invalid="ignore"):  # _solve_spd checks
+        return z.T @ z, z.T @ y
+
+
+def _ridge_fit(system: tuple[np.ndarray, np.ndarray], gamma: float) -> EStageModel:
+    """Solve a normal system from ``_normal_system`` with the ridge gamma / k
+    added to a copy of its k x k ZᵀZ, by ``_solve_spd``."""
+    if not 0 < gamma < math.inf:
+        raise SchemaError(f"ridge must be > 0 and finite, got {gamma}")
+    gram, zty = system
+    k = gram.shape[0]
+    mat = gram.copy()  # C-ordered, so reshape(-1) below is a view of it
+    with np.errstate(over="ignore"):  # _solve_spd checks
+        mat.reshape(-1)[:: k + 1] += gamma / k
+    return EStageModel(_solve_spd(mat, zty, "stacked ridge"))
+
+
 def fit_unified(z, labels, gamma: float) -> EStageModel:
     """Fit OPID on a joint block ``z`` and its one-hot ``labels``: the ridge
     (ZᵀZ + (gamma/k) I)⁻¹ ZᵀY over the k joint columns, by ``_solve_spd``.
@@ -59,14 +80,7 @@ def fit_unified(z, labels, gamma: float) -> EStageModel:
     :class:`SchemaError`. A nan or inf in the system, or an overflow in
     forming it, raises :class:`NumericError` before LAPACK sees it.
     """
-    z, y = _joint_data(z, labels)
-    if not 0 < gamma < math.inf:
-        raise SchemaError(f"ridge must be > 0 and finite, got {gamma}")
-    k = z.shape[1]
-    with np.errstate(over="ignore", invalid="ignore"):  # _solve_spd checks
-        mat, zty = z.T @ z, z.T @ y
-        mat.reshape(-1)[:: k + 1] += gamma / k  # a fresh product is C-ordered
-    return EStageModel(_solve_spd(mat, zty, "stacked ridge"))
+    return _ridge_fit(_normal_system(z, labels), gamma)
 
 
 def _unified_decision(z: np.ndarray, classes: int, emodel: EStageModel) -> np.ndarray:

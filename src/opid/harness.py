@@ -32,7 +32,8 @@ from scipy.special import stdtr
 from .cstage import DIRECT, FACTOR, absorb_batch, init_stats, solve_model
 from .ensemble import (EnsembleModel, _ensemble_decision, _fit_members, predict_ensemble,
                        train_ensemble, train_ovr)
-from .estage import _unified_decision, build_stacked, fit_unified, predict_unified
+from .estage import (_normal_system, _ridge_fit, _unified_decision, build_stacked, fit_unified,
+                     predict_unified)
 from .ingest import StreamManifest, read_estage, stream_batches
 from .model import (CStageModel, FeatureSchema, Hyperparams, SchemaError, _accuracy,
                     _cv_accuracy, _open_text, _replacing)
@@ -223,8 +224,19 @@ def _final_baseline(columns, alpha, x_train, y_train, x_test):
     return _score_baseline(alpha, x_train, y_train, x_test[:, columns])
 
 
-def _score_opid(gamma, z_train, y_train, z_val):
-    return _unified_decision(z_val, y_train.shape[1], fit_unified(z_train, y_train, gamma))
+def _opid_scorer():
+    """OPID's cross-validation scorer. ``k_fold_cv`` hands every gamma of a
+    fold the same training arrays, so it forms the fold's normal system for
+    the first gamma and keeps it, one fold at a time, for the rest."""
+    fold = (None, None, None)  # z_train, y_train and their normal system
+
+    def score(gamma, z_train, y_train, z_val):
+        nonlocal fold
+        if fold[0] is not z_train or fold[1] is not y_train:
+            fold = (z_train, y_train, _normal_system(z_train, y_train))
+        return _unified_decision(z_val, y_train.shape[1], _ridge_fit(fold[2], gamma))
+
+    return score
 
 
 def _final_opid(cmodel, gamma, z_train, y_train, x_test):
@@ -247,9 +259,11 @@ class _MethodRunner:
     on, and a baseline has one, its raw columns. A method with more than one
     (view, grid) point is tuned by one ``k_fold_cv`` per view, on the block's
     rows over the method's own grid (gamma for OPID, the loss weight alpha
-    for the rest). The scores, concatenated in grid order, pick the first
-    best point, and its block serves the final fit. Every fit depends only
-    on its own rows and parameters, so a repeat depends only on its split.
+    for the rest); its folds are contiguous slices of the rows, and OPID
+    forms each fold's normal system once, for every gamma. The scores,
+    concatenated in grid order, pick the first best point, and its block
+    serves the final fit. Every fit depends only on its own rows and
+    parameters, so a repeat depends only on its split.
     """
 
     def __init__(self, spec: ExperimentSpec, cmodels: dict):
@@ -258,7 +272,7 @@ class _MethodRunner:
         # method -> (views, block(x, view), grid, cross-validation scorer,
         #            final(view, params, block, y, x_test) -> test predictions)
         self.methods = {
-            OPID: (stacked, build_stacked, spec.gamma_grid, _score_opid, _final_opid),
+            OPID: (stacked, build_stacked, spec.gamma_grid, _opid_scorer(), _final_opid),
             OPIDE: (stacked, build_stacked, spec.alpha_grid, _score_opide, self._final_opide),
         }
         s = spec.source.schema.survived

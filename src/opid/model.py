@@ -256,21 +256,24 @@ def _accuracy(pred: np.ndarray, labels: np.ndarray) -> float:
 def _cv_accuracy(x, y, folds: int, predict) -> np.ndarray:
     """Each candidate's validation accuracy summed over contiguous k-fold
     splits of the rows of ``x`` and one-hot ``y`` (2 <= folds <= rows).
-    ``predict(x_train, y_train, x_val)`` returns one class-index vector per
-    candidate; it is called once per fold, in order. The caller divides by
-    ``folds``."""
+    The folds are the row ranges ``np.array_split`` would give, taken as
+    slices: validation rows ``x[start:stop]``, training rows the rest, in
+    order. ``predict(x_train, y_train, x_val)`` returns one class-index
+    vector per candidate; it is called once per fold, in order, with training
+    arrays made for that fold alone. The caller divides by ``folds``."""
     x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
     n = x.shape[0]
     if folds < 2:
         raise SchemaError(f"need at least 2 folds, got {folds}")
     if n < folds:
         raise SchemaError(f"cannot make {folds} folds from {n} instances")
-    total = 0.0
-    for val_idx in np.array_split(np.arange(n), folds):
-        train = np.ones(n, dtype=bool)
-        train[val_idx] = False
-        preds = predict(x[train], y[train], x[val_idx])
-        truth = y[val_idx].argmax(axis=1)  # decoded once for every candidate
+    size, larger = divmod(n, folds)  # the first ``larger`` folds hold one row more
+    total, stop = 0.0, 0
+    for fold in range(folds):
+        start, stop = stop, stop + size + (fold < larger)
+        preds = predict(np.concatenate((x[:start], x[stop:])),
+                        np.concatenate((y[:start], y[stop:])), x[start:stop])
+        truth = y[start:stop].argmax(axis=1)  # decoded once for every candidate
         total = total + (np.asarray(preds) == truth).mean(axis=1)
     return total
 

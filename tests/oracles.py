@@ -2,17 +2,22 @@
 
 Everything here recomputes results from first principles (stacked data,
 naive loops, finite differences, iterative descent) and stays independent
-of the streaming / closed-form code paths it checks.
+of the streaming / closed-form code paths it checks. The protocol reference,
+``experiment_protocol``, calls the library only for its fits and their
+decision rules, and writes the orchestration around them out in full.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.special import expit
+
+from opid import cstage, ensemble, estage, model
 
 
 def stack_stream(batches):
@@ -269,3 +274,98 @@ def newton_logistic_loop(x, y_pm, alpha, init, tol, max_iter):
             halvings += 1
         v, f = cand, f_cand
     raise AssertionError("no convergence")
+
+
+def experiment_protocol(spec):
+    """``opid run``'s protocol for an ``ExperimentSpec``, in straight lines.
+
+    It reads the stream's files with ``np.loadtxt``, absorbs the
+    compressing-stage batches and solves once for each (lam, rho) point,
+    and pools the two expanding-stage files. Each repeat splits the pool
+    50/50 by a generator from ``SeedSequence(seed).spawn(repeats)``. Each
+    method scores all of its candidates, every (view, grid point) pair in
+    grid order, with a plain k-fold loop over ``np.array_split``'s folds, in
+    which a stacked method builds the joint blocks of the fold's own raw
+    rows. The first best candidate is fit on the training half and scored on
+    the test half. A method with one candidate skips the folds, and a method
+    that raises a ``ValueError`` or ``ArithmeticError`` drops the repeat with
+    a reason. Returns ({method: accuracies}, [reasons]).
+    """
+    source, schema = spec.source, spec.source.schema
+
+    def read(path, columns):
+        table = np.loadtxt(path, delimiter=",", ndmin=2)
+        feats = np.hstack([table[:, start:stop] for start, stop in columns])
+        return feats, np.eye(schema.classes)[table[:, -1].astype(int)]
+
+    batches = [model.Batch(*read(path, source.cstage_columns), schema.vanished)
+               for path in source.cstage_batches]
+    cmodels = []
+    for lam, rho in itertools.product(spec.lam_grid, spec.rho_grid):
+        stats = cstage.init_stats(schema, model.Hyperparams(lam=lam, rho=rho))
+        for batch in batches:
+            cstage.absorb_batch(stats, batch)
+        cmodels.append(cstage.solve_model(stats))
+    (x_a, y_a), (x_b, y_b) = (read(path, source.estage_columns)
+                              for path in (source.estage_train, source.estage_test))
+    pool_x, pool_y = np.vstack([x_a, x_b]), np.vstack([y_a, y_b])
+    s, c = schema.survived, schema.classes
+
+    def opid(cmodel, gamma, x_tr, y_tr, x_te):
+        emodel = estage.fit_unified(estage.build_stacked(x_tr, cmodel), y_tr, gamma)
+        return estage.predict_unified(x_te, cmodel, emodel)
+
+    def opide_in_folds(cmodel, alpha, x_tr, y_tr, x_te):
+        z = estage.build_stacked(x_tr, cmodel)
+        members = ensemble.train_ovr(z[:, :c], y_tr, alpha), ensemble.train_ovr(z, y_tr, alpha)
+        return ensemble.predict_ensemble(x_te, cmodel, ensemble.EnsembleModel(*members, 0.5))
+
+    def opide(cmodel, alpha, x_tr, y_tr, x_te):
+        emodel = ensemble.train_ensemble(estage.build_stacked(x_tr, cmodel), y_tr, alpha,
+                                         folds=spec.folds)
+        return ensemble.predict_ensemble(x_te, cmodel, emodel)
+
+    def baseline(columns, alpha, x_tr, y_tr, x_te):
+        return ensemble.train_ovr(x_tr[:, columns], y_tr, alpha).predict(x_te[:, columns])
+
+    # method -> (views, grid, predict in a fold, predict after the final fit),
+    # each predict(view, params, x_train, y_train, x_test)
+    methods = {
+        "OPID": (cmodels, spec.gamma_grid, opid, opid),
+        "OPIDe": (cmodels, spec.alpha_grid, opide_in_folds, opide),
+        "BASE_ALL": ([slice(None)], spec.alpha_grid, baseline, baseline),
+        "BASE_S": ([slice(0, s)], spec.alpha_grid, baseline, baseline),
+        "BASE_A": ([slice(s, None)], spec.alpha_grid, baseline, baseline),
+    }
+    n_pool = pool_x.shape[0]
+    n_train = n_pool // 2
+    accuracies = {method: [] for method in spec.methods}
+    failures = []
+    for repeat, child in enumerate(np.random.SeedSequence(spec.seed).spawn(spec.repeats)):
+        order = np.random.default_rng(child).permutation(n_pool)
+        train, test = order[:n_train], order[n_train:]
+        x_tr, y_tr, x_te, y_te = pool_x[train], pool_y[train], pool_x[test], pool_y[test]
+        row = {}
+        try:
+            for method in spec.methods:
+                views, grid, in_folds, final = methods[method]
+                candidates = [(view, params) for view in views for params in grid]
+                best = 0
+                if len(candidates) > 1:
+                    scores = []
+                    for view, params in candidates:
+                        total = 0.0
+                        for val in np.array_split(np.arange(n_train), spec.folds):
+                            fit = np.setdiff1d(np.arange(n_train), val)
+                            pred = in_folds(view, params, x_tr[fit], y_tr[fit], x_tr[val])
+                            total += np.mean(pred == y_tr[val].argmax(axis=1))
+                        scores.append(total / spec.folds)
+                    best = scores.index(max(scores))
+                pred = final(*candidates[best], x_tr, y_tr, x_te)
+                row[method] = float(np.mean(pred == y_te.argmax(axis=1)))
+        except (ValueError, ArithmeticError) as exc:
+            failures.append(f"repeat {repeat} aborted ({method}): {exc}")
+            continue
+        for method in spec.methods:
+            accuracies[method].append(row[method])
+    return accuracies, failures

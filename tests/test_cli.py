@@ -492,3 +492,57 @@ def test_wide_report_bytes_are_pinned(tmp_path, capsys):
     assert main(["run", "--manifest", manifest_path, "--out", str(out), *_PINNED_WIDE_RUN]) == 0
     assert (out / "report.txt").read_bytes() == _PINNED_WIDE_REPORT.encode()
     assert (out / "results.csv").read_bytes() == _PINNED_WIDE_RESULTS.encode()
+
+
+# A third pin, written by running the program before each fold came to form
+# OPID's normal system once for every gamma and to take its rows as slices:
+# all five methods tune (gamma, alpha and a two-point lambda grid), and on this
+# stream a later grid point wins some repeats of OPID, OPIDe and BASE_S.
+_PINNED_TUNED_SYNTH = [
+    "--classes", "3", "--vanished", "3", "--survived", "4", "--augmented", "3",
+    "--batches", "3", "--batch-size", "20", "--estage-size", "40", "--noise", "1.5",
+    "--seed", "17",
+]
+_PINNED_TUNED_RUN = ["--lambda", "0.5,1", "--gamma", "0.1,1", "--alpha", "0.5,1",
+                     "--repeats", "4", "--seed", "17"]
+_PINNED_TUNED_REPORT = """\
+repeats=4 seed=17
+method         mean      std      vs OPID     vs OPIDe  vs BASE_ALL    vs BASE_S    vs BASE_A
+OPID         0.7562   0.0826            -            =            =            =            >
+OPIDe        0.7625   0.0433            =            -            =            >            >
+BASE_ALL     0.7500   0.0736            =            =            -            >            >
+BASE_S       0.6250   0.0354            =            <            <            -            >
+BASE_A       0.4375   0.0323            <            <            <            <            -
+"""
+_PINNED_TUNED_RESULTS = """\
+method,repeat,accuracy
+OPID,0,0.85
+OPID,1,0.7
+OPID,2,0.8
+OPID,3,0.675
+OPIDe,0,0.775
+OPIDe,1,0.7
+OPIDe,2,0.8
+OPIDe,3,0.775
+BASE_ALL,0,0.8
+BASE_ALL,1,0.7
+BASE_ALL,2,0.825
+BASE_ALL,3,0.675
+BASE_S,0,0.6
+BASE_S,1,0.6
+BASE_S,2,0.675
+BASE_S,3,0.625
+BASE_A,0,0.425
+BASE_A,1,0.45
+BASE_A,2,0.475
+BASE_A,3,0.4
+"""
+
+
+def test_tuned_report_bytes_are_pinned(tmp_path, capsys):
+    assert main(["synth", "--out", str(tmp_path / "data"), *_PINNED_TUNED_SYNTH]) == 0
+    manifest_path = capsys.readouterr().out.strip()
+    out = tmp_path / "out"
+    assert main(["run", "--manifest", manifest_path, "--out", str(out), *_PINNED_TUNED_RUN]) == 0
+    assert (out / "report.txt").read_bytes() == _PINNED_TUNED_REPORT.encode()
+    assert (out / "results.csv").read_bytes() == _PINNED_TUNED_RESULTS.encode()

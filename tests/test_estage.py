@@ -264,6 +264,20 @@ class TestFitUnified:
             assert np.array_equal(scaled_base, np.zeros((3, 3)))
             np.testing.assert_allclose(coef, scaled_joint, rtol=1e-10, atol=1e-14)
 
+    def test_one_normal_system_serves_every_ridge(self):
+        # the ridge step adds each gamma to a copy: the system it is handed
+        # stays as formed, and every fit equals fit_unified's bit for bit
+        rng = np.random.default_rng(15)
+        for _ in range(50):
+            z, labels, _ = random_fit(rng, "wide")
+            system = estage._normal_system(z, labels)
+            formed = tuple(part.copy() for part in system)
+            for gamma in 10.0 ** rng.uniform(-3.0, 2.0, size=3):
+                coef = estage._ridge_fit(system, gamma).coef
+                np.testing.assert_array_equal(coef, fit_unified(z, labels, gamma).coef)
+                for part, before in zip(system, formed):
+                    np.testing.assert_array_equal(part, before)
+
     @pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan, np.inf, -np.inf])
     def test_bad_ridge_rejected_before_any_solve(self, gamma, monkeypatch):
         def no_solve(*args, **kwargs):

@@ -438,9 +438,10 @@ class TestRunExperiment:
 
 def test_opid_makes_one_factorization_per_fit(tmp_path, monkeypatch):
     # every OPID fit of a repeat, the k-fold fits of each grid point and then
-    # the final fit, is one ridge solve: one Cholesky factorization, no iteration
+    # the final fit, is one ridge step on a normal system: one Cholesky
+    # factorization, no iteration
     fits, factorizations = [], []
-    real_fit, real_dpotrf = harness.fit_unified, model_module.dpotrf
+    real_fit, real_dpotrf = estage._ridge_fit, model_module.dpotrf
 
     def counted_fit(*args):
         fits.append(None)
@@ -450,7 +451,9 @@ def test_opid_makes_one_factorization_per_fit(tmp_path, monkeypatch):
         factorizations.append(None)
         return real_dpotrf(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "fit_unified", counted_fit)
+    # the cross-validation scorer calls the ridge step, the final fit_unified too
+    monkeypatch.setattr(harness, "_ridge_fit", counted_fit)
+    monkeypatch.setattr(estage, "_ridge_fit", counted_fit)
     monkeypatch.setattr(model_module, "dpotrf", counted_dpotrf)
     spec = ExperimentSpec(
         source=synth_manifest(SynthConfig(
@@ -463,6 +466,59 @@ def test_opid_makes_one_factorization_per_fit(tmp_path, monkeypatch):
     table = run_experiment(spec)
     assert len(table.accuracies[OPID]) == 2 and not table.failures
     assert len(factorizations) == len(fits) == spec.repeats * (8 * spec.folds + 1)
+
+
+def test_shared_system_scores_equal_a_fit_per_gamma(monkeypatch):
+    # OPID's scorer forms each fold's normal system once for all gammas; its
+    # CV scores, and the model of every (gamma, fold) fit, equal those of a
+    # scorer that calls fit_unified for each gamma, bit for bit
+    shared_coefs, real_decision = [], harness._unified_decision
+
+    def recording(z, classes, emodel):
+        shared_coefs.append(emodel.coef)
+        return real_decision(z, classes, emodel)
+
+    monkeypatch.setattr(harness, "_unified_decision", recording)
+    rng = np.random.default_rng(16)
+    for _ in range(30):
+        n, c, d_a = int(rng.integers(10, 60)), int(rng.integers(2, 5)), int(rng.integers(0, 6))
+        z = rng.standard_normal((n, c + d_a)) * 10.0 ** rng.uniform(-3.0, 3.0, size=c + d_a)
+        y = model_module.one_hot_encode(rng.integers(0, c, size=n), c)
+        gammas, folds = tuple(10.0 ** rng.uniform(-3.0, 2.0, size=3)), int(rng.integers(2, 6))
+        plain_coefs = []
+
+        def per_gamma(gamma, z_train, y_train, z_val):
+            emodel = estage.fit_unified(z_train, y_train, gamma)
+            plain_coefs.append(emodel.coef)
+            return real_decision(z_val, y_train.shape[1], emodel)
+
+        shared_coefs.clear()
+        shared = k_fold_cv(z, y, gammas, folds, harness._opid_scorer())[1]
+        plain = k_fold_cv(z, y, gammas, folds, per_gamma)[1]
+        np.testing.assert_array_equal(shared, plain)
+        assert len(shared_coefs) == len(plain_coefs) == 3 * folds
+        for got, expected in zip(shared_coefs, plain_coefs):
+            np.testing.assert_array_equal(got, expected)
+
+
+def test_opid_forms_one_normal_system_per_view_and_fold(tmp_path, monkeypatch):
+    # each (lam, rho) block's folds form their system once for both gammas,
+    # and the final fit forms one more
+    systems, real_system = [], estage._normal_system
+
+    def counted(z, labels):
+        systems.append(z.shape[0])
+        return real_system(z, labels)
+
+    monkeypatch.setattr(harness, "_normal_system", counted)
+    monkeypatch.setattr(estage, "_normal_system", counted)
+    spec = _opid_grid_spec(tmp_path, (0.1, 1.0), (0.1, 1.0), (0.1, 1.0))
+    table = run_experiment(spec)
+    assert len(table.accuracies[OPID]) == 2 and not table.failures
+    assert len(systems) == spec.repeats * (4 * spec.folds + 1)
+    n_train = 2 * 40 // 2
+    per_repeat = [n_train - n_train // spec.folds] * (4 * spec.folds) + [n_train]
+    assert systems == per_repeat * spec.repeats
 
 
 def _opid_grid_spec(out_dir, lam_grid, rho_grid, gamma_grid, repeats=2):
@@ -506,9 +562,10 @@ def test_opid_builds_each_joint_block_once_per_repeat(tmp_path, monkeypatch):
 def test_tied_grid_points_across_blocks_pick_the_first(tmp_path, monkeypatch):
     # a constant model ties every (lam, rho, gamma) point; the first wins,
     # and its training block serves the final fit
-    cmodels, blocks, fits, predictions = {}, {}, [], []
-    real_pass, real_build, real_predict = (harness.run_cstage_pass, harness.build_stacked,
-                                           harness.predict_unified)
+    cmodels, blocks, systems, fits, predictions = {}, {}, [], [], []
+    real_pass, real_build, real_predict, real_system = (
+        harness.run_cstage_pass, harness.build_stacked, harness.predict_unified,
+        estage._normal_system)
 
     def run_cstage_pass(*args):
         cmodels.update(real_pass(*args))
@@ -518,26 +575,70 @@ def test_tied_grid_points_across_blocks_pick_the_first(tmp_path, monkeypatch):
         blocks[id(cmodel)] = real_build(x, cmodel)
         return blocks[id(cmodel)]
 
-    def constant_fit(z, labels, gamma):
-        fits.append((z, gamma))
-        return model_module.EStageModel(np.ones((z.shape[1], labels.shape[1])))
+    def normal_system(z, labels):
+        systems.append((real_system(z, labels), z))
+        return systems[-1][0]
+
+    def constant_fit(system, gamma):
+        fits.append((system, gamma))
+        return model_module.EStageModel(np.ones(system[1].shape))
 
     def predict_unified(x, cmodel, emodel):
         predictions.append(cmodel)
         return real_predict(x, cmodel, emodel)
 
     for name, fake in (("run_cstage_pass", run_cstage_pass), ("build_stacked", build_stacked),
-                       ("fit_unified", constant_fit), ("predict_unified", predict_unified)):
+                       ("_normal_system", normal_system), ("_ridge_fit", constant_fit),
+                       ("predict_unified", predict_unified)):
         monkeypatch.setattr(harness, name, fake)
+    # the final fit_unified forms its system and fits through the estage names
+    monkeypatch.setattr(estage, "_normal_system", normal_system)
+    monkeypatch.setattr(estage, "_ridge_fit", constant_fit)
     spec = _opid_grid_spec(tmp_path, (1.0, 0.1), (0.5, 0.1), (1.0, 0.1), repeats=1)
     table = run_experiment(spec)
     assert len(table.accuracies[OPID]) == 1 and not table.failures
     assert len(fits) == 8 * spec.folds + 1
     first = cmodels[(spec.lam_grid[0], spec.rho_grid[0])]
-    final_block, final_gamma = fits[-1]
+    final_system, final_gamma = fits[-1]
+    (final_block,) = (z for system, z in systems if system is final_system)
     assert final_gamma == spec.gamma_grid[0]
     assert final_block is blocks[id(first)]
     assert predictions == [first]
+
+
+def _random_protocol_spec(rng, out_dir):
+    """A small random stream and spec: grids of 1-2 points that may repeat,
+    so that grid points tie, a random subset of the methods in random order,
+    2-3 folds and 3 repeats."""
+    schema = FeatureSchema(vanished=int(rng.integers(0, 5)), survived=int(rng.integers(1, 7)),
+                           augmented=int(rng.integers(0, 5)), classes=int(rng.integers(2, 4)))
+    cfg = SynthConfig(schema=schema, batches=int(rng.integers(1, 4)),
+                      batch_size=int(rng.integers(5, 20)), estage_size=int(rng.integers(12, 30)),
+                      separation=float(rng.uniform(0.5, 3.0)),
+                      signal=tuple(float(f) for f in rng.uniform(0.0, 1.0, size=3)),
+                      seed=int(rng.integers(1000)))
+
+    def grid(values):
+        return tuple(float(v) for v in rng.choice(values, size=int(rng.integers(1, 3))))
+
+    chosen = [m for m in harness.ALL_METHODS if rng.random() < 0.7] or [OPID]
+    return ExperimentSpec(
+        source=synth_manifest(cfg, out_dir), methods=tuple(str(m) for m in rng.permutation(chosen)),
+        lam_grid=grid([0.0, 0.5, 2.0]), rho_grid=grid([0.1, 1.0]),
+        gamma_grid=grid([0.1, 1.0, 10.0]), alpha_grid=grid([0.1, 1.0, 10.0]),
+        repeats=3, folds=int(rng.integers(2, 4)), seed=int(rng.integers(1000)),
+    )
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_run_experiment_matches_the_protocol_reference(tmp_path, seed):
+    # the harness reuses blocks, folds and normal systems; the reference
+    # rebuilds everything in straight lines, and every accuracy must agree
+    spec = _random_protocol_spec(np.random.default_rng([17, seed]), tmp_path)
+    table = run_experiment(spec)
+    accuracies, failures = oracles.experiment_protocol(spec)
+    assert table.accuracies == {method: tuple(acc) for method, acc in accuracies.items()}
+    assert table.failures == tuple(failures)
 
 
 class TestReports:

@@ -286,3 +286,26 @@ class TestCholesky:
                                                "leading minor 2 is not positive definite"):
             model._solve_spd(np.array(mat), np.ones(2), "normal-equation")
 
+
+
+class TestCvAccuracy:
+    def test_folds_are_the_row_ranges_of_array_split(self):
+        # row i holds i in its feature and its label, so each fold's arrays
+        # show exactly which rows they hold, and in which order
+        for n in range(2, 41):
+            x = np.arange(n, dtype=np.float64)[:, None]
+            y = np.column_stack([x[:, 0], np.zeros(n)])
+            for folds in range(2, n + 1):
+                seen = []
+
+                def predict(x_train, y_train, x_val):
+                    seen.append((x_train[:, 0].tolist(), y_train[:, 0].tolist(),
+                                 x_val[:, 0].tolist()))
+                    return [np.zeros(len(x_val), dtype=np.int64)]
+
+                model._cv_accuracy(x, y, folds, predict)
+                expected = []
+                for rows in np.array_split(np.arange(n), folds):
+                    rest = np.setdiff1d(np.arange(n), rows).tolist()
+                    expected.append((rest, rest, rows.tolist()))
+                assert seen == expected
