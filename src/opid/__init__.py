@@ -1,9 +1,12 @@
 """One-pass learning over streams whose feature set shrinks and grows.
 
-A compressing stage folds vanished-feature information into a
-survived-feature classifier via streaming sufficient statistics; an
-expanding stage stacks that classifier's predictions with augmented
-features under automatically learned ensemble weights.
+A compressing stage learns a survived-feature classifier via streaming
+sufficient statistics, coupled to an all-feature one by a consistency
+penalty that pulls the all-feature classifier towards its predictions; up to
+the ridge, the survived-feature classifier is the least-squares fit on the
+survived features, so the penalty moves it only on streams that are short
+for their width. An expanding stage stacks that classifier's predictions
+with augmented features under automatically learned ensemble weights.
 
 The names below are the public API; everything else stays importable from
 its module.

@@ -2,8 +2,11 @@
 
 The compressing stage sees mini-batches carrying vanished + survived features
 and learns two coupled linear classifiers: one on all current features, one
-on survived features only, tied together by a consistency penalty so the
-survived-feature classifier retains what the vanished features knew. The
+on survived features only, tied together by a consistency penalty lam that
+pulls the all-feature classifier towards the survived-feature one's
+predictions. The survived-feature classifier is the least-squares fit on the
+survived features, up to the ridge rho, so lam moves it (and the expanding
+stage built on it) only on streams that are short for their width. The
 entire stream is summarized by a fixed-size pair of sufficient statistics,
 so each instance is read exactly once and memory never grows with the data.
 

@@ -7,10 +7,13 @@ contract: the gradient norm at the returned coefficients is <= ``NEWTON_TOL``.
 Training takes the joint block ``z`` of :func:`estage.build_stacked` and
 its one-hot labels: the base member is fit on the c compressed columns
 ``z[:, :c]``, the joint member on all of ``z``. ``_fit_members`` fits both
-members with one loss weight wherever they are fit. The ensemble weights
-are picked on an 11-point grid by k-fold cross validation
-(``model._cv_accuracy``) of the probability-averaged decision. Prediction
-takes a feature matrix, survived columns first, augmented after.
+members with one loss weight wherever they are fit, and ``_fold_decisions``
+is OPIDe's one fold rule: it fits both members on a fold's training rows and
+returns the probability-averaged decision on its validation rows for each
+base weight it is given. The ensemble weights are picked on an 11-point grid
+by k-fold cross validation (``model._cv_accuracy``) of that rule, and the
+harness's loss-weight search scores its folds with it at the one weight 0.5.
+Prediction takes a feature matrix, survived columns first, augmented after.
 """
 
 from __future__ import annotations
@@ -179,6 +182,16 @@ def _fit_members(z: np.ndarray, labels: np.ndarray, alpha: float):
     return train_ovr(z[:, : labels.shape[1]], labels, alpha), train_ovr(z, labels, alpha)
 
 
+def _fold_decisions(z_train, y_train, z_val, alpha: float, weights) -> list[np.ndarray]:
+    """Fit both members on a fold's training rows with loss weight ``alpha``
+    and classify its validation rows by argmax(w p_base + (1 - w) p_joint) of
+    the members' probabilities, once for each base weight w in ``weights``."""
+    fold_base, fold_joint = _fit_members(z_train, y_train, alpha)
+    p_base = fold_base.proba(z_val[:, : y_train.shape[1]])
+    p_joint = fold_joint.proba(z_val)
+    return [argmax_decode(w * p_base + (1.0 - w) * p_joint) for w in weights]
+
+
 def train_ensemble(z, labels, alpha: float = 1.0, folds: int = 5) -> EnsembleModel:
     """Fit the ensemble on a joint block ``z`` and its one-hot ``labels``.
 
@@ -192,24 +205,20 @@ def train_ensemble(z, labels, alpha: float = 1.0, folds: int = 5) -> EnsembleMod
     CV than either member alone; ties go to the larger joint-block weight
     (the richer feature set).
     """
-    def predict(z_train, y_train, z_val):
-        fold_base, fold_joint = _fit_members(z_train, y_train, alpha)
-        p_base = fold_base.proba(z_val[:, : y_train.shape[1]])
-        p_joint = fold_joint.proba(z_val)
-        return [argmax_decode(w * p_base + (1.0 - w) * p_joint) for w in WEIGHT_GRID]
-
     z, labels = _joint_data(z, labels)
-    scores = _cv_accuracy(z, labels, folds, predict)
+    scores = _cv_accuracy(z, labels, folds,
+                          lambda *fold: _fold_decisions(*fold, alpha, WEIGHT_GRID))
     # argmax keeps the first maximum: the smallest tied base weight, i.e. the
     # largest joint-block weight.
     w_base = float(WEIGHT_GRID[int(np.argmax(scores))])
     return EnsembleModel(*_fit_members(z, labels, alpha), w_base)
 
 
-def _ensemble_decision(z: np.ndarray, c: int, emodel: EnsembleModel) -> np.ndarray:
-    """Classify the rows of a joint block ``z`` whose compressed block is
-    ``z[:, :c]`` by weighted probability averaging of the two members; the
-    widths of both blocks must match the members' input widths."""
+def predict_ensemble(x, cmodel: CStageModel, emodel: EnsembleModel) -> np.ndarray:
+    """Classify the rows of an n x (survived + augmented) feature matrix by
+    weighted probability averaging of the two members; the widths of its
+    compressed and joint blocks must match the members' input widths."""
+    z, c = build_stacked(x, cmodel), cmodel.coef_survived.shape[1]
     expected = (emodel.clf_base.coef.shape[0], emodel.clf_joint.coef.shape[0])
     if (c, z.shape[1]) != expected:
         raise SchemaError(
@@ -218,9 +227,3 @@ def _ensemble_decision(z: np.ndarray, c: int, emodel: EnsembleModel) -> np.ndarr
     combined = emodel.w_base * emodel.clf_base.proba(z[:, :c])
     combined += emodel.w_joint * emodel.clf_joint.proba(z)
     return argmax_decode(combined)
-
-
-def predict_ensemble(x, cmodel: CStageModel, emodel: EnsembleModel) -> np.ndarray:
-    """Classify the rows of an n x (survived + augmented) feature matrix by
-    weighted probability averaging of the two members."""
-    return _ensemble_decision(build_stacked(x, cmodel), cmodel.coef_survived.shape[1], emodel)

@@ -30,13 +30,12 @@ import numpy as np
 from scipy.special import stdtr
 
 from .cstage import DIRECT, FACTOR, absorb_batch, init_stats, solve_model
-from .ensemble import (EnsembleModel, _ensemble_decision, _fit_members, predict_ensemble,
-                       train_ensemble, train_ovr)
+from .ensemble import _fold_decisions, predict_ensemble, train_ensemble, train_ovr
 from .estage import (_normal_system, _ridge_fit, _unified_decision, build_stacked, fit_unified,
                      predict_unified)
 from .ingest import StreamManifest, read_estage, stream_batches
 from .model import (CStageModel, FeatureSchema, Hyperparams, SchemaError, _accuracy,
-                    _cv_accuracy, _open_text, _replacing)
+                    _cv_accuracy, _is_a, _open_text, _replacing)
 
 logger = logging.getLogger(__name__)
 
@@ -58,10 +57,6 @@ AUTO_DIRECT_LIMIT = 2048
 
 
 _GRIDS = ("lam_grid", "rho_grid", "gamma_grid", "alpha_grid")
-
-
-def _is_a(value, kind: type) -> bool:
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -220,10 +215,6 @@ def _score_baseline(alpha, x_train, y_train, x_val):
     return train_ovr(x_train, y_train, alpha).predict(x_val)
 
 
-def _final_baseline(columns, alpha, x_train, y_train, x_test):
-    return _score_baseline(alpha, x_train, y_train, x_test[:, columns])
-
-
 def _opid_scorer():
     """OPID's cross-validation scorer. ``k_fold_cv`` hands every gamma of a
     fold the same training arrays, so it forms the fold's normal system for
@@ -237,17 +228,6 @@ def _opid_scorer():
         return _unified_decision(z_val, y_train.shape[1], _ridge_fit(fold[2], gamma))
 
     return score
-
-
-def _final_opid(cmodel, gamma, z_train, y_train, x_test):
-    return predict_unified(x_test, cmodel, fit_unified(z_train, y_train, gamma))
-
-
-def _score_opide(alpha, z_train, y_train, z_val):
-    # Equal-weight probability averaging inside CV; the full weight grid
-    # search runs only on the final fit.
-    emodel = EnsembleModel(*_fit_members(z_train, y_train, alpha), 0.5)
-    return _ensemble_decision(z_val, y_train.shape[1], emodel)
 
 
 class _MethodRunner:
@@ -264,29 +244,40 @@ class _MethodRunner:
     concatenated in grid order, pick the first best point, and its block
     serves the final fit. Every fit depends only on its own rows and
     parameters, so a repeat depends only on its split.
+
+    Each method's ``fit(block, y, params)`` and ``predict(x_test, view, model)``
+    slots are the library's own calls: ``fit_unified`` and ``predict_unified``
+    for OPID, ``train_ensemble`` (with the spec's folds) and
+    ``predict_ensemble`` for OPIDe, ``train_ovr`` and the model's ``predict``
+    on the view's columns for a baseline. OPIDe's scorer is the ensemble's own
+    fold rule with its two members averaged equally; the weight search runs
+    only in the final ``train_ensemble``.
     """
 
     def __init__(self, spec: ExperimentSpec, cmodels: dict):
         self.spec = spec
         stacked = [cmodels[point] for point in itertools.product(spec.lam_grid, spec.rho_grid)]
         # method -> (views, block(x, view), grid, cross-validation scorer,
-        #            final(view, params, block, y, x_test) -> test predictions)
+        #            fit(block, y, params) -> model, predict(x_test, view, model))
         self.methods = {
-            OPID: (stacked, build_stacked, spec.gamma_grid, _opid_scorer(), _final_opid),
-            OPIDE: (stacked, build_stacked, spec.alpha_grid, _score_opide, self._final_opide),
+            OPID: (stacked, build_stacked, spec.gamma_grid, _opid_scorer(), fit_unified,
+                   predict_unified),
+            OPIDE: (stacked, build_stacked, spec.alpha_grid,
+                    lambda alpha, *fold: _fold_decisions(*fold, alpha, (0.5,))[0],
+                    functools.partial(train_ensemble, folds=spec.folds), predict_ensemble),
         }
         s = spec.source.schema.survived
         baselines = {BASE_ALL: slice(None), BASE_S: slice(s), BASE_A: slice(s, None)}
         for method, columns in baselines.items():
             self.methods[method] = ([columns], _columns, spec.alpha_grid, _score_baseline,
-                                    _final_baseline)
+                                    train_ovr, lambda x, view, clf: clf.predict(_columns(x, view)))
 
     def tuned(self, method: str) -> bool:
         views, _, grid, *_ = self.methods[method]
         return len(views) * len(grid) > 1
 
     def evaluate(self, method: str, x_train, y_train, x_test, y_test) -> float:
-        views, block, grid, scorer, final = self.methods[method]
+        views, block, grid, scorer, fit, predict = self.methods[method]
         blocks = [block(x_train, view) for view in views]
         best = 0
         if self.tuned(method):
@@ -294,12 +285,8 @@ class _MethodRunner:
             scores = [k_fold_cv(z, y_train, grid, folds, scorer)[1] for z in blocks]
             best = int(np.argmax(np.concatenate(scores)))
         view, params = divmod(best, len(grid))
-        pred = final(views[view], grid[params], blocks[view], y_train, x_test)
-        return _accuracy(pred, y_test)
-
-    def _final_opide(self, cmodel, alpha, z_train, y_train, x_test):
-        emodel = train_ensemble(z_train, y_train, alpha, folds=self.spec.folds)
-        return predict_ensemble(x_test, cmodel, emodel)
+        model = fit(blocks[view], y_train, grid[params])
+        return _accuracy(predict(x_test, views[view], model), y_test)
 
 
 def build_table(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import io
 import math
+import numbers
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -30,6 +31,12 @@ class SchemaError(ValueError):
 
 class NumericError(ArithmeticError):
     """A numeric operation met non-finite data or an unsolvable system."""
+
+
+def _is_a(value, kind: type) -> bool:
+    """Whether ``value`` is an instance of ``kind``, a ``numbers`` class for a
+    setting (numpy scalars included); bool is an int, but never a number here."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _as_matrix(a, name: str) -> np.ndarray:
@@ -49,6 +56,9 @@ class FeatureSchema:
     classes: int
 
     def __post_init__(self):
+        for name in ("vanished", "survived", "augmented", "classes"):
+            if not _is_a(getattr(self, name), numbers.Integral):
+                raise SchemaError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.survived < 1:
             raise SchemaError(f"survived width must be >= 1, got {self.survived}")
         if self.classes < 2:
@@ -156,6 +166,9 @@ class Hyperparams:
     rho: float = 0.1
 
     def __post_init__(self):
+        for name in ("lam", "rho"):
+            if not _is_a(getattr(self, name), numbers.Real):
+                raise SchemaError(f"{name} must be a real number, got {getattr(self, name)!r}")
         # float(): numpy scalars would warn on the overflow that is tested for
         if not (self.lam >= 0 and math.isfinite(1.0 + 2.0 * float(self.lam))):
             raise SchemaError(f"consistency weight must be >= 0, 1 + 2 lam finite, got {self.lam}")

@@ -191,6 +191,34 @@ def test_criterion_4_zero_consistency_decoupling():
     )
 
 
+def test_criterion_4_consistency_moves_the_full_classifier_only():
+    # With the ridge negligible, phi is the survived-feature least-squares
+    # fit whatever lam is: theta's normal equations put (1 + lam) X theta =
+    # P_X Y + lam X_s phi, and X_s^T P_X = X_s^T cancels lam from phi's.
+    rng = np.random.default_rng(9)
+    schema = FeatureSchema(vanished=4, survived=6, augmented=0, classes=3)
+    scales = 10.0 ** rng.uniform(-1.0, 1.0, size=schema.cstage_width)
+    stream = [Batch(rng.standard_normal((40, schema.cstage_width)) * scales,
+                    one_hot_encode(rng.integers(0, 3, size=40), 3), schema.vanished)
+              for _ in range(5)]
+    _, x_sur, y = oracles.stack_stream(stream)
+    lstsq = np.linalg.lstsq(x_sur, y, rcond=None)[0]
+    worst, moved = 0.0, []
+    for mode in (DIRECT, FACTOR):
+        full = {}
+        for lam in (0.0, 0.1, 1.0, 100.0):
+            model = solve_model(_run_stream(schema, stream, Hyperparams(lam=lam, rho=1e-10), mode))
+            worst = max(worst, np.linalg.norm(model.coef_survived - lstsq) / np.linalg.norm(lstsq))
+            full[lam] = model.coef_full
+        moved.append(np.linalg.norm(full[100.0] - full[0.0]) / np.linalg.norm(full[0.0]))
+    _verdict(
+        4,
+        "lam pulls the full classifier and leaves the survived one at least squares",
+        worst <= 1e-9 and min(moved) > 0.01,
+        f"survived vs lstsq {worst:.2e}, full moved {min(moved):.0%}",
+    )
+
+
 def test_criterion_5_stationarity_of_coupled_objective():
     worst = 0.0
     for schema, stream, hyper in _random_streams():

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import opid
 from opid import cli, cstage, harness
 from opid.cli import main
 from opid.cstage import FACTOR, absorb_batch, init_stats, load_stats, save_stats
@@ -246,6 +250,20 @@ class TestRunAndReportCommands:
         assert rebuilt.splitlines()[0] == "repeats=4 seed=unknown"
         assert run_report.splitlines()[1:] == rebuilt.splitlines()[1:]
 
+    def test_report_rewrites_the_record_and_its_table(self, stream_dir, tmp_path, capsys):
+        out = tmp_path / "results"
+        main([
+            "run", "--manifest", stream_dir, "--out", str(out),
+            "--methods", "BASE_S,BASE_A", "--repeats", "3", "--seed", "5",
+        ])
+        rewritten = tmp_path / "rewritten"
+        assert main(["report", "--results", str(out / "results.csv"), "--out", str(rewritten)]) == 0
+        assert (rewritten / "results.csv").read_bytes() == (out / "results.csv").read_bytes()
+        report = (rewritten / "report.txt").read_text()
+        assert capsys.readouterr().out.endswith(report)
+        assert report.splitlines()[0] == "repeats=3 seed=unknown"
+        assert report.splitlines()[1:] == (out / "report.txt").read_text().splitlines()[1:]
+
     def test_unknown_method_rejected(self, stream_dir, tmp_path, capsys):
         argv = [
             "run", "--manifest", stream_dir, "--out", str(tmp_path / "x"),
@@ -325,6 +343,17 @@ class TestRejectedInput:
         source = [] if argv[0] == "synth" else ["--manifest", manifest_path]
         argv = [*argv, *source, "--out", str(tmp_path / "out")]
         _assert_rejected(capsys, argv, pattern)
+        assert not (tmp_path / "out").exists()
+
+    def test_grid_value_that_is_not_a_float_rejected(self, manifest_path, tmp_path, capsys):
+        # argparse rejects the flag itself: usage, one error line, exit code 2
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--manifest", manifest_path, "--out", str(tmp_path / "out"),
+                  "--gamma", "0.1,x"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --gamma: expected comma-separated floats, got '0.1,x'" in err
         assert not (tmp_path / "out").exists()
 
     def test_bad_synth_flag_value(self, tmp_path, capsys):
@@ -546,3 +575,23 @@ def test_tuned_report_bytes_are_pinned(tmp_path, capsys):
     assert main(["run", "--manifest", manifest_path, "--out", str(out), *_PINNED_TUNED_RUN]) == 0
     assert (out / "report.txt").read_bytes() == _PINNED_TUNED_REPORT.encode()
     assert (out / "results.csv").read_bytes() == _PINNED_TUNED_RESULTS.encode()
+
+
+def test_cli_runs_as_a_module_without_installing(tmp_path):
+    # ``python -m opid.cli`` with the source tree on the path, as the README shows
+    env = {**os.environ, "PYTHONPATH": str(Path(opid.__file__).resolve().parents[1])}
+
+    def opid_cli(*argv):
+        return subprocess.run([sys.executable, "-m", "opid.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    synth = opid_cli(*_synth_args(tmp_path / "data"))
+    assert synth.returncode == 0, synth.stderr
+    manifest = synth.stdout.strip()
+    assert Path(manifest) == tmp_path / "data" / "manifest.json"
+    run = opid_cli("run", "--manifest", manifest, "--out", str(tmp_path / "results"),
+                   "--methods", "OPID,BASE_S", "--repeats", "2", "--seed", "3")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("repeats=2 seed=3\n")
+    for name in ("report.txt", "results.csv"):
+        assert (tmp_path / "results" / name).is_file()

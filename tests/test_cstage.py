@@ -697,6 +697,11 @@ class TestCompress:
         with pytest.raises(SchemaError):
             compress(np.ones((4, 4)), model)
 
+    def test_block_that_is_not_a_matrix_rejected(self):
+        model = CStageModel(np.zeros((5, 2)), np.zeros((3, 2)))
+        with pytest.raises(SchemaError, match="survived block must be 2-D, got 1-D"):
+            compress(np.ones(3), model)
+
 
 class TestSnapshot:
     @pytest.mark.parametrize("mode", [DIRECT, FACTOR])
@@ -894,6 +899,13 @@ class TestSnapshot:
 
         with pytest.raises(SchemaError, match="upper-triangular"):
             load_stats(self._factor_snapshot(tmp_path, mat=below))
+
+    def test_npy_file_rejected(self, tmp_path):
+        # np.load reads a lone .npy array too; it is not a snapshot
+        path = tmp_path / "stats.npy"
+        np.save(path, np.eye(3))
+        with pytest.raises(SchemaError, match="not a readable statistics snapshot: not an .npz"):
+            load_stats(path)
 
     def test_unversioned_snapshot_rejected(self, tmp_path):
         # the layout from before format versions: a coupled (m, m) matrix

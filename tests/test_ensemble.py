@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from opid import ensemble
 from opid import model as model_module
 from opid.ensemble import (
     NEWTON_MAX_ITER,
@@ -10,6 +11,7 @@ from opid.ensemble import (
     WEIGHT_GRID,
     EnsembleModel,
     LogisticModel,
+    SolverError,
     predict_ensemble,
     train_ensemble,
     train_logistic,
@@ -77,6 +79,21 @@ class TestTrainLogistic:
     def test_empty_training_set_is_a_schema_error(self):
         with pytest.raises(SchemaError, match="at least one instance"):
             train_logistic(np.zeros((0, 2)), np.zeros(0), alpha=1.0)
+
+    def test_features_that_are_not_a_matrix_rejected(self):
+        with pytest.raises(SchemaError, match="features must be 2-D, got 1-D"):
+            train_logistic(np.zeros(4), np.ones(4), alpha=1.0)
+
+    def test_labels_of_another_length_rejected(self):
+        with pytest.raises(SchemaError, match=r"labels have shape \(3,\), expected \(4,\)"):
+            train_logistic(np.zeros((4, 2)), np.ones(3), alpha=1.0)
+
+    def test_exhausted_iteration_budget_raises(self, monkeypatch):
+        # one Newton step from zero does not reach the tolerance on this task
+        monkeypatch.setattr(ensemble, "NEWTON_MAX_ITER", 1)
+        x, y = separable_binary(np.random.default_rng(0))
+        with pytest.raises(SolverError, match="within 1 iterations"):
+            train_logistic(x, y, alpha=1.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -158,6 +175,11 @@ class TestTrainOvr:
         assert model.constant_class == 1
         np.testing.assert_array_equal(model.predict(x), np.ones(6))
         assert "constant classifier" in caplog.text
+        np.testing.assert_array_equal(model.proba(x), one_hot_encode([1] * 6, 3))
+
+    def test_single_column_of_labels_rejected(self):
+        with pytest.raises(SchemaError, match="need at least two classes, got 1"):
+            train_ovr(np.zeros((3, 2)), np.ones((3, 1)), alpha=1.0)
 
     def test_probabilities_in_unit_interval(self):
         rng = np.random.default_rng(6)

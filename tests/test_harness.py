@@ -103,6 +103,11 @@ class TestResolveMode:
         schema = FeatureSchema(vanished=3000, survived=100, augmented=0, classes=2)
         assert resolve_mode("auto", schema) == FACTOR
 
+    @pytest.mark.parametrize("mode", [DIRECT, FACTOR])
+    def test_named_mode_kept(self, mode):
+        schema = FeatureSchema(vanished=1, survived=1, augmented=0, classes=2)
+        assert resolve_mode(mode, schema) == mode
+
     def test_unknown_mode_rejected(self):
         schema = FeatureSchema(vanished=1, survived=1, augmented=0, classes=2)
         with pytest.raises(ValueError):
@@ -160,6 +165,11 @@ class TestKFoldCV:
     def test_too_few_rows_rejected(self):
         with pytest.raises(ValueError):
             k_fold_cv(np.zeros((3, 1)), np.eye(3), [1.0], 5, self._nearest_scale_scorer)
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="empty hyperparameter grid"):
+            k_fold_cv(np.zeros((4, 1)), np.eye(2)[[0, 1, 0, 1]], [], 2,
+                      self._nearest_scale_scorer)
 
 
 class TestPairedTTest:
@@ -686,6 +696,12 @@ class TestReports:
         path.write_text(body)
         with pytest.raises(SchemaError, match=f"results.csv{where}"):
             load_results(path)
+
+    def test_blank_lines_in_a_record_are_skipped(self, tmp_path):
+        path = tmp_path / "results.csv"
+        path.write_text("method,repeat,accuracy\nA,0,0.5\n\n  \nA,1,0.75\n\n")
+        table = load_results(path)
+        assert table.accuracies == {"A": (0.5, 0.75)}
 
     def test_reports_are_byte_deterministic(self, tmp_path):
         spec = _spec(tmp_path / "stream", (OPIDE, BASE_A), repeats=3, seed=4)

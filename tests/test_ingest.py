@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import warnings
 
 import numpy as np
@@ -21,7 +22,7 @@ from opid.ingest import (
     stream_batches,
     write_stream,
 )
-from opid.model import FeatureSchema
+from opid.model import FeatureSchema, SchemaError
 
 
 def _write_manifest(tmp_path, overrides=None, drop=None):
@@ -118,6 +119,40 @@ class TestParseManifest:
             tmp_path, overrides={"cstage_columns": {"vanished": bounds, "survived": [1, 3]}}
         )
         with pytest.raises(ManifestError, match="pair of integers"):
+            parse_manifest(path)
+
+    def test_manifest_that_is_not_an_object_rejected(self, tmp_path):
+        path = _write_manifest(tmp_path)
+        path.write_text(json.dumps([json.loads(path.read_text())]))
+        with pytest.raises(ManifestError, match="manifest must be a JSON object"):
+            parse_manifest(path)
+
+    @pytest.mark.parametrize("field, columns, pattern", [
+        ("cstage_columns", {"vanished": [0, 1], "survived": [1, 3], "augmented": [3, 3]},
+         "cstage_columns must map exactly vanished/survived"),
+        ("cstage_columns", {"vanished": [0, 1]}, "cstage_columns must map exactly"),
+        ("estage_columns", {"survived": [0, 2], "vanished": [2, 3]},
+         "estage_columns must map exactly survived/augmented"),
+    ])
+    def test_column_object_with_other_keys_rejected(self, tmp_path, field, columns, pattern):
+        path = _write_manifest(tmp_path, overrides={field: columns})
+        with pytest.raises(ManifestError, match=pattern):
+            parse_manifest(path)
+
+    @pytest.mark.parametrize("bounds", [[1, 0], [-1, 0], [3, 2]])
+    def test_reversed_or_negative_range_rejected(self, tmp_path, bounds):
+        path = _write_manifest(
+            tmp_path, overrides={"cstage_columns": {"vanished": bounds, "survived": [1, 3]}}
+        )
+        with pytest.raises(ManifestError, match=r"cstage vanished range \[.*\) is not a valid span"):
+            parse_manifest(path)
+
+    def test_range_past_the_feature_columns_rejected(self, tmp_path):
+        # as wide as the schema says, but the files have only 3 feature columns
+        path = _write_manifest(
+            tmp_path, overrides={"estage_columns": {"survived": [0, 2], "augmented": [3, 4]}}
+        )
+        with pytest.raises(ManifestError, match=r"estage augmented range \[3, 4\) exceeds the 3"):
             parse_manifest(path)
 
     def test_non_utf8_manifest_rejected(self, tmp_path):
@@ -403,3 +438,30 @@ class TestGenerateSynthetic:
             SynthConfig(schema=schema, batches=1, batch_size=5, estage_size=5, noise=-1.0)
         with pytest.raises(ValueError):
             SynthConfig(schema=schema, batches=1, batch_size=5, estage_size=5, signal=(1.0, 1.0))
+
+    @pytest.mark.parametrize("field, value, kind", [
+        ("batches", 2.5, "an int"), ("batches", True, "an int"),
+        ("batch_size", 2.5, "an int"), ("batch_size", "5", "an int"),
+        ("estage_size", 5.0, "an int"), ("estage_size", None, "an int"),
+        ("seed", 1.5, "an int"), ("seed", False, "an int"),
+        ("separation", "2", "a real number"), ("separation", True, "a real number"),
+        ("noise", "1", "a real number"), ("noise", None, "a real number"),
+        ("signal", "110", "a tuple or list of real numbers"),
+        ("signal", (1.0, "1", 0.0), "a tuple or list of real numbers"),
+        ("signal", (1.0, True, 0.0), "a tuple or list of real numbers"),
+        ("signal", None, "a tuple or list of real numbers"),
+    ])
+    def test_mistyped_setting_rejected(self, field, value, kind):
+        settings = dict(schema=FeatureSchema(vanished=1, survived=2, augmented=1, classes=2),
+                        batches=1, batch_size=5, estage_size=5)
+        settings[field] = value
+        with pytest.raises(SchemaError, match=f"{field} must be {kind}, got {re.escape(repr(value))}"):
+            SynthConfig(**settings)
+
+    def test_numpy_settings_accepted(self):
+        schema = FeatureSchema(vanished=1, survived=2, augmented=1, classes=2)
+        cfg = SynthConfig(schema=schema, batches=np.int64(2), batch_size=np.int32(3),
+                          estage_size=np.uint8(4), separation=np.float32(1.5),
+                          noise=np.int64(1), signal=[np.float64(1.0), 1, 0.0], seed=np.int64(3))
+        cbatches, train, _ = generate_synthetic(cfg)
+        assert len(cbatches) == 2 and cbatches[0].n == 3 and train[0].shape == (4, 3)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from opid import model
 from opid.model import (
     Batch,
+    CStageModel,
     EStageModel,
     FeatureSchema,
     Hyperparams,
@@ -34,6 +35,10 @@ class TestOneHot:
         with pytest.raises(SchemaError):
             one_hot_encode([-1], 2)
 
+    def test_labels_that_are_not_a_vector_rejected(self):
+        with pytest.raises(SchemaError, match="labels must be 1-D, got 2-D"):
+            one_hot_encode([[0, 1]], 2)
+
     @given(st.lists(st.integers(0, 4), min_size=1, max_size=30))
     def test_rows_sum_to_one_with_binary_entries(self, labels):
         out = one_hot_encode(labels, 5)
@@ -53,6 +58,10 @@ class TestArgmaxDecode:
             argmax_decode([[np.nan, 1.0]])
         with pytest.raises(NumericError):
             argmax_decode([[np.inf, 1.0]])
+
+    def test_scores_that_are_not_a_matrix_rejected(self):
+        with pytest.raises(SchemaError, match="scores must be 2-D, got 1-D"):
+            argmax_decode([0.1, 0.9])
 
     @settings(max_examples=50)
     @given(
@@ -101,6 +110,18 @@ class TestSchema:
         with pytest.raises(SchemaError):
             FeatureSchema(**kwargs)
 
+    @pytest.mark.parametrize("field", ["vanished", "survived", "augmented", "classes"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, "2", None])
+    def test_non_integer_width_rejected(self, field, value):
+        kwargs = dict(vanished=2, survived=3, augmented=2, classes=2)
+        kwargs[field] = value
+        with pytest.raises(SchemaError, match=f"{field} must be an int, got {value!r}"):
+            FeatureSchema(**kwargs)
+
+    def test_numpy_integer_widths_accepted(self):
+        s = FeatureSchema(*(np.int64(w) for w in (2, 3, 4)), np.uint8(5))
+        assert s.stats_dim == 8
+
 
 class TestValidateBatch:
     def test_matching_cstage_batch_accepted(self, small_schema):
@@ -142,6 +163,20 @@ class TestValidateBatch:
         with pytest.raises(SchemaError, match="sum"):
             validate_batch(b, small_schema)
 
+    def test_empty_batch_rejected(self, small_schema):
+        b = Batch.cstage(np.zeros((0, 2)), np.zeros((0, 3)), np.zeros((0, 2)))
+        with pytest.raises(SchemaError, match="at least one instance"):
+            validate_batch(b, small_schema)
+
+    def test_wrong_class_count_rejected(self, small_schema):
+        b = Batch.cstage(np.zeros((2, 2)), np.zeros((2, 3)), one_hot_encode([0, 2], 3))
+        with pytest.raises(SchemaError, match=r"labels have shape \(2, 3\), expected \(2, 2\)"):
+            validate_batch(b, small_schema)
+
+    def test_block_that_is_not_a_matrix_rejected(self):
+        with pytest.raises(SchemaError, match="vanished must be 2-D, got 1-D"):
+            Batch.cstage(np.zeros(2), np.zeros((2, 3)), one_hot_encode([0, 1], 2))
+
     @given(st.integers(0, 6), st.integers(1, 6))
     def test_acceptance_matches_schema_widths(self, d_v, d_s):
         schema = FeatureSchema(vanished=2, survived=3, augmented=0, classes=2)
@@ -169,6 +204,30 @@ class TestHyperparams:
     def test_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             Hyperparams(**kwargs)
+
+    @pytest.mark.parametrize("field", ["lam", "rho"])
+    @pytest.mark.parametrize("value", [True, "1", None, 1j])
+    def test_non_real_value_rejected(self, field, value):
+        with pytest.raises(SchemaError, match=f"{field} must be a real number, got {value!r}"):
+            Hyperparams(**{field: value})
+
+    def test_numpy_scalars_accepted(self):
+        h = Hyperparams(lam=np.float32(0.5), rho=np.int64(2))
+        assert (h.lam, h.rho) == (0.5, 2)
+
+
+class TestCStageModelInvariants:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("block", ["coef_full", "coef_survived"])
+    def test_non_finite_coefficients_rejected(self, bad, block):
+        coefs = {"coef_full": np.zeros((5, 3)), "coef_survived": np.zeros((3, 3))}
+        coefs[block][0, 1] = bad
+        with pytest.raises(NumericError, match="finite"):
+            CStageModel(**coefs)
+
+    def test_blocks_with_different_class_counts_rejected(self):
+        with pytest.raises(SchemaError, match="disagree on class count"):
+            CStageModel(np.zeros((5, 3)), np.zeros((3, 2)))
 
 
 class TestEStageModelInvariants:
