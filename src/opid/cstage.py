@@ -57,6 +57,7 @@ from .model import (
     NumericError,
     SchemaError,
     _replacing,
+    _zeros,
     validate_batch,
 )
 
@@ -130,15 +131,13 @@ def init_stats(schema: FeatureSchema, hyper: Hyperparams, mode: str = DIRECT) ->
     if mode not in (DIRECT, FACTOR):
         raise SchemaError(f"unknown accumulation mode {mode!r}")
     p, s = schema.cstage_width, schema.survived
-    if mode == DIRECT:
-        mat = np.zeros((p, p), order="F")
-    else:
+    mat = _zeros((p, p if mode == DIRECT else 2 * p), schema, order="F")
+    if mode == FACTOR:
         rows = np.arange(p)
-        mat = np.zeros((p, 2 * p), order="F")
         mat[rows, rows] = mat[rows, p + rows] = np.repeat(
             [np.sqrt(hyper.rho), np.sqrt(2.0 * hyper.rho)], [s, p - s]
         )
-    return CStageStats(mode, schema, hyper, mat, np.zeros((p, schema.classes)))
+    return CStageStats(mode, schema, hyper, mat, _zeros((p, schema.classes), schema))
 
 
 def absorb_batch(stats: CStageStats, batch: Batch) -> CStageStats:

@@ -4,6 +4,15 @@ Both ensemble members are L2-regularized logistic models trained from scratch
 with a damped Newton iteration; the same solver backs the raw-feature
 baselines, so every classifier in the package shares one optimization
 contract: the gradient norm at the returned coefficients is <= ``NEWTON_TOL``.
+``train_ovr`` takes the first Newton step of all its classes at once. From
+zero coefficients every margin is 0 whatever the class, so the objective,
+the Hessian I + alpha X'X / 4 and its Cholesky factor are the same for all
+classes: one factorization, solved with a column of right-hand side per
+class, replaces one per class. It is exact, not an approximation: each
+class's gradient and line search are computed as ``train_logistic``
+computes them, the triangular solves give each column the bits of its
+one-column solve (as the tests check on the bundled OpenBLAS), and
+``train_logistic`` continues from the accepted point.
 Training takes the joint block ``z`` of :func:`estage.build_stacked` and
 its one-hot labels: the base member is fit on the c compressed columns
 ``z[:, :c]``, the joint member on all of ``z``. ``_fit_members`` fits both
@@ -19,6 +28,7 @@ Prediction takes a feature matrix, survived columns first, augmented after.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +68,45 @@ def _check_loss_weight(alpha: float) -> None:
         raise SchemaError(f"loss weight must be > 0 and finite, got {alpha}")
 
 
+def _check_task(x: np.ndarray, y: np.ndarray) -> None:
+    if x.ndim != 2:
+        raise SchemaError(f"features must be 2-D, got {x.ndim}-D")
+    if y.shape != (x.shape[0],):
+        raise SchemaError(f"labels have shape {y.shape}, expected ({x.shape[0]},)")
+    if x.shape[0] < 1:
+        raise SchemaError("need at least one instance")
+
+
+def _converged(grad: np.ndarray) -> bool:
+    # np.linalg.norm of a vector, without its dispatch
+    return math.sqrt(grad @ grad) <= NEWTON_TOL
+
+
+def _hessian(x: np.ndarray, curv: np.ndarray, alpha: float) -> np.ndarray:
+    """The identity plus ``alpha`` times the ``curv``-weighted Gram matrix of ``x``."""
+    hess = alpha * (x.T * curv) @ x
+    hess.reshape(-1)[:: x.shape[1] + 1] += 1.0  # a fresh product is C-ordered
+    return hess
+
+
+def _armijo_step(x, y, alpha: float, v, f: float, grad, direction):
+    """The damped Newton step from ``v`` (objective ``f``, gradient ``grad``)
+    along ``-direction``: the first step size of 1, 1/2, ..., 2**-39 that
+    meets Armijo's sufficient decrease, else the last one tried. Returns the
+    accepted point, its margins and its objective."""
+    slope = float(grad @ direction)
+    eta, step = 1.0, direction  # the unit step needs no multiply
+    while eta > 2.0**-40:
+        cand = v - step
+        t_cand = y * (x @ cand)
+        f_cand = logistic_objective(cand, t_cand, alpha)
+        if f_cand <= f - 1e-4 * eta * slope:
+            break
+        eta *= 0.5
+        step = eta * direction
+    return cand, t_cand, f_cand
+
+
 def train_logistic(x, y_pm, alpha: float, init=None) -> np.ndarray:
     """Minimize the regularized logistic objective to gradient norm <=
     ``NEWTON_TOL``, starting from ``init`` (zeros by default).
@@ -66,19 +115,15 @@ def train_logistic(x, y_pm, alpha: float, init=None) -> np.ndarray:
     a weighted Gram matrix, so every step is an SPD solve and the iteration
     is globally convergent on this strictly convex objective. No instances,
     or a loss weight that is not finite and > 0, raise :class:`SchemaError`.
+    :func:`train_ovr` takes every class's first step from zeros itself and
+    passes the accepted point as ``init``.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y_pm, dtype=np.float64)
-    if x.ndim != 2:
-        raise SchemaError(f"features must be 2-D, got {x.ndim}-D")
-    if y.shape != (x.shape[0],):
-        raise SchemaError(f"labels have shape {y.shape}, expected ({x.shape[0]},)")
-    if x.shape[0] < 1:
-        raise SchemaError("need at least one instance")
+    _check_task(x, y)
     _check_loss_weight(alpha)
 
-    d = x.shape[1]
-    v = np.zeros(d) if init is None else np.asarray(init, dtype=np.float64).copy()
+    v = np.zeros(x.shape[1]) if init is None else np.asarray(init, dtype=np.float64).copy()
     # a nan or inf feature reaches _solve_spd's finiteness check and fails
     # there, typed; numpy must not warn about it first
     with np.errstate(over="ignore", invalid="ignore"):
@@ -87,23 +132,11 @@ def train_logistic(x, y_pm, alpha: float, init=None) -> np.ndarray:
         for _ in range(NEWTON_MAX_ITER):
             slack = expit(-t)
             grad = v - alpha * (x.T @ (y * slack))
-            if np.linalg.norm(grad) <= NEWTON_TOL:
+            if _converged(grad):
                 return v
-            curv = expit(t) * slack
-            hess = alpha * (x.T * curv) @ x
-            hess.reshape(-1)[:: d + 1] += 1.0  # plus the identity; a fresh product is C-ordered
-            direction = _solve_spd(hess, grad, "Newton system")
-            slope = float(grad @ direction)
-            eta = 1.0
-            while eta > 2.0**-40:
-                cand = v - eta * direction
-                t_cand = y * (x @ cand)
-                f_cand = logistic_objective(cand, t_cand, alpha)
-                if f_cand <= f - 1e-4 * eta * slope:
-                    break
-                eta *= 0.5
+            direction = _solve_spd(_hessian(x, expit(t) * slack, alpha), grad, "Newton system")
             # the accepted point's margins and objective start the next step
-            v, t, f = cand, t_cand, f_cand
+            v, t, f = _armijo_step(x, y, alpha, v, f, grad, direction)
     raise SolverError(
         f"no convergence to gradient norm {NEWTON_TOL} within {NEWTON_MAX_ITER} iterations"
     )
@@ -158,7 +191,14 @@ class EnsembleModel:
 def train_ovr(x, labels, alpha: float) -> LogisticModel:
     """Train one binary logistic task per class against the rest. A bad loss
     weight raises :class:`SchemaError` even when only one class is present
-    and the fit is a constant classifier."""
+    and the fit is a constant classifier.
+
+    The first Newton step of every class is taken here, with one Hessian and
+    one SPD solve (see the module docstring); each class then continues in
+    :func:`train_logistic` from its accepted point, so column k has the bits
+    of ``train_logistic(x, class_signs(labels, k), alpha)``. A class that
+    exhausts ``NEWTON_MAX_ITER`` there has taken one step more.
+    """
     x = np.asarray(x, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     c = labels.shape[1]
@@ -170,9 +210,29 @@ def train_ovr(x, labels, alpha: float) -> LogisticModel:
         only = int(present[0])
         logger.warning("degenerate fold with a single class %d: constant classifier", only)
         return LogisticModel(coef=np.zeros((x.shape[1], c)), constant_class=only)
+    signs = [class_signs(labels, cls) for cls in range(c)]
+    _check_task(x, signs[0])
+    zero = np.zeros(x.shape[1])
+    starts = [zero] * c
+    with np.errstate(over="ignore", invalid="ignore"):
+        # every class's margins y * (x @ 0) are +/-0, or nan beside a
+        # non-finite feature: the unsigned ones give each class's slack,
+        # curvature and objective bit for bit
+        t = x @ zero
+        slack = expit(-t)
+        grads = [zero - alpha * (x.T @ (y * slack)) for y in signs]
+        moving = [cls for cls in range(c) if not _converged(grads[cls])]
+        if moving:
+            f = logistic_objective(zero, t, alpha)
+            # the stacked gradients' transpose is Fortran-ordered, as LAPACK
+            # takes it, and each class's direction is a contiguous row
+            directions = _solve_spd(_hessian(x, expit(t) * slack, alpha),
+                                    np.array([grads[cls] for cls in moving]).T, "Newton system")
+            for cls, direction in zip(moving, directions.T):
+                starts[cls] = _armijo_step(x, signs[cls], alpha, zero, f, grads[cls], direction)[0]
     coef = np.empty((x.shape[1], c))
     for cls in range(c):
-        coef[:, cls] = train_logistic(x, class_signs(labels, cls), alpha)
+        coef[:, cls] = train_logistic(x, signs[cls], alpha, init=starts[cls])
     return LogisticModel(coef=coef)
 
 
@@ -182,14 +242,17 @@ def _fit_members(z: np.ndarray, labels: np.ndarray, alpha: float):
     return train_ovr(z[:, : labels.shape[1]], labels, alpha), train_ovr(z, labels, alpha)
 
 
-def _fold_decisions(z_train, y_train, z_val, alpha: float, weights) -> list[np.ndarray]:
+def _fold_decisions(z_train, y_train, z_val, alpha: float, weights) -> np.ndarray:
     """Fit both members on a fold's training rows with loss weight ``alpha``
     and classify its validation rows by argmax(w p_base + (1 - w) p_joint) of
-    the members' probabilities, once for each base weight w in ``weights``."""
+    the members' probabilities: one row of class indices for each base weight
+    w in ``weights``."""
     fold_base, fold_joint = _fit_members(z_train, y_train, alpha)
     p_base = fold_base.proba(z_val[:, : y_train.shape[1]])
     p_joint = fold_joint.proba(z_val)
-    return [argmax_decode(w * p_base + (1.0 - w) * p_joint) for w in weights]
+    w = np.asarray(weights, dtype=np.float64)[:, None, None]
+    combined = w * p_base + (1.0 - w) * p_joint
+    return argmax_decode(combined.reshape(-1, p_base.shape[1])).reshape(w.shape[0], -1)
 
 
 def train_ensemble(z, labels, alpha: float = 1.0, folds: int = 5) -> EnsembleModel:

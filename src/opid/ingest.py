@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import Batch, FeatureSchema, SchemaError, _is_a, _open_text, one_hot_encode
+from .model import Batch, FeatureSchema, SchemaError, _is_a, _open_text, _zeros, one_hot_encode
 
 # each manifest key and the Python type its JSON value must parse to; the
 # array must hold at least one string, and strings only
@@ -264,6 +264,8 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.schema, FeatureSchema):
+            raise SchemaError(f"schema must be a FeatureSchema, got {type(self.schema).__name__}")
         # bool is an int and str a sequence, so neither passes for a number or a list
         for names, kind, what in ((("batches", "batch_size", "estage_size", "seed"),
                                    numbers.Integral, "an int"),
@@ -302,7 +304,7 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[list[Batch], _Rows, _Rows]:
     widths = (schema.vanished, schema.survived, schema.augmented)
     total = sum(widths)
 
-    means = np.zeros((schema.classes, total))
+    means = _zeros((schema.classes, total), schema)
 
     def draw(n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
         labels = _balanced_labels(n, schema.classes, rng)

@@ -46,6 +46,17 @@ def _as_matrix(a, name: str) -> np.ndarray:
     return arr
 
 
+def _zeros(shape: tuple[int, int], schema: FeatureSchema, order: str = "C") -> np.ndarray:
+    """``np.zeros(shape)`` for a matrix whose shape ``schema``'s widths set;
+    a shape that numpy cannot allocate raises :class:`SchemaError` naming them."""
+    try:
+        return np.zeros(shape, order=order)
+    except (ValueError, MemoryError) as exc:
+        raise SchemaError(
+            f"{schema} needs a {shape[0]} x {shape[1]} matrix, which cannot be allocated: {exc}"
+        ) from exc
+
+
 @dataclass(frozen=True)
 class FeatureSchema:
     """Widths of the three feature partitions plus the class count."""

@@ -164,6 +164,55 @@ def test_solver_counters_count_steps_and_evaluated_points(monkeypatch):
     assert halvings > 0 and calls == 1 + steps + halvings
 
 
+def test_experiment_fits_each_class_through_the_traced_solver(tmp_path, monkeypatch):
+    # The tracer reads ensemble.logistic_fits from train_logistic spans, so
+    # every class of every one-vs-rest fit must go through that attribute.
+    # train_ovr's first Newton steps share one factorization per task set:
+    # c - 1 fewer than a fit per class makes, with the same results. The
+    # stream is the experiment workload's tiny scale.
+    cfg = ingest.SynthConfig(
+        schema=model.FeatureSchema(vanished=3, survived=5, augmented=3, classes=3),
+        batches=4, batch_size=20, estage_size=40, separation=2.0, signal=(1.0, 1.0, 0.0),
+    )
+    written = ingest.write_stream(*ingest.generate_synthetic(cfg), tmp_path, cfg.schema)
+    spec = ExperimentSpec(source=ingest.parse_manifest(written), repeats=3)
+    shared, logistic, dpotrf = ensemble.train_ovr, ensemble.train_logistic, model.dpotrf
+
+    def per_class(x, labels, alpha):
+        return ensemble.LogisticModel(np.column_stack([
+            ensemble.train_logistic(x, model.class_signs(labels, cls), alpha)
+            for cls in range(labels.shape[1])
+        ]))
+
+    def counted_run(ovr):
+        counts = dict.fromkeys(("ovr", "classes", "logistic", "dpotrf"), 0)
+
+        def counting(key, fn):
+            def call(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        def counted_ovr(x, labels, alpha):
+            counts["classes"] += labels.shape[1]
+            fit = counting("ovr", ovr)(x, labels, alpha)
+            assert fit.constant_class is None
+            return fit
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ensemble, "train_logistic", counting("logistic", logistic))
+            patch.setattr(model, "dpotrf", counting("dpotrf", dpotrf))
+            for module in (ensemble, harness):
+                patch.setattr(module, "train_ovr", counted_ovr)
+            return run_experiment(spec), counts
+
+    table, counts = counted_run(shared)
+    reference, reference_counts = counted_run(per_class)
+    assert table.accuracies == reference.accuracies and not table.failures
+    assert counts["ovr"] == reference_counts["ovr"] > 0
+    assert counts["logistic"] == reference_counts["logistic"] == counts["classes"]
+    assert reference_counts["dpotrf"] - counts["dpotrf"] == counts["classes"] - counts["ovr"]
+
 def test_traced_targets_resolve():
     # The tracer wraps these (layer, module, attribute path, kind) targets and
     # silently skips one it cannot find, so a renamed or deleted name fails here.

@@ -345,6 +345,13 @@ class TestRejectedInput:
         _assert_rejected(capsys, argv, pattern)
         assert not (tmp_path / "out").exists()
 
+    def test_unallocatable_width_rejected(self, tmp_path, capsys):
+        # widths whose sum numpy cannot index, so nothing is allocated
+        argv = ["synth", "--out", str(tmp_path / "out"),
+                "--vanished", str(2**62), "--survived", str(2**62)]
+        _assert_rejected(capsys, argv, "cannot be allocated")
+        assert not (tmp_path / "out").exists()
+
     def test_grid_value_that_is_not_a_float_rejected(self, manifest_path, tmp_path, capsys):
         # argparse rejects the flag itself: usage, one error line, exit code 2
         capsys.readouterr()

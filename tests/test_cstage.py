@@ -92,6 +92,16 @@ class TestInitStats:
         with pytest.raises(SchemaError, match="unknown accumulation mode"):
             init_stats(_schema(), Hyperparams(), mode="magic")
 
+    # widths whose matrix has a dimension, or a size, past what numpy can
+    # index, so that numpy refuses before allocating anything
+    @pytest.mark.parametrize("vanished, survived", [(2**62, 2**62), (0, 2**32)])
+    @pytest.mark.parametrize("mode", [DIRECT, FACTOR])
+    def test_unallocatable_width_is_a_schema_error(self, mode, vanished, survived):
+        schema = FeatureSchema(vanished=vanished, survived=survived, augmented=0, classes=2)
+        with pytest.raises(SchemaError, match=rf"vanished={vanished}, survived={survived}.*"
+                                              "cannot be allocated"):
+            init_stats(schema, Hyperparams(), mode=mode)
+
 
 class TestAbsorb:
     def test_zero_consistency_decouples_blocks(self):

@@ -18,7 +18,15 @@ from opid.ensemble import (
     train_ovr,
 )
 from opid.estage import predict_unified
-from opid.model import CStageModel, EStageModel, NumericError, SchemaError, one_hot_encode
+from opid.model import (
+    CStageModel,
+    EStageModel,
+    NumericError,
+    SchemaError,
+    argmax_decode,
+    class_signs,
+    one_hot_encode,
+)
 
 import oracles
 
@@ -190,6 +198,105 @@ class TestTrainOvr:
         assert ((p > 0) & (p < 1)).all()
 
 
+class TestTrainOvrSharesTheFirstStep:
+    """``train_ovr`` takes every class's first Newton step with one Hessian
+    and one solve; column k still has the bits of ``train_logistic`` on
+    class k's task."""
+
+    @staticmethod
+    def _assert_columns_are_single_fits(x, labels, alpha):
+        coef = train_ovr(x, labels, alpha).coef
+        for cls in range(labels.shape[1]):
+            assert np.array_equal(coef[:, cls], train_logistic(x, class_signs(labels, cls), alpha))
+        return coef
+
+    @staticmethod
+    def _paired_task(rng, scale, nudge):
+        # the second half repeats the first half's rows with other classes,
+        # so class 0's gradient at zero cancels, up to a nudge of one row
+        half = scale * rng.standard_normal((12, 3))
+        x = np.vstack([half, half])
+        x[11, 0] += nudge
+        return x, one_hot_encode(np.concatenate([np.zeros(12, int), rng.integers(1, 3, 12)]), 3)
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 10.0])
+    def test_random_tasks(self, alpha):
+        rng = np.random.default_rng(33)
+        for c in (2, 3, 5):
+            for _ in range(4):
+                d = int(rng.integers(1, 30))
+                # a column slice, as the base member's compressed columns are passed
+                x = rng.standard_normal((60, d + 2))[:, :d]
+                idx = rng.integers(0, c, 60)
+                x[:, 0] += idx
+                self._assert_columns_are_single_fits(x, one_hot_encode(idx, c), alpha)
+
+    def test_class_converged_at_zero(self):
+        x, labels = self._paired_task(np.random.default_rng(0), 1.0, 0.0)
+        coef = self._assert_columns_are_single_fits(x, labels, 1.0)
+        assert not coef[:, 0].any() and coef[:, 1:].all()
+
+    def test_no_solve_when_every_class_is_converged_at_zero(self, monkeypatch):
+        def no_lapack(*args, **kwargs):
+            raise AssertionError("a Newton system was solved")
+
+        monkeypatch.setattr(model_module, "dpotrf", no_lapack)
+        coef = train_ovr(np.zeros((6, 2)), one_hot_encode([0, 1, 2, 0, 1, 2], 3), 1.0).coef
+        np.testing.assert_array_equal(coef, np.zeros((2, 3)))
+
+    def test_first_steps_that_backtrack(self, monkeypatch):
+        # The quadratic model at zero bounds the objective from above, so the
+        # unit step from zero fails Armijo's test only by rounding: here the
+        # nudged class's decrease is far below the objective's last bit.
+        backtracked, real_step = [], ensemble._armijo_step
+
+        def recording(x, y, alpha, v, f, grad, direction):
+            out = real_step(x, y, alpha, v, f, grad, direction)
+            if not v.any():
+                backtracked.append(not np.array_equal(out[0], v - direction))
+            return out
+
+        monkeypatch.setattr(ensemble, "_armijo_step", recording)
+        for seed in range(8):
+            self._assert_columns_are_single_fits(
+                *self._paired_task(np.random.default_rng(seed), 1e3, 3e-6), 1.0
+            )
+        assert any(backtracked)
+
+    def test_one_factorization_for_the_first_steps(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((50, 4))
+        labels = one_hot_encode(rng.integers(0, 4, 50), 4)
+        calls, real_dpotrf = [], model_module.dpotrf
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return real_dpotrf(*args, **kwargs)
+
+        monkeypatch.setattr(model_module, "dpotrf", counted)
+        train_ovr(x, labels, 1.0)
+        shared = len(calls)
+        calls.clear()
+        for cls in range(4):
+            train_logistic(x, class_signs(labels, cls), 1.0)
+        assert len(calls) - shared == 4 - 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_feature_raises_before_lapack(self, monkeypatch, bad):
+        def no_lapack(*args, **kwargs):
+            raise AssertionError("LAPACK called on a non-finite system")
+
+        monkeypatch.setattr(model_module, "dpotrf", no_lapack)
+        x = np.random.default_rng(0).standard_normal((9, 2))
+        x[3, 1] = bad
+        with pytest.raises(NumericError, match="Newton system solve failed: .*non-finite"):
+            train_ovr(x, one_hot_encode(np.arange(9) % 3, 3), 1.0)
+
+    def test_labels_of_another_length_rejected(self):
+        with pytest.raises(SchemaError, match=r"labels have shape \(3,\), expected \(4,\)"):
+            train_ovr(np.zeros((4, 2)), one_hot_encode([0, 1, 0], 2), 1.0)
+
+
 def _stacked_with_noise_augmented(rng, n=60, c=3, d_a=8, noise=1.0):
     """Compressed block carries the signal; augmented block is pure noise."""
     centers = 2.5 * np.eye(c)
@@ -266,6 +373,29 @@ class TestTrainEnsemble:
         np.testing.assert_array_equal(model.clf_base.coef, train_ovr(z[:, :c], labels, 1.0).coef)
         np.testing.assert_array_equal(model.clf_joint.coef, train_ovr(z, labels, 1.0).coef)
 
+
+    def test_fold_decisions_equal_a_decision_per_weight(self):
+        rng = np.random.default_rng(21)
+        z, labels = _stacked_with_noise_augmented(rng, n=45, noise=1.5)
+        c, z_tr, y_tr, z_val = labels.shape[1], z[:30], labels[:30], z[30:]
+        base, joint = ensemble._fit_members(z_tr, y_tr, 1.0)
+        p_base, p_joint = base.proba(z_val[:, :c]), joint.proba(z_val)
+        expected = [argmax_decode(w * p_base + (1.0 - w) * p_joint) for w in (*WEIGHT_GRID, 0.5)]
+        assert len({tuple(e) for e in expected}) > 1
+        got = ensemble._fold_decisions(z_tr, y_tr, z_val, 1.0, WEIGHT_GRID)
+        assert got.shape == (WEIGHT_GRID.size, z_val.shape[0])
+        np.testing.assert_array_equal(got, expected[:-1])
+        # the harness's loss-weight search asks for the one weight 0.5
+        np.testing.assert_array_equal(
+            ensemble._fold_decisions(z_tr, y_tr, z_val, 1.0, (0.5,)), expected[-1:]
+        )
+
+    def test_fold_decisions_reject_a_non_finite_probability(self):
+        z, labels = _stacked_with_noise_augmented(np.random.default_rng(21), n=45)
+        z_val = z[30:].copy()
+        z_val[2, 0] = np.nan
+        with pytest.raises(NumericError, match="non-finite"):
+            ensemble._fold_decisions(z[:30], labels[:30], z_val, 1.0, WEIGHT_GRID)
 
 class TestPredictEnsemble:
     def _setup(self, seed=9, w_base=0.5):

@@ -458,6 +458,18 @@ class TestGenerateSynthetic:
         with pytest.raises(SchemaError, match=f"{field} must be {kind}, got {re.escape(repr(value))}"):
             SynthConfig(**settings)
 
+    def test_schema_that_is_not_a_schema_rejected(self):
+        with pytest.raises(SchemaError, match="schema must be a FeatureSchema, got NoneType"):
+            SynthConfig(schema=None, batches=1, batch_size=2, estage_size=2)
+
+    def test_unallocatable_width_is_a_schema_error(self):
+        # the widths sum past numpy's largest dimension: nothing is allocated
+        schema = FeatureSchema(vanished=2**62, survived=2**62, augmented=0, classes=2)
+        cfg = SynthConfig(schema=schema, batches=1, batch_size=2, estage_size=2)
+        with pytest.raises(SchemaError, match=f"vanished={2**62}, survived={2**62}.*"
+                                              "cannot be allocated"):
+            generate_synthetic(cfg)
+
     def test_numpy_settings_accepted(self):
         schema = FeatureSchema(vanished=1, survived=2, augmented=1, classes=2)
         cfg = SynthConfig(schema=schema, batches=np.int64(2), batch_size=np.int32(3),
