@@ -95,12 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_synth(args) -> int:
-    schema = FeatureSchema(
-        vanished=args.vanished,
-        survived=args.survived,
-        augmented=args.augmented,
-        classes=args.classes,
-    )
+    schema = FeatureSchema(**_given(args, FeatureSchema))
     cfg = SynthConfig(schema=schema, **_given(args, SynthConfig))
     cbatches, etrain, etest = generate_synthetic(cfg)
     manifest_path = write_stream(cbatches, etrain, etest, args.out, schema)

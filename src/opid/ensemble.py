@@ -16,13 +16,15 @@ one-column solve (as the tests check on the bundled OpenBLAS), and
 Training takes the joint block ``z`` of :func:`estage.build_stacked` and
 its one-hot labels: the base member is fit on the c compressed columns
 ``z[:, :c]``, the joint member on all of ``z``. ``_fit_members`` fits both
-members with one loss weight wherever they are fit, and ``_fold_decisions``
-is OPIDe's one fold rule: it fits both members on a fold's training rows and
-returns the probability-averaged decision on its validation rows for each
-base weight it is given. The ensemble weights are picked on an 11-point grid
-by k-fold cross validation (``model._cv_accuracy``) of that rule, and the
-harness's loss-weight search scores its folds with it at the one weight 0.5.
-Prediction takes a feature matrix, survived columns first, augmented after.
+members with one loss weight wherever they are fit, and ``_vote`` is OPIDe's
+one decision: the argmax of the members' probabilities averaged at a base
+weight. ``_fold_decisions`` is OPIDe's one fold rule: it fits both members on
+a fold's training rows and votes on its validation rows for each base weight
+it is given. The ensemble weights are picked on an 11-point grid by k-fold
+cross validation (``model._cv_accuracy``) of that rule, and the harness's
+loss-weight search scores its folds with it at the one weight 0.5.
+Prediction takes a feature matrix, survived columns first, augmented after,
+and votes at the chosen weight: CV and prediction share one decision.
 """
 
 from __future__ import annotations
@@ -116,7 +118,9 @@ def train_logistic(x, y_pm, alpha: float, init=None) -> np.ndarray:
     is globally convergent on this strictly convex objective. No instances,
     or a loss weight that is not finite and > 0, raise :class:`SchemaError`.
     :func:`train_ovr` takes every class's first step from zeros itself and
-    passes the accepted point as ``init``.
+    passes the accepted point as ``init``. A step that leaves the point, its
+    margins and its objective the same bit for bit would repeat forever, so
+    that fixed point raises the budget's :class:`SolverError` at once.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y_pm, dtype=np.float64)
@@ -136,7 +140,10 @@ def train_logistic(x, y_pm, alpha: float, init=None) -> np.ndarray:
                 return v
             direction = _solve_spd(_hessian(x, expit(t) * slack, alpha), grad, "Newton system")
             # the accepted point's margins and objective start the next step
-            v, t, f = _armijo_step(x, y, alpha, v, f, grad, direction)
+            state = _armijo_step(x, y, alpha, v, f, grad, direction)
+            if state[2] == f and [a.tobytes() for a in state[:2]] == [v.tobytes(), t.tobytes()]:
+                break  # a fixed point
+            v, t, f = state
     raise SolverError(
         f"no convergence to gradient norm {NEWTON_TOL} within {NEWTON_MAX_ITER} iterations"
     )
@@ -153,21 +160,18 @@ class LogisticModel:
     coef: np.ndarray
     constant_class: int | None = None
 
-    def margins(self, x: np.ndarray) -> np.ndarray:
+    def proba(self, x: np.ndarray) -> np.ndarray:
+        """Per-class sigmoid of the one-vs-rest margins (not normalized); a
+        constant model's rows are one-hot on its class."""
         if self.constant_class is not None:
             out = np.zeros((x.shape[0], self.coef.shape[1]))
             out[:, self.constant_class] = 1.0
             return out
-        return x @ self.coef
-
-    def proba(self, x: np.ndarray) -> np.ndarray:
-        """Per-class sigmoid of the one-vs-rest margins (not normalized)."""
-        if self.constant_class is not None:
-            return self.margins(x)
         return expit(x @ self.coef)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return argmax_decode(self.margins(x))
+        # the margins, not their sigmoids, which tie where expit saturates
+        return argmax_decode(self.proba(x) if self.constant_class is not None else x @ self.coef)
 
 
 @dataclass(frozen=True)
@@ -242,17 +246,21 @@ def _fit_members(z: np.ndarray, labels: np.ndarray, alpha: float):
     return train_ovr(z[:, : labels.shape[1]], labels, alpha), train_ovr(z, labels, alpha)
 
 
-def _fold_decisions(z_train, y_train, z_val, alpha: float, weights) -> np.ndarray:
-    """Fit both members on a fold's training rows with loss weight ``alpha``
-    and classify its validation rows by argmax(w p_base + (1 - w) p_joint) of
-    the members' probabilities: one row of class indices for each base weight
-    w in ``weights``."""
-    fold_base, fold_joint = _fit_members(z_train, y_train, alpha)
-    p_base = fold_base.proba(z_val[:, : y_train.shape[1]])
-    p_joint = fold_joint.proba(z_val)
+def _vote(clf_base: LogisticModel, clf_joint: LogisticModel, z, weights) -> np.ndarray:
+    """OPIDe's decision on the rows of a joint block ``z``, one row of class
+    indices for each base weight w in ``weights``: argmax(w p_base + (1 - w)
+    p_joint), the base member on the block's leading columns."""
+    p_base = clf_base.proba(z[:, : clf_base.coef.shape[0]])
+    p_joint = clf_joint.proba(z)
     w = np.asarray(weights, dtype=np.float64)[:, None, None]
     combined = w * p_base + (1.0 - w) * p_joint
     return argmax_decode(combined.reshape(-1, p_base.shape[1])).reshape(w.shape[0], -1)
+
+
+def _fold_decisions(z_train, y_train, z_val, alpha: float, weights) -> np.ndarray:
+    """Fit both members on a fold's training rows with loss weight ``alpha``
+    and :func:`_vote` on its validation rows at each base weight in ``weights``."""
+    return _vote(*_fit_members(z_train, y_train, alpha), z_val, weights)
 
 
 def train_ensemble(z, labels, alpha: float = 1.0, folds: int = 5) -> EnsembleModel:
@@ -279,14 +287,13 @@ def train_ensemble(z, labels, alpha: float = 1.0, folds: int = 5) -> EnsembleMod
 
 def predict_ensemble(x, cmodel: CStageModel, emodel: EnsembleModel) -> np.ndarray:
     """Classify the rows of an n x (survived + augmented) feature matrix by
-    weighted probability averaging of the two members; the widths of its
-    compressed and joint blocks must match the members' input widths."""
+    :func:`_vote` at the model's ``w_base``, the vote its cross validation
+    scored; the widths of its compressed and joint blocks must match the
+    members' input widths."""
     z, c = build_stacked(x, cmodel), cmodel.coef_survived.shape[1]
     expected = (emodel.clf_base.coef.shape[0], emodel.clf_joint.coef.shape[0])
     if (c, z.shape[1]) != expected:
         raise SchemaError(
             f"blocks are {c} and {z.shape[1]} wide, model expects {expected[0]} and {expected[1]}"
         )
-    combined = emodel.w_base * emodel.clf_base.proba(z[:, :c])
-    combined += emodel.w_joint * emodel.clf_joint.proba(z)
-    return argmax_decode(combined)
+    return _vote(emodel.clf_base, emodel.clf_joint, z, (emodel.w_base,))[0]

@@ -207,14 +207,6 @@ def paired_t_test(a, b) -> str:
     return TIE
 
 
-def _columns(x: np.ndarray, columns: slice) -> np.ndarray:
-    return x[:, columns]
-
-
-def _score_baseline(alpha, x_train, y_train, x_val):
-    return train_ovr(x_train, y_train, alpha).predict(x_val)
-
-
 def _opid_scorer():
     """OPID's cross-validation scorer. ``k_fold_cv`` hands every gamma of a
     fold the same training arrays, so it forms the fold's normal system for
@@ -249,7 +241,9 @@ class _MethodRunner:
     slots are the library's own calls: ``fit_unified`` and ``predict_unified``
     for OPID, ``train_ensemble`` (with the spec's folds) and
     ``predict_ensemble`` for OPIDe, ``train_ovr`` and the model's ``predict``
-    on the view's columns for a baseline. OPIDe's scorer is the ensemble's own
+    on the view's columns ``x[:, view]`` for a baseline. The table writes the
+    scorers beside them: a baseline's fits ``train_ovr`` on a fold's training
+    rows and predicts its validation rows, and OPIDe's is the ensemble's own
     fold rule with its two members averaged equally; the weight search runs
     only in the final ``train_ensemble``.
     """
@@ -269,8 +263,10 @@ class _MethodRunner:
         s = spec.source.schema.survived
         baselines = {BASE_ALL: slice(None), BASE_S: slice(s), BASE_A: slice(s, None)}
         for method, columns in baselines.items():
-            self.methods[method] = ([columns], _columns, spec.alpha_grid, _score_baseline,
-                                    train_ovr, lambda x, view, clf: clf.predict(_columns(x, view)))
+            self.methods[method] = (
+                [columns], lambda x, view: x[:, view], spec.alpha_grid,
+                lambda alpha, x, y, x_val: train_ovr(x, y, alpha).predict(x_val),
+                train_ovr, lambda x, view, clf: clf.predict(x[:, view]))
 
     def tuned(self, method: str) -> bool:
         views, _, grid, *_ = self.methods[method]

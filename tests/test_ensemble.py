@@ -103,6 +103,27 @@ class TestTrainLogistic:
         with pytest.raises(SolverError, match="within 1 iterations"):
             train_logistic(x, y, alpha=1.0)
 
+    def test_a_fixed_point_raises_without_spending_the_budget(self, monkeypatch):
+        # task 279 of a seeded sweep (n 198, d 36, alpha 0.52): at gradient
+        # norm 1.4e-6 its Armijo step returns the current point bit for bit,
+        # and every later iteration would repeat it until the budget runs out
+        rng = np.random.default_rng(1)
+        for _ in range(280):
+            n, d = rng.integers(2, 201), rng.integers(1, 121)
+            scale, alpha = 10 ** rng.uniform(0, 1.5), 10 ** rng.uniform(-0.5, 1)
+            x = rng.standard_normal((n, d)) * scale
+            y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        assert (n, d, round(alpha, 2)) == (198, 36, 0.52)
+        evals = []
+        objective = ensemble.logistic_objective
+        monkeypatch.setattr(ensemble, "logistic_objective",
+                            lambda *args: evals.append(1) or objective(*args))
+        message = f"no convergence to gradient norm {NEWTON_TOL} within {NEWTON_MAX_ITER} iterations"
+        with pytest.raises(SolverError) as raised:
+            train_logistic(x, y, alpha)
+        assert str(raised.value) == message and NEWTON_MAX_ITER == 500
+        assert len(evals) < 1000  # spending all 500 iterations takes 15,715
+
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_feature_raises_before_lapack(monkeypatch, bad):
@@ -188,6 +209,16 @@ class TestTrainOvr:
     def test_single_column_of_labels_rejected(self):
         with pytest.raises(SchemaError, match="need at least two classes, got 1"):
             train_ovr(np.zeros((3, 2)), np.ones((3, 1)), alpha=1.0)
+
+    def test_predict_decodes_the_margins(self):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((30, 4))
+        fitted = LogisticModel(coef=rng.standard_normal((4, 3)))
+        np.testing.assert_array_equal(fitted.predict(x), argmax_decode(x @ fitted.coef))
+        # both sigmoids saturate to 1.0; only the margins tell class 1 wins
+        saturated = LogisticModel(coef=np.array([[40.0, 50.0]]))
+        assert (saturated.proba(np.ones((1, 1))) == 1.0).all()
+        np.testing.assert_array_equal(saturated.predict(np.ones((1, 1))), [1])
 
     def test_probabilities_in_unit_interval(self):
         rng = np.random.default_rng(6)
@@ -432,6 +463,18 @@ class TestPredictEnsemble:
             emodel = EnsembleModel(member, member, w)
             z = x @ cmodel.coef_survived
             np.testing.assert_array_equal(predict_ensemble(x, cmodel, emodel), member.predict(z))
+
+    @pytest.mark.parametrize("constant_base", [False, True], ids=["fitted", "constant"])
+    @pytest.mark.parametrize("w_base", [0.0, 0.3, 0.5, 1.0])
+    def test_equals_the_written_out_vote(self, w_base, constant_base):
+        cmodel, x, emodel, clf_base, clf_joint = self._setup(seed=13, w_base=w_base)
+        if constant_base:
+            clf_base = LogisticModel(coef=np.zeros((3, 3)), constant_class=1)
+            emodel = EnsembleModel(clf_base, clf_joint, w_base)
+        z = np.hstack([x[:, :4] @ cmodel.coef_survived, x[:, 4:]])
+        combined = w_base * clf_base.proba(z[:, :3])
+        combined += (1.0 - w_base) * clf_joint.proba(z)
+        np.testing.assert_array_equal(predict_ensemble(x, cmodel, emodel), argmax_decode(combined))
 
     @pytest.mark.parametrize("w_base", [np.nan, -0.2, 1.5])
     def test_base_weight_outside_unit_interval_rejected(self, w_base):

@@ -1,6 +1,7 @@
 """The top-level ``opid`` namespace exports exactly the documented API,
 imports no more of scipy than it uses, reaches LAPACK only through the
-routines listed here, and every library name the README cites exists."""
+routines listed here, every library name the README cites exists, and no
+private module-level name of the package is left without a caller."""
 
 from __future__ import annotations
 
@@ -89,3 +90,40 @@ def test_readme_names_resolve():
         if owner is None:
             missing.append(f"{module}.{path}")
     assert missing == []
+
+
+def _private_bindings(statement) -> list[str]:
+    """The ``_name``s (not dunders) a module-level statement defines."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [statement.name]
+    elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+        targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+        names = [t.id for t in targets if isinstance(t, ast.Name)]
+    else:
+        names = []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def test_no_private_name_is_orphaned():
+    # a helper whose last call site a deletion removed is dead code; every
+    # module-level _name must be read somewhere in the package besides its
+    # own definition (docstrings and imports do not count)
+    defined, reads = [], []
+    for path in sorted(Path(opid.__file__).parent.glob("*.py")):
+        for statement in ast.parse(path.read_text()).body:
+            names = _private_bindings(statement)
+            defined += [(path.stem, n) for n in names]
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read = node.id
+                elif isinstance(node, ast.Attribute):
+                    read = node.attr
+                else:
+                    continue
+                reads.append((path.stem, read, read in names))
+    assert len(defined) >= 40  # the walk found the package's helpers
+    orphans = [
+        f"{module}.{name}" for module, name in defined
+        if not any(r == name and not (m == module and own) for m, r, own in reads)
+    ]
+    assert orphans == []
