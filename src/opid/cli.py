@@ -120,7 +120,7 @@ def _cmd_cstage(args) -> int:
     save_stats(stats, args.out)
     print(
         f"mode={stats.mode} batches={stats.batches_seen} "
-        f"dim={stats.schema.stats_dim} classes={stats.schema.classes} -> {args.out}"
+        f"width={stats.schema.cstage_width} classes={stats.schema.classes} -> {args.out}"
     )
     return 0
 

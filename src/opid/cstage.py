@@ -63,10 +63,11 @@ from .model import (
 
 DIRECT = "direct"
 FACTOR = "factor"
-# 4: direct mode's triangular factor; 3 held G's upper triangle in direct
-# mode, 2 one (m, m) factor in factor mode, and unversioned snapshots
-# predate the Gram-pair layout of direct mode
-SNAPSHOT_FORMAT = 4
+# 5: each upper triangle of mat (R, or P1 and P2) packed column by column;
+# 4 stored the whole mat, zeros below its diagonals included; 3 held G's
+# upper triangle in direct mode, 2 one (m, m) factor in factor mode, and
+# unversioned snapshots predate the Gram-pair layout of direct mode
+SNAPSHOT_FORMAT = 5
 # Block size of every ``dtpqrt`` call. At width p = 1260
 # (survived 960, vanished 300) and 60 rows per batch, on one core of a
 # 2-vCPU x86-64 machine, 16, 32 and 48 tied within the noise: median absorb
@@ -98,7 +99,8 @@ class CStageStats:
     absorbed; factor mode has ``hyper`` folded into ``mat``. ``r_norm`` is
     the Frobenius norm of the whole factor, a shared corner counted once,
     derived from ``mat`` when the statistics are made or loaded and grown by
-    each absorb; snapshots omit it. Single-writer: an absorb checks first
+    each absorb; snapshots omit it, and store each triangle of ``mat``
+    packed (see :func:`save_stats`). Single-writer: an absorb checks first
     that the batch cannot overflow ``mat``, then changes it in place.
     """
 
@@ -256,15 +258,29 @@ def compress(x_sur, model: CStageModel) -> np.ndarray:
     return x @ model.coef_survived
 
 
+def _pack(tri: np.ndarray) -> np.ndarray:
+    """The upper triangle of the square ``tri``, packed column by column:
+    LAPACK's triangular storage, p (p + 1) / 2 entries."""
+    return np.concatenate([tri[: j + 1, j] for j in range(tri.shape[1])])
+
+
 def save_stats(stats: CStageStats, path) -> None:
     """Snapshot the statistics so a pass can be suspended and resumed.
 
     Binary container with exact float round-trip: format version, mode tag,
-    schema widths, regularization, batch counter, and the ``mat``/``rhs`` pair.
+    schema widths, regularization, batch counter, ``rhs``, and the upper
+    triangles of ``mat`` packed column by column, one member each (R in
+    ``direct`` mode, P1 and P2 in ``factor`` mode): p (p + 1) / 2 entries a
+    triangle, so the zeros below the diagonals are not stored.
     The file is written at exactly ``path``, whatever its suffix, and
     replaces it only once complete, so a failed save leaves an existing
     snapshot there as it was.
     """
+    p = stats.schema.cstage_width
+    triangles = {
+        name: _pack(stats.mat[:, k * p : (k + 1) * p])
+        for k, name in enumerate(_TRIANGLES[stats.mode])
+    }
     with _replacing(path, binary=True) as fh:  # np.savez(path) appends ".npz" to any other suffix
         np.savez(
             fh,
@@ -273,8 +289,8 @@ def save_stats(stats: CStageStats, path) -> None:
             **asdict(stats.schema),
             **asdict(stats.hyper),
             batches_seen=stats.batches_seen,
-            mat=stats.mat,
             rhs=stats.rhs,
+            **triangles,
         )
 
 
@@ -282,30 +298,43 @@ _SNAPSHOT_SCALARS = {  # dtype kinds accepted for each 0-d snapshot field
     "format": "iu", "mode": "U", "vanished": "iu", "survived": "iu", "augmented": "iu",
     "classes": "iu", "lam": "iuf", "rho": "iuf", "batches_seen": "iu",
 }
+# The members that hold mat's packed upper triangles, left to right
+_TRIANGLES = {DIRECT: ("r",), FACTOR: ("p1", "p2")}
+_READ_CHUNK = 1 << 18  # bytes read from a triangle member at a time
 
 
 def load_stats(path) -> CStageStats:
     """Read a snapshot written by :func:`save_stats`. Any unreadable file,
-    missing or malformed field, or other format version, unversioned
-    snapshots included, raises :class:`SchemaError`, and so does a ``mat``
-    whose triangles (one in direct mode, two in factor mode) are not
-    upper-triangular, or a factor whose halves have a zero on their
-    diagonals or differ anywhere in their shared corner. Direct mode's R may
-    have zero rows. Nothing is converted, but ``mat`` is returned
-    Fortran-ordered, the layout that both modes update in place, whatever
-    order it was stored in."""
+    missing, malformed or undefined field, or other format version,
+    unversioned snapshots included, raises :class:`SchemaError`, and so does
+    a triangle member that is not a finite float64 vector of p (p + 1) / 2
+    entries, or a factor whose triangles have a zero on their diagonals or
+    differ anywhere in their shared corner. Direct mode's R may have zero
+    rows. The scalar fields are checked before any triangle is read, and the
+    triangles are read one at a time into a zeroed ``mat``, Fortran-ordered,
+    the layout that both modes update in place; no other full-size copy of
+    the factor is made. Nothing is converted."""
     try:
         with open(path, "rb") as fh:  # np.load(path) leaks the handle of a broken archive
             data = np.load(fh)
             if not isinstance(data, np.lib.npyio.NpzFile):
                 raise ValueError("not an .npz archive")
             with data:
-                raw = {key: data[key] for key in data.files}
-    # zipfile raises NotImplementedError for an unknown compression method and
-    # RuntimeError for a member flagged as encrypted.
-    except (OSError, EOFError, ValueError, NotImplementedError, RuntimeError,
+                return _read_snapshot(path, data)
+    except SchemaError:  # a ValueError too; the checks' own messages pass through
+        raise
+    # zipfile raises NotImplementedError for an unknown compression method,
+    # RuntimeError for a member flagged as encrypted and KeyError for a
+    # triangle stored without the ".npy" suffix that np.load strips.
+    except (OSError, EOFError, ValueError, KeyError, NotImplementedError, RuntimeError,
             zipfile.BadZipFile, zlib.error) as exc:
         raise SchemaError(f"{path}: not a readable statistics snapshot: {exc}") from exc
+
+
+def _read_snapshot(path, data) -> CStageStats:
+    """The statistics in the open archive ``data``; see :func:`load_stats`."""
+    members = set(data.files)
+    raw = {key: data[key] for key in _SNAPSHOT_SCALARS if key in members}
     for key, kinds in _SNAPSHOT_SCALARS.items():
         value = raw.get(key)
         if value is None or value.shape != () or value.dtype.kind not in kinds:
@@ -321,21 +350,60 @@ def load_stats(path) -> CStageStats:
         schema = FeatureSchema(*widths)
     except SchemaError as exc:
         raise SchemaError(f"{path}: bad settings: {exc}") from None
+    names = _TRIANGLES[mode]
+    undefined = members - _SNAPSHOT_SCALARS.keys() - {"rhs", *names}
+    if undefined:
+        raise SchemaError(f"{path}: {mode} snapshot has undefined fields {sorted(undefined)}")
     p = schema.cstage_width
-    mat_shape = (p, p) if mode == DIRECT else (p, 2 * p)
-    for key, shape in (("mat", mat_shape), ("rhs", (p, schema.classes))):
-        arr = raw.get(key, np.empty(0))
-        if arr.shape != shape or arr.dtype != np.float64 or not np.isfinite(arr).all():
-            raise SchemaError(f"{path}: {mode} snapshot needs a finite float64 {key!r} of {shape}")
-    mat = np.asfortranarray(raw["mat"])
-    halves = (mat,) if mode == DIRECT else (mat[:, :p], mat[:, p:])
-    # column by column, with no (p, p) temporary
-    if any(half[j + 1 :, j].any() for j in range(p) for half in halves):
-        raise SchemaError(f"{path}: each ({p}, {p}) block of {mode} 'mat' must be upper-triangular")
+    rhs = data["rhs"] if "rhs" in members else np.empty(0)
+    if rhs.shape != (p, schema.classes) or rhs.dtype != np.float64 or not np.isfinite(rhs).all():
+        raise SchemaError(
+            f"{path}: {mode} snapshot needs a finite float64 'rhs' of {(p, schema.classes)}"
+        )
+    mat = _zeros((p, len(names) * p), schema, order="F")
+    for k, name in enumerate(names):
+        if name not in members or not _read_triangle(data, name, mat[:, k * p : (k + 1) * p]):
+            raise SchemaError(f"{path}: {mode} snapshot needs a finite float64 {name!r} "
+                              f"of {p * (p + 1) // 2} entries")
     if mode == FACTOR:
-        p1, p2, s = *halves, schema.survived
+        p1, p2, s = mat[:, :p], mat[:, p:], schema.survived
         if not (p1.diagonal().all() and p2.diagonal().all()):  # dtrtrs divides by them
-            raise SchemaError(f"{path}: factor 'mat' halves must have a nonzero diagonal")
+            raise SchemaError(f"{path}: factor triangles must have a nonzero diagonal")
         if p1[s:, s:].tobytes() != p2[s:, s:].tobytes():
-            raise SchemaError(f"{path}: factor 'mat' halves must share their corner bit for bit")
-    return CStageStats(mode, schema, hyper, mat, raw["rhs"], seen)
+            raise SchemaError(f"{path}: factor triangles must share their corner bit for bit")
+    return CStageStats(mode, schema, hyper, mat, rhs, seen)
+
+
+def _read_triangle(data, name: str, out: np.ndarray) -> bool:
+    """Read the triangle that :func:`_pack` packed into member ``name`` of
+    ``data`` into the square Fortran-ordered ``out``, zeros below the
+    diagonal. The packed entries are read into the front of ``out``'s own
+    storage and unpacked in place, so no other copy of the triangle is
+    made. False, with ``out`` undefined, when the member is not a finite
+    float64 vector of p (p + 1) / 2 entries."""
+    p = out.shape[0]
+    n = p * (p + 1) // 2
+    packed = out.reshape(-1, order="F")[:n]  # views
+    with data.zip.open(f"{name}.npy") as fh:
+        if np.lib.format.read_magic(fh) != (1, 0):  # the version np.savez writes for a vector
+            return False
+        shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
+        if shape != packed.shape or dtype != np.float64:
+            return False
+        buf, done = memoryview(packed).cast("B"), 0
+        while done < len(buf):  # in chunks: ZipExtFile.readinto would read all into one bytes
+            chunk = fh.read(min(_READ_CHUNK, len(buf) - done))
+            if not chunk:
+                raise EOFError(f"member {name!r} ends early")
+            buf[done : done + len(chunk)] = chunk
+            done += len(chunk)
+    if not np.isfinite(packed).all():
+        return False
+    # Column j moves from offset j (j + 1) / 2 to j p, never to a lower one,
+    # so going from the last column back overwrites only entries already moved.
+    for j in range(p - 1, -1, -1):
+        start = j * (j + 1) // 2
+        out[: j + 1, j] = packed[start : start + j + 1]
+        if j * p < n:  # below the packed entries ``out`` is still zero
+            out[j + 1 :, j] = 0.0
+    return True

@@ -62,6 +62,8 @@ class TestCStageCommand:
             "cstage", "--manifest", manifest_path, "--out", str(out),
             "--lambda", "0.5", "--rho", "0.2",
         ]) == 0
+        # width is p = vanished + survived, the factor's order
+        assert capsys.readouterr().out == f"mode=direct batches=3 width=6 classes=3 -> {out}\n"
         snapshot = load_stats(out)
 
         manifest = parse_manifest(manifest_path)

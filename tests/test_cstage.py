@@ -9,6 +9,7 @@ import pytest
 from scipy.linalg.lapack import dlange, dpotrs
 
 from conftest import random_cstage_stream
+from opid import cstage
 from opid.cstage import (
     DIRECT,
     FACTOR,
@@ -54,6 +55,12 @@ def _traced_peak(step):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _packed(tri):
+    """The upper triangle of the square ``tri`` packed column by column, the
+    layout of a snapshot's triangle members."""
+    return tri.T[np.tri(len(tri), dtype=bool)]
 
 
 def _halves_upper_with_one_corner(stats):
@@ -783,12 +790,6 @@ class TestSnapshot:
         save_stats(stats, path)
         return path
 
-    def test_direct_entry_below_the_diagonal_rejected(self, tmp_path):
-        mat = np.triu(np.ones((3, 3)))
-        mat[2, 1] = 1e-300
-        with pytest.raises(SchemaError, match="upper-triangular"):
-            load_stats(self._direct_snapshot(tmp_path, mat))
-
     def test_direct_factor_with_zero_rows_loads(self, tmp_path):
         # a stream of fewer than p rows leaves zero rows in R
         mat = np.zeros((3, 3))
@@ -803,7 +804,7 @@ class TestSnapshot:
         with np.load(path) as data:
             fields = {key: data[key] for key in data.files}
         np.savez(path, **{**fields, "format": 3})
-        with pytest.raises(SchemaError, match="format 3, expected 4"):
+        with pytest.raises(SchemaError, match="format 3, expected 5"):
             load_stats(path)
 
     def test_pass_with_equal_columns_loads(self, tmp_path):
@@ -825,6 +826,64 @@ class TestSnapshot:
         save_stats(stats, path)
         np.testing.assert_array_equal(load_stats(path).mat, stats.mat)
 
+    @pytest.mark.parametrize("mode", [DIRECT, FACTOR])
+    def test_snapshot_stores_the_packed_triangles(self, tmp_path, mode):
+        # one member per triangle of mat, p (p + 1) / 2 entries each; the
+        # zeros below the diagonals are not stored
+        stats = init_stats(_schema(2, 3, 2), Hyperparams(lam=0.9, rho=0.3), mode)
+        for b in random_cstage_stream(np.random.default_rng(31), 3, 4, 2, 3, 2):
+            absorb_batch(stats, b)
+        path = tmp_path / "stats.npz"
+        save_stats(stats, path)
+        mat = stats.mat
+        halves = {"r": mat} if mode == DIRECT else {"p1": mat[:, :5], "p2": mat[:, 5:]}
+        with np.load(path) as data:
+            assert set(data.files) - {"rhs"} - set(halves) == set(cstage._SNAPSHOT_SCALARS)
+            for name, half in halves.items():
+                np.testing.assert_array_equal(data[name], _packed(half), strict=True)
+
+    def test_format_4_snapshot_rejected(self, tmp_path):
+        # format 4 stored the whole (p, 2p) factor, zeros below the diagonals
+        # included, as one member 'mat'
+        fields = self._factor_fields(tmp_path)
+        path = tmp_path / "format4.npz"
+        mat = np.hstack([np.triu(np.ones((5, 5)))] * 2)
+        del fields["p1"], fields["p2"]
+        np.savez(path, **{**fields, "format": 4, "mat": mat})
+        with pytest.raises(SchemaError, match="format 4, expected 5"):
+            load_stats(path)
+
+    def test_undefined_member_rejected(self, tmp_path):
+        # a member the format does not define, such as format 4's 'mat', is
+        # refused rather than ignored
+        fields = self._factor_fields(tmp_path)
+        path = tmp_path / "extra.npz"
+        np.savez(path, **fields, mat=np.hstack([np.eye(5)] * 2))
+        with pytest.raises(SchemaError, match=r"undefined fields \['mat'\]"):
+            load_stats(path)
+
+    def test_bad_settings_rejected_before_the_triangles_are_read(self, tmp_path, monkeypatch):
+        fields = self._factor_fields(tmp_path)
+        path = tmp_path / "bad.npz"
+        np.savez(path, **{**fields, "lam": -1.0})
+
+        def read_triangle(*args):
+            raise AssertionError("a triangle was read")
+
+        monkeypatch.setattr(cstage, "_read_triangle", read_triangle)
+        with pytest.raises(SchemaError, match="bad settings"):
+            load_stats(path)
+
+    def test_load_holds_one_copy_of_the_factor(self, tmp_path):
+        # the triangles are read one at a time into the factor itself; at
+        # p = 600 one packed triangle takes 1.4 MB, more than the 1 MiB slack,
+        # so a load that held both at once would break the bound
+        stats = init_stats(_schema(200, 400, 2), Hyperparams(lam=0.9, rho=0.3), FACTOR)
+        path = tmp_path / "stats.npz"
+        save_stats(stats, path)
+        triangle = 600 * 601 // 2 * 8
+        assert _traced_peak(lambda: load_stats(path)) <= stats.mat.nbytes + triangle + 2**20
+
     @staticmethod
     def _snapshot_fields(tmp_path):
         stats = init_stats(_schema(2, 3, 2), Hyperparams(lam=0.9, rho=0.3))
@@ -837,10 +896,10 @@ class TestSnapshot:
         "change",
         [
             {"mode": np.array("bogus")},
-            {"mat": np.eye(3)},  # a 3x3 matrix for a schema with 8 statistic rows
+            {"r": np.zeros(14)},  # one entry short of the 5-wide triangle's 15
             {"rhs": np.zeros((8, 2))},
-            {"mat": np.full((5, 5), np.nan)},
-            {"mat": np.zeros((5, 5), dtype=np.int64)},
+            {"r": np.insert(np.zeros(14), 3, np.nan)},
+            {"r": np.zeros(15, dtype=np.int64)},
             {"format": 2},  # the single-triangle factor's format
             {"survived": 0},
             {"classes": 2.5},
@@ -850,8 +909,13 @@ class TestSnapshot:
             {"batches_seen": -1},
             {"lam": None},
             {"mode": np.array("inverse"), "mat": 0.3 * np.eye(8)},  # the layout before factors
-            {"mode": np.array("factor"), "mat": np.hstack([np.eye(5) + np.eye(5, k=-3), np.eye(5)])},
-            {"mode": np.array("factor"), "mat": np.hstack([np.eye(5), np.diag([1.0, 1.0, 0.0, 1.0, 1.0])])},
+            # P2 one entry long: the packed layout's form of an entry below the diagonal
+            {"mode": np.array("factor"), "r": None, "p1": _packed(np.eye(5)),
+             "p2": np.append(_packed(np.eye(5)), 0.0)},
+            {"mode": np.array("factor"), "r": None, "p1": _packed(np.eye(5)),
+             "p2": _packed(np.diag([1.0, 1.0, 0.0, 1.0, 1.0]))},  # a zero on P2's diagonal
+            {"r": np.zeros(16)},  # one entry long
+            {"mode": np.array("factor")},  # R where factor mode needs P1 and P2
         ],
     )
     def test_invalid_snapshot_rejected(self, tmp_path, change):
@@ -872,43 +936,33 @@ class TestSnapshot:
             load_stats(path)
 
     @staticmethod
-    def _factor_snapshot(tmp_path, **change):
-        """A factor snapshot of a few batches with ``change`` applied to its
-        fields; ``mat`` may be given as a function of the stored one."""
+    def _factor_fields(tmp_path):
+        """The fields of a factor snapshot of a few batches, p = 5."""
         stats = init_stats(_schema(2, 3, 2), Hyperparams(lam=0.9, rho=0.3), FACTOR)
         for b in random_cstage_stream(np.random.default_rng(30), 3, 4, 2, 3, 2):
             absorb_batch(stats, b)
         path = tmp_path / "factor.npz"
         save_stats(stats, path)
         with np.load(path) as data:
-            fields = {key: data[key] for key in data.files}
-        if callable(change.get("mat")):
-            change["mat"] = change["mat"](fields["mat"].copy())
-        fields.update(change)
-        np.savez(path, **fields)
-        return path
+            return {key: data[key] for key in data.files}
 
     def test_single_triangle_factor_snapshot_rejected(self, tmp_path):
         # format 2 stored one (m, m) upper triangle R with R^T R = M
-        path = self._factor_snapshot(tmp_path, format=2, mat=np.triu(np.ones((8, 8))))
-        with pytest.raises(SchemaError, match="format 2, expected 4"):
+        fields = self._factor_fields(tmp_path)
+        path = tmp_path / "format2.npz"
+        np.savez(path, **{**fields, "format": 2, "mat": np.triu(np.ones((8, 8)))})
+        with pytest.raises(SchemaError, match="format 2, expected 5"):
             load_stats(path)
 
     def test_factor_corners_that_differ_rejected(self, tmp_path):
-        def nudge(mat):  # one ulp on the last diagonal entry of P2's corner
-            mat[-1, -1] = np.nextafter(mat[-1, -1], np.inf)
-            return mat
-
+        # one ulp on P2's last packed entry, the last diagonal entry of its corner
+        fields = self._factor_fields(tmp_path)
+        p2 = fields["p2"].copy()
+        p2[-1] = np.nextafter(p2[-1], np.inf)
+        path = tmp_path / "nudged.npz"
+        np.savez(path, **{**fields, "p2": p2})
         with pytest.raises(SchemaError, match="corner"):
-            load_stats(self._factor_snapshot(tmp_path, mat=nudge))
-
-    def test_lower_entry_in_the_second_half_rejected(self, tmp_path):
-        def below(mat):  # row 3 lies below P2's diagonal in its first column
-            mat[3, 5] = 1e-300
-            return mat
-
-        with pytest.raises(SchemaError, match="upper-triangular"):
-            load_stats(self._factor_snapshot(tmp_path, mat=below))
+            load_stats(path)
 
     def test_npy_file_rejected(self, tmp_path):
         # np.load reads a lone .npy array too; it is not a snapshot
