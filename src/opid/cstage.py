@@ -42,13 +42,14 @@ factor stays accurate when its matrix is ill-conditioned.
 from __future__ import annotations
 
 import math
+import tokenize
 import zipfile
 import zlib
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dlange, dtpqrt, dtrtrs
 
+from ._scipy import dlange, dlantr, dtpqrt, dtrtrs
 from .model import (
     Batch,
     CStageModel,
@@ -119,9 +120,11 @@ class CStageStats:
 def _factor_norm(mat: np.ndarray, s: int) -> float:
     """||mat||_F, or sqrt(||mat||^2 - ||corner||^2) for the shared corner
     mat[s:, s:p] of a (p, 2p) factor, formed from the two norms as
-    a * sqrt((1 - q)(1 + q)), q = b / a <= 1, so no square overflows."""
-    p, whole = mat.shape[0], dlange("F", mat)
-    q = dlange("F", mat[s:, s:p]) / whole if whole and mat.shape[1] > p else 0.0
+    a * sqrt((1 - q)(1 + q)), q = b / a <= 1, so no square overflows. Both
+    norms read only the upper trapezoids, where the factor's nonzeros are."""
+    p, whole = mat.shape[0], dlantr("F", mat, uplo="U", diag="N")
+    shared = whole and mat.shape[1] > p
+    q = dlantr("F", mat[s:, s:p], uplo="U", diag="N") / whole if shared else 0.0
     return whole * math.sqrt((1.0 - q) * (1.0 + q))
 
 
@@ -298,9 +301,12 @@ _SNAPSHOT_SCALARS = {  # dtype kinds accepted for each 0-d snapshot field
     "format": "iu", "mode": "U", "vanished": "iu", "survived": "iu", "augmented": "iu",
     "classes": "iu", "lam": "iuf", "rho": "iuf", "batches_seen": "iu",
 }
+# The largest item a 0-d field may declare: a float128, or the mode's six
+# characters at four bytes each, with room to spare
+_SCALAR_BYTES = 32
 # The members that hold mat's packed upper triangles, left to right
 _TRIANGLES = {DIRECT: ("r",), FACTOR: ("p1", "p2")}
-_READ_CHUNK = 1 << 18  # bytes read from a triangle member at a time
+_READ_CHUNK = 1 << 18  # bytes read from a member at a time
 
 
 def load_stats(path) -> CStageStats:
@@ -313,7 +319,10 @@ def load_stats(path) -> CStageStats:
     rows. The scalar fields are checked before any triangle is read, and the
     triangles are read one at a time into a zeroed ``mat``, Fortran-ordered,
     the layout that both modes update in place; no other full-size copy of
-    the factor is made. Nothing is converted."""
+    the factor is made. Every member is read header first
+    (:func:`_read_member`), so one whose header does not parse, or declares
+    another shape or dtype than the format defines, is refused before any
+    memory is set aside for it. Nothing is converted."""
     try:
         with open(path, "rb") as fh:  # np.load(path) leaks the handle of a broken archive
             data = np.load(fh)
@@ -333,11 +342,10 @@ def load_stats(path) -> CStageStats:
 
 def _read_snapshot(path, data) -> CStageStats:
     """The statistics in the open archive ``data``; see :func:`load_stats`."""
-    members = set(data.files)
-    raw = {key: data[key] for key in _SNAPSHOT_SCALARS if key in members}
+    raw = {}
     for key, kinds in _SNAPSHOT_SCALARS.items():
-        value = raw.get(key)
-        if value is None or value.shape != () or value.dtype.kind not in kinds:
+        raw[key] = _read_member(data, key, kinds=kinds)
+        if raw[key] is None:
             raise SchemaError(f"{path}: snapshot field {key!r} is missing or malformed")
     if raw["format"] != SNAPSHOT_FORMAT:
         raise SchemaError(f"{path}: snapshot format {raw['format']}, expected {SNAPSHOT_FORMAT}")
@@ -351,18 +359,18 @@ def _read_snapshot(path, data) -> CStageStats:
     except SchemaError as exc:
         raise SchemaError(f"{path}: bad settings: {exc}") from None
     names = _TRIANGLES[mode]
-    undefined = members - _SNAPSHOT_SCALARS.keys() - {"rhs", *names}
+    undefined = set(data.files) - _SNAPSHOT_SCALARS.keys() - {"rhs", *names}
     if undefined:
         raise SchemaError(f"{path}: {mode} snapshot has undefined fields {sorted(undefined)}")
     p = schema.cstage_width
-    rhs = data["rhs"] if "rhs" in members else np.empty(0)
-    if rhs.shape != (p, schema.classes) or rhs.dtype != np.float64 or not np.isfinite(rhs).all():
+    rhs = _read_member(data, "rhs", _zeros((p, schema.classes), schema))
+    if rhs is None or not np.isfinite(rhs).all():
         raise SchemaError(
             f"{path}: {mode} snapshot needs a finite float64 'rhs' of {(p, schema.classes)}"
         )
     mat = _zeros((p, len(names) * p), schema, order="F")
     for k, name in enumerate(names):
-        if name not in members or not _read_triangle(data, name, mat[:, k * p : (k + 1) * p]):
+        if not _read_triangle(data, name, mat[:, k * p : (k + 1) * p]):
             raise SchemaError(f"{path}: {mode} snapshot needs a finite float64 {name!r} "
                               f"of {p * (p + 1) // 2} entries")
     if mode == FACTOR:
@@ -372,6 +380,40 @@ def _read_snapshot(path, data) -> CStageStats:
         if p1[s:, s:].tobytes() != p2[s:, s:].tobytes():
             raise SchemaError(f"{path}: factor triangles must share their corner bit for bit")
     return CStageStats(mode, schema, hyper, mat, rhs, seen)
+
+
+def _read_member(data, name: str, out: np.ndarray | None = None, kinds: str = ""):
+    """Member ``name`` of the open archive ``data``, read header first into
+    the contiguous ``out``, or with no ``out`` as a 0-d field of one of the
+    dtype kinds ``kinds``, at most ``_SCALAR_BYTES`` an item. None when the
+    member is missing, its magic is not the version 1.0 that np.savez
+    writes, or its header does not parse or declares another shape or dtype;
+    nothing past the header is read, and no memory set aside, before these
+    checks pass. The data go straight into the array's storage, in chunks,
+    so no other copy is made; the result views that storage in the member's
+    declared order."""
+    if name not in data.files:
+        return None
+    with data.zip.open(f"{name}.npy") as fh:
+        try:
+            if np.lib.format.read_magic(fh) != (1, 0):
+                return None
+            shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
+        except (ValueError, tokenize.TokenError):  # the latter from numpy's Python 2 header filter
+            return None
+        if out is None and shape == () and dtype.kind in kinds and dtype.itemsize <= _SCALAR_BYTES:
+            out = np.empty((), dtype)
+        if out is None or shape != out.shape or dtype != out.dtype:
+            return None
+        flat = out.reshape(-1)  # a view: ``out`` is contiguous
+        buf, done = memoryview(flat).cast("B"), 0
+        while done < len(buf):  # in chunks: ZipExtFile.readinto would read all into one bytes
+            chunk = fh.read(min(_READ_CHUNK, len(buf) - done))
+            if not chunk:
+                raise EOFError(f"member {name!r} ends early")
+            buf[done : done + len(chunk)] = chunk
+            done += len(chunk)
+    return flat.reshape(shape[::-1]).T if fortran else flat.reshape(shape)
 
 
 def _read_triangle(data, name: str, out: np.ndarray) -> bool:
@@ -384,20 +426,7 @@ def _read_triangle(data, name: str, out: np.ndarray) -> bool:
     p = out.shape[0]
     n = p * (p + 1) // 2
     packed = out.reshape(-1, order="F")[:n]  # views
-    with data.zip.open(f"{name}.npy") as fh:
-        if np.lib.format.read_magic(fh) != (1, 0):  # the version np.savez writes for a vector
-            return False
-        shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
-        if shape != packed.shape or dtype != np.float64:
-            return False
-        buf, done = memoryview(packed).cast("B"), 0
-        while done < len(buf):  # in chunks: ZipExtFile.readinto would read all into one bytes
-            chunk = fh.read(min(_READ_CHUNK, len(buf) - done))
-            if not chunk:
-                raise EOFError(f"member {name!r} ends early")
-            buf[done : done + len(chunk)] = chunk
-            done += len(chunk)
-    if not np.isfinite(packed).all():
+    if _read_member(data, name, packed) is None or not np.isfinite(packed).all():
         return False
     # Column j moves from offset j (j + 1) / 2 to j p, never to a lower one,
     # so going from the last column back overwrites only entries already moved.

@@ -34,8 +34,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
+from ._scipy import expit
 from .estage import _joint_data, build_stacked
 from .model import (
     CStageModel,

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.special import stdtr
 
 from .cstage import DIRECT, FACTOR, absorb_batch, init_stats, solve_model
 from .ensemble import _fold_decisions, predict_ensemble, train_ensemble, train_ovr
@@ -189,6 +188,10 @@ def paired_t_test(a, b) -> str:
     convention; a zero mean difference is a tie. Swapping ``a`` and ``b``
     negates every difference exactly, so it flips the mark.
     """
+    # Imported here, when a report compares methods, not with the library:
+    # scipy.special's package import costs about 0.2 s (see opid._scipy).
+    import scipy.special
+
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1 or a.size < 2:
@@ -201,7 +204,7 @@ def paired_t_test(a, b) -> str:
     if sd == 0.0:
         return SIGNIFICANT_BETTER if mean > 0 else SIGNIFICANT_WORSE
     t = mean / (sd / math.sqrt(diff.size))
-    p = 2.0 * stdtr(diff.size - 1, -abs(t))
+    p = 2.0 * scipy.special.stdtr(diff.size - 1, -abs(t))
     if p < SIGNIFICANCE_LEVEL:
         return SIGNIFICANT_BETTER if mean > 0 else SIGNIFICANT_WORSE
     return TIE

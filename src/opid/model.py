@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+
+from ._scipy import dpotrf, dpotrs
 
 
 class SchemaError(ValueError):

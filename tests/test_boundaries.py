@@ -3,16 +3,22 @@
 Each reader gets valid file contents with a few bytes overwritten and the
 tail optionally cut, or plain random bytes. Whatever the reader makes of
 them, only a :class:`SchemaError` (which covers ``ManifestError``) or a
-:class:`NumericError` may escape.
+:class:`NumericError` may escape. A snapshot also gets one member's header
+rewritten, to declare another shape, dtype or order, to end mid-dict or to
+carry another format version.
 """
 
 from __future__ import annotations
+
+import re
+import zipfile
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import rewrite_member_header
 from opid.cstage import init_stats, load_stats, save_stats
 from opid.harness import build_table, emit_report, format_report, load_results
 from opid.ingest import (
@@ -120,6 +126,39 @@ def snapshot_bytes(request, tmp_path_factory):
 def test_snapshot(tmp_path, snapshot_bytes, data):
     path = tmp_path / "fuzzed.npz"
     path.write_bytes(data.draw(malformed(snapshot_bytes)))
+    _only_typed_errors(lambda: load_stats(path))
+
+
+def header_rewrite(members):
+    """Arguments for ``rewrite_member_header``: one of ``members`` with its
+    header declaring another shape, dtype or order, its dict cut short, or
+    another format version."""
+    dims = st.one_of(st.integers(-1, 20), st.integers(0, 10**13))
+    shape = st.lists(dims, max_size=3).map(
+        lambda s: lambda h: re.sub(r"'shape': \([^)]*\)", f"'shape': {tuple(s)!r}", h))
+    descrs = ["<f8", ">f8", "<f4", "<f16", "<i8", ">i4", "|u1", "|b1", "<c16", "|O", "|V8",
+              "<M8[D]", "<U6", "<U7", "<U100000000", [("a", "<f8")], [("a", "<f8", (10**12,))],
+              "?"]
+    descr = st.sampled_from(descrs).map(
+        lambda d: lambda h: re.sub(r"'descr': [^,]*,", f"'descr': {d!r},", h))
+    cut = st.integers(0, 60).map(lambda n: lambda h: h[:n])
+    order = st.just(lambda h: h.replace("False", "True"))
+    edit = st.one_of(shape, descr, cut, order)
+    version = st.tuples(st.integers(0, 255), st.integers(0, 255))
+    return st.one_of(
+        st.tuples(st.sampled_from(members), edit, st.just((1, 0))),
+        st.tuples(st.sampled_from(members), st.just(lambda h: h), version),
+    )
+
+
+@FUZZ
+@given(data=st.data())
+def test_snapshot_member_header(tmp_path, snapshot_bytes, data):
+    path = tmp_path / "rewritten.npz"
+    path.write_bytes(snapshot_bytes)
+    with zipfile.ZipFile(path) as archive:
+        members = sorted(name.removesuffix(".npy") for name in archive.namelist())
+    rewrite_member_header(path, *data.draw(header_rewrite(members)))
     _only_typed_errors(lambda: load_stats(path))
 
 

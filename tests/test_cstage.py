@@ -2,13 +2,15 @@ from __future__ import annotations
 
 import dataclasses
 import errno
+import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg.lapack import dlange, dpotrs
 
-from conftest import random_cstage_stream
+from conftest import random_cstage_stream, rewrite_member_header
 from opid import cstage
 from opid.cstage import (
     DIRECT,
@@ -262,6 +264,25 @@ class TestAbsorb:
         expected = dlange("F", oracles.split_factor(stats)[0])
         for r_norm in (stats.r_norm, dataclasses.replace(stats).r_norm):
             assert abs(r_norm - expected) <= 1e-12 * expected
+
+    def test_factor_norm_from_the_trapezoids_has_the_bits_of_the_whole(self):
+        # _factor_norm reads only the upper trapezoids of mat and of its
+        # corner; on factors whose columns span six decades it gives the bits
+        # of dlange over the whole of each, zeros below the diagonals included
+        rng = np.random.default_rng(53)
+        for _ in range(300):
+            p = int(rng.integers(1, 200))
+            s = int(rng.integers(1, p + 1))
+            mat = np.triu(rng.standard_normal((p, 2 * p)))
+            mat[:, p:] = np.triu(mat[:, p:]) * 10.0 ** rng.uniform(-3, 3, p)
+            mat[:, :p] *= 10.0 ** rng.uniform(-3, 3, p)
+            mat[s:, p + s :] = mat[s:, s:p]
+            mat = np.asfortranarray(mat)
+            for factor in (mat, mat[:, :p]):  # factor mode's [P1 | P2], direct mode's R
+                whole = dlange("F", factor)
+                shared = factor.shape[1] > p and whole
+                q = dlange("F", factor[s:, s:p]) / whole if shared else 0.0
+                assert cstage._factor_norm(factor, s) == whole * math.sqrt((1.0 - q) * (1.0 + q))
 
     @pytest.mark.parametrize("lam", [0.0, 1.0])
     def test_direct_gram_is_the_upper_triangle(self, lam):
@@ -925,6 +946,27 @@ class TestSnapshot:
         np.savez(path, **{k: v for k, v in fields.items() if v is not None})
         with pytest.raises(SchemaError):
             load_stats(path)
+
+    @pytest.mark.parametrize(
+        ("member", "edit"),
+        [("lam", lambda header: header.replace("'shape': ()", "'shape': (999999999999,)")),
+         ("lam", lambda header: header.replace("}", "")),
+         ("mode", lambda header: header.replace("'<U6'", "'<U536870911'"))],
+        ids=["shape-of-7-tib", "dict-left-unclosed", "item-of-2-gib"],
+    )
+    def test_member_header_that_is_not_the_format_rejected(self, tmp_path, member, edit):
+        # the header is checked before any of the member is read: nothing it
+        # declares is allocated, and neither that nor a failure to parse it
+        # escapes untyped
+        path = tmp_path / "stats.npz"
+        save_stats(init_stats(_schema(), Hyperparams()), path)
+        rewrite_member_header(path, member, edit)
+
+        def load():
+            with pytest.raises(SchemaError, match=rf"^{re.escape(str(path))}: .*'{member}'"):
+                load_stats(path)
+
+        assert _traced_peak(load) < 1 << 20
 
     @pytest.mark.parametrize("key", ["lam", "rho"])
     def test_snapshot_whose_solve_constants_overflow_rejected(self, tmp_path, key):

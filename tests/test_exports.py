@@ -1,5 +1,5 @@
 """The top-level ``opid`` namespace exports exactly the documented API,
-imports no more of scipy than it uses, reaches LAPACK only through the
+imports no scipy package, reaches compiled scipy code only through the
 routines listed here, every library name the README cites exists, and no
 private module-level name of the package is left without a caller."""
 
@@ -14,7 +14,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import opid
+import opid._scipy
 
 PUBLIC = {
     "FeatureSchema", "Hyperparams", "Batch", "SchemaError", "NumericError", "ManifestError",
@@ -34,40 +37,133 @@ def test_exports_are_the_public_api():
     assert all(hasattr(opid, name) for name in PUBLIC)
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about a second to import; the library needs none of it
+def _python(code: str) -> str:
+    """The stripped stdout of ``code`` run in a fresh interpreter that imports
+    this checkout's opid."""
     src = str(Path(opid.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, opid, opid.cli; print(sorted(m for m in sys.modules if 'scipy.stats' in m))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
 
 
-# each module that calls LAPACK and the routines it imports: the one SPD
-# solve in model, the QR kernel and its guards in cstage. Each routine a run
-# calls first faults in more of the library's pages, which peak RSS counts.
-LAPACK_IMPORTS = {
-    "model": {"dpotrf", "dpotrs"},
-    "cstage": {"dlange", "dtpqrt", "dtrtrs"},
+def test_import_leaves_scipy_packages_unloaded():
+    # each package costs a fresh process 0.1-1 s to import (scipy.stats about
+    # a second; scipy.linalg and scipy.special about 0.2 s, most of it the
+    # array-API layer and numpy.f2py); the library needs none of them
+    unwanted = ["scipy.linalg", "scipy.special", "scipy._lib._array_api", "numpy.f2py",
+                "scipy.stats"]
+    code = f"import sys, opid, opid.cli; print([m for m in {unwanted} if m in sys.modules])"
+    assert _python(code) == "[]"
+
+
+# each module that calls a compiled scipy routine and the routines it imports
+# from opid._scipy: the one SPD solve in model, the QR kernel and its norms in
+# cstage, the sigmoid in ensemble. Each routine a run calls first faults in
+# more of the library's pages, which peak RSS counts. harness imports
+# scipy.special, for stdtr, inside paired_t_test alone.
+SCIPY_IMPORTS = {
+    "model": {("._scipy", "dpotrf"), ("._scipy", "dpotrs")},
+    "cstage": {("._scipy", n) for n in ("dlange", "dlantr", "dtpqrt", "dtrtrs")},
+    "ensemble": {("._scipy", "expit")},
+    "harness": {("scipy.special", None)},
 }
+ROUTINES = {name for pairs in SCIPY_IMPORTS.values() for source, name in pairs if name}
 
 
 def test_lapack_surface_is_pinned():
-    seen = {}
+    seen, top_level = {}, []
     for path in sorted(Path(opid.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom) and node.module == "scipy.linalg.lapack":
-                names = {alias.name for alias in node.names}
-            elif isinstance(node, ast.ImportFrom) and node.module == "scipy.linalg":
-                names = {alias.name for alias in node.names} & {"lapack", "get_lapack_funcs"}
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                source = "." * node.level + (node.module or "")
+                pairs = {(source, a.name) for a in node.names}
             elif isinstance(node, ast.Import):
-                names = {a.name for a in node.names if a.name.startswith("scipy.linalg.lapack")}
+                pairs = {(a.name, None) for a in node.names}
             else:
                 continue
-            if names:
-                seen.setdefault(path.stem, set()).update(names)
-    assert seen == LAPACK_IMPORTS
+            pairs = {(s, n) for s, n in pairs
+                     if s == "._scipy" or n == "_scipy" or s.startswith("scipy")}
+            if pairs:
+                seen.setdefault(path.stem, set()).update(pairs)
+                top_level += [path.stem] * (node in tree.body)
+    assert seen == SCIPY_IMPORTS
+    assert top_level == ["cstage", "ensemble", "model"]  # harness's import waits for a report
+    # opid._scipy exposes those routines and nothing else
+    exposed = set()
+    for statement in ast.parse(Path(opid._scipy.__file__).read_text()).body:
+        if isinstance(statement, ast.Assign):
+            for target in statement.targets:
+                names = target.elts if isinstance(target, ast.Tuple) else [target]
+                exposed.update(n.id for n in names if not n.id.startswith("_"))
+    assert exposed == ROUTINES
+
+
+# the routines of opid._scipy that are not the objects their package exports
+_NOT_THE_PACKAGES_OWN = (
+    "import scipy.linalg.lapack as lapack, scipy.special as special\n"
+    "from opid import _scipy\n"
+    f"print(sorted(n for n in {sorted(ROUTINES)} "
+    "if getattr(_scipy, n) is not getattr(special if n == 'expit' else lapack, n)))"
+)
+
+
+def test_routines_are_the_packages_own():
+    # loaded by file before either package, each routine is still the
+    # package's own object once the package is imported after all
+    code = ("import sys, opid\n"
+            "assert 'scipy.linalg' not in sys.modules and 'scipy.special' not in sys.modules\n")
+    assert _python(code + _NOT_THE_PACKAGES_OWN) == "[]"
+
+
+# what opid._scipy's file lookup finds in place of each extension file: no
+# file (a finder pointed at an empty directory), or one whose load raises
+# ImportError, as a file that needs its package's __init__ does. The import
+# system's own finder, which the package imports use, is left as it is.
+_LOOKUPS = {
+    "no-file": "PathFinder.find_spec(name, [tempfile.mkdtemp()])",
+    "load-fails": "importlib.util.spec_from_loader(name, Refuses())",
+}
+
+
+@pytest.mark.parametrize("lookup", _LOOKUPS.values(), ids=_LOOKUPS.keys())
+def test_extension_file_that_does_not_serve_falls_back_to_the_package(lookup):
+    # opid._scipy then takes each routine from scipy.linalg.lapack or
+    # scipy.special, and leaves no half-loaded module behind
+    code = ("import importlib.abc, importlib.machinery, importlib.util, sys, tempfile\n"
+            "from importlib.machinery import PathFinder\n"
+            "class Refuses(importlib.abc.Loader):\n"
+            "    def exec_module(self, module):\n"
+            "        raise ImportError(module.__name__ + ' needs its package')\n"
+            "class Lookup:\n"
+            "    @staticmethod\n"
+            "    def find_spec(name, path):\n"
+            f"        return {lookup}\n"
+            "importlib.machinery.PathFinder = Lookup\n"
+            "import opid\n"
+            "importlib.machinery.PathFinder = PathFinder\n"
+            "assert 'scipy.linalg' in sys.modules and 'scipy.special' in sys.modules\n"
+            "assert not isinstance(sys.modules['scipy.linalg._flapack'].__spec__.loader, Refuses)\n")
+    assert _python(code + _NOT_THE_PACKAGES_OWN) == "[]"
+
+
+def test_private_name_that_does_not_serve_falls_back_to_the_public_module():
+    # a private name no file answers to, scipy's own file that cannot load
+    # without its package (_ufuncs imports names back from scipy.special),
+    # and a file that loads but lacks the routine: each gives the public
+    # module's object, and the file that failed is not left in sys.modules
+    code = ("import sys\n"
+            "from opid import _scipy\n"
+            "assert _scipy._by_file('scipy.special._ufuncs') is None\n"
+            "assert 'scipy.special._ufuncs' not in sys.modules\n"
+            "got = [_scipy._routines(private, 'scipy.special', 'stdtr')[0] for private in\n"
+            "       ['scipy.special._ufuncs', 'scipy.special._no_such_file',\n"
+            "        'scipy.special._special_ufuncs']]\n"
+            "import scipy.special\n"
+            "print([g is scipy.special.stdtr for g in got])")
+    assert _python(code) == "[True, True, True]"
 
 
 def test_readme_names_resolve():
