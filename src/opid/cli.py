@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cstage = sub.add_parser("cstage", help="run or resume a one-pass compressing-stage accumulation")
     cstage.add_argument("--manifest", required=True)
-    cstage.add_argument("--out", required=True, help="statistics snapshot file (.npz)")
+    cstage.add_argument("--out", required=True, help="statistics snapshot file")
     cstage.add_argument("--resume", help="snapshot to continue from")
     # A resumed pass must also tell explicit flags from unset ones.
     cstage.add_argument("--lambda", dest="lam", type=float, help=f"default {Hyperparams.lam}")

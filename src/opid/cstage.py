@@ -41,11 +41,12 @@ factor stays accurate when its matrix is ill-conditioned.
 
 from __future__ import annotations
 
+import itertools
 import math
-import tokenize
-import zipfile
+import os
+import struct
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -64,11 +65,13 @@ from .model import (
 
 DIRECT = "direct"
 FACTOR = "factor"
-# 5: each upper triangle of mat (R, or P1 and P2) packed column by column;
-# 4 stored the whole mat, zeros below its diagonals included; 3 held G's
-# upper triangle in direct mode, 2 one (m, m) factor in factor mode, and
-# unversioned snapshots predate the Gram-pair layout of direct mode
-SNAPSHOT_FORMAT = 5
+# 6: one fixed header, rhs and each upper triangle of mat (R, or P1 and P2)
+# packed column by column as little-endian doubles, and a CRC-32 of it all;
+# 5 held the same arrays as npy members of a zip archive; 4 stored the whole
+# mat, zeros below its diagonals included; 3 held G's upper triangle in
+# direct mode, 2 one (m, m) factor in factor mode, and unversioned snapshots
+# predate the Gram-pair layout of direct mode. Only format 6 is read.
+SNAPSHOT_FORMAT = 6
 # Block size of every ``dtpqrt`` call. At width p = 1260
 # (survived 960, vanished 300) and 60 rows per batch, on one core of a
 # 2-vCPU x86-64 machine, 16, 32 and 48 tied within the noise: median absorb
@@ -100,8 +103,9 @@ class CStageStats:
     absorbed; factor mode has ``hyper`` folded into ``mat``. ``r_norm`` is
     the Frobenius norm of the whole factor, a shared corner counted once,
     derived from ``mat`` when the statistics are made or loaded and grown by
-    each absorb; snapshots omit it, and store each triangle of ``mat``
-    packed (see :func:`save_stats`). Single-writer: an absorb checks first
+    each absorb. Snapshots omit it: after one fixed header they store
+    ``rhs`` and each triangle of ``mat`` packed, then a CRC-32 (see
+    :func:`save_stats`). Single-writer: an absorb checks first
     that the batch cannot overflow ``mat``, then changes it in place.
     """
 
@@ -267,114 +271,96 @@ def _pack(tri: np.ndarray) -> np.ndarray:
     return np.concatenate([tri[: j + 1, j] for j in range(tri.shape[1])])
 
 
+# A snapshot's header: magic, format, mode code (the mode's index in
+# _MODES), the widths vanished, survived, augmented and classes,
+# batches_seen, lam and rho
+_HEADER = struct.Struct("<8s7q2d")
+_MAGIC = b"OPIDSTAT"
+_MODES = (DIRECT, FACTOR)
+
+
 def save_stats(stats: CStageStats, path) -> None:
     """Snapshot the statistics so a pass can be suspended and resumed.
 
-    Binary container with exact float round-trip: format version, mode tag,
-    schema widths, regularization, batch counter, ``rhs``, and the upper
-    triangles of ``mat`` packed column by column, one member each (R in
-    ``direct`` mode, P1 and P2 in ``factor`` mode): p (p + 1) / 2 entries a
-    triangle, so the zeros below the diagonals are not stored.
+    The file holds, with exact float round-trip: one fixed header (format
+    version, mode, schema widths, batch counter and regularization), then
+    ``rhs`` row by row and each upper triangle of ``mat`` packed column by
+    column (:func:`_pack`; R in ``direct`` mode, P1 and P2 in ``factor``
+    mode) as little-endian doubles, then a CRC-32 of every byte before it.
+    A triangle takes p (p + 1) / 2 entries, so the zeros below the diagonals
+    are not stored, and is packed and written one at a time.
     The file is written at exactly ``path``, whatever its suffix, and
     replaces it only once complete, so a failed save leaves an existing
     snapshot there as it was.
     """
-    p = stats.schema.cstage_width
-    triangles = {
-        name: _pack(stats.mat[:, k * p : (k + 1) * p])
-        for k, name in enumerate(_TRIANGLES[stats.mode])
-    }
-    with _replacing(path, binary=True) as fh:  # np.savez(path) appends ".npz" to any other suffix
-        np.savez(
-            fh,
-            format=SNAPSHOT_FORMAT,
-            mode=np.array(stats.mode),
-            **asdict(stats.schema),
-            **asdict(stats.hyper),
-            batches_seen=stats.batches_seen,
-            rhs=stats.rhs,
-            **triangles,
-        )
-
-
-_SNAPSHOT_SCALARS = {  # dtype kinds accepted for each 0-d snapshot field
-    "format": "iu", "mode": "U", "vanished": "iu", "survived": "iu", "augmented": "iu",
-    "classes": "iu", "lam": "iuf", "rho": "iuf", "batches_seen": "iu",
-}
-# The largest item a 0-d field may declare: a float128, or the mode's six
-# characters at four bytes each, with room to spare
-_SCALAR_BYTES = 32
-# The members that hold mat's packed upper triangles, left to right
-_TRIANGLES = {DIRECT: ("r",), FACTOR: ("p1", "p2")}
-_READ_CHUNK = 1 << 18  # bytes read from a member at a time
+    p, hyper = stats.schema.cstage_width, stats.hyper
+    header = _HEADER.pack(_MAGIC, SNAPSHOT_FORMAT, _MODES.index(stats.mode),
+                          *astuple(stats.schema), stats.batches_seen, hyper.lam, hyper.rho)
+    triangles = (_pack(stats.mat[:, k : k + p]) for k in range(0, stats.mat.shape[1], p))
+    with _replacing(path, binary=True) as fh:
+        fh.write(header)
+        crc = zlib.crc32(header)
+        for array in itertools.chain([stats.rhs], triangles):
+            data = np.ascontiguousarray(array, dtype="<f8")
+            fh.write(data)
+            crc = zlib.crc32(data, crc)
+        fh.write(crc.to_bytes(4, "little"))
 
 
 def load_stats(path) -> CStageStats:
-    """Read a snapshot written by :func:`save_stats`. Any unreadable file,
-    missing, malformed or undefined field, or other format version,
-    unversioned snapshots included, raises :class:`SchemaError`, and so does
-    a triangle member that is not a finite float64 vector of p (p + 1) / 2
-    entries, or a factor whose triangles have a zero on their diagonals or
+    """Read a snapshot written by :func:`save_stats`. A file that cannot be
+    read, is not a snapshot of this format (older formats included) or fails
+    its CRC, header fields that are not valid settings, and a file whose
+    size is not exactly what the header's widths imply raise
+    :class:`SchemaError` naming the file; so do a non-finite ``rhs`` or
+    ``mat``, and a factor whose triangles have a zero on their diagonals or
     differ anywhere in their shared corner. Direct mode's R may have zero
-    rows. The scalar fields are checked before any triangle is read, and the
-    triangles are read one at a time into a zeroed ``mat``, Fortran-ordered,
-    the layout that both modes update in place; no other full-size copy of
-    the factor is made. Every member is read header first
-    (:func:`_read_member`), so one whose header does not parse, or declares
-    another shape or dtype than the format defines, is refused before any
-    memory is set aside for it. Nothing is converted."""
+    rows. The header and the file's size are checked before any memory is
+    set aside for the arrays. Each array is then read straight into its own
+    storage, a triangle into the front of its square in a zeroed ``mat``,
+    Fortran-ordered, the layout that both modes update in place, and
+    unpacked there; no other full-size copy of the factor is made. Nothing
+    is converted."""
     try:
-        with open(path, "rb") as fh:  # np.load(path) leaks the handle of a broken archive
-            data = np.load(fh)
-            if not isinstance(data, np.lib.npyio.NpzFile):
-                raise ValueError("not an .npz archive")
-            with data:
-                return _read_snapshot(path, data)
-    except SchemaError:  # a ValueError too; the checks' own messages pass through
-        raise
-    # zipfile raises NotImplementedError for an unknown compression method,
-    # RuntimeError for a member flagged as encrypted and KeyError for a
-    # triangle stored without the ".npy" suffix that np.load strips.
-    except (OSError, EOFError, ValueError, KeyError, NotImplementedError, RuntimeError,
-            zipfile.BadZipFile, zlib.error) as exc:
+        with open(path, "rb") as fh:
+            return _read_snapshot(path, fh)
+    except OSError as exc:
         raise SchemaError(f"{path}: not a readable statistics snapshot: {exc}") from exc
 
 
-def _read_snapshot(path, data) -> CStageStats:
-    """The statistics in the open archive ``data``; see :func:`load_stats`."""
-    raw = {}
-    for key, kinds in _SNAPSHOT_SCALARS.items():
-        raw[key] = _read_member(data, key, kinds=kinds)
-        if raw[key] is None:
-            raise SchemaError(f"{path}: snapshot field {key!r} is missing or malformed")
-    if raw["format"] != SNAPSHOT_FORMAT:
-        raise SchemaError(f"{path}: snapshot format {raw['format']}, expected {SNAPSHOT_FORMAT}")
-    mode, seen = str(raw["mode"]), int(raw["batches_seen"])
-    if mode not in (DIRECT, FACTOR) or seen < 0:
-        raise SchemaError(f"{path}: bad settings {mode=} batches_seen={seen}")
+def _read_snapshot(path, fh) -> CStageStats:
+    """The statistics in the open snapshot file ``fh``; see :func:`load_stats`."""
+    head = fh.read(_HEADER.size)
+    if len(head) < _HEADER.size or not head.startswith(_MAGIC):
+        raise SchemaError(f"{path}: not a statistics snapshot of format {SNAPSHOT_FORMAT}")
+    _, version, code, *widths, seen, lam, rho = _HEADER.unpack(head)
+    if version != SNAPSHOT_FORMAT:
+        raise SchemaError(f"{path}: snapshot format {version}, expected {SNAPSHOT_FORMAT}")
+    if code not in range(len(_MODES)) or seen < 0:
+        raise SchemaError(f"{path}: bad settings mode code={code} batches_seen={seen}")
     try:
-        hyper = Hyperparams(lam=float(raw["lam"]), rho=float(raw["rho"]))
-        widths = (int(raw[k]) for k in ("vanished", "survived", "augmented", "classes"))
-        schema = FeatureSchema(*widths)
+        hyper, schema = Hyperparams(lam=lam, rho=rho), FeatureSchema(*widths)
     except SchemaError as exc:
         raise SchemaError(f"{path}: bad settings: {exc}") from None
-    names = _TRIANGLES[mode]
-    undefined = set(data.files) - _SNAPSHOT_SCALARS.keys() - {"rhs", *names}
-    if undefined:
-        raise SchemaError(f"{path}: {mode} snapshot has undefined fields {sorted(undefined)}")
-    p = schema.cstage_width
-    rhs = _read_member(data, "rhs", _zeros((p, schema.classes), schema))
-    if rhs is None or not np.isfinite(rhs).all():
-        raise SchemaError(
-            f"{path}: {mode} snapshot needs a finite float64 'rhs' of {(p, schema.classes)}"
-        )
-    mat = _zeros((p, len(names) * p), schema, order="F")
-    for k, name in enumerate(names):
-        if not _read_triangle(data, name, mat[:, k * p : (k + 1) * p]):
-            raise SchemaError(f"{path}: {mode} snapshot needs a finite float64 {name!r} "
-                              f"of {p * (p + 1) // 2} entries")
+    mode, p = _MODES[code], schema.cstage_width
+    halves = 1 if mode == DIRECT else 2
+    size = _HEADER.size + 8 * (p * schema.classes + halves * p * (p + 1) // 2) + 4
+    actual = os.fstat(fh.fileno()).st_size
+    if actual != size:
+        raise SchemaError(f"{path}: a {mode} snapshot of {schema} takes {size} bytes, "
+                          f"the file has {actual}")
+    rhs = _zeros((p, schema.classes), schema)
+    crc = _read_into(fh, rhs, zlib.crc32(head))
+    mat = _zeros((p, halves * p), schema, order="F")
+    triangles = np.hsplit(mat, halves)  # views
+    for tri in triangles:
+        crc = _read_triangle(fh, tri, crc)
+    if fh.read(4) != crc.to_bytes(4, "little"):
+        raise SchemaError(f"{path}: snapshot fails its CRC-32 check")
+    if not (np.isfinite(rhs).all() and all(np.isfinite(tri).all() for tri in triangles)):
+        raise SchemaError(f"{path}: {mode} snapshot holds a value that is not finite")
     if mode == FACTOR:
-        p1, p2, s = mat[:, :p], mat[:, p:], schema.survived
+        (p1, p2), s = triangles, schema.survived
         if not (p1.diagonal().all() and p2.diagonal().all()):  # dtrtrs divides by them
             raise SchemaError(f"{path}: factor triangles must have a nonzero diagonal")
         if p1[s:, s:].tobytes() != p2[s:, s:].tobytes():
@@ -382,52 +368,29 @@ def _read_snapshot(path, data) -> CStageStats:
     return CStageStats(mode, schema, hyper, mat, rhs, seen)
 
 
-def _read_member(data, name: str, out: np.ndarray | None = None, kinds: str = ""):
-    """Member ``name`` of the open archive ``data``, read header first into
-    the contiguous ``out``, or with no ``out`` as a 0-d field of one of the
-    dtype kinds ``kinds``, at most ``_SCALAR_BYTES`` an item. None when the
-    member is missing, its magic is not the version 1.0 that np.savez
-    writes, or its header does not parse or declares another shape or dtype;
-    nothing past the header is read, and no memory set aside, before these
-    checks pass. The data go straight into the array's storage, in chunks,
-    so no other copy is made; the result views that storage in the member's
-    declared order."""
-    if name not in data.files:
-        return None
-    with data.zip.open(f"{name}.npy") as fh:
-        try:
-            if np.lib.format.read_magic(fh) != (1, 0):
-                return None
-            shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
-        except (ValueError, tokenize.TokenError):  # the latter from numpy's Python 2 header filter
-            return None
-        if out is None and shape == () and dtype.kind in kinds and dtype.itemsize <= _SCALAR_BYTES:
-            out = np.empty((), dtype)
-        if out is None or shape != out.shape or dtype != out.dtype:
-            return None
-        flat = out.reshape(-1)  # a view: ``out`` is contiguous
-        buf, done = memoryview(flat).cast("B"), 0
-        while done < len(buf):  # in chunks: ZipExtFile.readinto would read all into one bytes
-            chunk = fh.read(min(_READ_CHUNK, len(buf) - done))
-            if not chunk:
-                raise EOFError(f"member {name!r} ends early")
-            buf[done : done + len(chunk)] = chunk
-            done += len(chunk)
-    return flat.reshape(shape[::-1]).T if fortran else flat.reshape(shape)
+def _read_into(fh, out: np.ndarray, crc: int) -> int:
+    """Fill the contiguous float64 ``out`` straight from ``fh``'s
+    little-endian doubles; returns ``crc`` carried over the bytes. A file
+    that ends early leaves the rest of ``out`` as it was, and the CRC then
+    fails."""
+    buf = memoryview(out.reshape(-1)).cast("B")  # a view: ``out`` is contiguous
+    fh.readinto(buf)
+    crc = zlib.crc32(buf, crc)
+    if not np.little_endian:
+        out.byteswap(inplace=True)
+    return crc
 
 
-def _read_triangle(data, name: str, out: np.ndarray) -> bool:
-    """Read the triangle that :func:`_pack` packed into member ``name`` of
-    ``data`` into the square Fortran-ordered ``out``, zeros below the
-    diagonal. The packed entries are read into the front of ``out``'s own
-    storage and unpacked in place, so no other copy of the triangle is
-    made. False, with ``out`` undefined, when the member is not a finite
-    float64 vector of p (p + 1) / 2 entries."""
+def _read_triangle(fh, out: np.ndarray, crc: int) -> int:
+    """Read the triangle that :func:`_pack` packed from ``fh`` into the
+    square Fortran-ordered ``out``, zeros below the diagonal, carrying
+    ``crc`` as :func:`_read_into` does. The packed entries are read into the
+    front of ``out``'s own storage and unpacked in place, so no other copy
+    of the triangle is made."""
     p = out.shape[0]
     n = p * (p + 1) // 2
     packed = out.reshape(-1, order="F")[:n]  # views
-    if _read_member(data, name, packed) is None or not np.isfinite(packed).all():
-        return False
+    crc = _read_into(fh, packed, crc)
     # Column j moves from offset j (j + 1) / 2 to j p, never to a lower one,
     # so going from the last column back overwrites only entries already moved.
     for j in range(p - 1, -1, -1):
@@ -435,4 +398,4 @@ def _read_triangle(data, name: str, out: np.ndarray) -> bool:
         out[: j + 1, j] = packed[start : start + j + 1]
         if j * p < n:  # below the packed entries ``out`` is still zero
             out[j + 1 :, j] = 0.0
-    return True
+    return crc

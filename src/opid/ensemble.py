@@ -119,8 +119,12 @@ def train_logistic(x, y_pm, alpha: float, init=None) -> np.ndarray:
     or a loss weight that is not finite and > 0, raise :class:`SchemaError`.
     :func:`train_ovr` takes every class's first step from zeros itself and
     passes the accepted point as ``init``. A step that leaves the point, its
-    margins and its objective the same bit for bit would repeat forever, so
-    that fixed point raises the budget's :class:`SolverError` at once.
+    margins and its objective the same bit for bit would repeat forever.
+    That fixed point is returned when it is optimal to working precision,
+    Newton's predicted decrease (half the decrement grad^T H^-1 grad) at
+    most eps * |f|, and raises the budget's :class:`SolverError` at once
+    otherwise. So the result has gradient norm <= ``NEWTON_TOL`` or is such
+    a point.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y_pm, dtype=np.float64)
@@ -142,7 +146,11 @@ def train_logistic(x, y_pm, alpha: float, init=None) -> np.ndarray:
             # the accepted point's margins and objective start the next step
             state = _armijo_step(x, y, alpha, v, f, grad, direction)
             if state[2] == f and [a.tobytes() for a in state[:2]] == [v.tobytes(), t.tobytes()]:
-                break  # a fixed point
+                # a fixed point: optimal to working precision when Newton's
+                # predicted decrease is below the rounding of f
+                if 0.5 * float(grad @ direction) <= np.finfo(float).eps * abs(f):
+                    return v
+                break
             v, t, f = state
     raise SolverError(
         f"no convergence to gradient norm {NEWTON_TOL} within {NEWTON_MAX_ITER} iterations"

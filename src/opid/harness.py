@@ -50,8 +50,9 @@ TIE = "tie"
 SIGNIFICANT_WORSE = "significant_worse"
 SIGNIFICANCE_LEVEL = 0.05  # of the two-sided paired t-test
 
-# Direct accumulation is preferred until the block dimension makes the final
-# factorization the bottleneck.
+# The stats_dim up to which resolve_mode picks direct mode for "auto". No
+# mode forms a matrix of that width any more; the limit and resolve_mode
+# stay only for perfbench/worker.py, their one caller.
 AUTO_DIRECT_LIMIT = 2048
 
 

@@ -92,8 +92,9 @@ class FeatureSchema:
 
     @property
     def stats_dim(self) -> int:
-        """Row count of the coupled normal system: one block for the
-        all-feature classifier, one for the survived-only classifier."""
+        """vanished + 2 survived, the width of the coupled normal system in
+        the classifiers' own unknowns. No mode forms that matrix; the width
+        serves only ``harness.resolve_mode``, for its perfbench caller."""
         return self.vanished + 2 * self.survived
 
 

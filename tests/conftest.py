@@ -1,11 +1,11 @@
 from __future__ import annotations
 
-import io
-import zipfile
-from pathlib import Path
+import zlib
 
+import numpy as np
 import pytest
 
+from opid import cstage
 from opid.ingest import StreamManifest, SynthConfig, generate_synthetic, parse_manifest, write_stream
 from opid.model import Batch, FeatureSchema, one_hot_encode
 
@@ -36,19 +36,20 @@ def synth_manifest(cfg: SynthConfig, out_dir) -> StreamManifest:
     return parse_manifest(write_stream(*generate_synthetic(cfg), out_dir, cfg.schema))
 
 
-def rewrite_member_header(path, member: str, edit=lambda header: header, version=(1, 0)) -> None:
-    """Rewrite the .npy header of ``member`` in the .npz archive at ``path``:
-    its format version bytes, and its header dict text through ``edit``. The
-    member's data and every other member are kept as they were."""
-    archive = Path(path).read_bytes()
-    out = io.BytesIO()
-    with zipfile.ZipFile(io.BytesIO(archive)) as src, zipfile.ZipFile(out, "w") as dst:
-        for info in src.infolist():
-            raw = src.read(info)
-            if info.filename == f"{member}.npy":
-                end = 10 + int.from_bytes(raw[8:10], "little")  # magic, version, length, header
-                header = edit(raw[10:end].decode("latin1")).encode("latin1")
-                length = len(header).to_bytes(2, "little")
-                raw = raw[:6] + bytes(version) + length + header + raw[end:]
-            dst.writestr(info, raw)
-    Path(path).write_bytes(out.getvalue())
+# The fields of a snapshot's header, in order
+SNAPSHOT_HEADER = ("magic", "format", "mode", "vanished", "survived", "augmented", "classes",
+                   "batches_seen", "lam", "rho")
+
+
+def edit_snapshot(data: bytes, payload=None, crc: bool = True, **fields) -> bytes:
+    """The snapshot bytes ``data`` with the named header ``fields`` set, its
+    doubles (``rhs``, then the packed triangles) passed through ``payload``,
+    and its trailing CRC-32 recomputed over the edit, or with ``crc=False``
+    kept as it was."""
+    size = cstage._HEADER.size
+    header = dict(zip(SNAPSHOT_HEADER, cstage._HEADER.unpack_from(data)), **fields)
+    doubles = np.frombuffer(data[size:-4], "<f8")
+    if payload is not None:
+        doubles = payload(doubles.copy())
+    body = cstage._HEADER.pack(*header.values()) + np.asarray(doubles, "<f8").tobytes()
+    return body + (zlib.crc32(body).to_bytes(4, "little") if crc else data[-4:])

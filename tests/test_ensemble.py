@@ -104,9 +104,25 @@ class TestTrainLogistic:
             train_logistic(x, y, alpha=1.0)
 
     def test_a_fixed_point_raises_without_spending_the_budget(self, monkeypatch):
+        # a line search that returns the current point bit for bit at the
+        # first step from zeros, where Newton's predicted decrease is far above
+        # the objective's rounding: every later iteration would repeat it
+        # until the budget runs out
+        steps = []
+        monkeypatch.setattr(ensemble, "_armijo_step",
+                            lambda x, y, alpha, v, f, *_: steps.append(1) or (v, y * (x @ v), f))
+        x, y = separable_binary(np.random.default_rng(0))
+        message = f"no convergence to gradient norm {NEWTON_TOL} within {NEWTON_MAX_ITER} iterations"
+        with pytest.raises(SolverError) as raised:
+            train_logistic(x, y, alpha=1.0)
+        assert str(raised.value) == message and NEWTON_MAX_ITER == 500
+        assert len(steps) == 1
+
+    def test_a_fixed_point_optimal_to_working_precision_returns(self):
         # task 279 of a seeded sweep (n 198, d 36, alpha 0.52): at gradient
         # norm 1.4e-6 its Armijo step returns the current point bit for bit,
-        # and every later iteration would repeat it until the budget runs out
+        # and Newton's predicted decrease there, half of grad^T H^-1 grad, is
+        # below eps |f|, the rounding of the objective
         rng = np.random.default_rng(1)
         for _ in range(280):
             n, d = rng.integers(2, 201), rng.integers(1, 121)
@@ -114,15 +130,14 @@ class TestTrainLogistic:
             x = rng.standard_normal((n, d)) * scale
             y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
         assert (n, d, round(alpha, 2)) == (198, 36, 0.52)
-        evals = []
-        objective = ensemble.logistic_objective
-        monkeypatch.setattr(ensemble, "logistic_objective",
-                            lambda *args: evals.append(1) or objective(*args))
-        message = f"no convergence to gradient norm {NEWTON_TOL} within {NEWTON_MAX_ITER} iterations"
-        with pytest.raises(SolverError) as raised:
-            train_logistic(x, y, alpha)
-        assert str(raised.value) == message and NEWTON_MAX_ITER == 500
-        assert len(evals) < 1000  # spending all 500 iterations takes 15,715
+        v = train_logistic(x, y, alpha)
+        t = y * (x @ v)
+        slack = 1.0 / (1.0 + np.exp(t))
+        grad = v - alpha * (x.T @ (y * slack))
+        hess = np.eye(d) + alpha * (x.T * (slack * (1.0 - slack))) @ x
+        f = 0.5 * v @ v + alpha * np.logaddexp(0.0, -t).sum()
+        assert np.linalg.norm(grad) > NEWTON_TOL
+        assert 0.5 * grad @ np.linalg.solve(hess, grad) <= np.finfo(float).eps * abs(f)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

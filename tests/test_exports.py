@@ -1,7 +1,8 @@
 """The top-level ``opid`` namespace exports exactly the documented API,
 imports no scipy package, reaches compiled scipy code only through the
-routines listed here, every library name the README cites exists, and no
-private module-level name of the package is left without a caller."""
+routines listed here, every library name the README cites exists, no
+private module-level name of the package is left without a caller, and the
+snapshot code imports no container format."""
 
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ import pytest
 
 import opid
 import opid._scipy
+import opid.cstage
 
 PUBLIC = {
     "FeatureSchema", "Hyperparams", "Batch", "SchemaError", "NumericError", "ManifestError",
@@ -99,6 +101,19 @@ def test_lapack_surface_is_pinned():
                 names = target.elts if isinstance(target, ast.Tuple) else [target]
                 exposed.update(n.id for n in names if not n.id.startswith("_"))
     assert exposed == ROUTINES
+
+
+def test_snapshot_code_imports_no_container():
+    # a snapshot is one header, the packed triangles and a CRC; a zip archive
+    # or npy headers parsed by hand would bring back the reader they replaced
+    modules = set()
+    for node in ast.walk(ast.parse(Path(opid.cstage.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            modules.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add((node.module or "").split(".")[0])
+    assert "numpy" in modules  # the walk found the imports
+    assert not modules & {"zipfile", "tokenize"}
 
 
 # the routines of opid._scipy that are not the objects their package exports
