@@ -66,18 +66,14 @@ from .model import (
 DIRECT = "direct"
 FACTOR = "factor"
 # 6: one fixed header, rhs and each upper triangle of mat (R, or P1 and P2)
-# packed column by column as little-endian doubles, and a CRC-32 of it all;
-# 5 held the same arrays as npy members of a zip archive; 4 stored the whole
-# mat, zeros below its diagonals included; 3 held G's upper triangle in
-# direct mode, 2 one (m, m) factor in factor mode, and unversioned snapshots
-# predate the Gram-pair layout of direct mode. Only format 6 is read.
+# packed column by column as little-endian doubles, and a CRC-32 of it all.
+# Only format 6 is read.
 SNAPSHOT_FORMAT = 6
 # Block size of every ``dtpqrt`` call. At width p = 1260
 # (survived 960, vanished 300) and 60 rows per batch, on one core of a
 # 2-vCPU x86-64 machine, 16, 32 and 48 tied within the noise: median absorb
 # 31.1, 31.3 and 29.6 ms over 11 runs of 15 batches each, interleaved in
-# rotating order, with single runs spreading 22-40 ms. At the old single
-# triangle's width 2220, 8 and 12 were 15-19% slower.
+# rotating order, with single runs spreading 22-40 ms.
 _QR_BLOCK = 32
 # No value that dtpqrt forms exceeds _QR_HEADROOM * N, N = ||[P; W]||_F for
 # the triangle P and the rows W it folds in: column norms stay <= N,

@@ -41,6 +41,7 @@ from .model import (
     CStageModel,
     NumericError,
     SchemaError,
+    _check_positive,
     _cv_accuracy,
     _solve_spd,
     argmax_decode,
@@ -63,11 +64,6 @@ def logistic_objective(v: np.ndarray, margins: np.ndarray, alpha: float) -> floa
     """0.5 * ||v||^2 plus alpha times the logistic loss of the ``margins``
     ``y * (x @ v)`` of features ``x`` over +/-1 labels ``y``."""
     return 0.5 * float(v @ v) + alpha * float(np.logaddexp(0.0, -margins).sum())
-
-
-def _check_loss_weight(alpha: float) -> None:
-    if not 0 < alpha < np.inf:
-        raise SchemaError(f"loss weight must be > 0 and finite, got {alpha}")
 
 
 def _check_task(x: np.ndarray, y: np.ndarray) -> None:
@@ -116,7 +112,8 @@ def train_logistic(x, y_pm, alpha: float, init=None) -> np.ndarray:
     Damped Newton with Armijo backtracking; the Hessian is the identity plus
     a weighted Gram matrix, so every step is an SPD solve and the iteration
     is globally convergent on this strictly convex objective. No instances,
-    or a loss weight that is not finite and > 0, raise :class:`SchemaError`.
+    or a loss weight that is not a real number, finite and > 0, raise
+    :class:`SchemaError`.
     :func:`train_ovr` takes every class's first step from zeros itself and
     passes the accepted point as ``init``. A step that leaves the point, its
     margins and its objective the same bit for bit would repeat forever.
@@ -129,7 +126,7 @@ def train_logistic(x, y_pm, alpha: float, init=None) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y_pm, dtype=np.float64)
     _check_task(x, y)
-    _check_loss_weight(alpha)
+    _check_positive(alpha, "loss weight")
 
     v = np.zeros(x.shape[1]) if init is None else np.asarray(init, dtype=np.float64).copy()
     # a nan or inf feature reaches _solve_spd's finiteness check and fails
@@ -216,7 +213,7 @@ def train_ovr(x, labels, alpha: float) -> LogisticModel:
     c = labels.shape[1]
     if c < 2:
         raise SchemaError(f"need at least two classes, got {c}")
-    _check_loss_weight(alpha)
+    _check_positive(alpha, "loss weight")
     present = np.flatnonzero(labels.sum(axis=0) > 0)
     if present.size == 1:
         only = int(present[0])

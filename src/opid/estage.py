@@ -18,8 +18,6 @@ joint block: one k x k solve by ``model._solve_spd``, and the weights vanish.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .cstage import compress
@@ -27,6 +25,7 @@ from .model import (
     CStageModel,
     EStageModel,
     SchemaError,
+    _check_positive,
     _solve_spd,
     argmax_decode,
 )
@@ -62,8 +61,7 @@ def _normal_system(z, labels) -> tuple[np.ndarray, np.ndarray]:
 def _ridge_fit(system: tuple[np.ndarray, np.ndarray], gamma: float) -> EStageModel:
     """Solve a normal system from ``_normal_system`` with the ridge gamma / k
     added to a copy of its k x k ZᵀZ, by ``_solve_spd``."""
-    if not 0 < gamma < math.inf:
-        raise SchemaError(f"ridge must be > 0 and finite, got {gamma}")
+    _check_positive(gamma, "ridge")
     gram, zty = system
     k = gram.shape[0]
     mat = gram.copy()  # C-ordered, so reshape(-1) below is a view of it
@@ -76,9 +74,9 @@ def fit_unified(z, labels, gamma: float) -> EStageModel:
     """Fit OPID on a joint block ``z`` and its one-hot ``labels``: the ridge
     (ZᵀZ + (gamma/k) I)⁻¹ ZᵀY over the k joint columns, by ``_solve_spd``.
 
-    Labels that do not fit the block, or a ridge outside (0, inf), raise
-    :class:`SchemaError`. A nan or inf in the system, or an overflow in
-    forming it, raises :class:`NumericError` before LAPACK sees it.
+    Labels that do not fit the block, or a ridge that is not a real number in
+    (0, inf), raise :class:`SchemaError`. A nan or inf in the system, or an
+    overflow in forming it, raises :class:`NumericError` before LAPACK sees it.
     """
     return _ridge_fit(_normal_system(z, labels), gamma)
 

@@ -22,7 +22,6 @@ import functools
 import itertools
 import logging
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -34,7 +33,8 @@ from .estage import (_normal_system, _ridge_fit, _unified_decision, build_stacke
                      predict_unified)
 from .ingest import StreamManifest, read_estage, stream_batches
 from .model import (CStageModel, FeatureSchema, Hyperparams, SchemaError, _accuracy,
-                    _cv_accuracy, _is_a, _open_text, _replacing)
+                    _check_int, _check_list, _check_positive, _cv_accuracy, _open_text,
+                    _replacing)
 
 logger = logging.getLogger(__name__)
 
@@ -56,9 +56,6 @@ SIGNIFICANCE_LEVEL = 0.05  # of the two-sided paired t-test
 AUTO_DIRECT_LIMIT = 2048
 
 
-_GRIDS = ("lam_grid", "rho_grid", "gamma_grid", "alpha_grid")
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Everything needed to reproduce one experiment on a stream on disk; a
@@ -66,8 +63,8 @@ class ExperimentSpec:
 
     source: StreamManifest
     methods: tuple[str, ...] = ALL_METHODS
-    lam_grid: tuple[float, ...] = (1.0,)
-    rho_grid: tuple[float, ...] = (0.1,)
+    lam_grid: tuple[float, ...] = (Hyperparams.lam,)
+    rho_grid: tuple[float, ...] = (Hyperparams.rho,)
     gamma_grid: tuple[float, ...] = (1.0,)
     alpha_grid: tuple[float, ...] = (1.0,)
     repeats: int = 20
@@ -77,15 +74,13 @@ class ExperimentSpec:
     def __post_init__(self):
         if not isinstance(self.source, StreamManifest):
             raise SchemaError(f"source must be a StreamManifest, got {type(self.source).__name__}")
-        # bool is an int and str a sequence, so neither passes for a number or a list
         for name in ("repeats", "folds", "seed"):
-            if not _is_a(getattr(self, name), numbers.Integral):
-                raise SchemaError(f"{name} must be an int, got {getattr(self, name)!r}")
-        for name, kind, what in (("methods", str, "method names"),
-                                 *((grid, numbers.Real, "numbers") for grid in _GRIDS)):
-            values = getattr(self, name)
-            if not (isinstance(values, (tuple, list)) and all(_is_a(v, kind) for v in values)):
-                raise SchemaError(f"{name} must be a tuple or list of {what}, got {values!r}")
+            _check_int(getattr(self, name), name)
+        _check_list(self.methods, "methods", str, "method names")
+        for name in ("lam_grid", "rho_grid", "gamma_grid", "alpha_grid"):
+            _check_list(getattr(self, name), name)
+            if not getattr(self, name):
+                raise SchemaError(f"{name} is empty")
         if self.repeats < 1:
             raise SchemaError(f"repeats must be >= 1, got {self.repeats}")
         if self.folds < 2:
@@ -102,16 +97,12 @@ class ExperimentSpec:
         repeated = [m for m in ALL_METHODS if self.methods.count(m) > 1]
         if repeated:
             raise SchemaError(f"methods selected more than once: {', '.join(repeated)}")
-        for name in _GRIDS:
-            if not getattr(self, name):
-                raise SchemaError(f"{name} is empty")
         for lam, rho in itertools.product(self.lam_grid, self.rho_grid):
             Hyperparams(lam=lam, rho=rho)
         for name, grid in (("expanding-stage ridge", self.gamma_grid),
                            ("logistic loss weights", self.alpha_grid)):
             for value in grid:
-                if not 0 < value < math.inf:
-                    raise SchemaError(f"{name} must be > 0 and finite, got {value}")
+                _check_positive(value, name)
 
 
 @dataclass(frozen=True)
@@ -167,19 +158,16 @@ def run_cstage_pass(stream, schema: FeatureSchema, grid) -> dict[tuple[float, fl
     return {(h.lam, h.rho): solve_model(replace(stats, hyper=h)) for h in points}
 
 
-def k_fold_cv(x, y, grid, k: int, scorer) -> tuple[object, np.ndarray]:
-    """Exhaustive grid search by mean k-fold accuracy.
+def k_fold_cv(x, y, grid, k: int, scorer) -> np.ndarray:
+    """The mean k-fold accuracy of every grid entry, in grid order.
 
     ``scorer(params, x_train, y_train, x_val)`` must return predicted class
-    indices for the validation rows. Ties resolve to the smallest grid
-    index. Returns the winning grid entry and the per-entry mean scores.
+    indices for the validation rows. The caller picks the winner.
     """
     grid = list(grid)
     if not grid:
         raise ValueError("empty hyperparameter grid")
-
-    scores = _cv_accuracy(x, y, k, lambda *fold: [scorer(params, *fold) for params in grid]) / k
-    return grid[int(np.argmax(scores))], scores
+    return _cv_accuracy(x, y, k, lambda *fold: [scorer(params, *fold) for params in grid]) / k
 
 
 def paired_t_test(a, b) -> str:
@@ -282,7 +270,7 @@ class _MethodRunner:
         best = 0
         if self.tuned(method):
             folds = self.spec.folds
-            scores = [k_fold_cv(z, y_train, grid, folds, scorer)[1] for z in blocks]
+            scores = [k_fold_cv(z, y_train, grid, folds, scorer) for z in blocks]
             best = int(np.argmax(np.concatenate(scores)))
         view, params = divmod(best, len(grid))
         model = fit(blocks[view], y_train, grid[params])

@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .model import Batch, FeatureSchema, SchemaError, _is_a, _open_text, _zeros, one_hot_encode
+from .model import (Batch, FeatureSchema, SchemaError, _check_int, _check_list, _check_real,
+                    _open_text, _zeros, one_hot_encode)
 
 # each manifest key and the Python type its JSON value must parse to; the
 # array must hold at least one string, and strings only
@@ -266,16 +266,11 @@ class SynthConfig:
     def __post_init__(self):
         if not isinstance(self.schema, FeatureSchema):
             raise SchemaError(f"schema must be a FeatureSchema, got {type(self.schema).__name__}")
-        # bool is an int and str a sequence, so neither passes for a number or a list
-        for names, kind, what in ((("batches", "batch_size", "estage_size", "seed"),
-                                   numbers.Integral, "an int"),
-                                  (("separation", "noise"), numbers.Real, "a real number")):
-            for name in names:
-                if not _is_a(getattr(self, name), kind):
-                    raise SchemaError(f"{name} must be {what}, got {getattr(self, name)!r}")
-        if not (isinstance(self.signal, (tuple, list))
-                and all(_is_a(f, numbers.Real) for f in self.signal)):
-            raise SchemaError(f"signal must be a tuple or list of real numbers, got {self.signal!r}")
+        for name in ("batches", "batch_size", "estage_size", "seed"):
+            _check_int(getattr(self, name), name)
+        for name in ("separation", "noise"):
+            _check_real(getattr(self, name), name)
+        _check_list(self.signal, "signal")
         if self.batches < 1 or self.batch_size < 1 or self.estage_size < 1:
             raise SchemaError("batch counts and sizes must be >= 1")
         if not (0 <= self.separation < math.inf and 0 <= self.noise < math.inf):

@@ -40,6 +40,28 @@ def _is_a(value, kind: type) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+# The one rule for each kind of setting. Each raises SchemaError naming the
+# setting ``name``; a str is a sequence, but never a tuple or list here.
+def _check_int(value, name: str) -> None:
+    if not _is_a(value, numbers.Integral):
+        raise SchemaError(f"{name} must be an int, got {value!r}")
+
+
+def _check_real(value, name: str) -> None:
+    if not _is_a(value, numbers.Real):
+        raise SchemaError(f"{name} must be a real number, got {value!r}")
+
+
+def _check_list(values, name: str, kind: type = numbers.Real, what: str = "real numbers") -> None:
+    if not (isinstance(values, (tuple, list)) and all(_is_a(v, kind) for v in values)):
+        raise SchemaError(f"{name} must be a tuple or list of {what}, got {values!r}")
+
+
+def _check_positive(value, name: str) -> None:
+    if not (_is_a(value, numbers.Real) and 0 < value < math.inf):
+        raise SchemaError(f"{name} must be > 0 and finite, got {value!r}")
+
+
 def _as_matrix(a, name: str) -> np.ndarray:
     arr = np.ascontiguousarray(a, dtype=np.float64)
     if arr.ndim != 2:
@@ -69,8 +91,7 @@ class FeatureSchema:
 
     def __post_init__(self):
         for name in ("vanished", "survived", "augmented", "classes"):
-            if not _is_a(getattr(self, name), numbers.Integral):
-                raise SchemaError(f"{name} must be an int, got {getattr(self, name)!r}")
+            _check_int(getattr(self, name), name)
         if self.survived < 1:
             raise SchemaError(f"survived width must be >= 1, got {self.survived}")
         if self.classes < 2:
@@ -180,8 +201,7 @@ class Hyperparams:
 
     def __post_init__(self):
         for name in ("lam", "rho"):
-            if not _is_a(getattr(self, name), numbers.Real):
-                raise SchemaError(f"{name} must be a real number, got {getattr(self, name)!r}")
+            _check_real(getattr(self, name), name)
         # float(): numpy scalars would warn on the overflow that is tested for
         if not (self.lam >= 0 and math.isfinite(1.0 + 2.0 * float(self.lam))):
             raise SchemaError(f"consistency weight must be >= 0, 1 + 2 lam finite, got {self.lam}")
@@ -281,7 +301,8 @@ def _accuracy(pred: np.ndarray, labels: np.ndarray) -> float:
 
 def _cv_accuracy(x, y, folds: int, predict) -> np.ndarray:
     """Each candidate's validation accuracy summed over contiguous k-fold
-    splits of the rows of ``x`` and one-hot ``y`` (2 <= folds <= rows).
+    splits of the rows of ``x`` and one-hot ``y`` (``folds`` an int,
+    2 <= folds <= rows).
     The folds are the row ranges ``np.array_split`` would give, taken as
     slices: validation rows ``x[start:stop]``, training rows the rest, in
     order. ``predict(x_train, y_train, x_val)`` returns one class-index
@@ -289,6 +310,7 @@ def _cv_accuracy(x, y, folds: int, predict) -> np.ndarray:
     arrays made for that fold alone. The caller divides by ``folds``."""
     x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
     n = x.shape[0]
+    _check_int(folds, "folds")
     if folds < 2:
         raise SchemaError(f"need at least 2 folds, got {folds}")
     if n < folds:

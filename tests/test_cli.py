@@ -118,6 +118,16 @@ class TestCStageCommand:
             "schema .* conflicts with the snapshot",
         )
 
+    def test_resume_from_a_missing_snapshot_rejected(self, snapshot, tmp_path, capsys):
+        manifest_path, _ = snapshot
+        out, missing = tmp_path / "x.npz", tmp_path / "missing.npz"
+        _assert_rejected(
+            capsys,
+            ["cstage", "--manifest", manifest_path, "--out", str(out), "--resume", str(missing)],
+            f"{re.escape(str(missing))}: not a readable statistics snapshot",
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [["--lambda", "1.0"], ["--rho", "0.5"]])
     def test_resume_rejects_conflicting_flags(self, snapshot, tmp_path, capsys, flags):
         manifest_path, out = snapshot

@@ -1012,6 +1012,17 @@ class TestSnapshot:
         with pytest.raises(SchemaError, match="not a statistics snapshot of format 6"):
             load_stats(path)
 
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_snapshot_is_a_schema_error(self, tmp_path, kind):
+        # open() fails with FileNotFoundError or IsADirectoryError, typed here
+        path = tmp_path / "stats.bin"
+        if kind == "directory":
+            path.mkdir()
+        pattern = f"^{re.escape(str(path))}: not a readable statistics snapshot: "
+        with pytest.raises(SchemaError, match=pattern) as info:
+            load_stats(path)
+        assert isinstance(info.value.__cause__, OSError)
+
     def test_unversioned_snapshot_rejected(self, tmp_path):
         # the layout from before format versions: a coupled (m, m) matrix in
         # an .npz archive

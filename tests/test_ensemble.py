@@ -73,7 +73,7 @@ class TestTrainLogistic:
         with pytest.raises(ValueError):
             train_logistic(np.zeros((2, 1)), np.array([1.0, -1.0]), alpha=0.0)
 
-    @pytest.mark.parametrize("alpha", [-1.0, 0.0, np.nan, np.inf])
+    @pytest.mark.parametrize("alpha", [-1.0, 0.0, np.nan, np.inf, "1", None, True])
     def test_bad_alpha_is_a_schema_error(self, alpha):
         # nan and inf used to reach the Newton solve; inf warned on the way
         x, y = separable_binary(np.random.default_rng(0), n=6)
@@ -359,7 +359,7 @@ class TestTrainEnsemble:
         with pytest.raises(ValueError):
             train_ensemble(z, labels, folds=5)
 
-    @pytest.mark.parametrize("alpha", [np.nan, 0.0, np.inf])
+    @pytest.mark.parametrize("alpha", [np.nan, 0.0, np.inf, "1", None, True])
     def test_bad_alpha_is_a_schema_error(self, alpha):
         z, labels = _stacked_with_noise_augmented(np.random.default_rng(7), n=20)
         # single-class data, whose members are constant classifiers, too
@@ -380,6 +380,12 @@ class TestTrainEnsemble:
         z, labels = _stacked_with_noise_augmented(np.random.default_rng(7), n=20)
         with pytest.raises(SchemaError, match="at least 2 folds"):
             train_ensemble(z, labels, folds=1)
+        # a fold count is an int, as in ExperimentSpec; a numpy integer is one
+        for folds in (2.5, 2.0, "5"):
+            with pytest.raises(SchemaError, match=f"folds must be an int, got {folds!r}"):
+                train_ensemble(z, labels, folds=folds)
+        assert train_ensemble(z, labels, folds=np.int64(5)).w_base == \
+            train_ensemble(z, labels, folds=5).w_base
 
     def test_grid_contains_both_endpoints(self):
         assert WEIGHT_GRID[0] == 0.0 and WEIGHT_GRID[-1] == 1.0

@@ -278,7 +278,7 @@ class TestFitUnified:
                 for part, before in zip(system, formed):
                     np.testing.assert_array_equal(part, before)
 
-    @pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan, np.inf, -np.inf, "1", None, True])
     def test_bad_ridge_rejected_before_any_solve(self, gamma, monkeypatch):
         def no_solve(*args, **kwargs):
             raise AssertionError("solve called")

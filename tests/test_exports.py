@@ -103,6 +103,23 @@ def test_lapack_surface_is_pinned():
     assert exposed == ROUTINES
 
 
+def test_only_model_reads_the_type_test():
+    # model's _check_* rules are the one place a setting's kind is tested; a
+    # module that imports or names _is_a is writing a type check of its own
+    readers = set()
+    for path in sorted(Path(opid.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [a.name for a in node.names]
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                names = [getattr(node, "id", None) or node.attr]
+            else:
+                continue
+            if "_is_a" in names:
+                readers.add(path.stem)
+    assert readers == {"model"}
+
+
 def test_snapshot_code_imports_no_container():
     # a snapshot is one header, the packed triangles and a CRC; a zip archive
     # or npy headers parsed by hand would bring back the reader they replaced

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import errno
 
 import numpy as np
@@ -124,8 +125,8 @@ class TestKFoldCV:
         rng = np.random.default_rng(2)
         x = rng.standard_normal((12, 2))
         y = np.eye(2)[rng.integers(0, 2, 12)]
-        best, scores = k_fold_cv(x, y, [3.0], 3, self._nearest_scale_scorer)
-        assert best == 3.0 and scores.shape == (1,)
+        scores = k_fold_cv(x, y, [3.0], 3, self._nearest_scale_scorer)
+        assert scores.shape == (1,) and 0.0 <= scores[0] <= 1.0
 
     def test_duplicated_grid_point_first_index_wins(self):
         rng = np.random.default_rng(3)
@@ -136,9 +137,10 @@ class TestKFoldCV:
         def scorer(params, x_tr, y_tr, x_va):
             return self._nearest_scale_scorer(params[1], x_tr, y_tr, x_va)
 
-        best, scores = k_fold_cv(x, y, grid, 3, scorer)
-        assert best == ("first", 1.0)
-        assert scores[0] == scores[1]
+        scores = k_fold_cv(x, y, grid, 3, scorer)
+        # equal points score equally; argmax, the winner's rule in evaluate, takes the first
+        assert scores.shape == (2,) and scores[0] == scores[1]
+        assert int(np.argmax(scores)) == 0
 
     def test_scores_match_naive_fold_loop(self):
         rng = np.random.default_rng(4)
@@ -150,7 +152,7 @@ class TestKFoldCV:
         def scorer(alpha, x_tr, y_tr, x_va):
             return train_ovr(x_tr, y_tr, alpha).predict(x_va)
 
-        _, scores = k_fold_cv(x, y, grid, 4, scorer)
+        scores = k_fold_cv(x, y, grid, 4, scorer)
 
         idx = np.arange(n)
         expected = np.zeros(len(grid))
@@ -165,6 +167,12 @@ class TestKFoldCV:
     def test_too_few_rows_rejected(self):
         with pytest.raises(ValueError):
             k_fold_cv(np.zeros((3, 1)), np.eye(3), [1.0], 5, self._nearest_scale_scorer)
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, "5", True])
+    def test_non_int_fold_count_rejected(self, k):
+        x, y = np.zeros((6, 1)), np.eye(2)[[0, 1] * 3]
+        with pytest.raises(SchemaError, match=f"folds must be an int, got {k!r}"):
+            k_fold_cv(x, y, [1.0], k, self._nearest_scale_scorer)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="empty hyperparameter grid"):
@@ -505,8 +513,8 @@ def test_shared_system_scores_equal_a_fit_per_gamma(monkeypatch):
             return real_decision(z_val, y_train.shape[1], emodel)
 
         shared_coefs.clear()
-        shared = k_fold_cv(z, y, gammas, folds, harness._opid_scorer())[1]
-        plain = k_fold_cv(z, y, gammas, folds, per_gamma)[1]
+        shared = k_fold_cv(z, y, gammas, folds, harness._opid_scorer())
+        plain = k_fold_cv(z, y, gammas, folds, per_gamma)
         np.testing.assert_array_equal(shared, plain)
         assert len(shared_coefs) == len(plain_coefs) == 3 * folds
         for got, expected in zip(shared_coefs, plain_coefs):
@@ -616,6 +624,39 @@ def test_tied_grid_points_across_blocks_pick_the_first(tmp_path, monkeypatch):
     assert final_gamma == spec.gamma_grid[0]
     assert final_block is blocks[id(first)]
     assert predictions == [first]
+
+
+@pytest.mark.parametrize("method, fit_name", [
+    (OPID, "fit_unified"), (OPIDE, "train_ensemble"), (BASE_ALL, "train_ovr"),
+])
+def test_equal_cv_scores_fit_the_first_grid_point(tmp_path, monkeypatch, method, fit_name):
+    # k_fold_cv returns scores only; evaluate holds the one tie rule. With
+    # every (view, grid) point scored alike, the first view's block and the
+    # first grid value serve the final fit.
+    blocks, fits = [], []
+    real_build, real_fit = harness.build_stacked, getattr(harness, fit_name)
+
+    def build_stacked(x, cmodel):
+        blocks.append(real_build(x, cmodel))
+        return blocks[-1]
+
+    def recording_fit(z, y, params, **kwargs):
+        fits.append((z, params))
+        return real_fit(z, y, params, **kwargs)
+
+    monkeypatch.setattr(harness, "k_fold_cv", lambda x, y, grid, k, scorer: np.zeros(len(grid)))
+    monkeypatch.setattr(harness, "build_stacked", build_stacked)
+    monkeypatch.setattr(harness, fit_name, recording_fit)
+    spec = dataclasses.replace(_opid_grid_spec(tmp_path, (1.0, 0.1), (0.5, 0.1), (1.0, 0.1),
+                                               repeats=1), methods=(method,), alpha_grid=(1.0, 0.5))
+    table = run_experiment(spec)
+    assert len(table.accuracies[method]) == 1 and not table.failures
+    ((block, params),) = fits
+    assert params == (spec.gamma_grid if method == OPID else spec.alpha_grid)[0]
+    if method == BASE_ALL:
+        assert not blocks and block.shape[1] == spec.source.schema.estage_width
+    else:
+        assert len(blocks) == 4 and block is blocks[0]
 
 
 def _random_protocol_spec(rng, out_dir):
